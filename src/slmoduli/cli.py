@@ -4,8 +4,11 @@ Every run writes ``report.json`` into the output directory with one entry per
 named claim key ("prop1", "prop2", "thm3", "prop3", "prop4", "prop5",
 "mclean") that the command certifies, plus CSV field dumps.  Exit status: 0
 if every asserted check passed, 1 if a check failed (the report is still
-written), 2 for configuration or input errors.  Timestamps go to a sidecar
-``run.log`` so that reports are byte-identical across reruns.
+written), 2 for configuration or input errors, including input the
+mathematics rejects (a non-convex potential, a solver that cannot converge);
+then the report carries an ``error`` entry with the exception type and
+message.  Timestamps go to a sidecar ``run.log`` so that reports are
+byte-identical across reruns.
 """
 
 import argparse
@@ -20,7 +23,16 @@ from . import family as fam_mod
 from . import hessian as hes_mod
 from . import semiflat as sf_mod
 from .cymodel import load_model, std_model, validate_axioms
-from .errors import InputError
+from .errors import (
+    ConvergenceError,
+    ConvexityError,
+    DegeneracyError,
+    DegreeError,
+    DomainError,
+    GridMismatchError,
+    InputError,
+    MetricError,
+)
 from .family import (
     closedness_loop_residual,
     embed_F,
@@ -57,6 +69,20 @@ COMMANDS = (
     "partial-legendre",
     "semiflat",
     "gh",
+)
+
+# Errors that mean "this input cannot be processed": exit 2, never a traceback.
+_INPUT_ERRORS = (
+    InputError,
+    FileNotFoundError,
+    KeyError,
+    ConvexityError,
+    ConvergenceError,
+    DegeneracyError,
+    DomainError,
+    MetricError,
+    GridMismatchError,
+    DegreeError,
 )
 
 _EXPR_NAMES = {
@@ -336,28 +362,34 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.tol <= 0:
             raise InputError("tolerance must be positive")
         config = _load_config(args.config) if args.config else {}
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         runner = _RUNNERS[args.command]
         if args.command == "semiflat":
             report, ok = runner(config, args.tol, out, oracle=args.oracle)
         else:
             report, ok = runner(config, args.tol, out)
-    except (InputError, FileNotFoundError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 0 if ok else 1
+    except _INPUT_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        report = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        code = 2
     report = {"command": args.command, "tol": args.tol, **report}
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(out / "run.log", "a") as fh:
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        fh.write(f"{stamp} {args.command} exit={0 if ok else 1}\n")
-    return 0 if ok else 1
+        fh.write(f"{stamp} {args.command} exit={code}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -2,10 +2,11 @@
 
 A potential is a strictly convex scalar on a uniform box grid.  The module
 computes its Hessian metric, the Monge-Ampere residual det(Hess) - c, the
-discrete Legendre transform (per-axis conjugation of the piecewise-linear
-interpolant, optionally sharpened by a spline Newton refinement), the mirror
-role-swap, the 2D partial Legendre reduction to the Laplace equation, and a
-damped-Newton Dirichlet solver for det(Hess phi) = c in two variables.
+discrete Legendre transform (one separable per-axis pass that returns the
+grid conjugate together with its argmax node, optionally sharpened by a
+spline Newton refinement started from that node), the mirror role-swap, the
+2D partial Legendre reduction to the Laplace equation, and a damped-Newton
+Dirichlet solver for det(Hess phi) = c in two variables.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ class HessianPotential:
     axes: list
     values: np.ndarray
     c: float = None
+    info: dict = field(default=None, repr=False)  # solver diagnostics, if any
 
     def __post_init__(self):
         self.axes = [np.asarray(ax, dtype=float) for ax in self.axes]
@@ -97,16 +99,18 @@ def _conjugate_axis(values, u_nodes, v_nodes):
 
     ``values`` has the conjugation variable on axis 0; the sup over the PL
     interpolant is attained at a grid node, so a max over nodes is exact.
-    Returns the conjugate values and the argmax node index.
+    A running max over the u-nodes keeps the work array at the size of the
+    result.  Returns the conjugate values and the (first) argmax node index.
     """
-    scores = (
-        v_nodes[:, None, None] * u_nodes[None, :, None]
-        - values.reshape(1, len(u_nodes), -1)
-    )
-    arg = np.argmax(scores, axis=1)
-    best = np.take_along_axis(scores, arg[:, None, :], axis=1)[:, 0, :]
-    shape = (len(v_nodes),) + values.shape[1:]
-    return best.reshape(shape), arg.reshape(shape)
+    v = v_nodes.reshape((-1,) + (1,) * (values.ndim - 1))
+    best = v * u_nodes[0] - values[0]
+    arg = np.zeros(best.shape, dtype=np.intp)
+    for i in range(1, len(u_nodes)):
+        score = v * u_nodes[i] - values[i]
+        better = score > best
+        best[better] = score[better]
+        arg[better] = i
+    return best, arg
 
 
 @dataclass
@@ -137,50 +141,53 @@ def gradient_image_axes(pot, size=None, margin=0.0):
     return axes
 
 
-def legendre_transform(pot, v_axes=None, refine=True, newton_steps=40):
+def legendre_transform(pot, v_axes=None, refine=True):
     """psi(v) = sup_u (<u, v> - phi(u)) on a regular v-grid.
 
-    The sup is taken exactly over the piecewise-linear interpolant by per-axis
-    conjugation; with ``refine`` the argmax is then polished by a projected
-    Newton iteration on a quintic spline of phi, which restores smooth-order
-    accuracy while keeping the grid values as certified starting points.
+    The sup is taken exactly over the piecewise-linear interpolant by one
+    separable pass (``_grid_conjugate``), which also yields the maximising
+    node of every v-node.  With ``refine`` that node starts a projected
+    Newton polish on a quintic spline of phi, which restores smooth-order
+    accuracy; both values are lower bounds of the sup over the box, so the
+    larger one is kept at each v-node.
     """
     hessian_metric(pot)  # convexity is a precondition
     if v_axes is None:
         v_axes = gradient_image_axes(pot)
     v_axes = [np.asarray(ax, dtype=float) for ax in v_axes]
-    m = pot.dim
-    values = pot.values
-    # sequential per-axis conjugation: axis a of the intermediate array is
-    # v_a once processed, still u_a before
-    work = values
-    for a in range(m):
-        moved = np.moveaxis(work, a, 0)
-        conj, _ = _conjugate_axis(moved, pot.axes[a], v_axes[a])
-        work = np.moveaxis(-conj, 0, a)  # keep negated until the last axis
-    psi = -work
-    argmax = _argmax_points(pot, v_axes)
+    psi, argmax = _grid_conjugate(pot, v_axes)
     if refine:
-        psi, argmax = _refine_conjugate(pot, v_axes, argmax)
+        fine, fine_argmax = _refine_conjugate(pot, v_axes, argmax)
+        better = fine > psi
+        psi = np.where(better, fine, psi)
+        argmax = np.where(better[..., None], fine_argmax, argmax)
     dual_c = None if pot.c is None else 1.0 / pot.c
     dual = HessianPotential(v_axes, psi, dual_c)
     residual = fenchel_residual(pot, dual)
     return LegendrePair(pot, dual, residual, argmax)
 
 
-def _argmax_points(pot, v_axes):
-    """Grid argmax of <u, v> - phi(u) for every v-node (brute force)."""
-    pts = pot.points().reshape(-1, pot.dim)
-    phi = pot.values.reshape(-1)
-    v_mesh = np.stack(np.meshgrid(*v_axes, indexing="ij"), axis=-1)
-    v_flat = v_mesh.reshape(-1, pot.dim)
-    best = np.empty_like(v_flat)
-    chunk = 4096
-    for start in range(0, len(v_flat), chunk):
-        vs = v_flat[start:start + chunk]
-        scores = vs @ pts.T - phi[None, :]
-        best[start:start + chunk] = pts[np.argmax(scores, axis=1)]
-    return best.reshape(v_mesh.shape)
+def _grid_conjugate(pot, v_axes):
+    """Grid conjugate and grid argmax point of every v-node, in one pass.
+
+    max_u (<u, v> - phi(u)) over the grid separates into per-axis maxima:
+    after axis a the work array holds v_1..v_a and u_(a+1)..u_m.  The argmax
+    index of axis a depends on exactly those, so reading the indices back
+    from the last axis to the first gives the maximising node of each v-node.
+    """
+    work = pot.values
+    args = []
+    for a in range(pot.dim):
+        conj, arg = _conjugate_axis(np.moveaxis(work, a, 0), pot.axes[a], v_axes[a])
+        work = np.moveaxis(-conj, 0, a)  # keep negated until the last axis
+        args.append(np.moveaxis(arg, 0, a))
+    psi = -work
+    v_index = np.indices(psi.shape, sparse=True)
+    index = [None] * pot.dim
+    for a in reversed(range(pot.dim)):
+        index[a] = args[a][tuple(v_index[:a + 1]) + tuple(index[a + 1:])]
+    argmax = np.stack([ax[i] for ax, i in zip(pot.axes, index)], axis=-1)
+    return psi, argmax
 
 
 def _refine_conjugate(pot, v_axes, argmax, steps=40):
@@ -375,7 +382,8 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50,
     phi = np.zeros(shape)
     phi[mask] = bvals[mask]
     rhs0 = np.full(int_idx.size, 2.0 * np.sqrt(c)) - (lap @ phi.ravel())[int_idx]
-    phi.ravel()[int_idx] = spsolve(lap[int_idx][:, int_idx].tocsc(), rhs0)
+    phi.ravel()[int_idx] = spsolve(lap[int_idx][:, int_idx].tocsc(), rhs0,
+                                   permc_spec="MMD_AT_PLUS_A")
 
     def residual_of(p):
         hess = hessian_field(p, spacings)
@@ -385,10 +393,9 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50,
     history = [float(np.max(np.abs(res[interior])))]
     for iteration in range(max_iter):
         if history[-1] < tol:
-            info = {"iterations": iteration, "residuals": history}
-            pot = HessianPotential(axes, phi, c)
-            pot.info = info
-            return pot
+            return HessianPotential(
+                axes, phi, c, info={"iterations": iteration, "residuals": history}
+            )
         c11, c22, c12 = _clamped_cofactors(hess, clamp)
         jac = (
             sparse.diags(c11.ravel()) @ op11
@@ -398,7 +405,7 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50,
         jac_ii = jac[int_idx][:, int_idx]
         rhs = -res[interior]
         delta = np.zeros(n0 * n1)
-        delta[int_idx] = spsolve(jac_ii.tocsc(), rhs)
+        delta[int_idx] = spsolve(jac_ii.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
         alpha = damping
         base = history[-1]
         while True:
@@ -419,9 +426,9 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50,
                 f"Newton stagnation at residual {norm:.3e}", history
             )
     if history[-1] < tol:
-        pot = HessianPotential(axes, phi, c)
-        pot.info = {"iterations": max_iter, "residuals": history}
-        return pot
+        return HessianPotential(
+            axes, phi, c, info={"iterations": max_iter, "residuals": history}
+        )
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations "
         f"(residual {history[-1]:.3e})",

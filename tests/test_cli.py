@@ -138,6 +138,31 @@ def test_config_error_exit_code(tmp_path):
     assert main(["gh", "--config", bad, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, payload, error",
+    [
+        ("legendre",
+         {"potential": {"axes": [[-1, 1, 17], [-1, 1, 17]], "expr": "-(u1**2 + u2**2)"}},
+         "ConvexityError"),
+        ("ma-solve",
+         {"boundary": "cosh(u1) + cosh(u2)", "n": 17, "solver": {"max_iter": 1}},
+         "ConvergenceError"),
+        ("gh", {"V": "os.system('true')"}, "InputError"),
+    ],
+)
+def test_rejected_input_exit_code_and_report(tmp_path, capsys, command, payload, error):
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    report = _report(tmp_path)
+    assert report["command"] == command
+    assert report["error"]["type"] == error
+    assert report["error"]["message"]
+    assert "checks" not in report
+    log = (tmp_path / "run.log").read_text().splitlines()
+    assert log[-1].endswith(f"{command} exit=2")
+
+
 def test_report_is_deterministic(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

@@ -1,7 +1,11 @@
 """Hessian potentials: metric, Legendre duality, partial reduction, solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slmoduli.errors import (
     ConvergenceError,
@@ -108,6 +112,119 @@ def test_legendre_1d():
     assert np.max(np.abs(pair.dual.values - exact)) < 1e-6
 
 
+def _brute_force_argmax(pot, v_axes):
+    """Reference: max of <u, v> - phi(u) over every (v-node, u-node) pair."""
+    pts = pot.points().reshape(-1, pot.dim)
+    v = np.stack(np.meshgrid(*v_axes, indexing="ij"), axis=-1).reshape(-1, pot.dim)
+    scores = v @ pts.T - pot.values.reshape(-1)[None, :]
+    order = np.sort(scores, axis=1)
+    return pts[np.argmax(scores, axis=1)], order[:, -1], order[:, -1] - order[:, -2]
+
+
+def _random_convex(rng, m, n):
+    mat = rng.normal(size=(m, m))
+    mat = mat @ mat.T + 0.3 * np.eye(m)
+    lin = rng.normal(size=m)
+    amp = rng.uniform(0.0, 0.3)
+    vec = rng.normal(size=m)
+
+    def fn(*mesh):
+        u = np.stack(mesh, axis=-1)
+        return (0.5 * np.einsum("...a,ab,...b->...", u, mat, u) + u @ lin
+                + amp * np.cosh(u @ vec))
+
+    return HessianPotential.from_function([np.linspace(-1, 1, n)] * m, fn)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_separable_argmax_matches_brute_force(m):
+    rng = np.random.default_rng(11 + m)
+    for _ in range(10):
+        pot = _random_convex(rng, m, int(rng.integers(9, 26)))
+        v_axes = gradient_image_axes(pot, margin=rng.uniform(0.0, 0.3))
+        pair = legendre_transform(pot, v_axes=v_axes, refine=False)
+        ref_pts, ref_max, ref_gap = _brute_force_argmax(pot, v_axes)
+        argmax = pair.argmax_points.reshape(-1, m)
+        psi = pair.dual.values.reshape(-1)
+        assert np.max(np.abs(psi - ref_max)) < 1e-13
+        # the same node wherever the maximum is not a near tie
+        unique = ref_gap > 1e-12
+        assert np.array_equal(argmax[unique], ref_pts[unique])
+        # and the objective at the returned node is the grid conjugate
+        idx = tuple(np.rint((argmax[:, a] - pot.axes[a][0]) / pot.spacings[a]).astype(int)
+                    for a in range(m))
+        v = np.stack(np.meshgrid(*v_axes, indexing="ij"), axis=-1).reshape(-1, m)
+        at_argmax = np.sum(argmax * v, axis=1) - pot.values[idx]
+        assert np.max(np.abs(at_argmax - psi)) < 1e-13
+
+
+def test_polished_conjugate_not_below_grid_conjugate():
+    # the draws of acceptance criterion 07; without the guard the polished
+    # back-transform fell below the grid value by up to 2.7e-3
+    rng = np.random.default_rng(77)
+    for trial in range(50):
+        m = 1 if trial % 2 == 0 else 2
+        n = 65 if m == 1 else 33
+        axes = [np.linspace(-1.0, 1.0, n)] * m
+        scale = rng.uniform(0.8, 2.0)
+        mat = scale * np.eye(m)
+        if m == 2:
+            s = rng.uniform(-0.15, 0.15) * scale
+            mat = mat + np.array([[0.0, s], [s, 0.0]])
+        amp = rng.uniform(0.0, 0.15)
+        vec = rng.normal(size=m)
+        vec /= max(np.linalg.norm(vec), 1e-9)
+
+        def fn(*mesh):
+            u = np.stack(mesh, axis=-1)
+            return 0.5 * np.einsum("...a,ab,...b->...", u, mat, u) + amp * np.cosh(u @ vec)
+
+        pot = HessianPotential.from_function(axes, fn)
+        v_axes = gradient_image_axes(pot, margin=0.2)
+        dual = legendre_transform(pot, v_axes=v_axes).dual
+        # forward transform and back-transform of the dual, as in the criterion
+        for primal, target in ((pot, v_axes), (dual, pot.axes)):
+            grid = legendre_transform(primal, v_axes=target, refine=False).dual.values
+            polished = legendre_transform(primal, v_axes=target).dual.values
+            assert np.min(polished - grid) >= -1e-12, trial
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.sampled_from([1, 2]),
+    diag=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    corr=st.floats(-0.15, 0.15),
+    shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+)
+def test_legendre_involution_random_quadratics(m, diag, corr, shift):
+    mat = np.diag(diag[:m])
+    if m == 2:
+        mat[0, 1] = mat[1, 0] = corr * np.sqrt(diag[0] * diag[1])
+    lin = np.array(shift[:m])
+
+    def fn(*mesh):
+        u = np.stack(mesh, axis=-1)
+        return 0.5 * np.einsum("...a,ab,...b->...", u, mat, u) + u @ lin
+
+    pot = HessianPotential.from_function([np.linspace(-1, 1, 33 if m == 1 else 17)] * m, fn)
+    v_axes = gradient_image_axes(pot, margin=0.2)
+    pair = legendre_transform(pot, v_axes=v_axes)
+    # the quintic spline is exact on a quadratic: wherever the maximiser
+    # A^-1 (v - b) lies in the box the dual is the closed form
+    v = np.stack(np.meshgrid(*v_axes, indexing="ij"), axis=-1)
+    inv = np.linalg.inv(mat)
+    exact = 0.5 * np.einsum("...a,ab,...b->...", v - lin, inv, v - lin)
+    attained = np.all(np.abs((v - lin) @ inv) <= 1.0, axis=-1)
+    assert np.max(np.abs(pair.dual.values - exact)[attained]) < 1e-10
+    # involution where the gradient stays one dual spacing inside the v-box
+    back = legendre_transform(pair.dual, v_axes=pot.axes)
+    grad = pot.gradient()
+    lo = np.array([ax[1] for ax in v_axes])
+    hi = np.array([ax[-2] for ax in v_axes])
+    inside = np.all((grad >= lo) & (grad <= hi), axis=-1)
+    assert np.max(np.abs(back.dual.values - pot.values)[inside]) < 1e-9
+
+
 def test_fenchel_residual_detects_wrong_dual():
     pot = _quadratic([np.linspace(-1, 1, 33)] * 2, np.eye(2))
     wrong = HessianPotential(pot.axes, 2.0 * pot.values)
@@ -183,6 +300,15 @@ def test_solver_quadratic_convergence_on_cosh_data():
     assert hist[-1] < 1e-8
     # quadratic tail: the last full step squares the residual scale
     assert hist[-1] < hist[-2] ** 1.5
+
+
+def test_solver_info_is_a_dataclass_field():
+    axes = [np.linspace(0.0, 1.0, 17)] * 2
+    pot = solve_ma_dirichlet(axes, lambda a, b: 0.5 * (a ** 2 + b ** 2), c=1.0)
+    assert "info" in {f.name for f in dataclasses.fields(HessianPotential)}
+    assert set(pot.info) == {"iterations", "residuals"}
+    assert "info" not in repr(pot)
+    assert HessianPotential(axes, pot.values).info is None
 
 
 def test_solver_respects_max_iter():
