@@ -65,7 +65,6 @@ from .semiflat import (
     nijenhuis_residual,
     ricci_agreement,
     ricci_form,
-    ricci_oracle,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -12,8 +12,10 @@ byte-identical across reruns.
 """
 
 import argparse
+import ast
 import datetime
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -85,8 +87,8 @@ _INPUT_ERRORS = (
     DegreeError,
 )
 
+# Everything a config expression may name besides its grid variables.
 _EXPR_NAMES = {
-    "np": np,
     "pi": np.pi,
     "sin": np.sin,
     "cos": np.cos,
@@ -99,11 +101,53 @@ _EXPR_NAMES = {
 }
 
 
+def _power(base, exponent):
+    # an integer power of integers can grow without bound; take it in floats
+    if isinstance(base, int) and isinstance(exponent, int):
+        return float(base) ** exponent
+    return base ** exponent
+
+
+_EXPR_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: _power,
+}
+
+
 def _eval_expression(expr, **variables):
+    """Evaluate a config expression over the grid variables.
+
+    The syntax tree is walked against a whitelist: numeric constants, the
+    names in ``_EXPR_NAMES`` and ``variables``, ``+ - * / **``, unary minus
+    and calls of the functions in ``_EXPR_NAMES``.  Anything else (attribute
+    access, subscripts, other names or operators) raises InputError.
+    A power of two integers is taken in floats, so it overflows instead of
+    growing an unbounded integer.
+    """
     try:
-        return eval(expr, {"__builtins__": {}}, {**_EXPR_NAMES, **variables})
+        tree = ast.parse(expr, mode="eval")
+        return np.asarray(_eval_node(tree.body, {**_EXPR_NAMES, **variables}), dtype=float)
     except Exception as exc:
         raise InputError(f"cannot evaluate expression {expr!r}: {exc}") from exc
+
+
+def _eval_node(node, names):
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPERATORS:
+        return _EXPR_OPERATORS[type(node.op)](_eval_node(node.left, names),
+                                              _eval_node(node.right, names))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_eval_node(node.operand, names)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and callable(_EXPR_NAMES.get(node.func.id)) and not node.keywords):
+        return _EXPR_NAMES[node.func.id](*(_eval_node(arg, names) for arg in node.args))
+    raise InputError(f"{ast.unparse(node)!r} is not allowed in an expression")
 
 
 def _load_config(path):

@@ -469,8 +469,15 @@ def family_from_shorthand(name):
 
 
 def save_family(fam, path, model_ref=None):
+    """Write ``fam`` as JSON that ``load_family`` reads back.
+
+    The file names its model by ``model_ref`` ("std:<n>" or the path of a
+    model file), so a reference is required.
+    """
+    if model_ref is None:
+        raise InputError("save_family needs a model_ref ('std:<n>' or a model file path)")
     data = {
-        "model": model_ref if model_ref is not None else "inline",
+        "model": model_ref,
         "P": fam.P.tolist(),
         "Q": fam.Q.tolist(),
         "r": fam.r.tolist(),

@@ -118,18 +118,6 @@ def ricci_form(sf):
     return -0.5 * hessian_field(log_det, sf.potential.spacings)
 
 
-def ricci_oracle(sf):
-    """Ricci of the real 2m-metric via Christoffel symbols (independent route).
-
-    Returns the (u_j, u_k) block; the full tensor is block diagonal with two
-    identical blocks for these metrics, which the comparison helper verifies.
-    """
-    g = sf.full_metric()
-    ric = ricci_from_metric(g, sf.potential.spacings)
-    m = sf.m
-    return ric[..., :m, :m]
-
-
 def ricci_agreement(sf, trim=None):
     """max interior deviation between the log-det Ricci and the oracle.
 
@@ -158,36 +146,50 @@ def ricci_from_metric(components, spacings):
 
     The grid axes correspond to the first p coordinates; the remaining
     coordinates are Killing directions (derivatives vanish).  All derivatives
-    use the shared fourth-order stencils.
+    use the shared fourth-order stencils.  The Riemann tensor is never
+    formed: from the Christoffel symbols Gamma^a_{bc},
+
+        R_bd = sum_a R^a_{bad}
+             = sum_a d_a Gamma^a_{db} - d_d Gamma^a_{ab}
+                     + Gamma^a_{ae} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{ab},
+
+    with d_a = 0 for a >= p.  The stencils are linear, so this is the discrete
+    operator of the full R^a_{bcd} contraction; adding the terms per a in the
+    order of that contraction also keeps its floating-point result.  Memory is
+    O(N d^3) for N grid nodes: the largest arrays hold the metric derivatives
+    and the Christoffel symbols.
     """
     components = np.asarray(components, dtype=float)
     p = components.ndim - 2
     d = components.shape[-1]
-    ginv = np.linalg.inv(components)
-    dg = _directional_derivatives(components, spacings, p, d)
-    # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{db} - d_d g_{bc})
-    gamma = 0.5 * (
-        np.einsum("...ad,...dcb->...abc", ginv, dg)
-        + np.einsum("...ad,...dbc->...abc", ginv, dg)
-        - np.einsum("...ad,...bcd->...abc", ginv, dg)
-    )
-    dgamma = _directional_derivatives(gamma, spacings, p, d)
-    # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db}
-    #           - Gamma^a_{de} Gamma^e_{cb}
-    term1 = np.einsum("...adbc->...abcd", dgamma)
-    term2 = np.einsum("...acbd->...abcd", dgamma)
-    term3 = np.einsum("...ace,...edb->...abcd", gamma, gamma)
-    term4 = np.einsum("...ade,...ecb->...abcd", gamma, gamma)
-    riem = term1 - term2 + term3 - term4
-    return np.einsum("...abad->...bd", riem)
-
-
-def _directional_derivatives(tensor, spacings, p, d):
-    """Append a derivative-direction axis of length d; zero beyond the grid axes."""
-    out = np.zeros(tensor.shape + (d,))
+    # dg[..., i, j, k] = d_k g_ij, zero along the Killing directions k >= p
+    dg = np.zeros(components.shape + (d,))
     for axis in range(p):
-        out[..., axis] = apply_diff(tensor, axis, spacings[axis], 1)
-    return out
+        dg[..., axis] = apply_diff(components, axis, spacings[axis], 1)
+    # Gamma^a_{bc} = 1/2 g^{ae} (d_b g_{ec} + d_c g_{eb} - d_e g_{bc})
+    ginv = np.linalg.inv(components)
+    raised = np.einsum("...ae,...ecb->...abc", ginv, dg)  # g^{ae} d_b g_{ec}
+    metric_grad = np.einsum("...ae,...bce->...abc", ginv, dg)  # g^{ae} d_e g_{bc}
+    del dg, ginv
+    gamma = raised + np.swapaxes(raised, -1, -2)
+    del raised
+    gamma -= metric_grad
+    del metric_grad
+    gamma *= 0.5
+    diagonal = np.einsum("...aab->...ab", gamma)  # Gamma^a_{ab}, not summed over a
+    diagonal_grad = [apply_diff(diagonal, axis, spacings[axis], 1) for axis in range(p)]
+    ric = np.zeros(components.shape)
+    for a in range(d):
+        term = np.zeros(components.shape)  # R^a_{bad}, indexed [b, d]
+        for axis in range(p):
+            term[..., axis] -= diagonal_grad[axis][..., a, :]
+        if a < p:
+            d_gamma = apply_diff(gamma[..., a, :, :], a, spacings[a], 1)  # d_a Gamma^a_{db}
+            term = d_gamma.swapaxes(-1, -2) + term
+        term += np.einsum("...e,...edb->...bd", diagonal[..., a, :], gamma)
+        term -= np.einsum("...de,...eb->...bd", gamma[..., a, :, :], gamma[..., :, a, :])
+        ric += term
+    return ric
 
 
 def nijenhuis_residual(lam_fn, axes, trim=2):

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from slmoduli.cli import main
+from slmoduli.cli import _eval_expression, main
+from slmoduli.errors import InputError
 from slmoduli.hessian import load_potential
 
 
@@ -170,3 +171,38 @@ def test_report_is_deterministic(tmp_path):
     assert main(["cy-validate", "--out", str(out2)]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "run.log").exists()
+
+
+def test_expression_evaluator_matches_numpy():
+    u1 = np.linspace(-1.0, 1.0, 7)
+    u2 = np.linspace(0.5, 1.5, 7)
+    got = _eval_expression("-(u1**2 + u2**2) / 2 + 0.1*cosh(u1) - sqrt(u2) * pi", u1=u1, u2=u2)
+    want = -(u1 ** 2 + u2 ** 2) / 2 + 0.1 * np.cosh(u1) - np.sqrt(u2) * np.pi
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "().__class__.__mro__[1].__subclasses__()",  # escape through the class graph
+        "u1.__class__",  # attribute access on a grid variable
+        "np.exp(u1)",
+        "__import__('os')",
+        "sin(u1, out=u1)",
+        "u1[0]",
+        "lambda: u1",
+        "True",
+        "sin",
+        "2**2000",  # constants are floats: overflow, not an unbounded integer
+    ],
+)
+def test_expression_evaluator_rejects(expr):
+    with pytest.raises(InputError):
+        _eval_expression(expr, u1=np.zeros(3))
+
+
+def test_expression_escape_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.json", {"V": "().__class__.__mro__[1].__subclasses__()"})
+    assert main(["gh", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert _report(tmp_path)["error"]["type"] == "InputError"

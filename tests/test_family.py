@@ -200,6 +200,28 @@ def test_family_validation():
         AffineSLagFamily(model, np.zeros((4, 2)), np.eye(4, 2))
 
 
+def test_family_roundtrip_through_saved_model(tmp_path):
+    from slmoduli.cymodel import save_model
+
+    fam = tilt_family(2)
+    model_path = tmp_path / "model.json"
+    save_model(fam.model, model_path)
+    path = tmp_path / "family.json"
+    save_family(fam, path, model_ref=str(model_path))
+    back = load_family(path)
+    for name in ("P", "Q", "r"):
+        assert np.array_equal(getattr(back, name), getattr(fam, name)), name
+    assert back.phase == fam.phase
+    assert np.max(np.abs(back.period_matrices().lam - fam.period_matrices().lam)) < 1e-15
+
+
+def test_save_family_refuses_without_model_ref(tmp_path):
+    path = tmp_path / "family.json"
+    with pytest.raises(InputError):
+        save_family(std_family(2), path)
+    assert not path.exists()
+
+
 def test_family_json_roundtrip(tmp_path):
     fam = tilt_family(2)
     path = tmp_path / "family.json"

@@ -1,10 +1,12 @@
 """Semiflat Kahler structure, curvature double-entry, integrability, GH."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from slmoduli.errors import InputError, MetricError
-from slmoduli.fd import richardson_tolerance
+from slmoduli.fd import apply_diff, richardson_tolerance
 from slmoduli.hessian import HessianPotential, solve_ma_dirichlet
 from slmoduli.semiflat import (
     build_semiflat,
@@ -100,6 +102,82 @@ def test_ricci_from_metric_round_sphere():
     ric = ricci_from_metric(g, [float(theta[1] - theta[0])])
     expected = g / a ** 2
     assert np.max(np.abs(ric[5:-5] - expected[5:-5])) < 1e-5
+
+
+def _ricci_via_riemann(components, spacings):
+    """Reference: build R^a_{bcd} from the Christoffel symbols, then trace it."""
+    p = components.ndim - 2
+    d = components.shape[-1]
+
+    def derivatives(tensor):
+        out = np.zeros(tensor.shape + (d,))
+        for axis in range(p):
+            out[..., axis] = apply_diff(tensor, axis, spacings[axis], 1)
+        return out
+
+    ginv = np.linalg.inv(components)
+    dg = derivatives(components)
+    gamma = 0.5 * (
+        np.einsum("...ad,...dcb->...abc", ginv, dg)
+        + np.einsum("...ad,...dbc->...abc", ginv, dg)
+        - np.einsum("...ad,...bcd->...abc", ginv, dg)
+    )
+    dgamma = derivatives(gamma)
+    # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db}
+    #           - Gamma^a_{de} Gamma^e_{cb}
+    riem = (
+        np.einsum("...adbc->...abcd", dgamma)
+        - np.einsum("...acbd->...abcd", dgamma)
+        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
+        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
+    )
+    return np.einsum("...abad->...bd", riem)
+
+
+def _gh_components(n):
+    axes = [np.linspace(0, 1, n)] * 2
+    y1, y2 = np.meshgrid(*axes, indexing="ij")
+    gh = gh_metric(2.0 + y1 + 0.3 * (y1 ** 2 - y2 ** 2), axes)
+    return gh.components, [float(axes[0][1] - axes[0][0])] * 2
+
+
+@pytest.mark.parametrize("metric", ["semiflat", "gh"])
+def test_ricci_from_metric_matches_riemann_contraction(metric):
+    if metric == "semiflat":
+        sf = build_semiflat(_quartic_potential(65))
+        g, spacings = sf.full_metric(), sf.potential.spacings
+    else:
+        g, spacings = _gh_components(65)
+    assert g.shape == (65, 65, 4, 4)
+    ref = _ricci_via_riemann(g, spacings)
+    ric = ricci_from_metric(g, spacings)
+    assert np.max(np.abs(ric - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_ricci_from_metric_hyperbolic_plane():
+    # g = (dx^2 + dy^2) / y^2 has constant curvature -1, so Ric = -g
+    x = np.linspace(-0.5, 0.5, 65)
+    y = np.linspace(1.0, 2.0, 65)
+    _, yy = np.meshgrid(x, y, indexing="ij")
+    g = np.zeros((65, 65, 2, 2))
+    g[..., 0, 0] = g[..., 1, 1] = 1.0 / yy ** 2
+    ric = ricci_from_metric(g, [float(x[1] - x[0]), float(y[1] - y[0])])
+    core = (slice(5, -5),) * 2
+    assert np.max(np.abs(ric[core] + g[core])) < 1e-5
+
+
+def test_ricci_from_metric_memory_is_order_n_d3():
+    g = build_semiflat(_quartic_potential(65)).full_metric()
+    spacings = [2.0 / 64] * 2
+    ricci_from_metric(g, spacings)  # warm the stencil cache
+    tracemalloc.start()
+    try:
+        ricci_from_metric(g, spacings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nodes, d = 65 * 65, 4
+    assert peak < 6 * nodes * d ** 3 * 8
 
 
 def test_metric_error_on_degenerate_block():
