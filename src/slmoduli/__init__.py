@@ -39,7 +39,6 @@ from .forms import (
     exterior_derivative,
     harmonicity_residual,
     hodge_star,
-    integrate_cycle,
     integrate_top,
     l2_inner,
     wedge,

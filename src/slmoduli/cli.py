@@ -204,10 +204,11 @@ def run_family_scan(config, tol, out):
     torus = fam.fiber_torus(resolution)
 
     omega_res, omega1_res = fam.fiber_restriction_residuals()
-    scan = specialness_scan(fam, axes, torus)
+    scan = specialness_scan(fam, axes)
     scan_to_csv(scan, Path(out) / "scan.csv")
-    pm = fam.period_matrices(torus=torus)
-    mclean = [fam.mclean_check(None, j, torus) for j in range(m)]
+    pm = fam.period_matrices()
+    mclean = [fam.mclean_check(j, torus) for j in range(m)]
+    lam_fn = fam.lambda_function()
     rng = np.random.default_rng(int(config.get("seed", 0)))
     loops = []
     for _ in range(int(config.get("loops", 10))):
@@ -219,7 +220,7 @@ def run_family_scan(config, tol, out):
         if m > 1:
             loop[2][1] = b[1]
             loop[3][1] = b[1]
-        loops.append(closedness_loop_residual(fam.lambda_function(), np.array(loop)))
+        loops.append(closedness_loop_residual(lam_fn, np.array(loop)))
     checks = {
         "slag_restriction": _check(max(omega_res, omega1_res), tol),
         "mclean": _check(
@@ -228,7 +229,7 @@ def run_family_scan(config, tol, out):
             tol,
         ),
         "prop1": _check(max(loops) if loops else 0.0, tol),
-        "prop2": _check(fam.mclean_metric(torus=torus)[1], tol),
+        "prop2": _check(fam.mclean_metric()[1], tol),
         "thm3": _check(lagrangian_residual(pm), max(tol, 1e-10)),
         "prop3": _check(
             max(scan["vol_h1_variation"], scan["vol_hn1_variation"],

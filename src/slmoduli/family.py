@@ -1,38 +1,46 @@
 """Affine special Lagrangian torus families in flat T^{2n}.
 
 A family is the affine fibration (s, t) -> P s + Q t + r over an m-dimensional
-moduli chart.  The module computes the contraction 1-forms and (n-1)-forms on
-the fibers, their period matrices over the coordinate cycle basis, the moduli
-coordinates u, v by path integration, the embedding t -> (u(t), v(t)), and the
-residuals certifying the structural identities: closedness of the period
-1-forms, symmetry of lambda^T mu, the L^2 metric identity, and constancy of
-the cohomology volumes.
+moduli chart.  On a flat torus the contraction 1-forms theta_j = iota(Q_j)
+omega and (n-1)-forms phi_j = iota(Q_j) Omega_1, pulled back to a fiber, are
+constant and independent of t.  So the period matrices lambda, mu, the L^2
+Gram matrix of the theta_j and the fiber volume are computed once per family
+in closed form from ``ConstantForm`` algebra.  The gridded forms are built
+only for the McLean check (harmonicity of theta_j and phi_j = star theta_j)
+on a fiber grid.  The module also integrates the moduli coordinates u, v,
+tabulates the embedding t -> (u(t), v(t)), and reports the residuals
+certifying the structural identities: closedness of the period 1-forms,
+symmetry of lambda^T mu, the L^2 metric identity, and constancy of the
+cohomology volumes.
 """
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .cymodel import FlatCalabiYauModel, load_model, std_model
-from .errors import DegeneracyError, DomainError, InputError
+from .errors import DegeneracyError, DomainError, InputError, MetricError
 from .forms import (
-    CycleBasis,
     FormField,
     GridTorus,
     MetricField,
     harmonicity_residual,
     hodge_star,
-    integrate_top,
-    l2_inner,
 )
+from .multilinear import complement_table
 
 DEFAULT_FIBER_RESOLUTION = 8
 
 
 @dataclass
 class AffineSLagFamily:
-    """f(s, t) = P s + Q t + r with integer-lattice fiber frame P."""
+    """f(s, t) = P s + Q t + r with integer-lattice fiber frame P.
+
+    The fiber is parametrised by s in the unit torus [0, 1)^n, so a constant
+    n-form on it integrates to its coefficient.
+    """
 
     model: FlatCalabiYauModel
     P: np.ndarray
@@ -83,45 +91,55 @@ class AffineSLagFamily:
     def fiber_torus(self, resolution=DEFAULT_FIBER_RESOLUTION):
         return GridTorus((resolution,) * self.n)
 
+    def fiber_metric_matrix(self):
+        """Induced metric G = P^T g P on the fiber; raises unless positive definite."""
+        g = self.P.T @ self.model.ambient_metric() @ self.P
+        if np.min(np.linalg.eigvalsh(g)) <= 0.0:
+            raise MetricError("induced fiber metric is not positive definite")
+        return g
+
     def fiber_metric(self, torus):
         """Induced metric P^T g P as a constant field on the fiber grid."""
-        g = self.model.ambient_metric()
-        return MetricField.constant(torus, self.P.T @ g @ self.P)
+        return MetricField.constant(torus, self.fiber_metric_matrix())
 
-    def fiber_restriction_residuals(self, t=None):
+    def fiber_restriction_residuals(self):
         """(||omega restricted||_inf, ||Omega_1 restricted||_inf) on a fiber.
 
         Exact multilinear contraction with the columns of P; both vanish for a
-        special Lagrangian fiber.  Independent of t for affine families.
+        special Lagrangian fiber.
         """
         omega_res = self.model.omega.pullback(self.P).norm_inf()
         omega1_res = self.calibrated_omega_c().real().pullback(self.P).norm_inf()
         return omega_res, omega1_res
 
-    def contraction_one_form(self, t, j, torus=None):
-        """theta_j: iota(Q_j) omega pulled back to the fiber grid."""
-        torus = torus or self.fiber_torus()
-        theta = self.model.omega.contract(self.Q[:, j]).pullback(self.P)
-        return FormField.constant(torus, 1, theta.coeffs.real)
+    def contraction_coefficients(self):
+        """(Theta, Phi): column j holds the fiber coefficients of theta_j, phi_j.
 
-    def contraction_nminus1_form(self, t, j, torus=None):
-        """phi_j: iota(Q_j) Omega_1 pulled back to the fiber grid."""
-        torus = torus or self.fiber_torus()
-        phi = self.calibrated_omega_c().real().contract(self.Q[:, j]).pullback(self.P)
-        return FormField.constant(torus, self.n - 1, phi.coeffs.real)
+        theta_j = iota(Q_j) omega and phi_j = iota(Q_j) Omega_1, both pulled
+        back by P; Theta is n x m, Phi is C(n, n-1) x m.
+        """
+        omega1 = self.calibrated_omega_c().real()
+        theta = [self.model.omega.contract(q).pullback(self.P).coeffs for q in self.Q.T]
+        phi = [omega1.contract(q).pullback(self.P).coeffs for q in self.Q.T]
+        return np.array(theta, dtype=float).T, np.array(phi, dtype=float).T
 
-    def fiber_volume_form(self, torus=None):
-        """Restriction of Omega_2 to the fiber (the calibration volume)."""
-        torus = torus or self.fiber_torus()
-        omega2 = self.calibrated_omega_c().imag().pullback(self.P)
-        return FormField.constant(torus, self.n, omega2.coeffs.real)
+    def contraction_one_form(self, j, torus):
+        """theta_j as a constant 1-form field on the fiber grid."""
+        return FormField.constant(torus, 1, self.contraction_coefficients()[0][:, j])
 
-    def mclean_check(self, t, j, torus=None, tol=1e-8):
-        """Harmonicity of theta_j and the identity phi_j = star theta_j."""
-        torus = torus or self.fiber_torus()
+    def contraction_nminus1_form(self, j, torus):
+        """phi_j as a constant (n-1)-form field on the fiber grid."""
+        return FormField.constant(torus, self.n - 1, self.contraction_coefficients()[1][:, j])
+
+    def fiber_volume(self):
+        """Calibrated volume of a fiber: the coefficient of Omega_2 restricted by P."""
+        return float(self.calibrated_omega_c().imag().pullback(self.P).coeffs[0])
+
+    def mclean_check(self, j, torus, tol=1e-8):
+        """Harmonicity of theta_j and the identity phi_j = star theta_j on a grid."""
         g = self.fiber_metric(torus)
-        theta = self.contraction_one_form(t, j, torus)
-        phi = self.contraction_nminus1_form(t, j, torus)
+        theta = self.contraction_one_form(j, torus)
+        phi = self.contraction_nminus1_form(j, torus)
         d_res, dstar_res = harmonicity_residual(theta, g)
         star_res = (phi - hodge_star(theta, g)).norm_inf()
         return {
@@ -131,35 +149,32 @@ class AffineSLagFamily:
             "pass": max(d_res, dstar_res, star_res) < tol,
         }
 
-    def period_matrices(self, t=None, torus=None):
-        """lambda_ij = int_{A_i} theta_j and mu_ij = int_{B_i} phi_j."""
-        torus = torus or self.fiber_torus()
-        basis = CycleBasis(torus)
-        m = self.moduli_dim
-        n = self.n
-        if m != n:
+    def period_matrices(self):
+        """lambda_ij = int_{A_i} theta_j and mu_ij = int_{B_i} phi_j.
+
+        A_i is the loop along s_i, so lambda = Theta.  B_i is the slab
+        {s_i = 0} with the sign of ds_i ^ ds_(complement of i), so mu_ij is
+        that sign times the coefficient of phi_j on the complement of i.
+        """
+        if self.moduli_dim != self.n:
             raise InputError(
                 "period matrices need moduli dimension equal to b_1 of the fiber"
             )
-        lam = np.zeros((m, m))
-        mu = np.zeros((m, m))
-        for j in range(m):
-            theta = self.contraction_one_form(t, j, torus)
-            phi = self.contraction_nminus1_form(t, j, torus)
-            for i in range(m):
-                lam[i, j] = basis.integrate_loop(theta, i)
-                mu[i, j] = basis.integrate_slab(phi, i)
-        return PeriodMatrices(lam, mu, t)
+        theta, phi = self.contraction_coefficients()
+        mu = np.empty_like(theta)
+        for i, comp, sign in complement_table(self.n, 1):
+            mu[i] = sign * phi[comp]
+        return PeriodMatrices(theta, mu)
 
-    def mclean_metric(self, t=None, torus=None):
-        """L^2 Gram matrix of the theta_j and its deviation from lambda^T mu."""
-        torus = torus or self.fiber_torus()
-        g = self.fiber_metric(torus)
-        thetas = [self.contraction_one_form(t, j, torus) for j in range(self.moduli_dim)]
-        gram = np.array(
-            [[l2_inner(a, b, g) for b in thetas] for a in thetas]
-        )
-        pm = self.period_matrices(t, torus)
+    def mclean_metric(self):
+        """L^2 Gram matrix of the theta_j and its deviation from lambda^T mu.
+
+        For constant forms on the unit fiber torus the Gram matrix is
+        Theta^T G^{-1} Theta sqrt(det G) with G the induced fiber metric.
+        """
+        pm = self.period_matrices()
+        g = self.fiber_metric_matrix()
+        gram = pm.lam.T @ np.linalg.solve(g, pm.lam) * np.sqrt(np.linalg.det(g))
         return gram, float(np.max(np.abs(gram - pm.lam.T @ pm.mu)))
 
     def lambda_function(self):
@@ -178,7 +193,6 @@ class PeriodMatrices:
 
     lam: np.ndarray
     mu: np.ndarray
-    t: object = None
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
@@ -191,7 +205,7 @@ class PeriodMatrices:
         z = np.asarray(z, dtype=float)
         if abs(abs(np.linalg.det(z)) - 1.0) > 1e-9:
             raise InputError("basis recombination must be unimodular")
-        return PeriodMatrices(z @ self.lam, np.linalg.inv(z).T @ self.mu, self.t)
+        return PeriodMatrices(z @ self.lam, np.linalg.inv(z).T @ self.mu)
 
 
 def lagrangian_residual(pm):
@@ -360,28 +374,23 @@ def embed_F(chart, spot_checks=32, rng=None):
     return table
 
 
-def specialness_scan(fam, axes, torus=None):
+def specialness_scan(fam, axes):
     """Tabulate the cohomology-torus volumes and fiber volume over t.
 
     Constancy of sqrt(det(mu lambda^{-1})) certifies the special embedding;
-    constancy of the fiber volume must always hold.
+    constancy of the fiber volume must always hold.  The volumes are read
+    from ``lambda_function`` and ``mu_function``, the period matrices that
+    ``moduli_coordinates`` integrates; the fiber volume, Lagrangian residual
+    and L^2 metric residual of an affine family hold for every t.
     """
-    torus = torus or fam.fiber_torus()
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     flat = pts.reshape(-1, pts.shape[-1])
-    vol_h1 = np.empty(len(flat))
-    vol_hn1 = np.empty(len(flat))
-    vol_fiber = np.empty(len(flat))
-    lag = np.empty(len(flat))
-    metric_res = np.empty(len(flat))
-    for idx, t in enumerate(flat):
-        pm = fam.period_matrices(t, torus)
-        ratio = pm.mu @ np.linalg.inv(pm.lam)
-        vol_h1[idx] = np.sqrt(abs(np.linalg.det(ratio)))
-        vol_hn1[idx] = np.sqrt(abs(np.linalg.det(np.linalg.inv(ratio))))
-        vol_fiber[idx] = integrate_top(fam.fiber_volume_form(torus))
-        lag[idx] = lagrangian_residual(pm)
-        metric_res[idx] = fam.mclean_metric(t, torus)[1]
+    ratio = fam.mu_function()(flat) @ np.linalg.inv(fam.lambda_function()(flat))
+    vol_h1 = np.sqrt(np.abs(np.linalg.det(ratio)))
+    vol_hn1 = np.sqrt(np.abs(np.linalg.det(np.linalg.inv(ratio))))
+    vol_fiber = np.full(len(flat), fam.fiber_volume())
+    lag = np.full(len(flat), lagrangian_residual(fam.period_matrices()))
+    metric_res = np.full(len(flat), fam.mclean_metric()[1])
 
     def variation(values):
         scale = max(np.max(np.abs(values)), 1e-300)
@@ -472,7 +481,8 @@ def save_family(fam, path, model_ref=None):
     """Write ``fam`` as JSON that ``load_family`` reads back.
 
     The file names its model by ``model_ref`` ("std:<n>" or the path of a
-    model file), so a reference is required.
+    model file), so a reference is required.  ``load_family`` resolves a
+    relative model path against the directory of the family file.
     """
     if model_ref is None:
         raise InputError("save_family needs a model_ref ('std:<n>' or a model file path)")
@@ -495,7 +505,7 @@ def load_family(path):
         if isinstance(ref, str) and ref.startswith("std:"):
             model = std_model(int(ref.split(":")[1]))
         else:
-            model = load_model(ref)
+            model = load_model(Path(path).parent / ref)
         return AffineSLagFamily(
             model,
             np.asarray(data["P"], dtype=float),

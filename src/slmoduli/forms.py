@@ -328,15 +328,6 @@ class CycleBasis:
         return sign * float(np.sum(slab)) * float(measure)
 
 
-def integrate_cycle(a, basis, kind, i):
-    """Integrate a form over cycle i of the basis; kind is 'loop' or 'slab'."""
-    if kind == "loop":
-        return basis.integrate_loop(a, i)
-    if kind == "slab":
-        return basis.integrate_slab(a, i)
-    raise ValueError(f"unknown cycle kind {kind!r}")
-
-
 def to_csv(a, path):
     """Flat CSV dump: one row per node, columns = index tuples."""
     d = a.torus.dim

@@ -53,16 +53,6 @@ class SemiflatManifold:
         pulled = np.einsum("ca,...cd,db->...ab", j, g, j)
         return float(np.max(np.abs(pulled - g)))
 
-    def fiber_slag_residuals(self):
-        """Restriction of the Kahler form and the phased m-form to {u = const}.
-
-        The Kahler form -sum dv_k ^ dx_k has no dx ^ dx component, and the
-        restriction of i^m dw_1 ^ ... ^ dw_m is the real multiple (-1)^m of
-        the fiber volume form, so the vanishing part is the imaginary one.
-        """
-        kahler_restriction = 0.0  # structurally zero: every term carries a du
-        restricted = (1j ** self.m) * (1j ** self.m)  # i^m Omega on dx_1..dx_m
-        return kahler_restriction, abs(restricted.imag)
 
 
 def build_semiflat(pot, fiber_resolution=8):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slmoduli.errors import DegeneracyError, DomainError, InputError
 from slmoduli.family import (
@@ -19,7 +21,8 @@ from slmoduli.family import (
     std_family,
     tilt_family,
 )
-from slmoduli.cymodel import std_model
+from slmoduli.cymodel import save_model, std_model
+from slmoduli.forms import CycleBasis, FormField, integrate_top
 from slmoduli.hessian import mirror_swap
 
 
@@ -48,9 +51,90 @@ def test_fiber_restriction_residuals_vanish():
 
 def test_auto_phase_positivity():
     fam = tilt_family(1)
-    vol = fam.fiber_volume_form()
-    # calibration volume density must be positive for the chosen orientation
-    assert np.min(vol.coeffs) > 0
+    # calibration volume must be positive for the chosen orientation
+    assert fam.fiber_volume() > 0
+
+
+def _reference_periods(fam, torus):
+    """lambda, mu and the fiber volume by integrating gridded constant forms."""
+    basis = CycleBasis(torus)
+    omega1 = fam.calibrated_omega_c().real()
+    m = fam.moduli_dim
+    lam = np.zeros((m, m))
+    mu = np.zeros((m, m))
+    for j in range(m):
+        theta = fam.model.omega.contract(fam.Q[:, j]).pullback(fam.P)
+        phi = omega1.contract(fam.Q[:, j]).pullback(fam.P)
+        theta = FormField.constant(torus, 1, theta.coeffs.real)
+        phi = FormField.constant(torus, fam.n - 1, phi.coeffs.real)
+        for i in range(m):
+            lam[i, j] = basis.integrate_loop(theta, i)
+            mu[i, j] = basis.integrate_slab(phi, i)
+    omega2 = fam.calibrated_omega_c().imag().pullback(fam.P)
+    volume = integrate_top(FormField.constant(torus, fam.n, omega2.coeffs.real))
+    return lam, mu, volume
+
+
+def _reference_families():
+    fams = [std_family(n) for n in (1, 2, 3)] + [tilt_family(k) for k in (1, 2, 3)]
+    for n, seed in ((2, 3), (3, 4)):
+        rng = np.random.default_rng(seed)
+        fams += [random_family(rng, n=n) for _ in range(3)]
+    return fams
+
+
+@pytest.mark.parametrize("resolution", [8, 16])
+def test_closed_form_periods_match_gridded_reference(resolution):
+    for fam in _reference_families():
+        lam, mu, volume = _reference_periods(fam, fam.fiber_torus(resolution))
+        pm = fam.period_matrices()
+        for closed, ref in ((pm.lam, lam), (pm.mu, mu)):
+            assert np.max(np.abs(closed - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert abs(fam.fiber_volume() - volume) <= 1e-12 * abs(volume)
+
+
+def _unimodular(ops, n):
+    """Integer matrix and its exact inverse from elementary row operations."""
+    z = np.eye(n)
+    z_inv = np.eye(n)
+    for kind, a, b, k in ops:
+        a, b = a % n, b % n
+        e = np.eye(n)
+        e_inv = np.eye(n)
+        if kind == "add" and a != b:
+            e[a, b] = k
+            e_inv[a, b] = -k
+        elif kind == "swap":
+            e[[a, b]] = e[[b, a]]
+            e_inv = e.T
+        elif kind == "negate":
+            e[a, a] = e_inv[a, a] = -1.0
+        z = e @ z
+        z_inv = z_inv @ e_inv
+    return z, z_inv
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2 ** 16),
+    ops=st.lists(
+        st.tuples(st.sampled_from(["add", "swap", "negate"]), st.integers(0, 2),
+                  st.integers(0, 2), st.integers(-3, 3)),
+        max_size=6,
+    ),
+)
+def test_recombination_invariance(n, seed, ops):
+    pm = random_family(np.random.default_rng(seed), n=n).period_matrices()
+    z, z_inv = _unimodular(ops, n)
+    assert np.array_equal(z @ z_inv, np.eye(n))
+    moved = pm.recombine(z)
+    scale = np.max(np.abs(moved.lam).T @ np.abs(moved.mu))
+    assert lagrangian_residual(moved) < 1e-10 * scale
+    back = moved.recombine(z_inv)
+    scale = np.max(np.abs(z_inv)) * np.max(np.abs(z)) * n
+    assert np.max(np.abs(back.lam - pm.lam)) < 1e-10 * scale * np.max(np.abs(pm.lam))
+    assert np.max(np.abs(back.mu - pm.mu)) < 1e-10 * scale * np.max(np.abs(pm.mu))
 
 
 def test_mclean_metric_tilt_value():
@@ -201,8 +285,6 @@ def test_family_validation():
 
 
 def test_family_roundtrip_through_saved_model(tmp_path):
-    from slmoduli.cymodel import save_model
-
     fam = tilt_family(2)
     model_path = tmp_path / "model.json"
     save_model(fam.model, model_path)
@@ -213,6 +295,17 @@ def test_family_roundtrip_through_saved_model(tmp_path):
         assert np.array_equal(getattr(back, name), getattr(fam, name)), name
     assert back.phase == fam.phase
     assert np.max(np.abs(back.period_matrices().lam - fam.period_matrices().lam)) < 1e-15
+
+
+def test_relative_model_path_resolves_against_family_file(tmp_path, monkeypatch):
+    fam = tilt_family(2)
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    save_model(fam.model, sub / "model.json")
+    save_family(fam, sub / "family.json", model_ref="model.json")
+    monkeypatch.chdir(tmp_path)
+    back = load_family("sub/family.json")
+    assert np.array_equal(back.P, fam.P)
 
 
 def test_save_family_refuses_without_model_ref(tmp_path):

@@ -13,7 +13,6 @@ from slmoduli.forms import (
     from_csv,
     harmonicity_residual,
     hodge_star,
-    integrate_cycle,
     integrate_top,
     l2_inner,
     spectral_derivative,
@@ -150,14 +149,6 @@ def test_cycle_basis_duality():
             assert abs(pairing - (1.0 if i == j else 0.0)) < 1e-12
             slab = basis.integrate_slab(basis.betas[j], i)
             assert abs(slab - (1.0 if i == j else 0.0)) < 1e-12
-
-
-def test_integrate_cycle_dispatch():
-    torus = GridTorus((8, 8))
-    basis = CycleBasis(torus)
-    assert integrate_cycle(basis.alphas[0], basis, "loop", 0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        integrate_cycle(basis.alphas[0], basis, "disc", 0)
 
 
 def test_form_csv_roundtrip(tmp_path):

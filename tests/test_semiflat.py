@@ -41,13 +41,6 @@ def test_full_metric_block_structure_and_hermitian():
     assert sf.hermitian_residual() < 1e-14
 
 
-def test_fiber_slag_residuals_vanish():
-    sf = build_semiflat(_quartic_potential(33))
-    kahler_res, imag_res = sf.fiber_slag_residuals()
-    assert kahler_res == 0.0
-    assert imag_res < 1e-15
-
-
 def test_holomorphic_norm_constant_iff_ma():
     axes = [np.linspace(0, 1, 65)] * 2
     pot = solve_ma_dirichlet(axes, lambda a, b: np.cosh(a) + np.cosh(b), c=1.0)
