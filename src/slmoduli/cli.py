@@ -187,13 +187,13 @@ def _check(residual, tol):
     return {"residual": residual, "tol": float(tol), "pass": bool(residual < tol)}
 
 
-def run_cy_validate(config, tol, out):
+def run_cy_validate(config, tol, out, oracle):
     model, ref = _resolve_model(config.get("model", "std:2"))
     report = validate_axioms(model, tol=min(tol, 1e-10))
     return {"model": ref, "axioms": report.to_dict()}, report.all_passed
 
 
-def run_family_scan(config, tol, out):
+def run_family_scan(config, tol, out, oracle):
     fam, ref = _resolve_family(config.get("family", "std:2"))
     m = fam.moduli_dim
     grid = config.get("grid", {})
@@ -248,7 +248,7 @@ def run_family_scan(config, tol, out):
     return report, all(c["pass"] for c in checks.values())
 
 
-def run_embed(config, tol, out):
+def run_embed(config, tol, out, oracle):
     fam, ref = _resolve_family(config.get("family", "std:2"))
     m = fam.moduli_dim
     grid = config.get("grid", {})
@@ -269,7 +269,7 @@ def run_embed(config, tol, out):
     return {"family": ref, "checks": checks}, checks["thm3"]["pass"]
 
 
-def run_legendre(config, tol, out):
+def run_legendre(config, tol, out, oracle):
     pot = _resolve_potential(config["potential"])
     pair = legendre_transform(pot)
     save_potential(pair.dual, Path(out) / "dual.csv")
@@ -283,7 +283,7 @@ def run_legendre(config, tol, out):
     return {"checks": checks}, all(c["pass"] for c in checks.values())
 
 
-def run_ma_solve(config, tol, out):
+def run_ma_solve(config, tol, out, oracle):
     solver = config.get("solver", {})
     domain = config.get("domain", [[0.0, 1.0], [0.0, 1.0]])
     n = int(config.get("n", 65))
@@ -309,7 +309,7 @@ def run_ma_solve(config, tol, out):
     }, checks["prop3"]["pass"]
 
 
-def run_partial_legendre(config, tol, out):
+def run_partial_legendre(config, tol, out, oracle):
     pot = _resolve_potential(config["potential"])
     result = partial_legendre_2d(pot)
     coarse_pot = HessianPotential(
@@ -325,7 +325,7 @@ def run_partial_legendre(config, tol, out):
     }, checks["prop3"]["pass"]
 
 
-def run_semiflat(config, tol, out, oracle=False):
+def run_semiflat(config, tol, out, oracle):
     pot = _resolve_potential(config["potential"])
     sf = build_semiflat(pot)
     norm = holomorphic_norm_field(sf)
@@ -362,7 +362,7 @@ def run_semiflat(config, tol, out, oracle=False):
     return report, all(c["pass"] for c in checks.values())
 
 
-def run_gh(config, tol, out):
+def run_gh(config, tol, out, oracle):
     domain = config.get("domain", [[0.0, 1.0], [0.0, 1.0]])
     n = int(config.get("n", 33))
     axes = [np.linspace(lo, hi, n) for lo, hi in domain]
@@ -377,6 +377,8 @@ def run_gh(config, tol, out):
     }, checks["ricci_flat"]["pass"]
 
 
+# Every runner takes (config, tol, out, oracle) and returns (report, ok);
+# only ``semiflat`` reads ``oracle``.
 _RUNNERS = {
     "cy-validate": run_cy_validate,
     "family-scan": run_family_scan,
@@ -417,11 +419,7 @@ def main(argv=None):
         if args.tol <= 0:
             raise InputError("tolerance must be positive")
         config = _load_config(args.config) if args.config else {}
-        runner = _RUNNERS[args.command]
-        if args.command == "semiflat":
-            report, ok = runner(config, args.tol, out, oracle=args.oracle)
-        else:
-            report, ok = runner(config, args.tol, out)
+        report, ok = _RUNNERS[args.command](config, args.tol, out, args.oracle)
         code = 0 if ok else 1
     except _INPUT_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

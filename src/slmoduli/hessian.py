@@ -7,14 +7,15 @@ grid conjugate together with its argmax node, optionally sharpened by a
 spline Newton refinement started from that node), the mirror role-swap, the
 2D partial Legendre reduction to the Laplace equation, and a damped-Newton
 Dirichlet solver for det(Hess phi) = c in two variables.
+
+scipy is imported inside the functions that use it (the spline interpolants,
+the sparse operators of the solver and ``spsolve``), so importing this
+module loads numpy only.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.interpolate import RectBivariateSpline, make_interp_spline
-from scipy.sparse.linalg import spsolve
 
 from .errors import ConvergenceError, ConvexityError, DomainError, InputError
 from .fd import apply_diff, diff_matrix, gradient_field, hessian_field
@@ -66,6 +67,8 @@ class HessianPotential:
 
     def spline(self):
         """Quintic interpolant of the potential (m = 1 or 2)."""
+        from scipy.interpolate import RectBivariateSpline, make_interp_spline
+
         if self.dim == 1:
             return make_interp_spline(self.axes[0], self.values, k=5)
         if self.dim == 2:
@@ -298,6 +301,8 @@ def partial_legendre_2d(pot, trim=3):
     away from zero for non-Monge-Ampere input.  The target constant is
     normalized to 1 by rescaling phi with c^{1/2} first.
     """
+    from scipy.interpolate import make_interp_spline
+
     if pot.dim != 2:
         raise InputError("partial Legendre reduction is specific to m = 2")
     values = pot.values
@@ -330,6 +335,17 @@ def partial_legendre_2d(pot, trim=3):
     }
 
 
+def spsolve(A, b, **kwargs):
+    """Sparse direct solve A x = b (SuperLU), the linear step of the solver.
+
+    A module-level name, so the linear solves of ``solve_ma_dirichlet`` can be
+    wrapped and counted from outside; scipy is loaded on the first call.
+    """
+    from scipy.sparse.linalg import spsolve as superlu_solve
+
+    return superlu_solve(A, b, **kwargs)
+
+
 def _clamped_cofactors(hess, clamp):
     """Cofactor coefficients of det for 2x2 Hessians, eigenvalue-clamped."""
     eigval, eigvec = np.linalg.eigh(hess)
@@ -346,6 +362,8 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50,
     boundary ring is used.  The linearization clamps Hessian eigenvalues from
     below so that the cofactor operator stays elliptic away from convexity.
     """
+    from scipy import sparse
+
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     if len(axes) != 2:
         raise InputError("the Monge-Ampere solver is restricted to m = 2")

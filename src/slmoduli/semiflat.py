@@ -7,13 +7,14 @@ the Kahler-closedness residual, the Nijenhuis integrability residual of
 charts given by a period matrix function lambda(t), the holomorphic-norm
 field, the Ricci form by the log-det identity with a Christoffel-symbol
 oracle as an independent second route, and the m = 2 Gibbons-Hawking
-cross-check.
+cross-check.  Only the Gibbons-Hawking harmonic conjugate needs scipy (spline
+antiderivatives); it imports it on call, so the rest of the module runs on
+numpy alone.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .errors import InputError, MetricError
 from .fd import apply_diff, hessian_field
@@ -274,6 +275,8 @@ def gh_metric(v_values, axes, tol=1e-8, trim=3):
 
 def _harmonic_conjugate(v, axes, spacings):
     """W with dW = -V_2 dy1 + V_1 dy2, by spline antiderivatives."""
+    from scipy.interpolate import make_interp_spline
+
     v1 = apply_diff(v, 0, spacings[0], 1)
     v2 = apply_diff(v, 1, spacings[1], 1)
     w = np.zeros_like(v)

@@ -1,10 +1,16 @@
 """Batch interface: every command, report shape, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slmoduli
 from slmoduli.cli import _eval_expression, main
 from slmoduli.errors import InputError
 from slmoduli.hessian import load_potential
@@ -206,3 +212,49 @@ def test_expression_escape_exits_2(tmp_path, capsys):
     assert main(["gh", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert _report(tmp_path)["error"]["type"] == "InputError"
+
+
+# Runs in a fresh interpreter; prints one line "<stage> <exit code> <scipy loaded>"
+# per step, so the test sees which step first pulls scipy in.
+_IMPORT_PROBE = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+
+    import slmoduli, slmoduli.cli
+
+    tmp = Path(sys.argv[1])
+    print("import", 0, "scipy" in sys.modules)
+    potential = {"axes": [[-1, 1, 17], [-1, 1, 17]], "expr": "(u1**2 + u2**2) / 2"}
+    steps = [
+        ("cy-validate", {}, []),
+        ("family-scan", {"family": "std:2", "grid": {"n": 3}, "fiber_resolution": 8}, []),
+        ("embed", {"grid": {"n": 3}}, []),
+        ("semiflat", {"potential": potential}, ["--oracle"]),
+        ("ma-solve", {"n": 17}, []),
+    ]
+    for command, config, flags in steps:
+        cfg = tmp / f"{command}.json"
+        cfg.write_text(json.dumps(config))
+        code = slmoduli.cli.main([command, "--config", str(cfg), "--out", str(tmp / command), *flags])
+        print(command, code, "scipy" in sys.modules)
+""")
+
+
+def test_scipy_loads_only_with_the_kernels_that_call_it(tmp_path):
+    src = str(Path(slmoduli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    stages = {}
+    for line in proc.stdout.splitlines():
+        stage, code, loaded = line.split()
+        stages[stage] = (int(code), loaded == "True")
+    assert list(stages) == ["import", "cy-validate", "family-scan", "embed", "semiflat",
+                            "ma-solve"]
+    for stage in ("import", "cy-validate", "family-scan", "embed", "semiflat"):
+        code, loaded = stages[stage]
+        assert code in (0, 1), stage
+        assert not loaded, f"scipy was loaded by {stage}"
+    assert stages["ma-solve"] == (0, True)

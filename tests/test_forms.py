@@ -1,7 +1,11 @@
 """Exterior calculus substrate: derivative, wedge, star, cycles."""
 
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slmoduli.errors import DegreeError, GridMismatchError, MetricError
 from slmoduli.forms import (
@@ -97,13 +101,44 @@ def test_hodge_star_involution_sign():
     torus = GridTorus((8, 8, 8))
     mat = rng.normal(size=(3, 3))
     g = MetricField.constant(torus, mat @ mat.T + 3 * np.eye(3))
-    from math import comb
-
     for k in (0, 1, 2, 3):
         a = FormField(torus, k, rng.normal(size=torus.shape + (comb(3, k),)))
         ss = hodge_star(hodge_star(a, g), g)
         sign = (-1.0) ** (k * (3 - k))
         assert np.max(np.abs(ss.coeffs - sign * a.coeffs)) < 1e-10
+
+
+def _random_form(torus, degree, rng):
+    return FormField(torus, degree, rng.normal(size=torus.shape + (comb(torus.dim, degree),)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 16))
+def test_wedge_graded_commutativity(data, seed):
+    d = data.draw(st.sampled_from([2, 3]))
+    k = data.draw(st.integers(0, d))
+    l = data.draw(st.integers(0, d - k))
+    rng = np.random.default_rng(seed)
+    torus = GridTorus((8,) * d)
+    a, b = _random_form(torus, k, rng), _random_form(torus, l, rng)
+    ab, ba = wedge(a, b), wedge(b, a)
+    assert ab.degree == ba.degree == k + l
+    assert np.max(np.abs(ab.coeffs - (-1.0) ** (k * l) * ba.coeffs)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 16))
+def test_hodge_star_squared_sign(data, seed):
+    d = data.draw(st.sampled_from([2, 3]))
+    k = data.draw(st.integers(0, d))
+    rng = np.random.default_rng(seed)
+    torus = GridTorus((8,) * d)
+    mat = rng.normal(size=(d, d))
+    g = MetricField.constant(torus, mat @ mat.T + d * np.eye(d))
+    a = _random_form(torus, k, rng)
+    ss = hodge_star(hodge_star(a, g), g)
+    sign = (-1.0) ** (k * (d - k))
+    assert np.max(np.abs(ss.coeffs - sign * a.coeffs)) < 1e-10 * max(1.0, a.norm_inf())
 
 
 def test_l2_inner_is_symmetric_positive():
