@@ -45,6 +45,7 @@ from .family import (
     scan_to_csv,
     specialness_scan,
 )
+from .fd import richardson_tolerance
 from .hessian import (
     HessianPotential,
     legendre_transform,
@@ -316,7 +317,7 @@ def run_partial_legendre(config, tol, out, oracle):
         [ax[::2] for ax in pot.axes], pot.values[::2, ::2], pot.c
     )
     coarse = partial_legendre_2d(coarse_pot)
-    stencil_tol = 10.0 * max(coarse["laplace_residual"] / 16.0, 1e-10)
+    stencil_tol = 10.0 * richardson_tolerance(coarse["laplace_residual"], floor=1e-10)
     checks = {"prop3": _check(result["laplace_residual"], stencil_tol)}
     return {
         "laplace_residual": result["laplace_residual"],
@@ -355,7 +356,7 @@ def run_semiflat(config, tol, out, oracle):
             pot.c,
         )
         coarse_agreement = ricci_agreement(build_semiflat(coarse_pot))
-        oracle_tol = 10.0 * max(coarse_agreement / 16.0, 1e-8)
+        oracle_tol = 10.0 * richardson_tolerance(coarse_agreement, floor=1e-8)
         checks["ricci_oracle"] = _check(agreement, oracle_tol)
         report["ricci_oracle_agreement"] = agreement
         report["ricci_oracle_coarse"] = coarse_agreement

@@ -170,6 +170,19 @@ def test_rejected_input_exit_code_and_report(tmp_path, capsys, command, payload,
     assert log[-1].endswith(f"{command} exit=2")
 
 
+def test_ma_solve_reports_krylov_failure(tmp_path, capsys, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    monkeypatch.setattr(spla, "gmres", lambda A, b, **kwargs: (np.zeros_like(b), 7))
+    cfg = _write(tmp_path / "cfg.json", {"boundary": "cosh(u1) + cosh(u2)", "n": 17})
+    assert main(["ma-solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    report = _report(tmp_path)
+    assert report["error"]["type"] == "ConvergenceError"
+    assert "GMRES" in report["error"]["message"]
+    assert "checks" not in report
+
+
 def test_report_is_deterministic(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

@@ -13,7 +13,8 @@ from slmoduli.errors import (
     DomainError,
     InputError,
 )
-from slmoduli.fd import richardson_tolerance
+from slmoduli import hessian
+from slmoduli.fd import diff_matrix, hessian_field, richardson_tolerance
 from slmoduli.hessian import (
     HessianPotential,
     fenchel_residual,
@@ -324,6 +325,115 @@ def test_solver_rejects_bad_input():
         solve_ma_dirichlet([np.linspace(0, 1, 9)] * 3, lambda *m: m[0])
     with pytest.raises(InputError):
         solve_ma_dirichlet([np.linspace(0, 1, 9)] * 2, np.zeros((5, 5)))
+
+
+@pytest.mark.parametrize("n", [33, 129])
+def test_solver_reproduces_quadratic_to_roundoff(n):
+    # the fourth-order stencils are exact on a quadratic, so the only error
+    # left is the linear solves'
+    axes = [np.linspace(0.0, 1.0, n)] * 2
+    pot = solve_ma_dirichlet(axes, lambda a, b: 0.5 * (a ** 2 + b ** 2), c=1.0)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    exact = 0.5 * (mesh[0] ** 2 + mesh[1] ** 2)
+    assert np.max(np.abs(pot.values - exact)) <= 1e-12
+
+
+def _direct_newton_reference(axes, boundary, c=1.0, tol=1e-8):
+    """Newton whose fourth-order Jacobian is assembled and factorised by SuperLU.
+
+    Full steps and no eigenvalue clamp, which is what the solver does on
+    strictly convex data.  Returns the solution and the Newton step count.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve as superlu
+
+    shape = tuple(len(ax) for ax in axes)
+    spacings = tuple(float(ax[1] - ax[0]) for ax in axes)
+    d = [{k: diff_matrix(n, h, k) for k in (1, 2)} for n, h in zip(shape, spacings)]
+    op11 = sparse.kron(d[0][2], np.eye(shape[1]), format="csr")
+    op22 = sparse.kron(np.eye(shape[0]), d[1][2], format="csr")
+    op12 = sparse.kron(d[0][1], d[1][1], format="csr")
+    interior = np.zeros(shape, dtype=bool)
+    interior[1:-1, 1:-1] = True
+    idx = np.flatnonzero(interior)
+    phi = np.where(interior, 0.0, boundary(*np.meshgrid(*axes, indexing="ij")))
+    lap = op11 + op22
+    rhs = 2.0 * np.sqrt(c) - (lap @ phi.ravel())[idx]
+    phi.ravel()[idx] = superlu(lap[idx][:, idx].tocsc(), rhs)
+    for iteration in range(20):
+        hess = hessian_field(phi, spacings)
+        res = (np.linalg.det(hess) - c).ravel()[idx]
+        if np.max(np.abs(res)) < tol:
+            return phi, iteration
+        jac = (sparse.diags(hess[..., 1, 1].ravel()) @ op11
+               + sparse.diags(hess[..., 0, 0].ravel()) @ op22
+               - 2.0 * sparse.diags(hess[..., 0, 1].ravel()) @ op12).tocsr()
+        phi.ravel()[idx] -= superlu(jac[idx][:, idx].tocsc(), res)
+    raise AssertionError("reference Newton did not converge")
+
+
+def test_solver_matches_direct_newton_reference():
+    axes = [np.linspace(0.0, 1.0, 65)] * 2
+
+    def boundary(a, b):
+        return np.cosh(a) + np.cosh(b)
+
+    ref, ref_iterations = _direct_newton_reference(axes, boundary)
+    pot = solve_ma_dirichlet(axes, boundary, c=1.0)
+    assert pot.info["iterations"] == ref_iterations
+    assert np.max(np.abs(pot.values - ref)) < 1e-10
+
+
+def _failing_gmres(fail_at):
+    """A stand-in for scipy's gmres that reports non-convergence on call fail_at."""
+    import scipy.sparse.linalg as spla
+
+    real = spla.gmres
+    calls = []
+
+    def gmres(A, b, **kwargs):
+        calls.append(1)
+        if len(calls) == fail_at + 1:
+            return np.zeros_like(b), 7
+        return real(A, b, **kwargs)
+
+    return gmres
+
+
+@pytest.mark.parametrize("fail_at", [0, 1])
+def test_gmres_failure_raises_convergence_error(monkeypatch, fail_at):
+    # call 0 is the Poisson initial guess, call 1 the first Newton step
+    import scipy.sparse.linalg as spla
+
+    monkeypatch.setattr(spla, "gmres", _failing_gmres(fail_at))
+    axes = [np.linspace(0.0, 1.0, 17)] * 2
+    with pytest.raises(ConvergenceError) as err:
+        solve_ma_dirichlet(axes, lambda a, b: np.cosh(a) + np.cosh(b), c=1.0)
+    assert "GMRES" in str(err.value)
+    assert len(err.value.history) == fail_at
+
+
+def test_solver_factorises_only_second_order_operators(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    real_splu, real_spsolve = spla.splu, hessian.spsolve
+    row_nnz, solves = [], []
+
+    def splu(A, **kwargs):
+        row_nnz.append(int(A.tocsr().getnnz(axis=1).max()))
+        return real_splu(A, **kwargs)
+
+    def spsolve(*args, **kwargs):
+        solves.append(1)
+        return real_spsolve(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    monkeypatch.setattr(hessian, "spsolve", spsolve)
+    axes = [np.linspace(0.0, 1.0, 33)] * 2
+    pot = solve_ma_dirichlet(axes, lambda a, b: np.cosh(a) + np.cosh(b), c=1.0)
+    # a row of the fourth-order Jacobian couples up to 25 nodes
+    assert max(row_nnz) <= 9
+    assert len(row_nnz) == len(solves) == pot.info["iterations"] + 1
 
 
 def test_potential_csv_roundtrip(tmp_path):
