@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, ConvexityError, DomainError, InputError
+from .family import ModuliChart
 from .fd import apply_diff, diff_matrix, gradient_field, hessian_field
 
 
@@ -291,7 +292,7 @@ def mirror_swap(obj):
     """Exchange (u, lambda, phi) with (v, mu, psi); an involution."""
     if isinstance(obj, LegendrePair):
         return obj.swapped()
-    if hasattr(obj, "swap"):
+    if isinstance(obj, ModuliChart):
         return obj.swap()
     raise InputError(f"mirror_swap does not apply to {type(obj).__name__}")
 

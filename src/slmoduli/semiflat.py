@@ -146,27 +146,36 @@ def ricci_from_metric(components, spacings):
 
     with d_a = 0 for a >= p.  The stencils are linear, so this is the discrete
     operator of the full R^a_{bcd} contraction; adding the terms per a in the
-    order of that contraction also keeps its floating-point result.  Memory is
-    O(N d^3) for N grid nodes: the largest arrays hold the metric derivatives
-    and the Christoffel symbols.
+    order of that contraction also keeps its floating-point result.
+
+    Gamma is the only (*grid, d, d, d) array: it is filled one slab of grid
+    axis 0 at a time from the p metric derivatives, zero-padded into the
+    Killing slots per slab, so the tracemalloc peak is about 2.5 N d^3
+    doubles for N grid nodes at d = 4.  The summation order is frozen: every
+    apply_diff acts on a full-grid array, because the matrix product behind
+    it sums in another order when the trailing shape changes, and the slab
+    einsums repeat the full-array arithmetic.  The result is bitwise that of
+    the full-array reference kept in tests/test_semiflat.py.
     """
     components = np.asarray(components, dtype=float)
     p = components.ndim - 2
     d = components.shape[-1]
-    # dg[..., i, j, k] = d_k g_ij, zero along the Killing directions k >= p
-    dg = np.zeros(components.shape + (d,))
-    for axis in range(p):
-        dg[..., axis] = apply_diff(components, axis, spacings[axis], 1)
-    # Gamma^a_{bc} = 1/2 g^{ae} (d_b g_{ec} + d_c g_{eb} - d_e g_{bc})
+    grads = [apply_diff(components, axis, spacings[axis], 1) for axis in range(p)]
     ginv = np.linalg.inv(components)
-    raised = np.einsum("...ae,...ecb->...abc", ginv, dg)  # g^{ae} d_b g_{ec}
-    metric_grad = np.einsum("...ae,...bce->...abc", ginv, dg)  # g^{ae} d_e g_{bc}
-    del dg, ginv
-    gamma = raised + np.swapaxes(raised, -1, -2)
-    del raised
-    gamma -= metric_grad
-    del metric_grad
-    gamma *= 0.5
+    # Gamma^a_{bc} = 1/2 g^{ae} (d_b g_{ec} + d_c g_{eb} - d_e g_{bc}), one slab
+    # of grid axis 0 at a time; dg[..., i, j, k] = d_k g_ij stays zero along
+    # the Killing directions k >= p
+    gamma = np.empty(components.shape + (d,))
+    dg = np.zeros(components.shape[1:] + (d,))
+    for i in range(components.shape[0]):
+        for axis in range(p):
+            dg[..., axis] = grads[axis][i]
+        raised = np.einsum("...ae,...ecb->...abc", ginv[i], dg)  # g^{ae} d_b g_{ec}
+        metric_grad = np.einsum("...ae,...bce->...abc", ginv[i], dg)  # g^{ae} d_e g_{bc}
+        np.add(raised, np.swapaxes(raised, -1, -2), out=gamma[i])
+        gamma[i] -= metric_grad
+        gamma[i] *= 0.5
+    del grads, ginv, dg
     diagonal = np.einsum("...aab->...ab", gamma)  # Gamma^a_{ab}, not summed over a
     diagonal_grad = [apply_diff(diagonal, axis, spacings[axis], 1) for axis in range(p)]
     ric = np.zeros(components.shape)
@@ -176,7 +185,8 @@ def ricci_from_metric(components, spacings):
             term[..., axis] -= diagonal_grad[axis][..., a, :]
         if a < p:
             d_gamma = apply_diff(gamma[..., a, :, :], a, spacings[a], 1)  # d_a Gamma^a_{db}
-            term = d_gamma.swapaxes(-1, -2) + term
+            np.add(d_gamma.swapaxes(-1, -2), term, out=term)
+            del d_gamma  # not alive during the next apply_diff
         term += np.einsum("...e,...edb->...bd", diagonal[..., a, :], gamma)
         term -= np.einsum("...de,...eb->...bd", gamma[..., a, :, :], gamma[..., :, a, :])
         ric += term

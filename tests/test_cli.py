@@ -131,6 +131,23 @@ def test_semiflat_flags_non_ma_potential(tmp_path):
     assert not report["checks"]["prop5"]["pass"]
 
 
+def test_semiflat_ma_residual_from_stored_hessian(tmp_path):
+    from slmoduli.cli import _resolve_potential
+    from slmoduli.hessian import ma_residual
+
+    spec = {
+        "axes": [[-1, 1, 33], [-0.5, 1, 29]],
+        "expr": "u1**4/12 + u1**2/2 + u2**2/2 + 0.1*u1*u2",
+        "c": 1.3,
+    }
+    cfg = _write(tmp_path / "cfg.json", {"potential": spec})
+    main(["semiflat", "--config", cfg, "--out", str(tmp_path)])
+    pot = _resolve_potential(spec)
+    trim = (slice(3, -3),) * 2
+    expected = float(np.max(np.abs(ma_residual(pot, pot.c)[trim])))
+    assert _report(tmp_path)["ma_residual_max"] == expected
+
+
 def test_gh_command(tmp_path):
     assert main(["gh", "--out", str(tmp_path)]) == 0
     report = _report(tmp_path)

@@ -254,6 +254,15 @@ def test_mirror_swap_pair_involution():
         mirror_swap(3.0)
 
 
+def test_mirror_swap_rejects_unrelated_object_with_swap():
+    class Swappable:
+        def swap(self):
+            return self
+
+    with pytest.raises(InputError):
+        mirror_swap(Swappable())
+
+
 def test_partial_legendre_quadratic_harmonic():
     pot = _quadratic([np.linspace(-1, 1, 65)] * 2, np.eye(2))
     result = partial_legendre_2d(pot)

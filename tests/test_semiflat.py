@@ -159,6 +159,72 @@ def test_ricci_from_metric_hyperbolic_plane():
     assert np.max(np.abs(ric[core] + g[core])) < 1e-5
 
 
+def _ricci_full_arrays(components, spacings):
+    """The full-array Christoffel assembly, kept verbatim to pin the bits.
+
+    It holds d_k g_ij, g^{ae} d_b g_{ec} and g^{ae} d_e g_{bc} as full
+    (*grid, d, d, d) arrays at once; ricci_from_metric builds the same symbols
+    slab by slab and must return exactly the same floating-point numbers.
+    """
+    components = np.asarray(components, dtype=float)
+    p = components.ndim - 2
+    d = components.shape[-1]
+    # dg[..., i, j, k] = d_k g_ij, zero along the Killing directions k >= p
+    dg = np.zeros(components.shape + (d,))
+    for axis in range(p):
+        dg[..., axis] = apply_diff(components, axis, spacings[axis], 1)
+    # Gamma^a_{bc} = 1/2 g^{ae} (d_b g_{ec} + d_c g_{eb} - d_e g_{bc})
+    ginv = np.linalg.inv(components)
+    raised = np.einsum("...ae,...ecb->...abc", ginv, dg)  # g^{ae} d_b g_{ec}
+    metric_grad = np.einsum("...ae,...bce->...abc", ginv, dg)  # g^{ae} d_e g_{bc}
+    del dg, ginv
+    gamma = raised + np.swapaxes(raised, -1, -2)
+    del raised
+    gamma -= metric_grad
+    del metric_grad
+    gamma *= 0.5
+    diagonal = np.einsum("...aab->...ab", gamma)  # Gamma^a_{ab}, not summed over a
+    diagonal_grad = [apply_diff(diagonal, axis, spacings[axis], 1) for axis in range(p)]
+    ric = np.zeros(components.shape)
+    for a in range(d):
+        term = np.zeros(components.shape)  # R^a_{bad}, indexed [b, d]
+        for axis in range(p):
+            term[..., axis] -= diagonal_grad[axis][..., a, :]
+        if a < p:
+            d_gamma = apply_diff(gamma[..., a, :, :], a, spacings[a], 1)  # d_a Gamma^a_{db}
+            term = d_gamma.swapaxes(-1, -2) + term
+        term += np.einsum("...e,...edb->...bd", diagonal[..., a, :], gamma)
+        term -= np.einsum("...de,...eb->...bd", gamma[..., a, :, :], gamma[..., :, a, :])
+        ric += term
+    return ric
+
+
+def _pinned_metric(name):
+    if name == "semiflat":
+        sf = build_semiflat(_quartic_potential(65))
+        return sf.full_metric(), sf.potential.spacings
+    if name == "gh":
+        return _gh_components(65)
+    if name == "hessian":
+        axes = [np.linspace(-1, 1, 65), np.linspace(0.5, 1.5, 49)]
+        pot = HessianPotential.from_function(
+            axes, lambda a, b: np.cosh(a) + b ** 3 / 6 + 0.2 * a * b
+        )
+        return pot.hessian(), pot.spacings
+    if name == "exp":
+        pot = HessianPotential.from_function([np.linspace(0, 1, 65)], np.exp)
+        return build_semiflat(pot).full_metric(), pot.spacings
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((10, 10, 10, 3, 3))
+    return np.einsum("...ij,...kj->...ik", a, a) + 3.0 * np.eye(3), [0.1, 0.2, 0.3]
+
+
+@pytest.mark.parametrize("name", ["semiflat", "gh", "hessian", "exp", "random_spd"])
+def test_ricci_from_metric_bitwise_matches_full_array_assembly(name):
+    g, spacings = _pinned_metric(name)
+    assert np.array_equal(ricci_from_metric(g, spacings), _ricci_full_arrays(g, spacings))
+
+
 def test_ricci_from_metric_memory_is_order_n_d3():
     g = build_semiflat(_quartic_potential(65)).full_metric()
     spacings = [2.0 / 64] * 2
@@ -170,7 +236,8 @@ def test_ricci_from_metric_memory_is_order_n_d3():
     finally:
         tracemalloc.stop()
     nodes, d = 65 * 65, 4
-    assert peak < 6 * nodes * d ** 3 * 8
+    # Gamma plus a few (*grid, d, d) arrays: about 2.5 N d^3 doubles at d = 4
+    assert peak < 2.75 * nodes * d ** 3 * 8
 
 
 def test_metric_error_on_degenerate_block():
