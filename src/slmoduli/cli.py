@@ -51,6 +51,7 @@ from .hessian import (
     legendre_transform,
     load_potential,
     ma_residual,
+    ma_residual_of,
     partial_legendre_2d,
     save_potential,
     solve_ma_dirichlet,
@@ -334,8 +335,7 @@ def run_semiflat(config, tol, out, oracle):
     trim = sf_mod._interior_slice(pot, 3)
     ricci_max = float(np.max(np.abs(ric[trim])))
     c = pot.c if pot.c is not None else 1.0
-    # the Hessian build_semiflat checked and stored; ma_residual would redo it
-    ma_max = float(np.max(np.abs((np.linalg.det(sf.metric_block) - float(c))[trim])))
+    ma_max = float(np.max(np.abs(ma_residual_of(sf.metric_block, c)[trim])))
     norm_tol = max(tol, 1e-6)
     checks = {
         "prop4": _check(sf.kahler_residual, max(tol, 1e-10)),

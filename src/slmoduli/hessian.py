@@ -98,7 +98,11 @@ def hessian_metric(pot, tol=1e-10):
 
 def ma_residual(pot, c):
     """det(discrete Hessian) - c per node."""
-    hess = hessian_metric(pot)
+    return ma_residual_of(hessian_metric(pot), c)
+
+
+def ma_residual_of(hess, c):
+    """det(hess) - c per node, for a Hessian field already built."""
     return np.linalg.det(hess) - float(c)
 
 
