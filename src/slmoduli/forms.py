@@ -1,8 +1,9 @@
 """Differential forms on periodic grid tori.
 
 The numerical substrate for every geometric check: exterior calculus with
-spectral (trigonometric) differentiation, pointwise metric Hodge star, cycle
-integration and L^2 pairings.  Orientation is fixed by ascending axis order.
+spectral (trigonometric) differentiation, the Hodge star of a constant
+(flat-torus) metric, cycle integration and L^2 pairings.  Orientation is
+fixed by ascending axis order.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +21,8 @@ from .multilinear import (
 )
 
 MIN_RESOLUTION = 8
-DEFAULT_TOL = 1e-8
+# symmetry and positive-eigenvalue threshold of a metric
+METRIC_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -129,39 +131,34 @@ class FormField:
 
 @dataclass
 class MetricField:
-    """Symmetric positive definite d x d matrix per node."""
+    """Constant symmetric positive definite d x d metric on a grid torus.
+
+    Every metric on a flat torus is one matrix, so the field stores it once
+    and validates it once.
+    """
 
     torus: GridTorus
     components: np.ndarray
-    tol: float = 1e-10
 
     def __post_init__(self):
         d = self.torus.dim
         self.components = np.asarray(self.components, dtype=float)
-        if self.components.shape != self.torus.shape + (d, d):
-            raise GridMismatchError("metric components must be (*grid, d, d)")
-        sym = np.max(np.abs(self.components - np.swapaxes(self.components, -1, -2)))
-        if sym > self.tol:
+        if self.components.shape != (d, d):
+            raise GridMismatchError(
+                f"metric components must be ({d}, {d}), got {self.components.shape}"
+            )
+        sym = np.max(np.abs(self.components - self.components.T))
+        if sym > METRIC_TOL:
             raise MetricError(f"metric not symmetric, deviation {sym:.3e}")
-        eigs = np.linalg.eigvalsh(self.components)
-        if np.min(eigs) <= self.tol:
-            node = np.unravel_index(
-                np.argmin(eigs.min(axis=-1)), self.torus.shape
-            )
+        min_eig = np.linalg.eigvalsh(self.components)[0]
+        if min_eig <= METRIC_TOL:
             raise MetricError(
-                f"metric not positive definite at node {node}: "
-                f"min eigenvalue {np.min(eigs):.3e}"
+                f"metric not positive definite: min eigenvalue {min_eig:.3e}"
             )
-
-    @classmethod
-    def constant(cls, torus, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        comps = np.broadcast_to(matrix, torus.shape + matrix.shape).copy()
-        return cls(torus, comps)
 
     @classmethod
     def euclidean(cls, torus):
-        return cls.constant(torus, np.eye(torus.dim))
+        return cls(torus, np.eye(torus.dim))
 
 
 def _check_same(a, b, same_degree=False):
@@ -223,9 +220,10 @@ def exterior_derivative(a):
 
 
 def hodge_star(a, g):
-    """Pointwise metric Hodge star, orientation from ascending axis order.
+    """Metric Hodge star, orientation from ascending axis order.
 
-    Satisfies star(star(a)) = (-1)^{k(d-k)} a for Riemannian g.
+    The minors of the inverse metric are scalars, applied to every node's
+    coefficients.  Satisfies star(star(a)) = (-1)^{k(d-k)} a.
     """
     if g.torus != a.torus:
         raise GridMismatchError("metric and form live on different grids")

@@ -109,18 +109,18 @@ def ricci_form(sf):
     return -0.5 * hessian_field(log_det, sf.potential.spacings)
 
 
-def ricci_agreement(sf, trim=None):
-    """max interior deviation between the log-det Ricci and the oracle.
+def ricci_agreement(sf, kahler, trim=None):
+    """max interior deviation between the log-det Ricci ``kahler`` and the oracle.
 
-    Also checks the oracle's block structure: the x-x block must repeat the
-    u-u block and the mixed block must vanish.  The default trim grows with
-    the grid because the oracle stacks three one-sided derivative passes near
-    the boundary.
+    ``kahler`` is ``ricci_form(sf)``, which the caller already holds.  Also
+    checks the oracle's block structure: the x-x block must repeat the u-u
+    block and the mixed block must vanish.  The default trim grows with the
+    grid because the oracle stacks three one-sided derivative passes near the
+    boundary.
     """
     m = sf.m
     if trim is None:
         trim = max(3, min(len(ax) for ax in sf.potential.axes) // 8)
-    kahler = ricci_form(sf)
     g = sf.full_metric()
     oracle = ricci_from_metric(g, sf.potential.spacings)
     interior = _interior_slice(sf.potential, trim)

@@ -49,7 +49,7 @@ def test_family_scan_std(tmp_path):
     )
     assert main(["family-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
     report = _report(tmp_path)
-    for key in ("mclean", "prop1", "prop2", "thm3", "prop3"):
+    for key in ("slag_restriction", "mclean", "prop2", "thm3"):
         assert report["checks"][key]["pass"], key
     scan = (tmp_path / "scan.csv").read_text().splitlines()
     assert scan[0].startswith("t_1,t_2,vol_H1")

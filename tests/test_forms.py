@@ -94,13 +94,20 @@ def test_hodge_star_flat_torus():
     sdx = hodge_star(dx, g)
     assert np.allclose(sdx.coeffs[..., 1], 1.0)
     assert np.allclose(sdx.coeffs[..., 0], 0.0)
+    # non-diagonal constant metric: star a = sqrt(det g) ((g^-1 a)_0 dy - (g^-1 a)_1 dx)
+    mat = np.array([[2.0, 0.7], [0.7, 1.5]])
+    a = np.array([0.3, -1.2])
+    raised = np.linalg.solve(mat, a)
+    expected = np.sqrt(np.linalg.det(mat)) * np.array([-raised[1], raised[0]])
+    star = hodge_star(FormField.constant(torus, 1, a), MetricField(torus, mat))
+    assert np.max(np.abs(star.coeffs - expected)) < 1e-14
 
 
 def test_hodge_star_involution_sign():
     rng = np.random.default_rng(3)
     torus = GridTorus((8, 8, 8))
     mat = rng.normal(size=(3, 3))
-    g = MetricField.constant(torus, mat @ mat.T + 3 * np.eye(3))
+    g = MetricField(torus, mat @ mat.T + 3 * np.eye(3))
     for k in (0, 1, 2, 3):
         a = FormField(torus, k, rng.normal(size=torus.shape + (comb(3, k),)))
         ss = hodge_star(hodge_star(a, g), g)
@@ -134,7 +141,7 @@ def test_hodge_star_squared_sign(data, seed):
     rng = np.random.default_rng(seed)
     torus = GridTorus((8,) * d)
     mat = rng.normal(size=(d, d))
-    g = MetricField.constant(torus, mat @ mat.T + d * np.eye(d))
+    g = MetricField(torus, mat @ mat.T + d * np.eye(d))
     a = _random_form(torus, k, rng)
     ss = hodge_star(hodge_star(a, g), g)
     sign = (-1.0) ** (k * (d - k))
@@ -168,9 +175,12 @@ def test_harmonicity_residual_flags_nonharmonic():
 def test_metric_field_validation():
     torus = GridTorus((8, 8))
     with pytest.raises(MetricError):
-        MetricField.constant(torus, np.array([[1.0, 0.5], [0.2, 1.0]]))
+        MetricField(torus, np.array([[1.0, 0.5], [0.2, 1.0]]))
     with pytest.raises(MetricError):
-        MetricField.constant(torus, np.array([[1.0, 0.0], [0.0, -1.0]]))
+        MetricField(torus, np.array([[1.0, 0.0], [0.0, -1.0]]))
+    # a flat-torus metric is one matrix, never a copy per node
+    with pytest.raises(GridMismatchError):
+        MetricField(torus, np.broadcast_to(np.eye(2), torus.shape + (2, 2)))
 
 
 def test_cycle_basis_duality():
