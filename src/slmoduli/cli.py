@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import family as fam_mod
 from . import hessian as hes_mod
 from . import semiflat as sf_mod
 from .cymodel import load_model, std_model, validate_axioms
@@ -50,7 +49,6 @@ from .hessian import (
     legendre_transform,
     load_potential,
     ma_residual,
-    ma_residual_of,
     partial_legendre_2d,
     save_potential,
     solve_ma_dirichlet,
@@ -310,7 +308,7 @@ def run_semiflat(config, tol, out, oracle):
     trim = sf_mod._interior_slice(pot, 3)
     ricci_max = float(np.max(np.abs(ric[trim])))
     c = pot.c if pot.c is not None else 1.0
-    ma_max = float(np.max(np.abs(ma_residual_of(sf.metric_block, c)[trim])))
+    ma_max = float(np.max(np.abs((sf.metric_det - float(c))[trim])))
     norm_tol = max(tol, 1e-6)
     checks = {
         "prop4": _check(sf.kahler_residual, max(tol, 1e-10)),

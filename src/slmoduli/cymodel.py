@@ -11,7 +11,7 @@ constant forms and is recorded as such.
 
 import json
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 

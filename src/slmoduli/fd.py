@@ -2,7 +2,11 @@
 
 Fourth-order centered stencils in the interior with one-sided stencils at the
 boundary, generated by Fornberg's weight algorithm.  Also hosts the two-grid
-Richardson estimate used to turn "stencil tolerance" into a number per run.
+Richardson estimate used to turn "stencil tolerance" into a number per run,
+and two numpy kernels that stand in for scipy's splines: ``quintic_resample``
+(the not-a-knot quintic interpolant of many columns at once, the spline
+``scipy.interpolate.make_interp_spline(x, y, k=5)`` builds) and
+``cumulative_quadrature`` (a sixth-order running integral on a uniform grid).
 """
 
 from functools import lru_cache
@@ -106,3 +110,118 @@ def richardson_tolerance(coarse_value, order=4, factor=2, floor=1e-12):
     coarse / factor^order.
     """
     return max(abs(float(coarse_value)) / factor ** order, floor)
+
+
+def _quintic_basis(knots, spans, x):
+    """The six quintic B-splines B_{l-5}, ..., B_l that are nonzero at x.
+
+    ``knots`` is (c, K), ``spans`` and ``x`` are (c, p) with
+    knots[l] <= x <= knots[l + 1] and knots[l] < knots[l + 1] for l = spans.
+    Cox-de Boor recursion (Piegl & Tiller, The NURBS Book, algorithm A2.2),
+    vectorised over all points; returns (c, p, 6).
+    """
+    flat = knots.ravel()
+    at = spans + knots.shape[1] * np.arange(knots.shape[0])[:, None]  # knots[c, l]
+    basis = [np.ones_like(x)]
+    left = [None]
+    right = [None]
+    for j in range(1, 6):
+        left.append(x - flat[at + 1 - j])
+        right.append(flat[at + j] - x)
+        saved = np.zeros_like(x)
+        for r in range(j):
+            temp = basis[r] / (right[r + 1] + left[j - r])
+            basis[r] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        basis.append(saved)
+    return np.stack(basis, axis=-1)
+
+
+def quintic_resample(x, y, x_new):
+    """Evaluate the not-a-knot quintic interpolant of every column at x_new.
+
+    ``x`` and ``y`` are (n, c) with each column of ``x`` strictly increasing,
+    n >= 6; ``x_new`` is (q,) in any order.  Returns (q, c); column j is the
+    spline that ``make_interp_spline(x[:, j], y[:, j], k=5)`` builds (knots
+    x_0 six times, x_3 ... x_{n-4}, x_{n-1} six times), evaluated at x_new,
+    where points outside [x[0, j], x[-1, j]] extrapolate its end pieces as
+    scipy's does.
+
+    The collocation matrix of each column has at most six nonzeros per row
+    within five diagonals of the main one.  It is totally positive, so
+    Gaussian elimination without pivoting is stable (de Boor & Pinkus,
+    Linear Algebra Appl. 1977); it runs once over the rows, on all columns
+    at the same time.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x_new = np.asarray(x_new, dtype=float)
+    n, cols = x.shape
+    if n < 6:
+        raise ValueError("need at least 6 nodes for a quintic interpolant")
+    xt = np.ascontiguousarray(x.T)
+    knots = np.concatenate(
+        [np.repeat(xt[:, :1], 6, axis=1), xt[:, 3:-3], np.repeat(xt[:, -1:], 6, axis=1)],
+        axis=1,
+    )
+    # node i lies in knot span clip(i + 3, 5, n - 1); row i of the collocation
+    # matrix is nonzero in columns first[i] ... first[i] + 5
+    spans = np.clip(np.arange(n) + 3, 5, n - 1)
+    first = spans - 5
+    basis = _quintic_basis(knots, np.broadcast_to(spans, xt.shape), xt)
+    # band storage: band[:, i, 5 + k - i] = A[i, k]
+    band = np.zeros((cols, n, 11))
+    rows = np.arange(n)[:, None]
+    band[:, rows, first[:, None] - rows + 5 + np.arange(6)] = basis
+    coef = y.T.copy()
+    for r in range(n - 1):
+        pivot = band[:, r, 5:]
+        for d in range(1, min(5, n - 1 - r) + 1):
+            if first[r + d] > r:  # A[r + d, r] = 0, and first[] never decreases
+                break
+            factor = band[:, r + d, 5 - d] / pivot[:, 0]
+            band[:, r + d, 5 - d:11 - d] -= factor[:, None] * pivot
+            coef[:, r + d] -= factor * coef[:, r]
+    for r in range(n - 1, -1, -1):
+        hi = min(n, r + 6)
+        coef[:, r] -= np.einsum("ck,ck->c", band[:, r, 6:5 + hi - r], coef[:, r + 1:hi])
+        coef[:, r] /= band[:, r, 5]
+    # span of each x_new per column: 5 + the number of interior knots <= it,
+    # counted along x_new in increasing order
+    interior = knots[:, 6:n]
+    q = len(x_new)
+    order = np.argsort(x_new, kind="stable")
+    slots = np.searchsorted(x_new[order], interior, side="left") + (q + 1) * np.arange(cols)[:, None]
+    counts = np.bincount(slots.ravel(), minlength=cols * (q + 1)).reshape(cols, q + 1)
+    new_spans = np.empty((cols, q), dtype=int)
+    new_spans[:, order] = np.minimum(5 + np.cumsum(counts, axis=1)[:, :q], n - 1)
+    values = _quintic_basis(knots, new_spans, np.broadcast_to(x_new, (cols, q)))
+    picked = np.take_along_axis(
+        coef, (new_spans[..., None] - 5 + np.arange(6)).reshape(cols, -1), axis=1
+    )
+    return np.einsum("cqk,cqk->qc", values, picked.reshape(cols, q, 6))
+
+
+@lru_cache(maxsize=None)
+def cumulative_quadrature(n, spacing):
+    """(n, n) matrix C with (C f)_i = integral of f from node 0 to node i.
+
+    Uniform grid of n >= 6 nodes.  The integral over each cell is the exact
+    integral of the degree-5 interpolant through the six nodes nearest that
+    cell (k - 2 ... k + 3 for cell [k, k + 1], shifted inward at the ends),
+    so C integrates polynomials of degree <= 5 exactly and its error is
+    O(h^6).  The cached matrix is read-only.
+    """
+    if n < 6:
+        raise ValueError("need at least 6 nodes for the quadrature")
+    moments = 1.0 / np.arange(1.0, 7.0)  # integral of s^p over [0, 1]
+    cells = np.zeros((n - 1, n))
+    for k in range(n - 1):
+        lo = min(max(k - 2, 0), n - 6)
+        nodes = np.arange(lo, lo + 6) - float(k)
+        weights = np.linalg.solve(np.vander(nodes, increasing=True).T, moments)
+        cells[k, lo:lo + 6] = weights * float(spacing)
+    cumulative = np.zeros((n, n))
+    np.cumsum(cells, axis=0, out=cumulative[1:])
+    cumulative.flags.writeable = False
+    return cumulative

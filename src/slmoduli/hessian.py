@@ -12,9 +12,10 @@ each Newton step by GMRES, preconditioned with an LU of the second-order
 9-point operator; the only matrices it factorises have at most 9 nonzeros
 per row.
 
-scipy is imported inside the functions that use it (the spline interpolants,
-the sparse operators of the solver and ``spsolve``), so importing this
-module loads numpy only.
+scipy is imported inside the functions that use it (the spline interpolants
+of the Legendre refinement, the sparse operators of the solver and
+``spsolve``), so importing this module loads numpy only.  The partial
+Legendre reduction never loads it: it resamples with ``fd.quintic_resample``.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ConvexityError, DomainError, InputError
 from .family import ModuliChart
-from .fd import apply_diff, diff_matrix, gradient_field, hessian_field
+from .fd import apply_diff, diff_matrix, gradient_field, hessian_field, quintic_resample
 
 
 @dataclass
@@ -98,12 +99,7 @@ def hessian_metric(pot, tol=1e-10):
 
 def ma_residual(pot, c):
     """det(discrete Hessian) - c per node."""
-    return ma_residual_of(hessian_metric(pot), c)
-
-
-def ma_residual_of(hess, c):
-    """det(hess) - c per node, for a Hessian field already built."""
-    return np.linalg.det(hess) - float(c)
+    return np.linalg.det(hessian_metric(pot)) - float(c)
 
 
 def _conjugate_axis(values, u_nodes, v_nodes):
@@ -310,8 +306,6 @@ def partial_legendre_2d(pot, trim=3):
     away from zero for non-Monge-Ampere input.  The target constant is
     normalized to 1 by rescaling phi with c^{1/2} first.
     """
-    from scipy.interpolate import make_interp_spline
-
     if pot.dim != 2:
         raise InputError("partial Legendre reduction is specific to m = 2")
     values = pot.values
@@ -321,7 +315,9 @@ def partial_legendre_2d(pot, trim=3):
         values = values / np.sqrt(pot.c)
     work = HessianPotential(pot.axes, values)
     slopes = apply_diff(values, 0, work.spacings[0], 1)
-    if np.min(apply_diff(values, 0, work.spacings[0], 2)) <= 0:
+    # quintic_resample also needs each slice's slopes strictly increasing
+    if (np.min(apply_diff(values, 0, work.spacings[0], 2)) <= 0
+            or np.min(np.diff(slopes, axis=0)) <= 0):
         raise ConvexityError("a u_1 slice fails strict convexity")
     h_nodes = work.axes[0][:, None] * slopes - values
     s_lo = float(np.max(slopes[0, :]))
@@ -329,9 +325,7 @@ def partial_legendre_2d(pot, trim=3):
     if s_hi <= s_lo:
         raise DomainError("slices have no common slope interval")
     s_axis = np.linspace(s_lo, s_hi, len(work.axes[0]))
-    h = np.empty((len(s_axis), len(work.axes[1])))
-    for j in range(len(work.axes[1])):
-        h[:, j] = make_interp_spline(slopes[:, j], h_nodes[:, j], k=5)(s_axis)
+    h = quintic_resample(slopes, h_nodes, s_axis)
     ds = float(s_axis[1] - s_axis[0])
     laplacian = apply_diff(h, 0, ds, 2) + apply_diff(h, 1, work.spacings[1], 2)
     core = laplacian[trim:-trim, trim:-trim] if trim else laplacian

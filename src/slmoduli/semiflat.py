@@ -7,17 +7,17 @@ the Kahler-closedness residual, the Nijenhuis integrability residual of
 charts given by a period matrix function lambda(t), the holomorphic-norm
 field, the Ricci form by the log-det identity with a Christoffel-symbol
 oracle as an independent second route, and the m = 2 Gibbons-Hawking
-cross-check.  Only the Gibbons-Hawking harmonic conjugate needs scipy (spline
-antiderivatives); it imports it on call, so the rest of the module runs on
-numpy alone.
+cross-check.  The module runs on numpy alone: the Gibbons-Hawking harmonic
+conjugate integrates with the sixth-order ``fd.cumulative_quadrature``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, MetricError
-from .fd import apply_diff, hessian_field
+from .fd import apply_diff, cumulative_quadrature, hessian_field
 from .forms import GridTorus
 from .hessian import HessianPotential, hessian_metric
 
@@ -34,6 +34,18 @@ class SemiflatManifold:
     @property
     def m(self):
         return self.potential.dim
+
+    @cached_property
+    def metric_det(self):
+        """det of the metric block per node; must be positive.
+
+        Taken on first use and kept, so ``metric_block`` must not be
+        reassigned after that.
+        """
+        det = np.linalg.det(self.metric_block)
+        if np.min(det) <= 0:
+            raise MetricError("metric determinant must be positive")
+        return det
 
     def full_metric(self):
         """Real 2m x 2m metric field blockdiag(H, H) over the u-grid."""
@@ -64,8 +76,13 @@ def build_semiflat(pot, fiber_resolution=8):
     stencils so that exact symmetry of the discrete operators is visible.
     """
     hess = hessian_metric(pot)  # raises on convexity loss
-    pure = pot.hessian(pure_first=True)
     m = pot.dim
+    # the mixed entries of hess already are composed first derivatives; only
+    # the diagonal needs them in place of the second-derivative stencil
+    pure = hess.copy()
+    for a in range(m):
+        first = apply_diff(pot.values, a, pot.spacings[a], 1)
+        pure[..., a, a] = apply_diff(first, a, pot.spacings[a], 1)
     residual = 0.0
     for k in range(m):
         for l in range(m):
@@ -84,10 +101,7 @@ def holomorphic_norm_field(sf):
     Equals 1/det(Hess phi) up to a fixed dimensional factor; constancy is
     equivalent to the Monge-Ampere condition.
     """
-    det = np.linalg.det(sf.metric_block)
-    if np.min(det) <= 0:
-        raise MetricError("metric determinant must be positive")
-    norm = 1.0 / det
+    norm = 1.0 / sf.metric_det
     interior = _interior_slice(sf.potential)
     core = norm[interior]
     variation = float(np.max(core) / np.min(core) - 1.0)
@@ -102,11 +116,7 @@ def _interior_slice(pot, trim=2):
 
 def ricci_form(sf):
     """R_jk = -1/2 d^2/du_j du_k log det(Hess phi) (Kahler log-det identity)."""
-    det = np.linalg.det(sf.metric_block)
-    if np.min(det) <= 0:
-        raise MetricError("metric determinant must be positive")
-    log_det = np.log(det)
-    return -0.5 * hessian_field(log_det, sf.potential.spacings)
+    return -0.5 * hessian_field(np.log(sf.metric_det), sf.potential.spacings)
 
 
 def ricci_agreement(sf, kahler, trim=None):
@@ -269,7 +279,7 @@ def gh_metric(v_values, axes, tol=1e-8, trim=3):
         )
     if np.min(v) <= 0:
         raise InputError("V must be positive on the whole domain")
-    w = _harmonic_conjugate(v, axes, spacings)
+    w = _harmonic_conjugate(v, spacings)
     g = np.zeros(v.shape + (4, 4))
     g[..., 0, 0] = v
     g[..., 1, 1] = v
@@ -283,16 +293,14 @@ def gh_metric(v_values, axes, tol=1e-8, trim=3):
     )
 
 
-def _harmonic_conjugate(v, axes, spacings):
-    """W with dW = -V_2 dy1 + V_1 dy2, by spline antiderivatives."""
-    from scipy.interpolate import make_interp_spline
+def _harmonic_conjugate(v, spacings):
+    """W with dW = -V_2 dy1 + V_1 dy2 and W = 0 at the first corner.
 
+    W(y1, y2) = int_0^y1 -V_2(s, 0) ds + int_0^y2 V_1(y1, t) dt, both with the
+    sixth-order cumulative quadrature.
+    """
     v1 = apply_diff(v, 0, spacings[0], 1)
     v2 = apply_diff(v, 1, spacings[1], 1)
-    w = np.zeros_like(v)
-    base_row = make_interp_spline(axes[0], -v2[:, 0], k=5).antiderivative()
-    w0 = base_row(axes[0]) - base_row(axes[0][0])
-    for i in range(v.shape[0]):
-        col = make_interp_spline(axes[1], v1[i, :], k=5).antiderivative()
-        w[i, :] = w0[i] + col(axes[1]) - col(axes[1][0])
-    return w
+    c0 = cumulative_quadrature(v.shape[0], spacings[0])
+    c1 = cumulative_quadrature(v.shape[1], spacings[1])
+    return (c0 @ -v2[:, 0])[:, None] + v1 @ c1.T

@@ -260,6 +260,8 @@ _IMPORT_PROBE = textwrap.dedent("""
         ("family-scan", {"family": "std:2", "grid": {"n": 3}, "fiber_resolution": 8}, []),
         ("embed", {"grid": {"n": 3}}, []),
         ("semiflat", {"potential": potential}, ["--oracle"]),
+        ("partial-legendre", {"potential": potential}, []),
+        ("gh", {"n": 17}, []),
         ("ma-solve", {"n": 17}, []),
     ]
     for command, config, flags in steps:
@@ -282,8 +284,9 @@ def test_scipy_loads_only_with_the_kernels_that_call_it(tmp_path):
         stage, code, loaded = line.split()
         stages[stage] = (int(code), loaded == "True")
     assert list(stages) == ["import", "cy-validate", "family-scan", "embed", "semiflat",
-                            "ma-solve"]
-    for stage in ("import", "cy-validate", "family-scan", "embed", "semiflat"):
+                            "partial-legendre", "gh", "ma-solve"]
+    for stage in ("import", "cy-validate", "family-scan", "embed", "semiflat",
+                  "partial-legendre", "gh"):
         code, loaded = stages[stage]
         assert code in (0, 1), stage
         assert not loaded, f"scipy was loaded by {stage}"

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slmoduli.errors import (
-    ConvergenceError,
-    ConvexityError,
-    DomainError,
-    InputError,
-)
+from slmoduli.errors import ConvergenceError, ConvexityError, InputError
 from slmoduli import hessian
 from slmoduli.fd import diff_matrix, hessian_field, richardson_tolerance
 from slmoduli.hessian import (
@@ -285,6 +280,18 @@ def test_partial_legendre_detects_non_ma():
     result = partial_legendre_2d(pot)
     # closed form: h_ss + h_u2u2 = -u1^2 / (1 + u1^2), max magnitude 1/2
     assert 0.3 < result["laplace_residual"] < 0.6
+
+
+def test_partial_legendre_rejects_slopes_that_fall():
+    # every second-derivative stencil is positive, yet the first-derivative
+    # stencil falls between two nodes, so no slope interpolant exists
+    u1 = np.array([0.0035851, 0.00847496, 0.03305565, 0.06944083, 0.11705026,
+                   0.17834205, 0.27254194, 0.38586992, 0.50263173])
+    axes = [np.linspace(0, 1, 9)] * 2
+    pot = HessianPotential(axes, u1[:, None] + axes[1][None, :] ** 2 / 2)
+    assert np.min(hessian_field(pot.values, pot.spacings)[..., 0, 0]) > 0
+    with pytest.raises(ConvexityError):
+        partial_legendre_2d(pot)
 
 
 def test_partial_legendre_requires_2d():

@@ -33,6 +33,35 @@ def test_build_semiflat_closedness_exact():
     assert sf.kahler_residual < 1e-9
 
 
+def _kahler_residual_reference(pot):
+    """Closedness residual from the fully composed Hessian, every entry new."""
+    pure = pot.hessian(pure_first=True)
+    residual = 0.0
+    for k in range(pot.dim):
+        for l in range(pot.dim):
+            for j in range(l + 1, pot.dim):
+                anti = apply_diff(pure[..., k, j], l, pot.spacings[l], 1) - apply_diff(
+                    pure[..., k, l], j, pot.spacings[j], 1
+                )
+                residual = max(residual, float(np.max(np.abs(anti))))
+    return residual
+
+
+@pytest.mark.parametrize("name, m, fn, box", [
+    ("quartic", 2, lambda a, b: a ** 4 / 12 + a ** 2 / 2 + b ** 2 / 2, (-1.0, 1.0)),
+    ("cosh", 2, lambda a, b: np.cosh(a) + np.cosh(b), (0.0, 1.0)),
+    ("coupled", 2, lambda a, b: 0.5 * (1.5 * a ** 2 + b ** 2) + 0.3 * a * b
+     + (a ** 4 + b ** 4) / 20.0, (0.0, 1.0)),
+    ("exp", 1, np.exp, (0.0, 1.0)),
+])
+def test_kahler_residual_bitwise_matches_composed_hessian(name, m, fn, box):
+    # build_semiflat reuses the mixed entries of hessian_metric
+    for n in (33, 65):
+        pot = HessianPotential.from_function([np.linspace(*box, n)] * m, fn)
+        assert np.array_equal(build_semiflat(pot).kahler_residual,
+                              _kahler_residual_reference(pot))
+
+
 def test_full_metric_block_structure_and_hermitian():
     sf = build_semiflat(_quartic_potential(33))
     g = sf.full_metric()
@@ -305,6 +334,17 @@ def test_gh_metric_harmonic_conjugate():
     y1, y2 = np.meshgrid(*axes, indexing="ij")
     gh = gh_metric(2.0 + y1, axes)
     assert np.max(np.abs(gh.conjugate_w - y2)) < 1e-8
+    # V = 3 + e^y1 cos y2 has conjugate W = e^y1 sin y2; the error is that of
+    # the fourth-order stencils for V_1 and V_2, which nears order 4 from below
+    errors = {}
+    for n in (33, 65):
+        axes = [np.linspace(0, 1, n)] * 2
+        y1, y2 = np.meshgrid(*axes, indexing="ij")
+        gh = gh_metric(3.0 + np.exp(y1) * np.cos(y2), axes, tol=1e-4)
+        error = gh.conjugate_w - np.exp(y1) * np.sin(y2)
+        errors[n] = np.max(np.abs(error - error[0, 0]))
+    assert errors[65] < 1e-7
+    assert np.log2(errors[33] / errors[65]) > 3.9
 
 
 def test_gh_metric_rejects_nonharmonic_or_nonpositive():
