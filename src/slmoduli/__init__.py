@@ -11,6 +11,7 @@ from .cymodel import (
     FlatCalabiYauModel,
     annihilator_space,
     load_model,
+    resolve_model,
     save_model,
     std_model,
     validate_axioms,
@@ -37,7 +38,6 @@ from .forms import (
     GridTorus,
     MetricField,
     exterior_derivative,
-    harmonicity_residual,
     hodge_star,
     integrate_top,
     l2_inner,

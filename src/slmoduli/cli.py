@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import hessian as hes_mod
-from . import semiflat as sf_mod
-from .cymodel import load_model, std_model, validate_axioms
+from .cymodel import resolve_model, validate_axioms
 from .errors import (
     ConvergenceError,
     ConvexityError,
@@ -43,7 +42,7 @@ from .family import (
     scan_to_csv,
     specialness_scan,
 )
-from .fd import richardson_tolerance
+from .fd import EDGE, interior, richardson_tolerance
 from .hessian import (
     HessianPotential,
     legendre_transform,
@@ -164,12 +163,6 @@ def _resolve_family(spec):
     return fam, str(spec)
 
 
-def _resolve_model(spec):
-    if isinstance(spec, str) and spec.startswith("std:"):
-        return std_model(int(spec.split(":")[1])), spec
-    return load_model(spec), str(spec)
-
-
 def _resolve_potential(spec):
     if isinstance(spec, dict):
         axes = [np.linspace(lo, hi, int(n)) for lo, hi, n in spec["axes"]]
@@ -186,10 +179,15 @@ def _check(residual, tol):
     return {"residual": residual, "tol": float(tol), "pass": bool(residual < tol)}
 
 
+def _two_grid_check(fine, coarse, floor):
+    """Bound ``fine`` by 10 x the two-grid estimate from ``coarse`` and ``floor``."""
+    return _check(fine, 10.0 * richardson_tolerance(coarse, floor=floor))
+
+
 def run_cy_validate(config, tol, out, oracle):
-    model, ref = _resolve_model(config.get("model", "std:2"))
-    report = validate_axioms(model, tol=min(tol, 1e-10))
-    return {"model": ref, "axioms": report.to_dict()}, report.all_passed
+    ref = config.get("model", "std:2")
+    report = validate_axioms(resolve_model(ref), tol=min(tol, 1e-10))
+    return {"model": str(ref), "axioms": report.to_dict()}, report.all_passed
 
 
 def run_family_scan(config, tol, out, oracle):
@@ -275,8 +273,8 @@ def run_ma_solve(config, tol, out, oracle):
         damping=float(solver.get("damping", 1.0)),
     )
     save_potential(pot, Path(out) / "solution.csv")
-    interior = np.max(np.abs(ma_residual(pot, pot.c)[2:-2, 2:-2]))
-    checks = {"prop3": _check(interior, max(tol, 1e-6))}
+    residual = ma_residual(pot, pot.c)[interior((n, n), EDGE)]
+    checks = {"prop3": _check(np.max(np.abs(residual)), max(tol, 1e-6))}
     return {
         "iterations": pot.info["iterations"],
         "residual_history": pot.info["residuals"],
@@ -287,12 +285,9 @@ def run_ma_solve(config, tol, out, oracle):
 def run_partial_legendre(config, tol, out, oracle):
     pot = _resolve_potential(config["potential"])
     result = partial_legendre_2d(pot)
-    coarse_pot = HessianPotential(
-        [ax[::2] for ax in pot.axes], pot.values[::2, ::2], pot.c
-    )
-    coarse = partial_legendre_2d(coarse_pot)
-    stencil_tol = 10.0 * richardson_tolerance(coarse["laplace_residual"], floor=1e-10)
-    checks = {"prop3": _check(result["laplace_residual"], stencil_tol)}
+    coarse = partial_legendre_2d(pot.coarsened())
+    checks = {"prop3": _two_grid_check(result["laplace_residual"],
+                                       coarse["laplace_residual"], 1e-10)}
     return {
         "laplace_residual": result["laplace_residual"],
         "coarse_residual": coarse["laplace_residual"],
@@ -305,10 +300,10 @@ def run_semiflat(config, tol, out, oracle):
     sf = build_semiflat(pot)
     norm = holomorphic_norm_field(sf)
     ric = ricci_form(sf)
-    trim = sf_mod._interior_slice(pot, 3)
-    ricci_max = float(np.max(np.abs(ric[trim])))
+    core = interior(pot.values.shape, EDGE + 1)
+    ricci_max = float(np.max(np.abs(ric[core])))
     c = pot.c if pot.c is not None else 1.0
-    ma_max = float(np.max(np.abs((sf.metric_det - float(c))[trim])))
+    ma_max = float(np.max(np.abs((sf.metric_det - float(c))[core])))
     norm_tol = max(tol, 1e-6)
     checks = {
         "prop4": _check(sf.kahler_residual, max(tol, 1e-10)),
@@ -324,15 +319,9 @@ def run_semiflat(config, tol, out, oracle):
     }
     if oracle:
         agreement = ricci_agreement(sf, ric)
-        coarse_pot = HessianPotential(
-            [ax[::2] for ax in pot.axes],
-            pot.values[tuple(slice(None, None, 2) for _ in pot.axes)],
-            pot.c,
-        )
-        coarse_sf = build_semiflat(coarse_pot)
+        coarse_sf = build_semiflat(pot.coarsened())
         coarse_agreement = ricci_agreement(coarse_sf, ricci_form(coarse_sf))
-        oracle_tol = 10.0 * richardson_tolerance(coarse_agreement, floor=1e-8)
-        checks["ricci_oracle"] = _check(agreement, oracle_tol)
+        checks["ricci_oracle"] = _two_grid_check(agreement, coarse_agreement, 1e-8)
         report["ricci_oracle_agreement"] = agreement
         report["ricci_oracle_coarse"] = coarse_agreement
     return report, all(c["pass"] for c in checks.values())

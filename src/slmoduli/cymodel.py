@@ -12,6 +12,7 @@ constant forms and is recorded as such.
 import json
 from dataclasses import dataclass, field
 from math import comb
+from pathlib import Path
 
 import numpy as np
 
@@ -358,9 +359,9 @@ def save_model(model, path):
 
 
 def load_model(path):
-    with open(path) as fh:
-        data = json.load(fh)
     try:
+        with open(path) as fh:
+            data = json.load(fh)
         n = int(data["n"])
         d = 2 * n
         return FlatCalabiYauModel(
@@ -372,3 +373,15 @@ def load_model(path):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model file {path}: {exc}") from exc
+
+
+def resolve_model(ref, base="."):
+    """The model named by "std:<n>" or by a model file path relative to ``base``."""
+    if not isinstance(ref, str):
+        raise InputError(f"a model reference is 'std:<n>' or a path, not {ref!r}")
+    if ref.startswith("std:"):
+        try:
+            return std_model(int(ref[len("std:"):]))
+        except ValueError as exc:
+            raise InputError(f"bad model shorthand {ref!r}: {exc}") from None
+    return load_model(Path(base) / ref)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cymodel import FlatCalabiYauModel, load_model, std_model
+from .cymodel import FlatCalabiYauModel, resolve_model, std_model
 from .errors import DegeneracyError, DomainError, InputError, MetricError
 from .forms import (
     FormField,
@@ -465,10 +465,13 @@ def random_family(rng, n=2, max_entry=3):
 def family_from_shorthand(name):
     """Expand "std:n" / "tilt:1:k" shorthand into a family."""
     parts = str(name).split(":")
-    if parts[0] == "std" and len(parts) == 2:
-        return std_family(int(parts[1]))
-    if parts[0] == "tilt" and len(parts) == 3 and parts[1] == "1":
-        return tilt_family(float(parts[2]))
+    try:
+        if parts[0] == "std" and len(parts) == 2:
+            return std_family(int(parts[1]))
+        if parts[0] == "tilt" and len(parts) == 3 and parts[1] == "1":
+            return tilt_family(float(parts[2]))
+    except ValueError as exc:
+        raise InputError(f"bad family shorthand {name!r}: {exc}") from None
     raise InputError(f"unknown family shorthand {name!r}")
 
 
@@ -493,14 +496,10 @@ def save_family(fam, path, model_ref=None):
 
 
 def load_family(path):
-    with open(path) as fh:
-        data = json.load(fh)
     try:
-        ref = data["model"]
-        if isinstance(ref, str) and ref.startswith("std:"):
-            model = std_model(int(ref.split(":")[1]))
-        else:
-            model = load_model(Path(path).parent / ref)
+        with open(path) as fh:
+            data = json.load(fh)
+        model = resolve_model(data["model"], Path(path).parent)
         return AffineSLagFamily(
             model,
             np.asarray(data["P"], dtype=float),

@@ -1,10 +1,12 @@
 """Finite-difference machinery on uniform box grids.
 
-Fourth-order centered stencils in the interior with one-sided stencils at the
-boundary, generated by Fornberg's weight algorithm.  Also hosts the two-grid
-Richardson estimate used to turn "stencil tolerance" into a number per run,
-and two numpy kernels that stand in for scipy's splines: ``quintic_resample``
-(the not-a-knot quintic interpolant of many columns at once, the spline
+Stencils of order ``ORDER``, centered in the interior and one-sided at the
+boundary, generated by Fornberg's weight algorithm.  The module also decides
+where a stencil residual is trusted and how far: ``interior`` is the one
+definition of the nodes a residual is read on, and ``richardson_tolerance``
+turns the residual on every other node into a bound for the fine grid.  Two
+numpy kernels stand in for scipy's splines: ``quintic_resample`` (the
+not-a-knot quintic interpolant of many columns at once, the spline
 ``scipy.interpolate.make_interp_spline(x, y, k=5)`` builds) and
 ``cumulative_quadrature`` (a sixth-order running integral on a uniform grid).
 """
@@ -12,6 +14,13 @@ and two numpy kernels that stand in for scipy's splines: ``quintic_resample``
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import GridMismatchError
+
+ORDER = 4  # accuracy order of every stencil
+# nodes per side whose first-derivative stencil is one-sided; a residual that
+# nests derivative passes is trusted one node further in (EDGE + 1)
+EDGE = ORDER // 2
 
 
 def fornberg_weights(x, x0, m):
@@ -42,11 +51,11 @@ def fornberg_weights(x, x0, m):
 
 
 @lru_cache(maxsize=None)
-def diff_matrix(n, spacing, deriv, accuracy=4):
+def diff_matrix(n, spacing, deriv):
     """Dense n x n differentiation matrix, one-sided at the boundary."""
-    width = deriv + accuracy  # stencil size giving the requested order
+    width = deriv + ORDER  # stencil size giving order ORDER
     if n < width:
-        raise ValueError(f"need at least {width} nodes for this stencil")
+        raise GridMismatchError(f"need at least {width} nodes for this stencil, got {n}")
     x = np.arange(n) * float(spacing)
     d = np.zeros((n, n))
     half = width // 2
@@ -57,59 +66,64 @@ def diff_matrix(n, spacing, deriv, accuracy=4):
     return d
 
 
-def apply_diff(values, axis, spacing, deriv, accuracy=4):
+def apply_diff(values, axis, spacing, deriv):
     """Apply the 1D differentiation matrix along one axis of an array."""
     values = np.asarray(values, dtype=float)
-    d = diff_matrix(values.shape[axis], float(spacing), deriv, accuracy)
+    d = diff_matrix(values.shape[axis], float(spacing), deriv)
     moved = np.moveaxis(values, axis, 0)
     out = np.tensordot(d, moved, axes=(1, 0))
     return np.moveaxis(out, 0, axis)
 
 
-def hessian_field(values, spacings, accuracy=4, pure_first=False):
+def hessian_field(values, spacings):
     """Discrete Hessian of a scalar grid function, shape (*grid, m, m).
 
-    Diagonal entries use dedicated second-derivative stencils unless
-    ``pure_first`` is set, in which case every entry is a composition of
-    first-derivative matrices (the composed matrices along different axes
-    commute exactly, which makes symmetry checks of third derivatives exact).
+    Diagonal entries use second-derivative stencils; the mixed entries are
+    compositions of first-derivative matrices.
     """
     values = np.asarray(values, dtype=float)
     m = values.ndim
     hess = np.empty(values.shape + (m, m))
     for a in range(m):
-        if pure_first:
-            hess[..., a, a] = apply_diff(
-                apply_diff(values, a, spacings[a], 1, accuracy), a, spacings[a], 1, accuracy
-            )
-        else:
-            hess[..., a, a] = apply_diff(values, a, spacings[a], 2, accuracy)
+        hess[..., a, a] = apply_diff(values, a, spacings[a], 2)
         for b in range(a + 1, m):
-            mixed = apply_diff(
-                apply_diff(values, a, spacings[a], 1, accuracy), b, spacings[b], 1, accuracy
-            )
+            mixed = apply_diff(apply_diff(values, a, spacings[a], 1), b, spacings[b], 1)
             hess[..., a, b] = mixed
             hess[..., b, a] = mixed
     return hess
 
 
-def gradient_field(values, spacings, accuracy=4):
+def gradient_field(values, spacings):
     """Discrete gradient, shape (*grid, m)."""
     values = np.asarray(values, dtype=float)
     return np.stack(
-        [apply_diff(values, a, spacings[a], 1, accuracy) for a in range(values.ndim)],
-        axis=-1,
+        [apply_diff(values, a, spacings[a], 1) for a in range(values.ndim)], axis=-1
     )
 
 
-def richardson_tolerance(coarse_value, order=4, factor=2, floor=1e-12):
+def interior(shape, width):
+    """Slices dropping ``width`` boundary nodes on each side of every axis.
+
+    The nodes a stencil residual is read on.  Raises ``GridMismatchError``
+    when an axis has 2 width nodes or fewer, so that no residual is ever
+    read on boundary stencils alone or on no node at all.
+    """
+    if min(shape) <= 2 * width:
+        raise GridMismatchError(
+            f"an axis of {min(shape)} nodes has no interior past {width} boundary nodes"
+        )
+    return (slice(width, -width),) * len(shape)
+
+
+def richardson_tolerance(coarse_value, order=ORDER, floor=1e-12):
     """Estimate the fine-grid truncation scale from a coarse-grid residual.
 
+    The coarse grid keeps every other node (``HessianPotential.coarsened``).
     For a quantity vanishing in the continuum at rate h^order, the coarse
-    residual is ~ factor^order times the fine one, so the fine-grid scale is
-    coarse / factor^order.
+    residual is ~ 2^order times the fine one, so the fine-grid scale is
+    coarse / 2^order.
     """
-    return max(abs(float(coarse_value)) / factor ** order, floor)
+    return max(abs(float(coarse_value)) / 2 ** order, floor)
 
 
 def _quintic_basis(knots, spans, x):
@@ -158,7 +172,7 @@ def quintic_resample(x, y, x_new):
     x_new = np.asarray(x_new, dtype=float)
     n, cols = x.shape
     if n < 6:
-        raise ValueError("need at least 6 nodes for a quintic interpolant")
+        raise GridMismatchError(f"need at least 6 nodes for a quintic interpolant, got {n}")
     xt = np.ascontiguousarray(x.T)
     knots = np.concatenate(
         [np.repeat(xt[:, :1], 6, axis=1), xt[:, 3:-3], np.repeat(xt[:, -1:], 6, axis=1)],
@@ -213,7 +227,7 @@ def cumulative_quadrature(n, spacing):
     O(h^6).  The cached matrix is read-only.
     """
     if n < 6:
-        raise ValueError("need at least 6 nodes for the quadrature")
+        raise GridMismatchError(f"need at least 6 nodes for the quadrature, got {n}")
     moments = 1.0 / np.arange(1.0, 7.0)  # integral of s^p over [0, 1]
     cells = np.zeros((n - 1, n))
     for k in range(n - 1):

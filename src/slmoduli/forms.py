@@ -255,16 +255,6 @@ def l2_inner(a, b, g):
     return integrate_top(wedge(a, hodge_star(b, g)))
 
 
-def harmonicity_residual(a, g):
-    """(||da||_inf, ||d star a||_inf); both small certifies harmonicity."""
-    if a.degree != 1:
-        raise DegreeError("harmonicity residual is defined for 1-forms")
-    d = a.torus.dim
-    da_norm = 0.0 if d == 1 else exterior_derivative(a).norm_inf()
-    dstar = exterior_derivative(hodge_star(a, g))
-    return da_norm, dstar.norm_inf()
-
-
 @dataclass
 class CycleBasis:
     """Coordinate one-cycles A_i, Poincare-dual slabs B_i, and dual classes.

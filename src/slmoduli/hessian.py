@@ -10,7 +10,8 @@ Newton-Krylov Dirichlet solver for det(Hess phi) = c in two variables.  The
 solver applies its fourth-order Jacobian without assembling it and solves
 each Newton step by GMRES, preconditioned with an LU of the second-order
 9-point operator; the only matrices it factorises have at most 9 nonzeros
-per row.
+per row.  Convexity and every residual are read on ``fd.interior``, and
+``HessianPotential.coarsened`` is the coarse grid of every two-grid bound.
 
 scipy is imported inside the functions that use it (the spline interpolants
 of the Legendre refinement, the sparse operators of the solver and
@@ -24,7 +25,11 @@ import numpy as np
 
 from .errors import ConvergenceError, ConvexityError, DomainError, InputError
 from .family import ModuliChart
-from .fd import apply_diff, diff_matrix, gradient_field, hessian_field, quintic_resample
+from .fd import (EDGE, apply_diff, diff_matrix, gradient_field, hessian_field, interior,
+                 quintic_resample)
+
+# smallest Hessian eigenvalue on the interior that counts as strictly convex
+CONVEXITY_TOL = 1e-10
 
 
 @dataclass
@@ -65,11 +70,19 @@ class HessianPotential:
     def points(self):
         return np.stack(self.meshgrid(), axis=-1)
 
-    def hessian(self, pure_first=False):
-        return hessian_field(self.values, self.spacings, pure_first=pure_first)
+    def hessian(self):
+        return hessian_field(self.values, self.spacings)
 
     def gradient(self):
         return gradient_field(self.values, self.spacings)
+
+    def coarsened(self):
+        """The potential on every other node of each axis, with the same c.
+
+        The coarse grid of every two-grid bound (``fd.richardson_tolerance``).
+        """
+        return HessianPotential([ax[::2] for ax in self.axes],
+                                self.values[(slice(None, None, 2),) * self.dim], self.c)
 
     def spline(self):
         """Quintic interpolant of the potential (m = 1 or 2)."""
@@ -82,17 +95,17 @@ class HessianPotential:
         raise InputError("spline interpolation supports m <= 2")
 
 
-def hessian_metric(pot, tol=1e-10):
+def hessian_metric(pot):
     """Discrete Hessian matrix field; raises if convexity fails at an interior node."""
     hess = pot.hessian()
-    interior = tuple(slice(2, -2) if len(ax) > 4 else slice(None) for ax in pot.axes)
-    eigs = np.linalg.eigvalsh(hess[interior])
-    if eigs.size and np.min(eigs) <= tol:
+    core = interior(pot.values.shape, EDGE)
+    eigs = np.linalg.eigvalsh(hess[core])
+    if np.min(eigs) <= CONVEXITY_TOL:
         flat = np.argmin(eigs.min(axis=-1))
-        node = np.unravel_index(flat, hess[interior].shape[:-2])
+        node = np.unravel_index(flat, hess[core].shape[:-2])
         raise ConvexityError(
             f"potential fails strict convexity (min eigenvalue {np.min(eigs):.3e})",
-            node=tuple(int(i) + 2 for i in node),
+            node=tuple(int(i) + EDGE for i in node),
         )
     return hess
 
@@ -136,16 +149,18 @@ class LegendrePair:
         )
 
 
-def gradient_image_axes(pot, size=None, margin=0.0):
-    """Per-axis ranges of the discrete gradient map, as uniform v-axes."""
+def gradient_image_axes(pot, margin=0.0):
+    """Per-axis ranges of the discrete gradient map, as uniform v-axes.
+
+    Each v-axis has as many nodes as the u-axis it comes from.
+    """
     grad = pot.gradient()
     axes = []
     for a in range(pot.dim):
         lo = float(np.min(grad[..., a]))
         hi = float(np.max(grad[..., a]))
         pad = margin * (hi - lo)
-        n = size or len(pot.axes[a])
-        axes.append(np.linspace(lo + pad, hi - pad, n))
+        axes.append(np.linspace(lo + pad, hi - pad, len(pot.axes[a])))
     return axes
 
 
@@ -249,16 +264,16 @@ def _spline_hessian(spl, u, m):
     return hess
 
 
-def fenchel_residual(primal, dual, samples=None):
+def fenchel_residual(primal, dual):
     """max |phi(u) + psi(grad phi(u)) - <u, grad phi(u)>| over interior nodes.
 
     Only nodes whose gradient lands inside the dual grid contribute.
     """
     grad = primal.gradient()
-    interior = tuple(slice(2, -2) for _ in primal.axes)
-    u = primal.points()[interior].reshape(-1, primal.dim)
-    v = grad[interior].reshape(-1, primal.dim)
-    phi = primal.values[interior].reshape(-1)
+    core = interior(primal.values.shape, EDGE)
+    u = primal.points()[core].reshape(-1, primal.dim)
+    v = grad[core].reshape(-1, primal.dim)
+    phi = primal.values[core].reshape(-1)
     lo = np.array([ax[0] for ax in dual.axes])
     hi = np.array([ax[-1] for ax in dual.axes])
     inside = np.all((v >= lo) & (v <= hi), axis=1)
@@ -277,8 +292,7 @@ def interpolation_tolerance(pot, dual_axes=None):
     curvature; conjugation maps curvature M to 1/M, so both grids contribute.
     """
     hess = hessian_metric(pot)
-    interior = tuple(slice(2, -2) for _ in pot.axes)
-    eigs = np.linalg.eigvalsh(hess[interior])
+    eigs = np.linalg.eigvalsh(hess[interior(pot.values.shape, EDGE)])
     m_max = float(np.max(eigs))
     m_min = float(np.min(eigs))
     h_u = max(pot.spacings)
@@ -297,14 +311,16 @@ def mirror_swap(obj):
     raise InputError(f"mirror_swap does not apply to {type(obj).__name__}")
 
 
-def partial_legendre_2d(pot, trim=3):
+def partial_legendre_2d(pot):
     """Per-slice Legendre transform in u_1 and the Laplace residual of h.
 
     Coordinates (s, u_2) with s = d phi / d u_1 and h = u_1 s - phi.  For a
     unit-determinant potential h is harmonic; in general
     h_ss + h_{u2 u2} = (1 - det Hess phi) / phi_11, which bounds the residual
     away from zero for non-Monge-Ampere input.  The target constant is
-    normalized to 1 by rescaling phi with c^{1/2} first.
+    normalized to 1 by rescaling phi with c^{1/2} first.  The residual is
+    read past EDGE + 1 boundary nodes, since the Laplacian of h nests a
+    second derivative in a first one.
     """
     if pot.dim != 2:
         raise InputError("partial Legendre reduction is specific to m = 2")
@@ -328,7 +344,7 @@ def partial_legendre_2d(pot, trim=3):
     h = quintic_resample(slopes, h_nodes, s_axis)
     ds = float(s_axis[1] - s_axis[0])
     laplacian = apply_diff(h, 0, ds, 2) + apply_diff(h, 1, work.spacings[1], 2)
-    core = laplacian[trim:-trim, trim:-trim] if trim else laplacian
+    core = laplacian[interior(laplacian.shape, EDGE + 1)]
     return {
         "s_axis": s_axis,
         "u2_axis": work.axes[1],
@@ -504,20 +520,6 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50,
         f"(residual {history[-1]:.3e})",
         history,
     )
-
-
-def gradient_monotonicity(pot, rng=None, trials=100):
-    """min of <grad phi(a) - grad phi(b), a - b> over random node pairs."""
-    rng = rng or np.random.default_rng(0)
-    grad = pot.gradient().reshape(-1, pot.dim)
-    pts = pot.points().reshape(-1, pot.dim)
-    worst = np.inf
-    for _ in range(trials):
-        i, j = rng.integers(0, len(pts), size=2)
-        if i == j:
-            continue
-        worst = min(worst, float(np.dot(grad[i] - grad[j], pts[i] - pts[j])))
-    return worst
 
 
 def save_potential(pot, path):

@@ -7,8 +7,11 @@ the Kahler-closedness residual, the Nijenhuis integrability residual of
 charts given by a period matrix function lambda(t), the holomorphic-norm
 field, the Ricci form by the log-det identity with a Christoffel-symbol
 oracle as an independent second route, and the m = 2 Gibbons-Hawking
-cross-check.  The module runs on numpy alone: the Gibbons-Hawking harmonic
-conjugate integrates with the sixth-order ``fd.cumulative_quadrature``.
+cross-check.  Every residual is read on ``fd.interior``: EDGE boundary
+nodes are dropped for a single derivative pass, EDGE + 1 for the nested
+passes of a curvature.  The module runs on numpy alone: the Gibbons-Hawking
+harmonic conjugate integrates with the sixth-order
+``fd.cumulative_quadrature``.
 """
 
 from dataclasses import dataclass
@@ -17,8 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, MetricError
-from .fd import apply_diff, cumulative_quadrature, hessian_field
-from .forms import GridTorus
+from .fd import EDGE, apply_diff, cumulative_quadrature, hessian_field, interior
 from .hessian import HessianPotential, hessian_metric
 
 
@@ -27,7 +29,6 @@ class SemiflatManifold:
     """Kahler data on M x T^m derived from a convex potential."""
 
     potential: HessianPotential
-    fiber: GridTorus
     metric_block: np.ndarray  # (*u-grid, m, m), both blocks identical
     kahler_residual: float
 
@@ -56,19 +57,8 @@ class SemiflatManifold:
         g[..., m:, m:] = h
         return g
 
-    def hermitian_residual(self):
-        """max |g(I., I.) - g(.,.)| for the standard structure in (u, x)."""
-        m = self.m
-        g = self.full_metric()
-        j = np.zeros((2 * m, 2 * m))
-        j[:m, m:] = -np.eye(m)
-        j[m:, :m] = np.eye(m)
-        pulled = np.einsum("ca,...cd,db->...ab", j, g, j)
-        return float(np.max(np.abs(pulled - g)))
 
-
-
-def build_semiflat(pot, fiber_resolution=8):
+def build_semiflat(pot):
     """Assemble the semiflat manifold and certify closedness of its 2-form.
 
     The closedness residual is the antisymmetric part of the third
@@ -91,8 +81,7 @@ def build_semiflat(pot, fiber_resolution=8):
                     pure[..., k, l], j, pot.spacings[j], 1
                 )
                 residual = max(residual, float(np.max(np.abs(anti))))
-    fiber = GridTorus((fiber_resolution,) * m)
-    return SemiflatManifold(pot, fiber, hess, residual)
+    return SemiflatManifold(pot, hess, residual)
 
 
 def holomorphic_norm_field(sf):
@@ -102,16 +91,9 @@ def holomorphic_norm_field(sf):
     equivalent to the Monge-Ampere condition.
     """
     norm = 1.0 / sf.metric_det
-    interior = _interior_slice(sf.potential)
-    core = norm[interior]
+    core = norm[interior(norm.shape, EDGE)]
     variation = float(np.max(core) / np.min(core) - 1.0)
     return {"field": norm, "variation": variation}
-
-
-def _interior_slice(pot, trim=2):
-    return tuple(
-        slice(trim, -trim) if len(ax) > 2 * trim else slice(None) for ax in pot.axes
-    )
 
 
 def ricci_form(sf):
@@ -119,26 +101,26 @@ def ricci_form(sf):
     return -0.5 * hessian_field(np.log(sf.metric_det), sf.potential.spacings)
 
 
-def ricci_agreement(sf, kahler, trim=None):
+def ricci_agreement(sf, kahler):
     """max interior deviation between the log-det Ricci ``kahler`` and the oracle.
 
     ``kahler`` is ``ricci_form(sf)``, which the caller already holds.  Also
     checks the oracle's block structure: the x-x block must repeat the u-u
-    block and the mixed block must vanish.  The default trim grows with the
-    grid because the oracle stacks three one-sided derivative passes near the
-    boundary.
+    block and the mixed block must vanish.  The boundary layer it drops,
+    max(EDGE + 1, n // 8) nodes for the smallest axis of n nodes, grows with
+    the grid because the oracle stacks three one-sided derivative passes near
+    the boundary.
     """
     m = sf.m
-    if trim is None:
-        trim = max(3, min(len(ax) for ax in sf.potential.axes) // 8)
+    shape = sf.potential.values.shape
+    core = interior(shape, max(EDGE + 1, min(shape) // 8))
     g = sf.full_metric()
     oracle = ricci_from_metric(g, sf.potential.spacings)
-    interior = _interior_slice(sf.potential, trim)
-    dev = np.max(np.abs(oracle[interior + (slice(None, m), slice(None, m))]
-                        - kahler[interior]))
-    block = np.max(np.abs(oracle[interior + (slice(m, None), slice(m, None))]
-                          - oracle[interior + (slice(None, m), slice(None, m))]))
-    mixed = np.max(np.abs(oracle[interior + (slice(None, m), slice(m, None))]))
+    dev = np.max(np.abs(oracle[core + (slice(None, m), slice(None, m))]
+                        - kahler[core]))
+    block = np.max(np.abs(oracle[core + (slice(m, None), slice(m, None))]
+                          - oracle[core + (slice(None, m), slice(None, m))]))
+    mixed = np.max(np.abs(oracle[core + (slice(None, m), slice(m, None))]))
     return float(max(dev, block, mixed))
 
 
@@ -203,7 +185,7 @@ def ricci_from_metric(components, spacings):
     return ric
 
 
-def nijenhuis_residual(lam_fn, axes, trim=2):
+def nijenhuis_residual(lam_fn, axes):
     """Max norm of the Nijenhuis tensor of the chart structure on (t, x).
 
     The almost complex structure sends d/dt_j to sum_i lambda_ij d/dx_i; it is
@@ -231,8 +213,7 @@ def nijenhuis_residual(lam_fn, axes, trim=2):
         "...db,...ead->...eab", j, dj
     )
     nij = curl - drag
-    interior = tuple(slice(trim, -trim) for _ in range(m))
-    return float(np.max(np.abs(nij[interior])))
+    return float(np.max(np.abs(nij[interior(pts.shape[:-1], EDGE)])))
 
 
 def hessian_chart(fn_hess):
@@ -257,14 +238,14 @@ class GibbonsHawkingMetric:
     harmonic_residual: float
 
 
-def gh_metric(v_values, axes, tol=1e-8, trim=3):
+def gh_metric(v_values, axes, tol=1e-8):
     """Gibbons-Hawking 4-metric from a positive harmonic function of (y1, y2).
 
     g = V (dy1^2 + dy2^2 + dy3^2) + V^{-1} (dtau + W dy3)^2 where W is the
     harmonic conjugate of V, so that the connection satisfies dA = *dV.
     Returns the assembled metric and its max |Ricci| via the Christoffel
     oracle; the construction is Ricci-flat, so the residual is pure stencil
-    error.
+    error, read past EDGE + 1 boundary nodes.
     """
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     v = np.asarray(v_values, dtype=float)
@@ -287,7 +268,7 @@ def gh_metric(v_values, axes, tol=1e-8, trim=3):
     g[..., 2, 3] = g[..., 3, 2] = w / v
     g[..., 3, 3] = 1.0 / v
     ric = ricci_from_metric(g, spacings)
-    core = ric[trim:-trim, trim:-trim]
+    core = ric[interior(v.shape, EDGE + 1)]
     return GibbonsHawkingMetric(
         axes, v, w, g, float(np.max(np.abs(core))), harmonic_residual
     )

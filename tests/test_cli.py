@@ -162,6 +162,11 @@ def test_config_error_exit_code(tmp_path):
     assert main(["gh", "--config", bad, "--out", str(tmp_path)]) == 2
 
 
+def _square(n):
+    """A convex potential on an n x n grid, as a config."""
+    return {"potential": {"axes": [[-1, 1, n], [-1, 1, n]], "expr": "(u1**2 + u2**2) / 2"}}
+
+
 @pytest.mark.parametrize(
     "command, payload, error",
     [
@@ -172,11 +177,24 @@ def test_config_error_exit_code(tmp_path):
          {"boundary": "cosh(u1) + cosh(u2)", "n": 17, "solver": {"max_iter": 1}},
          "ConvergenceError"),
         ("gh", {"V": "os.system('true')"}, "InputError"),
+        # grids too small for a stencil, for the trusted interior of a
+        # residual, or for those of the coarse grid of a two-grid bound
+        *(("partial-legendre", _square(n), "GridMismatchError") for n in (6, 9, 11)),
+        ("gh", {"n": 6}, "GridMismatchError"),
+        ("semiflat", _square(6), "GridMismatchError"),
+        *(("semiflat --oracle", _square(n), "GridMismatchError") for n in (9, 11, 12)),
+        ("ma-solve", {"n": 5}, "GridMismatchError"),
+        ("legendre", _square(5), "GridMismatchError"),
+        # malformed shorthand
+        ("cy-validate", {"model": "std:x"}, "InputError"),
+        ("embed", {"family": "std:x"}, "InputError"),
+        ("family-scan", {"family": "tilt:1:abc"}, "InputError"),
     ],
 )
 def test_rejected_input_exit_code_and_report(tmp_path, capsys, command, payload, error):
+    command, *flags = command.split()
     cfg = _write(tmp_path / "cfg.json", payload)
-    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert main([command, "--config", cfg, "--out", str(tmp_path), *flags]) == 2
     assert "Traceback" not in capsys.readouterr().err
     report = _report(tmp_path)
     assert report["command"] == command

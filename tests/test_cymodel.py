@@ -158,6 +158,7 @@ def test_model_json_roundtrip(tmp_path):
 
 def test_malformed_model_file(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"n": 2, "lattice": [[1]]}')
-    with pytest.raises(InputError):
-        load_model(path)
+    for text in ('{"n": 2, "lattice": [[1]]}', '{"n": 2,'):
+        path.write_text(text)
+        with pytest.raises(InputError):
+            load_model(path)

@@ -308,6 +308,14 @@ def test_relative_model_path_resolves_against_family_file(tmp_path, monkeypatch)
     assert np.array_equal(back.P, fam.P)
 
 
+@pytest.mark.parametrize("text", ['{"model": "std:x", "P": [[1]], "Q": [[1]]}', '{"model":'])
+def test_malformed_family_file(tmp_path, text):
+    path = tmp_path / "family.json"
+    path.write_text(text)
+    with pytest.raises(InputError):
+        load_family(path)
+
+
 def test_save_family_refuses_without_model_ref(tmp_path):
     path = tmp_path / "family.json"
     with pytest.raises(InputError):

@@ -1,10 +1,29 @@
-"""numpy spline and quadrature kernels against scipy and exact integrals."""
+"""Stencil interiors, and the numpy spline and quadrature kernels against scipy
+and exact integrals."""
 
 import numpy as np
 import pytest
 from scipy.interpolate import make_interp_spline
 
-from slmoduli.fd import cumulative_quadrature, quintic_resample
+from slmoduli.errors import GridMismatchError
+from slmoduli.fd import cumulative_quadrature, diff_matrix, interior, quintic_resample
+
+
+@pytest.mark.parametrize("width", [2, 3, 8])
+def test_interior_needs_more_than_two_widths(width):
+    core = interior((2 * width + 1, 40), width)
+    assert core == (slice(width, -width),) * 2
+    assert np.zeros((2 * width + 1, 40))[core].shape == (1, 40 - 2 * width)
+    with pytest.raises(GridMismatchError):
+        interior((40, 2 * width), width)
+
+
+def test_stencils_refuse_too_few_nodes():
+    diff_matrix(6, 0.1, 2)
+    with pytest.raises(GridMismatchError):
+        diff_matrix(5, 0.1, 2)
+    with pytest.raises(GridMismatchError):
+        cumulative_quadrature(5, 0.1)
 
 
 @pytest.mark.parametrize("n", [9, 33, 257])

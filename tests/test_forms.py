@@ -15,7 +15,6 @@ from slmoduli.forms import (
     MetricField,
     exterior_derivative,
     from_csv,
-    harmonicity_residual,
     hodge_star,
     integrate_top,
     l2_inner,
@@ -156,20 +155,6 @@ def test_l2_inner_is_symmetric_positive():
     b = FormField(torus, 1, rng.normal(size=torus.shape + (2,)))
     assert np.isclose(l2_inner(a, b, g), l2_inner(b, a, g))
     assert l2_inner(a, a, g) > 0
-
-
-def test_harmonicity_residual_flags_nonharmonic():
-    torus = GridTorus((16, 16))
-    g = MetricField.euclidean(torus)
-    x, _ = torus.meshgrid()
-    const = FormField.constant(torus, 1, [1.0, 0.5])
-    da, dsa = harmonicity_residual(const, g)
-    assert max(da, dsa) < 1e-12
-    bumpy = FormField(
-        torus, 1, np.stack([np.sin(2 * np.pi * x), np.zeros_like(x)], axis=-1)
-    )
-    da, dsa = harmonicity_residual(bumpy, g)
-    assert max(da, dsa) > 1.0
 
 
 def test_metric_field_validation():

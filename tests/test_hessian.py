@@ -14,7 +14,6 @@ from slmoduli.hessian import (
     HessianPotential,
     fenchel_residual,
     gradient_image_axes,
-    gradient_monotonicity,
     hessian_metric,
     interpolation_tolerance,
     legendre_transform,
@@ -227,16 +226,23 @@ def test_fenchel_residual_detects_wrong_dual():
     assert fenchel_residual(pot, wrong) > 0.1
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_coarsened_keeps_every_other_node_and_c(m):
+    axes = [np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 2.0, 13)][:m]
+    pot = HessianPotential.from_function(axes, lambda *u: sum(np.exp(x) for x in u), c=1.7)
+    coarse = pot.coarsened()
+    assert coarse.c == pot.c
+    assert [len(ax) for ax in coarse.axes] == [5, 7][:m]
+    for ax, fine in zip(coarse.axes, pot.axes):
+        assert np.array_equal(ax, fine[::2])
+    assert np.array_equal(coarse.values, pot.values[(slice(None, None, 2),) * m])
+
+
 def test_gradient_image_axes_cover_range():
     pot = _quadratic([np.linspace(-1, 1, 33)] * 2, 2.0 * np.eye(2))
     axes = gradient_image_axes(pot)
     assert np.isclose(axes[0][0], -2.0, atol=1e-8)
     assert np.isclose(axes[0][-1], 2.0, atol=1e-8)
-
-
-def test_gradient_monotonicity_positive_for_convex():
-    pot = _quadratic([np.linspace(-1, 1, 17)] * 2, np.eye(2))
-    assert gradient_monotonicity(pot) >= 0.0
 
 
 def test_mirror_swap_pair_involution():
