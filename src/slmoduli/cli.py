@@ -72,9 +72,10 @@ COMMANDS = (
 )
 
 # Errors that mean "this input cannot be processed": exit 2, never a traceback.
+# The config, model, family and potential loaders turn every OSError of
+# reading their file into InputError.
 _INPUT_ERRORS = (
     InputError,
-    FileNotFoundError,
     KeyError,
     ConvexityError,
     ConvergenceError,

@@ -371,6 +371,8 @@ def load_model(path):
             _form_from_dict(d, data["omega1"]),
             _form_from_dict(d, data["omega2"]),
         )
+    except OSError as exc:
+        raise InputError(f"cannot read model file {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model file {path}: {exc}") from exc
 

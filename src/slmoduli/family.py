@@ -507,5 +507,7 @@ def load_family(path):
             np.asarray(data.get("r", np.zeros(model.ambient_dim)), dtype=float),
             data.get("phase", "auto"),
         )
+    except OSError as exc:
+        raise InputError(f"cannot read family file {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed family file {path}: {exc}") from exc

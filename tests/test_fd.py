@@ -3,10 +3,11 @@ and exact integrals."""
 
 import numpy as np
 import pytest
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import RectBivariateSpline, make_interp_spline
 
 from slmoduli.errors import GridMismatchError
-from slmoduli.fd import cumulative_quadrature, diff_matrix, interior, quintic_resample
+from slmoduli.fd import (TensorQuintic, cumulative_quadrature, diff_matrix, interior,
+                         quintic_resample)
 
 
 @pytest.mark.parametrize("width", [2, 3, 8])
@@ -54,6 +55,32 @@ def test_quintic_resample_interpolates_and_needs_six_nodes():
         assert np.max(np.abs(col - y[:, j])) < 1e-13
     with pytest.raises(ValueError):
         quintic_resample(x[:5], y[:5], x[:5, 0])
+
+
+@pytest.mark.parametrize("shape", [(6, 9), (33, 17), (129, 129)])
+def test_tensor_quintic_matches_scipy(shape):
+    rng = np.random.default_rng(shape[0])
+    x = np.linspace(-1.0, 1.0, shape[0])
+    y = np.linspace(0.5, 2.0, shape[1])
+    z = np.cosh(x[:, None] + 0.3 * y[None, :]) + 0.1 * rng.normal(size=shape)
+    # random points plus grid nodes and both ends of each axis
+    pts = np.stack([rng.uniform(-1.0, 1.0, 400), rng.uniform(0.5, 2.0, 400)], axis=1)
+    pts[:shape[0], 0] = x[:400]
+    pts[-2:] = [[x[0], y[0]], [x[-1], y[-1]]]
+    value, grad, hess = TensorQuintic([x, y], z).jet(pts)
+    ref = RectBivariateSpline(x, y, z, kx=5, ky=5, s=0)
+    for got, (dx, dy) in [(value, (0, 0)), (grad[:, 0], (1, 0)), (grad[:, 1], (0, 1)),
+                          (hess[:, 0, 0], (2, 0)), (hess[:, 0, 1], (1, 1)),
+                          (hess[:, 1, 0], (1, 1)), (hess[:, 1, 1], (0, 2))]:
+        want = ref.ev(pts[:, 0], pts[:, 1], dx=dx, dy=dy)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (dx, dy)
+    assert np.array_equal(TensorQuintic([x, y], z)(pts), value)
+    # in one variable it is make_interp_spline's quintic
+    value, grad, hess = TensorQuintic([x], z[:, 0]).jet(pts[:, :1])
+    spline = make_interp_spline(x, z[:, 0], k=5)
+    for got, nu in [(value, 0), (grad[:, 0], 1), (hess[:, 0, 0], 2)]:
+        want = spline(pts[:, 0], nu)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), nu
 
 
 @pytest.mark.parametrize("n", [6, 7, 33])
