@@ -1,7 +1,13 @@
 """Finite-difference machinery on uniform box grids.
 
 Stencils of order ``ORDER``, centered in the interior and one-sided at the
-boundary, generated by Fornberg's weight algorithm.  The module also decides
+boundary, generated by Fornberg's weight algorithm (Math. Comp. 51, 1988) as
+one weight table per spacing and derivative order.  ``apply_diff`` applies a
+table as a banded kernel, shifted slices along the axis accumulated in
+increasing node order, so each node's arithmetic is fixed by its index and
+the number of nodes alone; it also returns the derivative on a node range
+read from a window of the axis, bit for bit the full-axis result there.
+``diff_matrix`` is the same table as a dense matrix.  The module also decides
 where a stencil residual is trusted and how far: ``interior`` is the one
 definition of the nodes a residual is read on, and ``richardson_tolerance``
 turns the residual on every other node into a bound for the fine grid.  Two
@@ -20,8 +26,8 @@ import numpy as np
 from .errors import GridMismatchError
 
 ORDER = 4  # accuracy order of every stencil
-# nodes per side whose first-derivative stencil is one-sided; a residual that
-# nests derivative passes is trusted one node further in (EDGE + 1)
+# nodes per side whose stencils are one-sided; a residual that nests
+# derivative passes is trusted one node further in (EDGE + 1)
 EDGE = ORDER // 2
 
 
@@ -53,35 +59,148 @@ def fornberg_weights(x, x0, m):
 
 
 @lru_cache(maxsize=None)
-def diff_matrix(n, spacing, deriv):
-    """Dense n x n differentiation matrix, one-sided at the boundary."""
-    width = deriv + ORDER  # stencil size giving order ORDER
+def _stencil(spacing, deriv):
+    """Weight table of the derivative of order ``deriv``: (head, centre, tail).
+
+    From Fornberg's algorithm on the node offsets times ``spacing``.  Row r of
+    ``head`` (EDGE, deriv + ORDER) gives node r from nodes 0 ... deriv + ORDER - 1;
+    row r of ``tail`` gives node n - EDGE + r from the last deriv + ORDER nodes;
+    ``centre`` (2 EDGE + 1,) is the 5-point centred stencil of every other node.
+    The one-sided rule of the second derivative has six nodes, and on a
+    centred window its sixth tap is exactly 0, so no node needs it.  In each
+    row the weight of the node itself is minus the sum of the others, so a
+    row takes constants to 0 exactly.  The table does not depend on the
+    number of nodes.
+    """
+    def row(offsets):
+        weights = fornberg_weights(offsets * spacing, 0.0, deriv)
+        own = offsets == 0
+        weights[own] = -np.sum(weights[~own])
+        weights.flags.writeable = False
+        return weights
+
+    width = deriv + ORDER
+    head = np.stack([row(np.arange(width) - r) for r in range(EDGE)])
+    tail = np.stack([row(np.arange(width) - width + EDGE - r) for r in range(EDGE)])
+    head.flags.writeable = tail.flags.writeable = False
+    return head, row(np.arange(-EDGE, EDGE + 1)), tail
+
+
+def _pieces(n, spacing, deriv, start, stop):
+    """Nodes [start, stop) of an n-node axis as pieces that share their taps.
+
+    Each piece is (lo, hi, taps) for its nodes [lo, hi): one piece per head
+    or tail node, and one for the centre.  A tap is (weight, read_lo, read_hi):
+    the piece's nodes in turn take ``weight`` times the value at axis nodes
+    read_lo ... read_hi - 1.  Taps come in increasing node order, the node's
+    own tap (read range equal to the piece) among them.
+    """
+    width = deriv + ORDER
     if n < width:
         raise GridMismatchError(f"need at least {width} nodes for this stencil, got {n}")
-    x = np.arange(n) * float(spacing)
+    if not 0 <= start <= stop <= n:
+        raise ValueError(f"nodes [{start}, {stop}) do not lie on an axis of {n} nodes")
+    head, centre, tail = _stencil(spacing, deriv)
+    pieces = [(r, r + 1, [(w, t, t + 1) for t, w in enumerate(head[r])])
+              for r in range(start, min(stop, EDGE))]
+    lo, hi = max(start, EDGE), min(stop, n - EDGE)
+    if lo < hi:
+        pieces.append((lo, hi, [(w, lo + t - EDGE, hi + t - EDGE)
+                                for t, w in enumerate(centre)]))
+    pieces += [(i, i + 1, [(w, n - width + t, n - width + t + 1)
+                           for t, w in enumerate(tail[i - n + EDGE])])
+               for i in range(max(start, n - EDGE), stop)]
+    return pieces
+
+
+def stencil_reach(n, deriv, start, stop):
+    """Axis nodes [lo, hi) that the stencils of nodes [start, stop) read.
+
+    ``apply_diff`` with ``nodes=(start, stop)`` needs ``values`` to hold at
+    least these nodes of the axis.
+    """
+    return _reach(_pieces(n, 1.0, deriv, start, stop), start)
+
+
+def _reach(pieces, start):
+    reads = [tap[1:] for _, _, taps in pieces for tap in taps]
+    if not reads:
+        return start, start
+    return min(r[0] for r in reads), max(r[1] for r in reads)
+
+
+@lru_cache(maxsize=None)
+def diff_matrix(n, spacing, deriv):
+    """Dense n x n differentiation matrix, one-sided at the boundary.
+
+    Assembled from the weight table of ``apply_diff``: row i holds the
+    weights of node i, and the product with it is ``apply_diff`` up to
+    roundoff.
+    """
     d = np.zeros((n, n))
-    half = width // 2
-    for i in range(n):
-        lo = min(max(i - half + (1 - width % 2), 0), n - width)
-        idx = np.arange(lo, lo + width)
-        d[i, idx] = fornberg_weights(x[idx], x[i], deriv)
+    for lo, hi, taps in _pieces(n, float(spacing), deriv, 0, n):
+        for weight, read_lo, read_hi in taps:
+            d[np.arange(lo, hi), np.arange(read_lo, read_hi)] = weight
     return d
 
 
-def apply_diff(values, axis, spacing, deriv):
-    """Apply the 1D differentiation matrix along one axis of an array."""
+def apply_diff(values, axis, spacing, deriv, nodes=None, n=None, first=0):
+    """Derivative of order ``deriv`` along one axis of a grid function.
+
+    ``values`` holds the axis nodes first ... first + values.shape[axis] - 1
+    of an axis of ``n`` nodes (default: all of them, first = 0), and the
+    result is the derivative on the axis nodes ``nodes`` = (start, stop)
+    (default (0, n)); the held nodes must cover ``stencil_reach`` of that
+    range.  Each node is a banded stencil from ``_stencil``: the head rows
+    one-sided on the first deriv + ORDER nodes, the tail rows on the last
+    ones, every other node the 5-point centred stencil.
+
+    A node's derivative is the sum, over the other nodes of its stencil, of
+    weight times (value there - value at the node); the table's own weights
+    make it the plain weighted sum.  On smooth data the differences are
+    small, so a pass adds roundoff near that of its result rather than that
+    of its input.  The terms are applied as shifted slices along the axis
+    and accumulated straight into the result in a fixed order, with one
+    scratch buffer: the term of the lowest node, then the term of each next
+    node added in turn.  So the arithmetic of a node depends only on its
+    index and the number of nodes: the derivative on a range read from a
+    window equals, bit for bit, the same nodes of the full-axis derivative,
+    whatever the other axes hold.
+    """
     values = np.asarray(values, dtype=float)
-    d = diff_matrix(values.shape[axis], float(spacing), deriv)
-    moved = np.moveaxis(values, axis, 0)
-    out = np.tensordot(d, moved, axes=(1, 0))
-    return np.moveaxis(out, 0, axis)
+    held = values.shape[axis]
+    n = held if n is None else n
+    start, stop = (0, n) if nodes is None else nodes
+    pieces = _pieces(n, float(spacing), deriv, start, stop)
+    lo, hi = _reach(pieces, start)
+    if lo < first or hi > first + held:
+        raise ValueError(f"nodes [{first}, {first + held}) do not cover the reach "
+                         f"[{lo}, {hi}) of nodes [{start}, {stop})")
+    before = (slice(None),) * (axis % values.ndim)
+    shape = list(values.shape)
+    shape[axis] = stop - start
+    out = np.empty(shape)
+    scratch = np.empty(shape)
+    for piece_lo, piece_hi, taps in pieces:
+        target = before + (slice(piece_lo - start, piece_hi - start),)
+        acc, term = out[target], scratch[target]
+        own = values[before + (slice(piece_lo - first, piece_hi - first),)]
+        others = [tap for tap in taps if tap[1:] != (piece_lo, piece_hi)]
+        for t, (weight, read_lo, read_hi) in enumerate(others):
+            into = term if t else acc
+            np.subtract(values[before + (slice(read_lo - first, read_hi - first),)], own,
+                        out=into)
+            np.multiply(into, weight, out=into)
+            if t:
+                np.add(acc, term, out=acc)
+    return out
 
 
 def hessian_field(values, spacings):
     """Discrete Hessian of a scalar grid function, shape (*grid, m, m).
 
     Diagonal entries use second-derivative stencils; the mixed entries are
-    compositions of first-derivative matrices.
+    compositions of first-derivative stencils.
     """
     values = np.asarray(values, dtype=float)
     m = values.ndim
@@ -143,27 +262,36 @@ def _quintic_basis(knots, spans, x, derivs=0):
     at = spans + knots.shape[1] * np.arange(knots.shape[0])[:, None]  # knots[c, l]
     left = np.stack([x - flat[at + 1 - j] for j in range(1, 6)])  # x - knots[l + 1 - j]
     right = np.stack([flat[at + j] - x for j in range(1, 6)])  # knots[l + j] - x
-    basis = [np.ones((1,) + x.shape)]  # basis[j]: the j + 1 B-splines of degree j
-    widths = [None]  # widths[j][r]: the knot span of B-spline r of degree j - 1
+    # derivative k of degree 5 starts from degree 5 - k and steps up through
+    # the knot spans of degrees 6 - k ... 5, so only those levels are kept
+    lowest = 5 - derivs
+    basis = {}  # basis[j]: the j + 1 B-splines of degree j, for j >= lowest
+    widths = {}  # widths[j][r]: the knot span of B-spline r of degree j - 1, for j > lowest
+    level = np.ones((1,) + x.shape)
     for j in range(1, 6):
-        widths.append(right[:j] + left[j - 1::-1])
-        temp = basis[-1] / widths[j]
-        new = np.zeros((j + 1,) + x.shape)
-        new[:j] += right[:j] * temp
-        new[1:] += left[j - 1::-1] * temp
-        basis.append(new)
-    ders = [basis[5]]
+        if j - 1 >= lowest:
+            basis[j - 1] = level
+        width = right[:j] + left[j - 1::-1]
+        if j > lowest:
+            widths[j] = width
+        temp = level / width
+        level = np.zeros((j + 1,) + x.shape)
+        level[:j] += right[:j] * temp
+        level[1:] += left[j - 1::-1] * temp
+    basis[5] = level
+    del left, right, width, temp
+    # contiguous in the B-spline index, which fixes einsum's summation order
+    ders = np.empty((derivs + 1,) + x.shape + (6,))
+    ders[0] = np.moveaxis(basis.pop(5), 0, -1)
     for k in range(1, derivs + 1):
-        # derivative k of degree 5 from derivative k - 1 of degree 5 - k, ...
-        d = basis[5 - k]
+        d = basis.pop(5 - k)
         for j in range(6 - k, 6):
             scaled = j * d / widths[j]
             d = np.zeros((j + 1,) + x.shape)
             d[1:] += scaled
             d[:j] -= scaled
-        ders.append(d)
-    # contiguous in the B-spline index, which fixes einsum's summation order
-    return np.ascontiguousarray(np.moveaxis(np.stack(ders), 1, -1))
+        ders[k] = np.moveaxis(d, 0, -1)
+    return ders
 
 
 def quintic_coefficients(x, y):

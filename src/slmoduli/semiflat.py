@@ -20,8 +20,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, MetricError
-from .fd import EDGE, apply_diff, cumulative_quadrature, hessian_field, interior
+from .fd import (EDGE, apply_diff, cumulative_quadrature, hessian_field, interior,
+                 stencil_reach)
 from .hessian import HessianPotential, hessian_metric
+
+SLAB_ROWS = 16  # nodes of grid axis 0 per slab of ricci_from_metric
 
 
 @dataclass
@@ -137,52 +140,80 @@ def ricci_from_metric(components, spacings):
                      + Gamma^a_{ae} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{ab},
 
     with d_a = 0 for a >= p.  The stencils are linear, so this is the discrete
-    operator of the full R^a_{bcd} contraction; adding the terms per a in the
-    order of that contraction also keeps its floating-point result.
+    operator of the full R^a_{bcd} contraction.  Per a, the terms are added
+    in this order: -d_d Gamma^a_{ab} for each grid axis d, then
+    d_a Gamma^a_{db}, then the two quadratic terms; the terms of a = 0 ... d - 1
+    are summed in turn.
 
-    Gamma is the only (*grid, d, d, d) array: it is filled one slab of grid
-    axis 0 at a time from the p metric derivatives, zero-padded into the
-    Killing slots per slab, so the tracemalloc peak is about 2.5 N d^3
-    doubles for N grid nodes at d = 4.  The summation order is frozen: every
-    apply_diff acts on a full-grid array, because the matrix product behind
-    it sums in another order when the trailing shape changes, and the slab
-    einsums repeat the full-array arithmetic.  The result is bitwise that of
-    the full-array reference kept in tests/test_semiflat.py.
+    Grid axis 0 is walked in slabs of ``SLAB_ROWS`` nodes.  For each slab the
+    metric derivatives, g^{-1} and Gamma are formed on the slab and the reach
+    of its first-derivative stencils along axis 0 (``fd.stencil_reach``, two
+    nodes per side inside the grid), and R on the slab alone.  Only the input
+    and the result are full-grid arrays; the tracemalloc peak is the result,
+    N d^2 doubles for N grid nodes, plus about three (SLAB_ROWS + 4)-row
+    (*, d, d, d) arrays: at 257^2 and d = 4 about 17 MB, half of N d^3
+    doubles.  ``fd.apply_diff`` gives each node the same arithmetic on a slab
+    as on the full grid, so the result is bitwise that of the full-array
+    assembly kept in tests/test_semiflat.py.
     """
     components = np.asarray(components, dtype=float)
+    n = components.shape[0]
+    ric = np.zeros(components.shape)
+    for start in range(0, n, SLAB_ROWS):
+        stop = min(start + SLAB_ROWS, n)
+        _ricci_slab(components, spacings, start, stop, ric[start:stop])
+    return ric
+
+
+def _ricci_slab(components, spacings, start, stop, out):
+    """Add R_bd on nodes [start, stop) of grid axis 0 into ``out``."""
     p = components.ndim - 2
     d = components.shape[-1]
-    grads = [apply_diff(components, axis, spacings[axis], 1) for axis in range(p)]
-    ginv = np.linalg.inv(components)
-    # Gamma^a_{bc} = 1/2 g^{ae} (d_b g_{ec} + d_c g_{eb} - d_e g_{bc}), one slab
-    # of grid axis 0 at a time; dg[..., i, j, k] = d_k g_ij stays zero along
-    # the Killing directions k >= p
-    gamma = np.empty(components.shape + (d,))
-    dg = np.zeros(components.shape[1:] + (d,))
-    for i in range(components.shape[0]):
-        for axis in range(p):
-            dg[..., axis] = grads[axis][i]
-        raised = np.einsum("...ae,...ecb->...abc", ginv[i], dg)  # g^{ae} d_b g_{ec}
-        metric_grad = np.einsum("...ae,...bce->...abc", ginv[i], dg)  # g^{ae} d_e g_{bc}
-        np.add(raised, np.swapaxes(raised, -1, -2), out=gamma[i])
-        gamma[i] -= metric_grad
-        gamma[i] *= 0.5
-    del grads, ginv, dg
+    n = components.shape[0]
+    lo, hi = stencil_reach(n, 1, start, stop)
+    slab = slice(start - lo, stop - lo)
+
+    def grad(held, axis):
+        """d_axis on the slab of a field held on nodes [lo, hi) of axis 0."""
+        if axis == 0:
+            return apply_diff(held, 0, spacings[0], 1, nodes=(start, stop), n=n, first=lo)
+        return apply_diff(held[slab], axis, spacings[axis], 1)
+
+    gamma = _christoffel(components, spacings, lo, hi)
     diagonal = np.einsum("...aab->...ab", gamma)  # Gamma^a_{ab}, not summed over a
-    diagonal_grad = [apply_diff(diagonal, axis, spacings[axis], 1) for axis in range(p)]
-    ric = np.zeros(components.shape)
+    diagonal_grad = [grad(diagonal, axis) for axis in range(p)]
     for a in range(d):
-        term = np.zeros(components.shape)  # R^a_{bad}, indexed [b, d]
+        term = np.zeros(out.shape)  # R^a_{bad}, indexed [b, d]
         for axis in range(p):
             term[..., axis] -= diagonal_grad[axis][..., a, :]
         if a < p:
-            d_gamma = apply_diff(gamma[..., a, :, :], a, spacings[a], 1)  # d_a Gamma^a_{db}
+            d_gamma = grad(gamma[..., a, :, :], a)  # d_a Gamma^a_{db}
             np.add(d_gamma.swapaxes(-1, -2), term, out=term)
-            del d_gamma  # not alive during the next apply_diff
-        term += np.einsum("...e,...edb->...bd", diagonal[..., a, :], gamma)
-        term -= np.einsum("...de,...eb->...bd", gamma[..., a, :, :], gamma[..., :, a, :])
-        ric += term
-    return ric
+        term += np.einsum("...e,...edb->...bd", diagonal[slab, ..., a, :], gamma[slab])
+        term -= np.einsum("...de,...eb->...bd", gamma[slab, ..., a, :, :],
+                          gamma[slab, ..., :, a, :])
+        out += term
+
+
+def _christoffel(components, spacings, lo, hi):
+    """Gamma^a_{bc} = 1/2 g^{ae} (d_b g_{ec} + d_c g_{eb} - d_e g_{bc}) on nodes
+    [lo, hi) of grid axis 0, with d_e = 0 along the Killing directions."""
+    p = components.ndim - 2
+    d = components.shape[-1]
+    held = components[lo:hi]
+    dg = np.zeros(held.shape + (d,))  # dg[..., i, j, k] = d_k g_ij
+    dg[..., 0] = apply_diff(components, 0, spacings[0], 1, nodes=(lo, hi))
+    for axis in range(1, p):
+        dg[..., axis] = apply_diff(held, axis, spacings[axis], 1)
+    ginv = np.linalg.inv(held)
+    raised = np.einsum("...ae,...ecb->...abc", ginv, dg)  # g^{ae} d_b g_{ec}
+    metric_grad = np.einsum("...ae,...bce->...abc", ginv, dg)  # g^{ae} d_e g_{bc}
+    del dg, ginv
+    gamma = raised + np.swapaxes(raised, -1, -2)
+    del raised
+    gamma -= metric_grad
+    gamma *= 0.5
+    return gamma
 
 
 def nijenhuis_residual(lam_fn, axes):

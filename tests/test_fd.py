@@ -1,13 +1,16 @@
-"""Stencil interiors, and the numpy spline and quadrature kernels against scipy
-and exact integrals."""
+"""The stencil kernel against its matrices and on node ranges, stencil
+interiors, and the numpy spline and quadrature kernels against scipy and
+exact integrals."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import RectBivariateSpline, make_interp_spline
 
 from slmoduli.errors import GridMismatchError
-from slmoduli.fd import (TensorQuintic, cumulative_quadrature, diff_matrix, interior,
-                         quintic_resample)
+from slmoduli.fd import (TensorQuintic, apply_diff, cumulative_quadrature, diff_matrix,
+                         interior, quintic_resample, stencil_reach)
 
 
 @pytest.mark.parametrize("width", [2, 3, 8])
@@ -21,10 +24,58 @@ def test_interior_needs_more_than_two_widths(width):
 
 def test_stencils_refuse_too_few_nodes():
     diff_matrix(6, 0.1, 2)
+    apply_diff(np.ones((3, 5)), 1, 0.1, 1)
     with pytest.raises(GridMismatchError):
         diff_matrix(5, 0.1, 2)
     with pytest.raises(GridMismatchError):
+        apply_diff(np.ones((3, 5)), 1, 0.1, 2)
+    with pytest.raises(GridMismatchError):
+        apply_diff(np.ones((4, 9)), 0, 0.1, 1)
+    with pytest.raises(GridMismatchError):
         cumulative_quadrature(5, 0.1)
+
+
+@pytest.mark.parametrize("n", [6, 7, 33, 257])
+@pytest.mark.parametrize("deriv", [1, 2])
+def test_apply_diff_matches_diff_matrix(n, deriv):
+    rng = np.random.default_rng(n + deriv)
+    spacing = 1.7 / (n - 1)
+    d = diff_matrix(n, spacing, deriv)
+    for axis in range(3):
+        shape = [3, 4, 5]
+        shape[axis] = n
+        values = rng.normal(size=shape)
+        want = np.moveaxis(np.tensordot(d, np.moveaxis(values, axis, 0), axes=(1, 0)), 0, axis)
+        got = apply_diff(values, axis, spacing, deriv)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), axis
+        # each stencil takes constants to exactly 0
+        assert not np.any(apply_diff(np.full(shape, 3.7), axis, spacing, deriv))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(6, 40), axis=st.integers(-3, 2),
+       deriv=st.sampled_from([1, 2]))
+def test_apply_diff_on_a_window_is_bitwise_the_full_axis(data, n, axis, deriv):
+    start = data.draw(st.integers(0, n), label="start")
+    stop = data.draw(st.integers(start, n), label="stop")
+    lo, hi = stencil_reach(n, deriv, start, stop)
+    first = data.draw(st.integers(0, lo), label="first")
+    last = data.draw(st.integers(hi, n), label="last")
+    shape = [2, 3, 4]
+    shape[axis] = n
+    values = np.random.default_rng(n).normal(size=shape)
+    spacing = 1.0 / (n - 1)
+    full = np.take(apply_diff(values, axis, spacing, deriv), np.arange(start, stop), axis=axis)
+    window = np.take(values, np.arange(first, last), axis=axis)
+    got = apply_diff(window, axis, spacing, deriv, nodes=(start, stop), n=n, first=first)
+    assert got.shape == full.shape
+    assert got.tobytes() == full.tobytes()
+    if first < lo or last > hi:
+        return
+    # a window that misses a node the stencils read is refused
+    with pytest.raises(ValueError):
+        apply_diff(np.take(window, np.arange(1, last - first), axis=axis), axis, spacing,
+                   deriv, nodes=(start, stop), n=n, first=first + 1)
 
 
 @pytest.mark.parametrize("n", [9, 33, 257])

@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from slmoduli import semiflat
 from slmoduli.errors import InputError, MetricError
-from slmoduli.fd import apply_diff, richardson_tolerance
+from slmoduli.fd import EDGE, apply_diff, richardson_tolerance
 from slmoduli.hessian import HessianPotential, solve_ma_dirichlet
 from slmoduli.semiflat import (
+    SLAB_ROWS,
     build_semiflat,
     gh_metric,
     hessian_chart,
@@ -267,9 +269,19 @@ def test_ricci_from_metric_bitwise_matches_full_array_assembly(name):
     assert np.array_equal(ricci_from_metric(g, spacings), _ricci_full_arrays(g, spacings))
 
 
-def test_ricci_from_metric_memory_is_order_n_d3():
-    g = build_semiflat(_quartic_potential(65)).full_metric()
-    spacings = [2.0 / 64] * 2
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("name", ["exp", "random_spd"])
+def test_ricci_from_metric_slab_height_keeps_the_bits(monkeypatch, name, rows):
+    # slab edges at every node, and at p = 3 a grid of several slabs
+    g, spacings = _pinned_metric(name)
+    monkeypatch.setattr(semiflat, "SLAB_ROWS", rows)
+    assert np.array_equal(ricci_from_metric(g, spacings), _ricci_full_arrays(g, spacings))
+
+
+def test_ricci_from_metric_memory_is_output_plus_slabs():
+    n, d = 129, 4
+    g = build_semiflat(_quartic_potential(n)).full_metric()
+    spacings = [2.0 / (n - 1)] * 2
     ricci_from_metric(g, spacings)  # warm the stencil cache
     tracemalloc.start()
     try:
@@ -277,9 +289,12 @@ def test_ricci_from_metric_memory_is_order_n_d3():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    nodes, d = 65 * 65, 4
-    # Gamma plus a few (*grid, d, d) arrays: about 2.5 N d^3 doubles at d = 4
-    assert peak < 2.75 * nodes * d ** 3 * 8
+    # the (*grid, d, d) result plus a few (*, d, d, d) arrays on one slab and
+    # its stencil reach, about 3.25 of them: at 129^2 the bound is 0.87 N d^3
+    # doubles for N grid nodes
+    output = n * n * d ** 2 * 8
+    slab = (SLAB_ROWS + 2 * EDGE) * n * d ** 3 * 8
+    assert peak < output + 4 * slab
 
 
 def test_metric_error_on_degenerate_block():
