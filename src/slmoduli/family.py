@@ -9,7 +9,7 @@ in closed form from ``ConstantForm`` algebra.  Constant forms are closed and
 co-closed exactly, so the gridded forms are built only for the McLean
 identity phi_j = star theta_j on a fiber grid with the constant induced
 metric.  The module also integrates the moduli coordinates u, v (closedness
-of the period 1-forms is a precondition), tabulates the embedding
+of given period functions is a precondition), tabulates the embedding
 t -> (u(t), v(t)), and reports the residuals certifying the structural
 identities: symmetry of lambda^T mu and the L^2 metric identity.
 """
@@ -209,8 +209,8 @@ def lagrangian_residual(pm):
     return float(np.max(np.abs(s - s.T)))
 
 
-def closedness_loop_residual(lam_fn, loop, n_quad=128):
-    """max_i |oint xi_i| along a closed polyline, composite trapezoid rule."""
+def closedness_loop_residual(lam_fn, loop):
+    """max_i |oint xi_i| along a closed polyline, 128 trapezoid panels per segment."""
     loop = np.asarray(loop, dtype=float)
     if loop.ndim != 2 or loop.shape[0] < 2:
         raise InputError("loop must be a polyline of moduli points")
@@ -218,10 +218,10 @@ def closedness_loop_residual(lam_fn, loop, n_quad=128):
         raise InputError("polyline is not closed")
     m = loop.shape[1]
     total = np.zeros(m)
-    tau = np.linspace(0.0, 1.0, n_quad + 1)
+    tau = np.linspace(0.0, 1.0, 129)
     for a, b in zip(loop[:-1], loop[1:]):
         pts = a[None, :] + tau[:, None] * (b - a)[None, :]
-        lam = lam_fn(pts)  # (n_quad+1, m, m)
+        lam = lam_fn(pts)  # (129, m, m)
         integrand = lam @ (b - a)
         total += np.trapezoid(integrand, tau, axis=0)
     return float(np.max(np.abs(total)))
@@ -229,14 +229,13 @@ def closedness_loop_residual(lam_fn, loop, n_quad=128):
 
 @dataclass
 class ModuliChart:
-    """u, v and the period matrices tabulated over a box grid in t-space."""
+    """u, v (zero at the first node) and the period matrices over a box grid in t."""
 
     axes: list
     u: np.ndarray
     v: np.ndarray
     lam: np.ndarray
     mu: np.ndarray
-    basepoint: tuple
 
     @property
     def moduli_dim(self):
@@ -254,16 +253,15 @@ class ModuliChart:
             self.u.copy(),
             self.mu.copy(),
             self.lam.copy(),
-            self.basepoint,
         )
 
 
-def _staircase_integral(field, axes, basepoint, order):
+def _staircase_integral(field, axes, order):
     """Path integral of sum_j M_ij dt_j along axis-ordered staircase paths.
 
     ``field`` maps points (..., m) to matrices (..., m, m).  The path from the
-    basepoint to a node runs along the axes in ``order``, later axes held at
-    their basepoint values until reached.
+    first grid node to a node runs along the axes in ``order``, later axes
+    held at their first node until reached.
     """
     m = len(axes)
     shape = tuple(len(ax) for ax in axes)
@@ -271,21 +269,14 @@ def _staircase_integral(field, axes, basepoint, order):
     done = []
     for axis in order:
         # sample on the sub-grid of processed axes plus the current one
-        grids = []
-        for j in range(m):
-            if j in done or j == axis:
-                grids.append(np.asarray(axes[j]))
-            else:
-                grids.append(np.asarray([axes[j][basepoint[j]]]))
+        grids = [ax if j in done or j == axis else ax[:1] for j, ax in enumerate(axes)]
         mesh = np.meshgrid(*grids, indexing="ij")
         pts = np.stack(mesh, axis=-1)
         mat = field(pts)  # (..., m, m), rows i, columns j
         integrand = mat[..., :, axis]
         t_ax = np.asarray(axes[axis])
-        # cumulative trapezoid along the current axis, anchored at basepoint
-        scaled = _cumtrapz(integrand, t_ax, axis=axis)
-        anchor = np.take(scaled, basepoint[axis], axis=axis)
-        seg = scaled - np.expand_dims(anchor, axis)
+        # cumulative trapezoid along the current axis, zero at its first node
+        seg = _cumtrapz(integrand, t_ax, axis=axis)
         # broadcast over the axes not yet reached
         reps = [1] * (m + 1)
         for j in range(m):
@@ -307,30 +298,28 @@ def _cumtrapz(values, x, axis):
     return np.concatenate([zero, np.cumsum(increments, axis=axis)], axis=axis)
 
 
-def moduli_coordinates(fam_or_fns, axes, basepoint=None, order=None,
-                       closedness_tol=1e-8):
-    """Integrate du = lambda dt, dv = mu dt over a box grid from a basepoint.
+def moduli_coordinates(fam_or_fns, axes, order=None, closedness_tol=1e-8):
+    """Integrate du = lambda dt, dv = mu dt over a box grid from its first node.
 
-    Accepts either a family or a pair (lambda_fn, mu_fn).  Closedness of the
-    period 1-forms is a checked precondition: the generating rectangles of the
-    grid must have loop residual below ``closedness_tol``.
+    Accepts either a family or a pair (lambda_fn, mu_fn).  For a pair,
+    closedness of the period 1-forms is a checked precondition: the
+    generating rectangles of the grid must have loop residual below
+    ``closedness_tol``.  A family's lambda is constant, so its loops close
+    and the check is skipped.
     """
+    axes = [np.asarray(ax, dtype=float) for ax in axes]
     if isinstance(fam_or_fns, AffineSLagFamily):
         lam_fn = fam_or_fns.lambda_function()
         mu_fn = fam_or_fns.mu_function()
     else:
         lam_fn, mu_fn = fam_or_fns
-    axes = [np.asarray(ax, dtype=float) for ax in axes]
-    m = len(axes)
-    if basepoint is None:
-        basepoint = (0,) * m
+        _check_grid_closedness(lam_fn, axes, closedness_tol)
     if order is None:
-        order = list(range(m))
-    _check_grid_closedness(lam_fn, axes, closedness_tol)
-    u = _staircase_integral(lam_fn, axes, basepoint, order)
-    v = _staircase_integral(mu_fn, axes, basepoint, order)
+        order = list(range(len(axes)))
+    u = _staircase_integral(lam_fn, axes, order)
+    v = _staircase_integral(mu_fn, axes, order)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return ModuliChart(axes, u, v, lam_fn(pts), mu_fn(pts), tuple(basepoint))
+    return ModuliChart(axes, u, v, lam_fn(pts), mu_fn(pts))
 
 
 def _check_grid_closedness(lam_fn, axes, tol):
@@ -340,7 +329,6 @@ def _check_grid_closedness(lam_fn, axes, tol):
     base = np.array([ax[0] for ax in axes])
     for a in range(m):
         for b in range(a + 1, m):
-            corner = base.copy()
             pts = [base.copy() for _ in range(5)]
             pts[1][a] = axes[a][-1]
             pts[2][a] = axes[a][-1]
@@ -355,14 +343,14 @@ def _check_grid_closedness(lam_fn, axes, tol):
                 )
 
 
-def embed_F(chart, spot_checks=32, rng=None):
-    """Tabulated embedding t -> (u(t), v(t)) with an injectivity spot check."""
+def embed_F(chart):
+    """Tabulated embedding t -> (u(t), v(t)), u spot-checked injective on 32 node pairs."""
     m = chart.moduli_dim
     table = np.concatenate([chart.u, chart.v], axis=-1)
     flat_u = chart.u.reshape(-1, m)
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     k = len(flat_u)
-    for _ in range(spot_checks):
+    for _ in range(32):
         i, j = rng.integers(0, k, size=2)
         if i != j and np.max(np.abs(flat_u[i] - flat_u[j])) < 1e-12:
             raise DegeneracyError("u-chart fails injectivity spot check")
@@ -373,18 +361,18 @@ def specialness_scan(fam, axes):
     """Tabulate the cohomology-torus volumes and fiber volume over t.
 
     Constancy of sqrt(det(mu lambda^{-1})) certifies the special embedding;
-    constancy of the fiber volume must always hold.  The volumes are read
-    from ``lambda_function`` and ``mu_function``, the period matrices that
-    ``moduli_coordinates`` integrates; the fiber volume, Lagrangian residual
-    and L^2 metric residual of an affine family hold for every t.
+    constancy of the fiber volume must always hold.  The period matrices of
+    an affine family are constant, so the volumes, the Lagrangian residual
+    and the L^2 metric residual are taken once and hold for every t.
     """
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     flat = pts.reshape(-1, pts.shape[-1])
-    ratio = fam.mu_function()(flat) @ np.linalg.inv(fam.lambda_function()(flat))
-    vol_h1 = np.sqrt(np.abs(np.linalg.det(ratio)))
-    vol_hn1 = np.sqrt(np.abs(np.linalg.det(np.linalg.inv(ratio))))
+    pm = fam.period_matrices()
+    ratio = pm.mu @ np.linalg.inv(pm.lam)
+    vol_h1 = np.full(len(flat), np.sqrt(np.abs(np.linalg.det(ratio))))
+    vol_hn1 = np.full(len(flat), np.sqrt(np.abs(np.linalg.det(np.linalg.inv(ratio)))))
     vol_fiber = np.full(len(flat), fam.fiber_volume())
-    lag = np.full(len(flat), lagrangian_residual(fam.period_matrices()))
+    lag = np.full(len(flat), lagrangian_residual(pm))
     metric_res = np.full(len(flat), fam.mclean_metric()[1])
 
     def variation(values):

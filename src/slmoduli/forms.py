@@ -94,10 +94,6 @@ class FormField:
             )
 
     @classmethod
-    def zero(cls, torus, degree):
-        return cls(torus, degree, np.zeros(torus.shape + (comb(torus.dim, degree),)))
-
-    @classmethod
     def constant(cls, torus, degree, values):
         values = np.asarray(values, dtype=float)
         coeffs = np.broadcast_to(

@@ -130,17 +130,14 @@ def _conjugate_axis(values, u_nodes, v_nodes):
 
 @dataclass
 class LegendrePair:
-    """A potential, its convex conjugate, and the Fenchel pairing residual."""
+    """A potential, its convex conjugate, and the maximising u of every v-node."""
 
     primal: HessianPotential
     dual: HessianPotential
-    pairing_residual: float
     argmax_points: np.ndarray = field(default=None, repr=False)
 
     def swapped(self):
-        return LegendrePair(
-            self.dual, self.primal, self.pairing_residual, None
-        )
+        return LegendrePair(self.dual, self.primal)
 
 
 def gradient_image_axes(pot, margin=0.0):
@@ -166,7 +163,8 @@ def legendre_transform(pot, v_axes=None, refine=True):
     node of every v-node.  With ``refine`` that node starts a projected
     Newton polish on a quintic spline of phi, which restores smooth-order
     accuracy; both values are lower bounds of the sup over the box, so the
-    larger one is kept at each v-node.
+    larger one is kept at each v-node.  The Fenchel pairing residual is not
+    taken here; a caller that reads it calls ``fenchel_residual``.
     """
     hessian_metric(pot)  # convexity is a precondition
     if v_axes is None:
@@ -179,9 +177,7 @@ def legendre_transform(pot, v_axes=None, refine=True):
         psi = np.where(better, fine, psi)
         argmax = np.where(better[..., None], fine_argmax, argmax)
     dual_c = None if pot.c is None else 1.0 / pot.c
-    dual = HessianPotential(v_axes, psi, dual_c)
-    residual = fenchel_residual(pot, dual)
-    return LegendrePair(pot, dual, residual, argmax)
+    return LegendrePair(pot, HessianPotential(v_axes, psi, dual_c), argmax)
 
 
 def _grid_conjugate(pot, v_axes):
@@ -207,11 +203,11 @@ def _grid_conjugate(pot, v_axes):
     return psi, argmax
 
 
-def _refine_conjugate(pot, v_axes, argmax, steps=40):
+def _refine_conjugate(pot, v_axes, argmax):
     """Projected Newton polish of the conjugate on a quintic spline of phi.
 
     A node stops once its step falls below 1e-14; roundoff in the spline
-    derivatives keeps a few nodes moving at that scale until ``steps``.  A
+    derivatives keeps a few nodes moving at that scale for all 40 steps.  A
     node whose spline Hessian is not positive definite takes no step, so it
     keeps its grid argmax and the caller's grid-value guard applies there.
     """
@@ -222,7 +218,7 @@ def _refine_conjugate(pot, v_axes, argmax, steps=40):
     v = v_mesh.reshape(-1, pot.dim)
     u = argmax.reshape(-1, pot.dim).copy()
     active = np.arange(len(u))  # the nodes whose last step was at least 1e-14
-    for _ in range(steps):
+    for _ in range(40):
         _, grad, hess = spl.jet(u[active])
         new = np.clip(u[active] + _newton_step(hess, v[active] - grad), lo, hi)
         moved = np.max(np.abs(new - u[active]), axis=1) >= 1e-14
@@ -421,10 +417,10 @@ def spsolve(A, b, precond, rtol):
     )
 
 
-def _clamped_cofactors(hess, clamp):
-    """Cofactor coefficients of det for 2x2 Hessians, eigenvalue-clamped."""
+def _clamped_cofactors(hess):
+    """Cofactor coefficients of det for 2x2 Hessians, eigenvalues clamped at 1e-6."""
     eigval, eigvec = np.linalg.eigh(hess)
-    eigval = np.maximum(eigval, clamp)
+    eigval = np.maximum(eigval, 1e-6)
     clamped = np.einsum("...ab,...b,...cb->...ac", eigvec, eigval, eigvec)
     return clamped[..., 1, 1], clamped[..., 0, 0], clamped[..., 0, 1]
 
@@ -458,8 +454,7 @@ def _separable_inverse(sines, k11, k22):
     return apply
 
 
-def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50,
-                       damping=1.0, clamp=1e-6):
+def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50, damping=1.0):
     """Damped Newton-Krylov for det(Hess phi) = c with Dirichlet boundary data.
 
     ``boundary`` is a callable (u1, u2) -> value or a full grid array whose
@@ -468,8 +463,8 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50,
     k11 d11 + k22 d22 - 2 k12 d12; it is never assembled, but applied to the
     interior array X as the 1D products D2x X, X D2y^T and D1x X D1y^T of the
     interior rows and columns of ``fd.diff_matrix``, with Hessian eigenvalues
-    clamped from below so that it stays elliptic away from convexity.  Each
-    Newton step solves it by GMRES (``spsolve``) to the forcing term
+    clamped from below at 1e-6 so that it stays elliptic away from convexity.
+    Each Newton step solves it by GMRES (``spsolve``) to the forcing term
     eta_k = 1e-3 min(1e-4, ||F_k||_inf) (Eisenstat & Walker), which keeps the
     convergence quadratic.  The preconditioner is the separable operator
     k11 D2 (x) I + k22 I (x) D2 with the 3-point second difference D2 and the
@@ -529,7 +524,7 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50,
             return HessianPotential(
                 axes, phi, c, info={"iterations": iteration, "residuals": history}
             )
-        k11, k22, k12 = _clamped_cofactors(hess[interior], clamp)
+        k11, k22, k12 = _clamped_cofactors(hess[interior])
 
         def jacobian(x, k11=k11, k22=k22, k12=k12):
             dxx, dyy, dxy = second_derivatives(x)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import slmoduli
-from slmoduli.cli import _eval_expression, main
+from slmoduli.cli import COMMANDS, _eval_expression, main
 from slmoduli.errors import InputError
 from slmoduli.hessian import load_potential
 
@@ -199,6 +199,20 @@ def _square(n):
         ("semiflat", {"potential": "@unreadable"}, "InputError"),
         ("embed", {"family": "@unreadable"}, "InputError"),
         ("partial-legendre", {"potential": "@under_file"}, "InputError"),
+        # a config that is not a JSON object, and config values of the wrong
+        # type or shape where a command reads them
+        *((command, payload, "InputError") for command in COMMANDS for payload in ([], 5)),
+        *((command, payload, "InputError") for command in ("ma-solve", "gh")
+          for payload in ({"n": "abc"}, {"n": None}, {"domain": 5}, {"domain": [[0, 1]]})),
+        *((command, payload, "InputError") for command in ("family-scan", "embed")
+          for payload in ({"grid": {"ranges": 5}}, {"grid": {"n": "x"}}, {"grid": 5},
+                          {"grid": {"ranges": [[0, 1]] * 3}})),
+        *((command, {"potential": {"axes": 5, "expr": "u1"}}, "InputError")
+          for command in ("legendre", "semiflat", "partial-legendre")),
+        ("semiflat", {"potential": {**_square(17)["potential"], "c": "x"}}, "InputError"),
+        ("ma-solve", {"solver": {"tol": "x"}}, "InputError"),
+        ("ma-solve", {"solver": 5}, "InputError"),
+        ("family-scan", {"fiber_resolution": "x"}, "InputError"),
     ],
 )
 def test_rejected_input_exit_code_and_report(tmp_path, capsys, command, payload, error):
@@ -209,8 +223,9 @@ def test_rejected_input_exit_code_and_report(tmp_path, capsys, command, payload,
     unreadable.chmod(0)
     paths = {"@dir": tmp_path / "dir", "@unreadable": unreadable,
              "@under_file": unreadable / "potential.csv"}
-    payload = {key: str(paths.get(value, value)) if isinstance(value, str) else value
-               for key, value in payload.items()}
+    if isinstance(payload, dict):
+        payload = {key: str(paths.get(value, value)) if isinstance(value, str) else value
+                   for key, value in payload.items()}
     cfg = _write(tmp_path / "cfg.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path), *flags]) == 2
     assert "Traceback" not in capsys.readouterr().err
@@ -221,6 +236,18 @@ def test_rejected_input_exit_code_and_report(tmp_path, capsys, command, payload,
     assert "checks" not in report
     log = (tmp_path / "run.log").read_text().splitlines()
     assert log[-1].endswith(f"{command} exit=2")
+
+
+def test_number_in_place_of_a_path_is_refused(tmp_path):
+    # open() would take the number for a file descriptor of the running
+    # process, read it and close it
+    with open(tmp_path / "held.txt", "w") as held:
+        for command, key in (("family-scan", "family"), ("embed", "family"),
+                             ("legendre", "potential"), ("semiflat", "potential")):
+            cfg = _write(tmp_path / "cfg.json", {key: held.fileno()})
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+            assert _report(tmp_path)["error"]["type"] == "InputError"
+            os.fstat(held.fileno())  # still open
 
 
 def test_ma_solve_reports_krylov_failure(tmp_path, capsys, monkeypatch):
