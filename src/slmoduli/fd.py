@@ -7,16 +7,20 @@ table as a banded kernel, shifted slices along the axis accumulated in
 increasing node order, so each node's arithmetic is fixed by its index and
 the number of nodes alone; it also returns the derivative on a node range
 read from a window of the axis, bit for bit the full-axis result there.
-``diff_matrix`` is the same table as a dense matrix.  The module also decides
-where a stencil residual is trusted and how far: ``interior`` is the one
-definition of the nodes a residual is read on, and ``richardson_tolerance``
-turns the residual on every other node into a bound for the fine grid.  Two
-numpy kernels stand in for scipy's splines: the not-a-knot quintic
-interpolant (the spline ``scipy.interpolate.make_interp_spline(x, y, k=5)``
-builds), solved for many columns at once by ``quintic_coefficients``,
-evaluated by ``quintic_resample`` and taken as a tensor product over a box
-grid by ``TensorQuintic``; and ``cumulative_quadrature`` (a sixth-order
-running integral on a uniform grid).
+The taps of each node range are kept, so a slab walk that asks for the
+same ranges again pays for them once.  ``diff_matrix`` is the same table
+as a dense matrix.  The module also decides where a stencil residual is
+trusted and how far: ``interior`` is the one definition of the nodes a
+residual is read on, and ``richardson_tolerance`` turns the residual on
+every other node into a bound for the fine grid.  Two numpy kernels stand
+in for scipy's splines: the not-a-knot quintic interpolant (the spline
+``scipy.interpolate.make_interp_spline(x, y, k=5)`` builds), solved for many
+columns at once by ``quintic_coefficients``, evaluated by
+``quintic_resample`` (in blocks of ``RESAMPLE_COLUMNS`` columns when each
+column has its own nodes, so its work arrays do not grow with the number of
+columns) and taken as a tensor product over a box grid by
+``TensorQuintic``; and ``cumulative_quadrature`` (a sixth-order running
+integral on a uniform grid).
 """
 
 from functools import lru_cache
@@ -26,6 +30,7 @@ import numpy as np
 from .errors import GridMismatchError
 
 ORDER = 4  # accuracy order of every stencil
+RESAMPLE_COLUMNS = 32  # columns per block of quintic_resample with per-column nodes
 # nodes per side whose stencils are one-sided; a residual that nests
 # derivative passes is trusted one node further in (EDGE + 1)
 EDGE = ORDER // 2
@@ -113,20 +118,28 @@ def _pieces(n, spacing, deriv, start, stop):
     return pieces
 
 
+@lru_cache(maxsize=1024)
+def _plan(n, spacing, deriv, start, stop):
+    """The pieces of ``_pieces`` without each node's own tap, and their reach.
+
+    Memoized per node range, since a slab walk asks for the same few ranges
+    again and again; the entries are tuples, so no caller can change them.
+    """
+    pieces = _pieces(n, spacing, deriv, start, stop)
+    reads = [tap[1:] for _, _, taps in pieces for tap in taps]
+    reach = (min(r[0] for r in reads), max(r[1] for r in reads)) if reads else (start, start)
+    others = tuple((lo, hi, tuple(tap for tap in taps if tap[1:] != (lo, hi)))
+                   for lo, hi, taps in pieces)
+    return others, reach
+
+
 def stencil_reach(n, deriv, start, stop):
     """Axis nodes [lo, hi) that the stencils of nodes [start, stop) read.
 
     ``apply_diff`` with ``nodes=(start, stop)`` needs ``values`` to hold at
     least these nodes of the axis.
     """
-    return _reach(_pieces(n, 1.0, deriv, start, stop), start)
-
-
-def _reach(pieces, start):
-    reads = [tap[1:] for _, _, taps in pieces for tap in taps]
-    if not reads:
-        return start, start
-    return min(r[0] for r in reads), max(r[1] for r in reads)
+    return _plan(n, 1.0, deriv, start, stop)[1]
 
 
 @lru_cache(maxsize=None)
@@ -171,8 +184,7 @@ def apply_diff(values, axis, spacing, deriv, nodes=None, n=None, first=0):
     held = values.shape[axis]
     n = held if n is None else n
     start, stop = (0, n) if nodes is None else nodes
-    pieces = _pieces(n, float(spacing), deriv, start, stop)
-    lo, hi = _reach(pieces, start)
+    pieces, (lo, hi) = _plan(n, float(spacing), deriv, start, stop)
     if lo < first or hi > first + held:
         raise ValueError(f"nodes [{first}, {first + held}) do not cover the reach "
                          f"[{lo}, {hi}) of nodes [{start}, {stop})")
@@ -181,11 +193,10 @@ def apply_diff(values, axis, spacing, deriv, nodes=None, n=None, first=0):
     shape[axis] = stop - start
     out = np.empty(shape)
     scratch = np.empty(shape)
-    for piece_lo, piece_hi, taps in pieces:
+    for piece_lo, piece_hi, others in pieces:
         target = before + (slice(piece_lo - start, piece_hi - start),)
         acc, term = out[target], scratch[target]
         own = values[before + (slice(piece_lo - first, piece_hi - first),)]
-        others = [tap for tap in taps if tap[1:] != (piece_lo, piece_hi)]
         for t, (weight, read_lo, read_hi) in enumerate(others):
             into = term if t else acc
             np.subtract(values[before + (slice(read_lo - first, read_hi - first),)], own,
@@ -339,8 +350,7 @@ def quintic_coefficients(x, y):
             coef[:, r + d] -= factor * coef[:, r]
     for r in range(n - 1, -1, -1):
         hi = min(n, r + 6)
-        row = np.broadcast_to(band[:, r, 6:5 + hi - r], coef[:, r + 1:hi].shape)
-        coef[:, r] -= np.einsum("ck,ck->c", row, coef[:, r + 1:hi])
+        coef[:, r] -= np.einsum("...k,...k->...", band[:, r, 6:5 + hi - r], coef[:, r + 1:hi])
         coef[:, r] /= band[:, r, 5]
     return knots, coef
 
@@ -348,13 +358,32 @@ def quintic_coefficients(x, y):
 def quintic_resample(x, y, x_new):
     """Evaluate the not-a-knot quintic interpolant of every column at x_new.
 
-    ``x`` and ``y`` are (n, c) as in ``quintic_coefficients``, with nodes
-    per column; ``x_new`` is (q,) in any order.  Returns (q, c): column j is the spline of column j
+    ``x`` and ``y`` are (n, c) as in ``quintic_coefficients``; ``x_new`` is
+    (q,) in any order.  Returns (q, c): column j is the spline of column j
     evaluated at x_new, where points outside [x[0, j], x[-1, j]] extrapolate
     its end pieces as scipy's ``make_interp_spline`` does.
+
+    When each column has its own nodes, the columns are solved and
+    evaluated in blocks of ``RESAMPLE_COLUMNS``, so the band matrices and
+    the B-spline values at x_new are held for one block at a time, not for
+    all c columns.  Every step treats the columns independently, so a
+    column's numbers do not depend on its block.  Shared nodes ((n, 1))
+    have one band matrix for all columns and stay in one block.
     """
-    knots, coef = quintic_coefficients(x, y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     x_new = np.asarray(x_new, dtype=float)
+    cols = y.shape[1]
+    step = RESAMPLE_COLUMNS if x.shape[1] > 1 else cols
+    out = np.empty((len(x_new), cols))
+    for lo in range(0, cols, step):
+        out[:, lo:lo + step] = _resample_block(x[:, lo:lo + step], y[:, lo:lo + step], x_new)
+    return out
+
+
+def _resample_block(x, y, x_new):
+    """``quintic_resample`` of the columns of one block."""
+    knots, coef = quintic_coefficients(x, y)
     cols, n = coef.shape
     # span of each x_new per column: 5 + the number of interior knots <= it,
     # counted along x_new in increasing order

@@ -50,10 +50,11 @@ class SemiflatManifold:
             raise MetricError("metric determinant must be positive")
         return det
 
-    def full_metric(self):
-        """Real 2m x 2m metric field blockdiag(H, H) over the u-grid."""
+    def full_metric(self, lo=0, hi=None):
+        """Real 2m x 2m metric field blockdiag(H, H) on nodes [lo, hi) of u-grid
+        axis 0 (default: the whole grid)."""
         m = self.m
-        h = self.metric_block
+        h = self.metric_block[lo:hi]
         g = np.zeros(h.shape[:-2] + (2 * m, 2 * m))
         g[..., :m, :m] = h
         g[..., m:, m:] = h
@@ -100,20 +101,47 @@ def ricci_agreement(sf, kahler):
     drops, max(EDGE + 1, n // 8) nodes for the smallest axis of n nodes, grows
     with the grid because the oracle stacks three one-sided derivative passes
     near the boundary.
+
+    The oracle runs slab by slab (``_oracle_interior``): no grid-sized
+    metric or Ricci tensor is formed, and the two maxima are taken per slab.
+    A max is exact, so the value is bitwise that of the full-array formula.
     """
     m = sf.m
     shape = sf.potential.values.shape
-    core = interior(shape, max(EDGE + 1, min(shape) // 8))
-    g = sf.full_metric()
-    oracle = ricci_from_metric(g, sf.potential.spacings)
-    dev = np.max(np.abs(oracle[core + (slice(None, m), slice(None, m))]
-                        - kahler[core]))
-    block = np.max(np.abs(oracle[core + (slice(m, None), slice(m, None))]
-                          - oracle[core + (slice(None, m), slice(None, m))]))
-    return float(max(dev, block))
+    devs, blocks = [], []
+    for index, oracle in _oracle_interior(sf.full_metric, shape, sf.potential.spacings,
+                                          max(EDGE + 1, min(shape) // 8)):
+        uu = oracle[..., :m, :m]
+        devs.append(np.max(np.abs(uu - kahler[index])))
+        blocks.append(np.max(np.abs(oracle[..., m:, m:] - uu)))
+    return float(max(np.max(devs), np.max(blocks)))
 
 
-def ricci_from_metric(components, spacings):
+def _oracle_interior(metric, shape, spacings, width):
+    """The oracle's Ricci tensor on ``interior(shape, width)``, one slab at a time.
+
+    ``metric(lo, hi)`` builds the metric field on nodes [lo, hi) of grid
+    axis 0.  Axis 0 is walked in slabs of ``SLAB_ROWS`` nodes; each slab gets
+    the metric on the reach of the reach of its first-derivative stencils,
+    which the nested passes of the curvature read, and ``ricci_from_metric``
+    on the slab.  Yields (index, ric) for each slab with interior nodes:
+    ``index`` selects those nodes of a grid field, ``ric`` is the tensor on
+    them.  Every slab is computed, those wholly inside the boundary layer
+    too.
+    """
+    core = interior(shape, width)
+    n = shape[0]
+    for start in range(0, n, SLAB_ROWS):
+        stop = min(start + SLAB_ROWS, n)
+        lo, hi = stencil_reach(n, 1, *stencil_reach(n, 1, start, stop))
+        ric = ricci_from_metric(metric(lo, hi), spacings, (start, stop), n, lo)
+        rows = slice(max(start, width), min(stop, n - width))
+        if rows.start < rows.stop:
+            yield ((rows,) + core[1:],
+                   ric[(slice(rows.start - start, rows.stop - start),) + core[1:]])
+
+
+def ricci_from_metric(components, spacings, nodes=None, n=None, first=0):
     """Numerical Ricci tensor of a metric field on a box grid.
 
     The grid axes correspond to the first p coordinates; the remaining
@@ -131,31 +159,37 @@ def ricci_from_metric(components, spacings):
     d_a Gamma^a_{db}, then the two quadratic terms; the terms of a = 0 ... d - 1
     are summed in turn.
 
-    Grid axis 0 is walked in slabs of ``SLAB_ROWS`` nodes.  For each slab the
+    As in ``fd.apply_diff``, ``components`` holds nodes first ... first +
+    components.shape[0] - 1 of grid axis 0, an axis of ``n`` nodes (default:
+    all of them, first = 0), and the result is R on the axis-0 nodes
+    ``nodes`` = (start, stop) (default (0, n)), shape
+    (stop - start, *grid[1:], d, d).  The held nodes must cover the reach of
+    the reach of the first-derivative stencils of that range
+    (``fd.stencil_reach`` twice), which the nested passes read.
+
+    The range is walked in slabs of ``SLAB_ROWS`` nodes.  For each slab the
     metric derivatives, g^{-1} and Gamma are formed on the slab and the reach
-    of its first-derivative stencils along axis 0 (``fd.stencil_reach``, two
-    nodes per side inside the grid), and R on the slab alone.  Only the input
-    and the result are full-grid arrays; the tracemalloc peak is the result,
-    N d^2 doubles for N grid nodes, plus about three (SLAB_ROWS + 4)-row
-    (*, d, d, d) arrays: at 257^2 and d = 4 about 17 MB, half of N d^3
-    doubles.  ``fd.apply_diff`` gives each node the same arithmetic on a slab
-    as on the full grid, so the result is bitwise that of the full-array
-    assembly kept in tests/test_semiflat.py.
+    of its first-derivative stencils along axis 0 (two nodes per side inside
+    the grid), and R on the slab alone.  Beyond the input and the result, the
+    tracemalloc peak is about three (SLAB_ROWS + 4)-row (*, d, d, d) arrays.
+    ``fd.apply_diff`` gives each node the same arithmetic on a slab as on the
+    full grid, so the result is bitwise the matching rows of the full-array
+    assembly kept in tests/test_semiflat.py, whatever window holds the input.
     """
     components = np.asarray(components, dtype=float)
-    n = components.shape[0]
-    ric = np.zeros(components.shape)
-    for start in range(0, n, SLAB_ROWS):
-        stop = min(start + SLAB_ROWS, n)
-        _ricci_slab(components, spacings, start, stop, ric[start:stop])
+    n = components.shape[0] if n is None else n
+    start, stop = (0, n) if nodes is None else nodes
+    ric = np.zeros((stop - start,) + components.shape[1:])
+    for lo in range(start, stop, SLAB_ROWS):
+        hi = min(lo + SLAB_ROWS, stop)
+        _ricci_slab(components, spacings, n, first, lo, hi, ric[lo - start:hi - start])
     return ric
 
 
-def _ricci_slab(components, spacings, start, stop, out):
+def _ricci_slab(components, spacings, n, first, start, stop, out):
     """Add R_bd on nodes [start, stop) of grid axis 0 into ``out``."""
     p = components.ndim - 2
     d = components.shape[-1]
-    n = components.shape[0]
     lo, hi = stencil_reach(n, 1, start, stop)
     slab = slice(start - lo, stop - lo)
 
@@ -165,7 +199,7 @@ def _ricci_slab(components, spacings, start, stop, out):
             return apply_diff(held, 0, spacings[0], 1, nodes=(start, stop), n=n, first=lo)
         return apply_diff(held[slab], axis, spacings[axis], 1)
 
-    gamma = _christoffel(components, spacings, lo, hi)
+    gamma = _christoffel(components, spacings, n, first, lo, hi)
     diagonal = np.einsum("...aab->...ab", gamma)  # Gamma^a_{ab}, not summed over a
     diagonal_grad = [grad(diagonal, axis) for axis in range(p)]
     for a in range(d):
@@ -181,14 +215,15 @@ def _ricci_slab(components, spacings, start, stop, out):
         out += term
 
 
-def _christoffel(components, spacings, lo, hi):
+def _christoffel(components, spacings, n, first, lo, hi):
     """Gamma^a_{bc} = 1/2 g^{ae} (d_b g_{ec} + d_c g_{eb} - d_e g_{bc}) on nodes
-    [lo, hi) of grid axis 0, with d_e = 0 along the Killing directions."""
+    [lo, hi) of grid axis 0, with d_e = 0 along the Killing directions;
+    ``components`` holds axis nodes first, first + 1, ... of n."""
     p = components.ndim - 2
     d = components.shape[-1]
-    held = components[lo:hi]
+    held = components[lo - first:hi - first]
     dg = np.zeros(held.shape + (d,))  # dg[..., i, j, k] = d_k g_ij
-    dg[..., 0] = apply_diff(components, 0, spacings[0], 1, nodes=(lo, hi))
+    dg[..., 0] = apply_diff(components, 0, spacings[0], 1, nodes=(lo, hi), n=n, first=first)
     for axis in range(1, p):
         dg[..., axis] = apply_diff(held, axis, spacings[axis], 1)
     ginv = np.linalg.inv(held)
@@ -250,9 +285,25 @@ class GibbonsHawkingMetric:
     axes: list
     potential_v: np.ndarray
     conjugate_w: np.ndarray
-    components: np.ndarray  # (*grid, 4, 4) in (y1, y2, y3, tau)
     ricci_max: float
     harmonic_residual: float
+
+    def components(self, lo=0, hi=None):
+        """The metric on nodes [lo, hi) of grid axis 0 (default: the whole
+        grid), (rows, n_2, 4, 4) in (y1, y2, y3, tau)."""
+        return _gh_components(self.potential_v[lo:hi], self.conjugate_w[lo:hi])
+
+
+def _gh_components(v, w):
+    """g = V (dy1^2 + dy2^2 + dy3^2) + V^{-1} (dtau + W dy3)^2 at each node of
+    V and W."""
+    g = np.zeros(v.shape + (4, 4))
+    g[..., 0, 0] = v
+    g[..., 1, 1] = v
+    g[..., 2, 2] = v + w ** 2 / v
+    g[..., 2, 3] = g[..., 3, 2] = w / v
+    g[..., 3, 3] = 1.0 / v
+    return g
 
 
 def gh_metric(v_values, axes, tol=1e-8):
@@ -260,17 +311,20 @@ def gh_metric(v_values, axes, tol=1e-8):
 
     g = V (dy1^2 + dy2^2 + dy3^2) + V^{-1} (dtau + W dy3)^2 where W is the
     harmonic conjugate of V, so that the connection satisfies dA = *dV.
-    Returns the assembled metric and its max |Ricci| via the Christoffel
+    Returns V, W and the max |Ricci| of the metric via the Christoffel
     oracle; the construction is Ricci-flat, so the residual is pure stencil
-    error, read past EDGE + 1 boundary nodes.
+    error, read past EDGE + 1 boundary nodes.  The oracle runs slab by slab
+    (``_oracle_interior``) on the metric of each slab's rows, so neither the
+    metric nor its Ricci tensor is ever held on the whole grid; the metric
+    of any rows is ``components``.
     """
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     v = np.asarray(v_values, dtype=float)
     if v.shape != (len(axes[0]), len(axes[1])):
         raise InputError("V must be sampled on the (y1, y2) grid")
     spacings = [float(ax[1] - ax[0]) for ax in axes]
-    lap = apply_diff(v, 0, spacings[0], 2) + apply_diff(v, 1, spacings[1], 2)
-    harmonic_residual = float(np.max(np.abs(lap)))
+    harmonic_residual = float(np.max(np.abs(apply_diff(v, 0, spacings[0], 2)
+                                            + apply_diff(v, 1, spacings[1], 2))))
     if harmonic_residual > tol:
         raise InputError(
             f"V is not harmonic: ||Laplacian||_inf = {harmonic_residual:.3e}"
@@ -278,17 +332,10 @@ def gh_metric(v_values, axes, tol=1e-8):
     if np.min(v) <= 0:
         raise InputError("V must be positive on the whole domain")
     w = _harmonic_conjugate(v, spacings)
-    g = np.zeros(v.shape + (4, 4))
-    g[..., 0, 0] = v
-    g[..., 1, 1] = v
-    g[..., 2, 2] = v + w ** 2 / v
-    g[..., 2, 3] = g[..., 3, 2] = w / v
-    g[..., 3, 3] = 1.0 / v
-    ric = ricci_from_metric(g, spacings)
-    core = ric[interior(v.shape, EDGE + 1)]
-    return GibbonsHawkingMetric(
-        axes, v, w, g, float(np.max(np.abs(core))), harmonic_residual
-    )
+    slabs = _oracle_interior(lambda lo, hi: _gh_components(v[lo:hi], w[lo:hi]), v.shape,
+                             spacings, EDGE + 1)
+    ricci_max = float(np.max([np.max(np.abs(ric)) for _, ric in slabs]))
+    return GibbonsHawkingMetric(axes, v, w, ricci_max, harmonic_residual)
 
 
 def _harmonic_conjugate(v, spacings):

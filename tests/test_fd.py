@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RectBivariateSpline, make_interp_spline
 
+from slmoduli import fd
 from slmoduli.errors import GridMismatchError
 from slmoduli.fd import (TensorQuintic, apply_diff, cumulative_quadrature, diff_matrix,
                          interior, quintic_resample, stencil_reach)
@@ -96,6 +97,22 @@ def test_quintic_resample_matches_scipy_not_a_knot(n):
     assert np.max(np.abs(got - want)[inside]) <= 1e-12 * np.max(np.abs(y))
     # extrapolated end pieces grow like |x|^5; compare them relative to size
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("block", [1, 7, 13])
+def test_quintic_resample_column_blocks_keep_the_bits(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    n, cols = 33, 12
+    x = np.cumsum(rng.uniform(0.2, 1.0, (n, cols)), axis=0)
+    y = rng.normal(size=(n, cols))
+    x_new = np.linspace(np.min(x) - 0.5, np.max(x) + 0.5, 41)
+    monkeypatch.setattr(fd, "RESAMPLE_COLUMNS", cols)
+    whole = quintic_resample(x, y, x_new)
+    monkeypatch.setattr(fd, "RESAMPLE_COLUMNS", block)
+    assert quintic_resample(x, y, x_new).tobytes() == whole.tobytes()
+    # shared nodes: one band matrix, one block
+    assert np.array_equal(quintic_resample(x[:, :1], y, x_new),
+                          quintic_resample(np.repeat(x[:, :1], cols, axis=1), y, x_new))
 
 
 def test_quintic_resample_interpolates_and_needs_six_nodes():

@@ -1,6 +1,7 @@
 """Hessian potentials: metric, Legendre duality, partial reduction, solver."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,24 @@ def test_partial_legendre_detects_non_ma():
     result = partial_legendre_2d(pot)
     # closed form: h_ss + h_u2u2 = -u1^2 / (1 + u1^2), max magnitude 1/2
     assert 0.3 < result["laplace_residual"] < 0.6
+
+
+def test_partial_legendre_resamples_in_column_blocks():
+    # with all 257 columns in one block the reduction peaks near 21 MB; in
+    # column blocks it stays within a dozen grid-sized arrays
+    n = 257
+    axes = [np.linspace(-0.5, 0.5, n), np.linspace(0.5, 1.5, n)]
+    pot = HessianPotential.from_function(
+        axes, lambda a, b: a ** 2 / (2 * b) + b ** 3 / 6, c=1.0
+    )
+    partial_legendre_2d(pot)  # warm the stencil cache
+    tracemalloc.start()
+    try:
+        partial_legendre_2d(pot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * n * n * 8
 
 
 def test_partial_legendre_rejects_slopes_that_fall():

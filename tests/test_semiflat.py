@@ -7,7 +7,7 @@ import pytest
 
 from slmoduli import semiflat
 from slmoduli.errors import InputError, MetricError
-from slmoduli.fd import EDGE, apply_diff, richardson_tolerance
+from slmoduli.fd import EDGE, apply_diff, interior, richardson_tolerance, stencil_reach
 from slmoduli.hessian import HessianPotential, solve_ma_dirichlet
 from slmoduli.semiflat import (
     SLAB_ROWS,
@@ -37,6 +37,8 @@ def test_full_metric_block_structure_and_hermitian():
     assert np.max(np.abs(g[..., 2:, :2])) == 0.0
     # blockdiag(H, H) is J-invariant for the standard structure in (u, x)
     assert np.array_equal(g[..., :2, :2], g[..., 2:, 2:])
+    # the row builder the oracle's slabs read
+    assert np.array_equal(sf.full_metric(5, 12), g[5:12])
 
 
 def test_holomorphic_norm_constant_iff_ma():
@@ -132,7 +134,7 @@ def _gh_components(n):
     axes = [np.linspace(0, 1, n)] * 2
     y1, y2 = np.meshgrid(*axes, indexing="ij")
     gh = gh_metric(2.0 + y1 + 0.3 * (y1 ** 2 - y2 ** 2), axes)
-    return gh.components, [float(axes[0][1] - axes[0][0])] * 2
+    return gh.components(), [float(axes[0][1] - axes[0][0])] * 2
 
 
 @pytest.mark.parametrize("metric", ["semiflat", "gh"])
@@ -244,6 +246,82 @@ def test_ricci_from_metric_slab_height_keeps_the_bits(monkeypatch, name, rows):
     g, spacings = _pinned_metric(name)
     monkeypatch.setattr(semiflat, "SLAB_ROWS", rows)
     assert np.array_equal(ricci_from_metric(g, spacings), _ricci_full_arrays(g, spacings))
+
+
+@pytest.mark.parametrize("name", ["semiflat", "gh", "hessian", "exp", "random_spd"])
+def test_ricci_from_metric_on_a_window_is_bitwise_the_full_rows(name):
+    g, spacings = _pinned_metric(name)
+    n = g.shape[0]
+    full = _ricci_full_arrays(g, spacings)
+    # ranges at either end of axis 0 and in the middle, each read from the
+    # window its nested stencils need, then from one node less
+    for start, stop in [(0, 2), (n - 3, n), (n // 2 - 1, n // 2 + 2), (0, n)]:
+        lo, hi = stencil_reach(n, 1, *stencil_reach(n, 1, start, stop))
+        got = ricci_from_metric(g[lo:hi], spacings, (start, stop), n, lo)
+        assert got.shape == full[start:stop].shape
+        assert got.tobytes() == full[start:stop].tobytes()
+        if hi - lo < n:
+            short = (lo + 1, hi) if lo > 0 else (lo, hi - 1)
+            with pytest.raises(ValueError):
+                ricci_from_metric(g[slice(*short)], spacings, (start, stop), n, short[0])
+
+
+def _agreement_full_arrays(sf, kahler):
+    """ricci_agreement as the formula on whole-grid arrays."""
+    m = sf.m
+    shape = sf.potential.values.shape
+    core = interior(shape, max(EDGE + 1, min(shape) // 8))
+    oracle = _ricci_full_arrays(sf.full_metric(), sf.potential.spacings)
+    dev = np.max(np.abs(oracle[core + (slice(None, m), slice(None, m))] - kahler[core]))
+    block = np.max(np.abs(oracle[core + (slice(m, None), slice(m, None))]
+                          - oracle[core + (slice(None, m), slice(None, m))]))
+    return float(max(dev, block))
+
+
+@pytest.mark.parametrize("name", ["quartic", "exp"])
+def test_ricci_agreement_is_bitwise_the_full_array_formula(name):
+    if name == "quartic":
+        pot = _quartic_potential(65)
+    else:
+        pot = HessianPotential.from_function([np.linspace(0, 1, 65)], np.exp)
+    sf = build_semiflat(pot)
+    kahler = ricci_form(sf)
+    assert ricci_agreement(sf, kahler) == _agreement_full_arrays(sf, kahler)
+
+
+@pytest.mark.parametrize("shape", [(65, 65), (50, 37)])
+def test_gh_ricci_max_is_bitwise_the_full_array_formula(shape):
+    axes = [np.linspace(0, 1, shape[0]), np.linspace(0, 0.8, shape[1])]
+    y1, y2 = np.meshgrid(*axes, indexing="ij")
+    gh = gh_metric(2.0 + y1 + 0.3 * (y1 ** 2 - y2 ** 2), axes)
+    spacings = [float(ax[1] - ax[0]) for ax in axes]
+    ric = _ricci_full_arrays(gh.components(), spacings)
+    assert gh.ricci_max == float(np.max(np.abs(ric[interior(shape, EDGE + 1)])))
+    assert np.array_equal(gh.components(3, 9), gh.components()[3:9])
+
+
+def _traced_peak(fn, *args):
+    fn(*args)  # warm the stencil and quadrature caches
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_curvature_oracles_hold_no_grid_sized_tensor():
+    # at 257^2 a whole-grid (*grid, 4, 4) metric and Ricci tensor alone come
+    # to 2 N d^2 doubles; the slab walk stays under 1.5 N d^2
+    n, d = 257, 4
+    bound = 1.5 * n * n * d ** 2 * 8
+    sf = build_semiflat(_quartic_potential(n))
+    kahler = ricci_form(sf)
+    assert _traced_peak(ricci_agreement, sf, kahler) < bound
+    axes = [np.linspace(0, 1, n)] * 2
+    y1, y2 = np.meshgrid(*axes, indexing="ij")
+    v = 2.0 + y1 + 0.3 * (y1 ** 2 - y2 ** 2)
+    assert _traced_peak(gh_metric, v, axes) < bound
 
 
 def test_ricci_from_metric_memory_is_output_plus_slabs():
