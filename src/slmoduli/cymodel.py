@@ -6,7 +6,7 @@ validator checks the defining algebraic conditions numerically: symplectic
 non-degeneracy, decomposability of the complex form, the annihilation
 identities against omega, proportionality of the top wedge to omega^n, and
 positivity of the induced hermitian form.  Closedness holds identically for
-constant forms and is recorded as such.
+constant forms, so no check is taken for it.
 """
 
 import json
@@ -223,7 +223,7 @@ class AxiomReport:
 
 
 def validate_axioms(model, tol=1e-10):
-    """Check the five structural conditions plus positivity, one report each.
+    """Check the four structural conditions plus positivity, one report each.
 
     The top-wedge proportionality is reported as a single complex constant
     kappa (phase compared against i^{n^2} up to sign) rather than asserted
@@ -266,9 +266,6 @@ def validate_axioms(model, tol=1e-10):
     # proportionality of Omega^c ^ conj(Omega^c) to omega^n
     kappa_check = _proportionality_check(model, omega_c, top, tol)
     checks.append(kappa_check)
-
-    # closedness: identically true for constant coefficients
-    checks.append(AxiomCheck("closed", True, 0.0, {"by_construction": True}))
 
     # positivity of the induced hermitian form
     checks.append(_positivity_check(model, omega_c, tol))

@@ -19,8 +19,10 @@ columns at once by ``quintic_coefficients``, evaluated by
 ``quintic_resample`` (in blocks of ``RESAMPLE_COLUMNS`` columns when each
 column has its own nodes, so its work arrays do not grow with the number of
 columns) and taken as a tensor product over a box grid by
-``TensorQuintic``; and ``cumulative_quadrature`` (a sixth-order running
-integral on a uniform grid).
+``TensorQuintic`` (evaluated in blocks of ``POINT_BLOCK`` points, so its
+work arrays do not grow with the number of points); and
+``cumulative_quadrature`` (a sixth-order running integral on a uniform
+grid).
 """
 
 from functools import lru_cache
@@ -31,6 +33,7 @@ from .errors import GridMismatchError
 
 ORDER = 4  # accuracy order of every stencil
 RESAMPLE_COLUMNS = 32  # columns per block of quintic_resample with per-column nodes
+POINT_BLOCK = 2048  # points per block of TensorQuintic evaluation
 # nodes per side whose stencils are one-sided; a residual that nests
 # derivative passes is trusted one node further in (EDGE + 1)
 EDGE = ORDER // 2
@@ -409,7 +412,10 @@ class TensorQuintic:
     spline of FITPACK's ``RectBivariateSpline(x, y, z, kx=5, ky=5, s=0)``,
     which has the same knots.  The coefficients are solved one axis at a
     time; evaluation at scattered points gives values, gradients and
-    Hessians.
+    Hessians.  The points are evaluated in blocks of ``POINT_BLOCK``, so
+    the B-spline values, coefficient patches and contraction temporaries
+    are held for one block at a time.  Every step treats the points
+    independently, so a point's numbers do not depend on its block.
     """
 
     def __init__(self, axes, values):
@@ -442,27 +448,45 @@ class TensorQuintic:
         return bases, self.coef[tuple(index)]
 
     @staticmethod
-    def _contract(patch, bases, orders):
+    def _contract(partial, bases, orders):
+        """The patch contracted with derivative ``orders[a]`` of axis a's B-splines.
+
+        ``partial`` maps the orders of the trailing axes to the patch
+        contracted over those axes, () to the patch itself; it is filled in
+        on the way, so orders that share their trailing axes contract them
+        once.
+        """
         for a in reversed(range(len(bases))):
-            patch = np.einsum("p...k,pk->p...", patch, bases[a][orders[a]])
-        return patch
+            if orders[a:] not in partial:
+                partial[orders[a:]] = np.einsum("p...k,pk->p...", partial[orders[a + 1:]],
+                                                bases[a][orders[a]])
+        return partial[orders]
 
     def __call__(self, points):
         """Values at ``points`` (p, m)."""
-        bases, patch = self._bases(points, 0)
-        return self._contract(patch, bases, (0,) * len(bases))
+        points = np.asarray(points, dtype=float)
+        value = np.empty(len(points))
+        for lo in range(0, len(points), POINT_BLOCK):
+            bases, patch = self._bases(points[lo:lo + POINT_BLOCK], 0)
+            value[lo:lo + POINT_BLOCK] = self._contract({(): patch}, bases, (0,) * len(bases))
+        return value
 
     def jet(self, points):
         """Values (p,), gradients (p, m) and Hessians (p, m, m) at ``points`` (p, m)."""
-        bases, patch = self._bases(points, 2)
-        m = len(bases)
+        points = np.asarray(points, dtype=float)
+        p, m = points.shape
         unit = np.eye(m, dtype=int)
-        value = self._contract(patch, bases, (0,) * m)
-        grad = np.stack([self._contract(patch, bases, unit[a]) for a in range(m)], axis=-1)
-        hess = np.empty((len(value), m, m))
-        for a in range(m):
-            for b in range(a, m):
-                hess[:, a, b] = hess[:, b, a] = self._contract(patch, bases, unit[a] + unit[b])
+        value, grad, hess = np.empty(p), np.empty((p, m)), np.empty((p, m, m))
+        for lo in range(0, p, POINT_BLOCK):
+            block = slice(lo, lo + POINT_BLOCK)
+            bases, patch = self._bases(points[block], 2)
+            partial = {(): patch}
+            value[block] = self._contract(partial, bases, (0,) * m)
+            for a in range(m):
+                grad[block, a] = self._contract(partial, bases, tuple(unit[a]))
+                for b in range(a, m):
+                    hess[block, a, b] = hess[block, b, a] = self._contract(
+                        partial, bases, tuple(unit[a] + unit[b]))
         return value, grad, hess
 
 

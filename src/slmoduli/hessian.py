@@ -366,9 +366,10 @@ def spsolve(A, b, precond, rtol):
     ``precond`` a callable applying an approximate inverse of it.  GMRES
     (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) builds each Krylov
     basis by modified Gram-Schmidt and reduces the Hessenberg matrix by
-    Givens rotations.  With right preconditioning its least-squares residual
-    is, in exact arithmetic, the true one, so a cycle ends once that reaches
-    rtol ||b||_2; the true residual is then recomputed.  Returns x with
+    Givens rotations; it holds only the basis vectors it has built, not
+    room for a whole cycle.  With right preconditioning its least-squares
+    residual is, in exact arithmetic, the true one, so a cycle ends once that
+    reaches rtol ||b||_2; the true residual is then recomputed.  Returns x with
     ||b - A x||_2 <= rtol ||b||_2, or raises ``ConvergenceError`` after
     ``_GMRES_CYCLES`` cycles of ``_GMRES_RESTART`` iterations.
 
@@ -383,12 +384,11 @@ def spsolve(A, b, precond, rtol):
     for _ in range(_GMRES_CYCLES):
         if rnorm <= target:
             return x
-        basis = np.empty((_GMRES_RESTART + 1, len(b)))
+        basis = [r / rnorm]  # the Krylov vectors built so far
         upper = np.zeros((_GMRES_RESTART + 1, _GMRES_RESTART))  # Hessenberg, then R
         cos, sin = np.zeros(_GMRES_RESTART), np.zeros(_GMRES_RESTART)
         g = np.zeros(_GMRES_RESTART + 1)
         g[0] = rnorm
-        basis[0] = r / rnorm
         for k in range(_GMRES_RESTART):
             w = A @ precond(basis[k])
             for i in range(k + 1):
@@ -396,7 +396,7 @@ def spsolve(A, b, precond, rtol):
                 w -= upper[i, k] * basis[i]
             below = np.linalg.norm(w)
             if below > 0.0:
-                basis[k + 1] = w / below
+                basis.append(w / below)
             for i in range(k):
                 upper[i, k], upper[i + 1, k] = (cos[i] * upper[i, k] + sin[i] * upper[i + 1, k],
                                                 cos[i] * upper[i + 1, k] - sin[i] * upper[i, k])
@@ -407,7 +407,12 @@ def spsolve(A, b, precond, rtol):
             if abs(g[k + 1]) <= target or below == 0.0:
                 break
         y = np.linalg.solve(np.triu(upper[:k + 1, :k + 1]), g[:k + 1])
-        x = x + precond(y @ basis[:k + 1])
+        # y @ basis[:k + 1], one vector at a time so no second copy of the
+        # basis is stacked
+        update = y[0] * basis[0]
+        for i in range(1, k + 1):
+            update += y[i] * basis[i]
+        x = x + precond(update)
         r = b - A @ x
         rnorm = np.linalg.norm(r)
     if rnorm <= target:
@@ -415,6 +420,18 @@ def spsolve(A, b, precond, rtol):
     raise ConvergenceError(
         f"GMRES did not reach rtol {rtol:.1e} (residual {rnorm / np.linalg.norm(b):.1e})"
     )
+
+
+def _median(values):
+    """``np.median`` of finite values, bitwise, without importing ``numpy.ma``.
+
+    The same partition and mean as ``np.median``: the middle element, or
+    the mean of the two middle elements of an even count.
+    """
+    values = np.ravel(values)
+    mid = len(values) // 2
+    part = np.partition(values, (mid - 1, mid))
+    return np.mean(part[mid - 1 + len(values) % 2:mid + 1])
 
 
 def _clamped_cofactors(hess):
@@ -530,7 +547,7 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50, damping=1.0
             dxx, dyy, dxy = second_derivatives(x)
             return (k11 * dxx + k22 * dyy - 2.0 * k12 * dxy).ravel()
 
-        precond = _separable_inverse(sines, np.median(k11), np.median(k22))
+        precond = _separable_inverse(sines, _median(k11), _median(k22))
         eta = 1e-3 * min(1e-4, history[-1])
         try:
             step = spsolve(_Operator((unknowns, unknowns), jacobian),

@@ -126,19 +126,20 @@ def _oracle_interior(metric, shape, spacings, width):
     which the nested passes of the curvature read, and ``ricci_from_metric``
     on the slab.  Yields (index, ric) for each slab with interior nodes:
     ``index`` selects those nodes of a grid field, ``ric`` is the tensor on
-    them.  Every slab is computed, those wholly inside the boundary layer
-    too.
+    them.  A slab wholly inside the boundary layer is skipped before its
+    metric is built; the slabs start at the same rows whatever the width.
     """
     core = interior(shape, width)
     n = shape[0]
     for start in range(0, n, SLAB_ROWS):
         stop = min(start + SLAB_ROWS, n)
+        rows = slice(max(start, width), min(stop, n - width))
+        if rows.start >= rows.stop:
+            continue
         lo, hi = stencil_reach(n, 1, *stencil_reach(n, 1, start, stop))
         ric = ricci_from_metric(metric(lo, hi), spacings, (start, stop), n, lo)
-        rows = slice(max(start, width), min(stop, n - width))
-        if rows.start < rows.stop:
-            yield ((rows,) + core[1:],
-                   ric[(slice(rows.start - start, rows.stop - start),) + core[1:]])
+        yield ((rows,) + core[1:],
+               ric[(slice(rows.start - start, rows.stop - start),) + core[1:]])
 
 
 def ricci_from_metric(components, spacings, nodes=None, n=None, first=0):

@@ -338,13 +338,19 @@ _IMPORT_PROBE = textwrap.dedent("""
 """)
 
 
-def test_no_command_loads_scipy(tmp_path):
+def _run_probe(code, tmp_path):
+    """Run ``code`` in a fresh interpreter on this checkout's package."""
     src = str(Path(slmoduli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_no_command_loads_scipy(tmp_path):
+    proc = _run_probe(_IMPORT_PROBE, tmp_path)
     stages = {}
     for line in proc.stdout.splitlines():
         stage, code, loaded = line.split()
@@ -355,3 +361,21 @@ def test_no_command_loads_scipy(tmp_path):
         assert code in (0, 1), stage
         assert not loaded, f"scipy was loaded by {stage}"
     assert stages["ma-solve"][0] == stages["legendre"][0] == 0
+
+
+def test_ma_solve_does_not_load_numpy_ma(tmp_path):
+    # np.median imports numpy.ma, a megabyte or two of resident memory; the
+    # solver takes its median cofactors without it
+    probe = textwrap.dedent("""
+        import sys
+        from pathlib import Path
+
+        import slmoduli.cli
+
+        tmp = Path(sys.argv[1])
+        (tmp / "ma.json").write_text('{"n": 17, "boundary": "cosh(u1) + cosh(u2)"}')
+        code = slmoduli.cli.main(["ma-solve", "--config", str(tmp / "ma.json"),
+                                  "--out", str(tmp / "ma")])
+        print(code, "numpy.ma" in sys.modules)
+    """)
+    assert _run_probe(probe, tmp_path).stdout.split() == ["0", "False"]

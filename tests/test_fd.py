@@ -151,6 +151,25 @@ def test_tensor_quintic_matches_scipy(shape):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), nu
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("k", [1, 2])
+def test_tensor_quintic_point_blocks_keep_the_bits(monkeypatch, m, k):
+    rng = np.random.default_rng(10 * m + k)
+    axes = [np.linspace(-1.0, 1.0, 17), np.linspace(0.5, 2.0, 13)][:m]
+    spline = TensorQuintic(axes, rng.normal(size=[len(ax) for ax in axes]))
+    lo = np.array([ax[0] for ax in axes])
+    hi = np.array([ax[-1] for ax in axes])
+    for p in (k * fd.POINT_BLOCK - 1, k * fd.POINT_BLOCK, k * fd.POINT_BLOCK + 1):
+        pts = rng.uniform(lo, hi, (p, m))
+        blocked = (spline(pts), *spline.jet(pts))
+        with monkeypatch.context() as patch:
+            patch.setattr(fd, "POINT_BLOCK", p)
+            whole = (spline(pts), *spline.jet(pts))
+        for got, want in zip(blocked, whole):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [6, 7, 33])
 def test_cumulative_quadrature_exact_to_degree_five(n):
     h = 0.3

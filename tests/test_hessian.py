@@ -307,6 +307,16 @@ def test_partial_legendre_detects_non_ma():
     assert 0.3 < result["laplace_residual"] < 0.6
 
 
+def _traced_peak(fn, *args):
+    fn(*args)  # warm the stencil and difference-matrix caches
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_partial_legendre_resamples_in_column_blocks():
     # with all 257 columns in one block the reduction peaks near 21 MB; in
     # column blocks it stays within a dozen grid-sized arrays
@@ -315,14 +325,23 @@ def test_partial_legendre_resamples_in_column_blocks():
     pot = HessianPotential.from_function(
         axes, lambda a, b: a ** 2 / (2 * b) + b ** 3 / 6, c=1.0
     )
-    partial_legendre_2d(pot)  # warm the stencil cache
-    tracemalloc.start()
-    try:
-        partial_legendre_2d(pot)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 12 * n * n * 8
+    assert _traced_peak(partial_legendre_2d, pot) < 12 * n * n * 8
+
+
+def test_chart_jobs_hold_no_per_point_spline_work_or_unbuilt_krylov_vectors():
+    # evaluated on all points at once, the tensor quintic holds about 80
+    # doubles per point (the polish peaks near 105 N doubles at 129^2, the
+    # Fenchel residual near 68); a GMRES basis with room for a whole cycle
+    # holds 41 N doubles (the solver peaked near 95 N)
+    n = 129
+    axes = [np.linspace(-1, 1, n)] * 2
+    pot = HessianPotential.from_function(axes, lambda a, b: (a ** 2 + b ** 2) / 2
+                                         + 0.1 * np.cosh(a))
+    dual = legendre_transform(pot).dual
+    assert _traced_peak(legendre_transform, pot) < 64 * n * n * 8
+    assert _traced_peak(fenchel_residual, pot, dual) < 36 * n * n * 8
+    assert _traced_peak(solve_ma_dirichlet, axes,
+                        lambda a, b: np.cosh(a) + np.cosh(b)) < 64 * n * n * 8
 
 
 def test_partial_legendre_rejects_slopes_that_fall():
@@ -514,6 +533,19 @@ def test_solver_gmres_iterations_are_bounded(monkeypatch, n, data):
     # iterations plus one true residual per cycle
     assert max(applications) <= 45
     assert applications[0] <= 20  # the Poisson start
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_median_is_bitwise_np_median(parity, data):
+    size = 2 * data.draw(st.integers(0, 40)) + parity or 2
+    values = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                         min_size=size, max_size=size)))
+    got = hessian._median(values)
+    assert type(got) is np.float64
+    assert got.tobytes() == np.median(values).tobytes()
+    assert hessian._median(values.reshape(1, -1)).tobytes() == got.tobytes()
 
 
 def test_potential_csv_roundtrip(tmp_path):

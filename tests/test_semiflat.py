@@ -289,6 +289,26 @@ def test_ricci_agreement_is_bitwise_the_full_array_formula(name):
     assert ricci_agreement(sf, kahler) == _agreement_full_arrays(sf, kahler)
 
 
+def test_oracle_walk_builds_no_metric_for_boundary_layer_slabs():
+    # at 129^2 the agreement width 129 // 8 = 16 leaves the slabs [0, 16) and
+    # [128, 129) without interior rows; the other slabs keep their starts
+    n = 129
+    sf = build_semiflat(_quartic_potential(n))
+    built = []
+
+    def metric(lo, hi):
+        built.append((lo, hi))
+        return sf.full_metric(lo, hi)
+
+    width = n // 8
+    slabs = list(semiflat._oracle_interior(metric, (n, n), sf.potential.spacings, width))
+    starts = range(SLAB_ROWS, n - width, SLAB_ROWS)
+    assert built == [stencil_reach(n, 1, *stencil_reach(n, 1, s, min(s + SLAB_ROWS, n)))
+                     for s in starts]
+    rows = [r for index, _ in slabs for r in range(index[0].start, index[0].stop)]
+    assert rows == list(range(width, n - width))
+
+
 @pytest.mark.parametrize("shape", [(65, 65), (50, 37)])
 def test_gh_ricci_max_is_bitwise_the_full_array_formula(shape):
     axes = [np.linspace(0, 1, shape[0]), np.linspace(0, 0.8, shape[1])]
