@@ -64,6 +64,7 @@ from .semiflat import (
     nijenhuis_residual,
     ricci_agreement,
     ricci_form,
+    ricci_form_max,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -210,19 +210,35 @@ def apply_diff(values, axis, spacing, deriv, nodes=None, n=None, first=0):
     return out
 
 
-def hessian_field(values, spacings):
+def hessian_field(values, spacings, nodes=None, n=None, first=0):
     """Discrete Hessian of a scalar grid function, shape (*grid, m, m).
 
     Diagonal entries use second-derivative stencils; the mixed entries are
-    compositions of first-derivative stencils.
+    compositions of first-derivative stencils.  As in ``apply_diff``,
+    ``values`` holds nodes first ... first + values.shape[0] - 1 of grid axis
+    0, an axis of ``n`` nodes (default: all of them, first = 0), and the
+    result is the Hessian on the axis-0 nodes ``nodes`` = (start, stop)
+    (default (0, n)), bitwise the same rows of the full-grid Hessian.  The held
+    nodes must cover ``stencil_reach(n, 2, start, stop)``, which holds the
+    first-derivative reach.
     """
     values = np.asarray(values, dtype=float)
     m = values.ndim
-    hess = np.empty(values.shape + (m, m))
+    n = values.shape[0] if n is None else n
+    start, stop = (0, n) if nodes is None else nodes
+    rows = values[start - first:stop - first]
+
+    def diff(axis, deriv):
+        if axis == 0:
+            return apply_diff(values, 0, spacings[0], deriv, nodes=(start, stop), n=n,
+                              first=first)
+        return apply_diff(rows, axis, spacings[axis], deriv)
+
+    hess = np.empty(rows.shape + (m, m))
     for a in range(m):
-        hess[..., a, a] = apply_diff(values, a, spacings[a], 2)
+        hess[..., a, a] = diff(a, 2)
         for b in range(a + 1, m):
-            mixed = apply_diff(apply_diff(values, a, spacings[a], 1), b, spacings[b], 1)
+            mixed = apply_diff(diff(a, 1), b, spacings[b], 1)
             hess[..., a, b] = mixed
             hess[..., b, a] = mixed
     return hess

@@ -96,9 +96,16 @@ def pullback_coeffs(a, matrix, k):
     src_tuples = index_tuples(d_src, k)
     tgt_tuples = index_tuples(d_tgt, k)
     out = np.zeros(a.shape[:-1] + (len(tgt_tuples),), dtype=np.result_type(a, matrix))
-    for jj, tj in enumerate(tgt_tuples):
-        for ii, ti in enumerate(src_tuples):
-            minor = np.linalg.det(matrix[np.ix_(ti, tj)]) if k else 1.0
+    if k:
+        # every (target, source) minor in one stacked det call
+        rows = np.array(src_tuples, dtype=np.intp).reshape(len(src_tuples), k)
+        cols = np.array(tgt_tuples, dtype=np.intp).reshape(len(tgt_tuples), k)
+        minors = np.linalg.det(matrix[rows[None, :, :, None], cols[:, None, None, :]])
+    else:
+        minors = np.ones((1, 1))
+    for jj in range(len(tgt_tuples)):
+        for ii in range(len(src_tuples)):
+            minor = minors[jj, ii]
             if minor != 0.0:
                 out[..., jj] += minor * a[..., ii]
     return out

@@ -24,7 +24,7 @@ from .fd import (EDGE, apply_diff, cumulative_quadrature, hessian_field, interio
                  stencil_reach)
 from .hessian import HessianPotential, hessian_metric
 
-SLAB_ROWS = 16  # nodes of grid axis 0 per slab of ricci_from_metric
+SLAB_ROWS = 8  # nodes of grid axis 0 per slab of the curvature walks
 
 
 @dataclass
@@ -74,47 +74,86 @@ def build_semiflat(pot):
 
 
 def holomorphic_norm_field(sf):
-    """Pointwise squared-norm ratio of the holomorphic m-form, up to a constant.
+    """Variation of the pointwise squared-norm ratio of the holomorphic m-form.
 
-    Equals 1/det(Hess phi) up to a fixed dimensional factor; constancy is
-    equivalent to the Monge-Ampere condition.
+    The ratio equals 1/det(Hess phi) up to a fixed dimensional factor; its
+    constancy is equivalent to the Monge-Ampere condition.  Returns
+    {"variation": max/min - 1 of the ratio on ``interior(shape, EDGE)``}.
     """
     norm = 1.0 / sf.metric_det
     core = norm[interior(norm.shape, EDGE)]
-    variation = float(np.max(core) / np.min(core) - 1.0)
-    return {"field": norm, "variation": variation}
+    return {"variation": float(np.max(core) / np.min(core) - 1.0)}
 
 
-def ricci_form(sf):
-    """R_jk = -1/2 d^2/du_j du_k log det(Hess phi) (Kahler log-det identity)."""
-    return -0.5 * hessian_field(np.log(sf.metric_det), sf.potential.spacings)
+def ricci_form(sf, lo=0, hi=None):
+    """R_jk = -1/2 d^2/du_j du_k log det(Hess phi) (Kahler log-det identity) on
+    nodes [lo, hi) of u-grid axis 0 (default: the whole grid).
+
+    log det is taken on the nodes the stencils of those rows read, and the
+    Hessian is the window form of ``fd.hessian_field``, so the rows are
+    bitwise those of the full field.
+    """
+    det = sf.metric_det
+    n = det.shape[0]
+    hi = n if hi is None else hi
+    first, last = stencil_reach(n, 2, lo, hi)
+    return -0.5 * hessian_field(np.log(det[first:last]), sf.potential.spacings, (lo, hi),
+                                n, first)
 
 
-def ricci_agreement(sf, kahler):
-    """max interior deviation between the log-det Ricci ``kahler`` and the oracle.
+def ricci_form_max(sf):
+    """max |R_jk| of ``ricci_form`` on ``interior(shape, EDGE + 1)``.
 
-    ``kahler`` is ``ricci_form(sf)``, which the caller already holds.  Also
-    checks that the oracle's x-x block repeats its u-u block.  The mixed u-x
-    block is not read: it is exactly 0.0, because g_ux is an exact zero,
+    Taken slab by slab, on the rows of each slab of ``SLAB_ROWS`` nodes of
+    grid axis 0, so no grid-sized (*, m, m) tensor is formed; a max is exact,
+    so the value is bitwise that of the full field.
+    """
+    shape = sf.metric_det.shape
+    others = (slice(None),) + interior(shape, EDGE + 1)[1:]
+    return float(max(np.max(np.abs(ricci_form(sf, rows.start, rows.stop)[others]))
+                     for _, rows in _slabs(shape[0], EDGE + 1)))
+
+
+def ricci_agreement(sf):
+    """max interior deviation between the log-det Ricci form and the oracle.
+
+    Also checks that the oracle's x-x block repeats its u-u block.  The mixed
+    u-x block is not read: it is exactly 0.0, because g_ux is an exact zero,
     ``np.linalg.inv`` keeps the zero blocks of blockdiag(H, H), and every
     mixed term of the contraction has a zero factor.  The boundary layer it
     drops, max(EDGE + 1, n // 8) nodes for the smallest axis of n nodes, grows
     with the grid because the oracle stacks three one-sided derivative passes
     near the boundary.
 
-    The oracle runs slab by slab (``_oracle_interior``): no grid-sized
-    metric or Ricci tensor is formed, and the two maxima are taken per slab.
-    A max is exact, so the value is bitwise that of the full-array formula.
+    The oracle runs slab by slab (``_oracle_interior``) and ``ricci_form``
+    on each slab's rows: no grid-sized metric or Ricci tensor is formed, and
+    the two maxima are taken per slab.  A max is exact, so the value is
+    bitwise that of the full-array formula.
     """
     m = sf.m
-    shape = sf.potential.values.shape
+    shape = sf.metric_det.shape
     devs, blocks = [], []
     for index, oracle in _oracle_interior(sf.full_metric, shape, sf.potential.spacings,
                                           max(EDGE + 1, min(shape) // 8)):
+        rows = index[0]
+        kahler = ricci_form(sf, rows.start, rows.stop)[(slice(None),) + index[1:]]
         uu = oracle[..., :m, :m]
-        devs.append(np.max(np.abs(uu - kahler[index])))
+        devs.append(np.max(np.abs(uu - kahler)))
         blocks.append(np.max(np.abs(oracle[..., m:, m:] - uu)))
     return float(max(np.max(devs), np.max(blocks)))
+
+
+def _slabs(n, width):
+    """The slabs of ``SLAB_ROWS`` nodes of an n-node grid axis 0 that hold
+    nodes of ``interior`` at ``width``: (start, stop) of each slab and the
+    slice of its interior rows.  The slabs start at the same rows whatever
+    the width; a slab wholly inside the boundary layer is left out.
+    """
+    for start in range(0, n, SLAB_ROWS):
+        stop = min(start + SLAB_ROWS, n)
+        rows = slice(max(start, width), min(stop, n - width))
+        if rows.start < rows.stop:
+            yield (start, stop), rows
 
 
 def _oracle_interior(metric, shape, spacings, width):
@@ -131,11 +170,7 @@ def _oracle_interior(metric, shape, spacings, width):
     """
     core = interior(shape, width)
     n = shape[0]
-    for start in range(0, n, SLAB_ROWS):
-        stop = min(start + SLAB_ROWS, n)
-        rows = slice(max(start, width), min(stop, n - width))
-        if rows.start >= rows.stop:
-            continue
+    for (start, stop), rows in _slabs(n, width):
         lo, hi = stencil_reach(n, 1, *stencil_reach(n, 1, start, stop))
         ric = ricci_from_metric(metric(lo, hi), spacings, (start, stop), n, lo)
         yield ((rows,) + core[1:],
@@ -172,7 +207,9 @@ def ricci_from_metric(components, spacings, nodes=None, n=None, first=0):
     metric derivatives, g^{-1} and Gamma are formed on the slab and the reach
     of its first-derivative stencils along axis 0 (two nodes per side inside
     the grid), and R on the slab alone.  Beyond the input and the result, the
-    tracemalloc peak is about three (SLAB_ROWS + 4)-row (*, d, d, d) arrays.
+    tracemalloc peak is about 1.13 times one (SLAB_ROWS + 4)-row (*, d, d, d)
+    Gamma array plus two (*, d, d, p) arrays, the metric derivatives and
+    g^{ae} d_b g_{ec} on the p grid slots (measured at d = 4, p = 2).
     ``fd.apply_diff`` gives each node the same arithmetic on a slab as on the
     full grid, so the result is bitwise the matching rows of the full-array
     assembly kept in tests/test_semiflat.py, whatever window holds the input.
@@ -203,6 +240,9 @@ def _ricci_slab(components, spacings, n, first, start, stop, out):
     gamma = _christoffel(components, spacings, n, first, lo, hi)
     diagonal = np.einsum("...aab->...ab", gamma)  # Gamma^a_{ab}, not summed over a
     diagonal_grad = [grad(diagonal, axis) for axis in range(p)]
+    gamma_slab = gamma[slab]
+    # [..., e, d * d + b] = Gamma^e_{db}
+    gamma_rows = gamma_slab.reshape(gamma_slab.shape[:-3] + (d, d * d))
     for a in range(d):
         term = np.zeros(out.shape)  # R^a_{bad}, indexed [b, d]
         for axis in range(p):
@@ -210,30 +250,36 @@ def _ricci_slab(components, spacings, n, first, start, stop, out):
         if a < p:
             d_gamma = grad(gamma[..., a, :, :], a)  # d_a Gamma^a_{db}
             np.add(d_gamma.swapaxes(-1, -2), term, out=term)
-        term += np.einsum("...e,...edb->...bd", diagonal[slab, ..., a, :], gamma[slab])
-        term -= np.einsum("...de,...eb->...bd", gamma[slab, ..., a, :, :],
-                          gamma[slab, ..., :, a, :])
+        # Gamma^a_{ae} Gamma^e_{db} and Gamma^a_{de} Gamma^e_{ab} as batched matmul
+        term += (diagonal[slab, ..., a, None, :] @ gamma_rows).reshape(out.shape).swapaxes(-1, -2)
+        term -= (gamma_slab[..., a, :, :] @ gamma_slab[..., :, a, :]).swapaxes(-1, -2)
         out += term
 
 
 def _christoffel(components, spacings, n, first, lo, hi):
     """Gamma^a_{bc} = 1/2 g^{ae} (d_b g_{ec} + d_c g_{eb} - d_e g_{bc}) on nodes
-    [lo, hi) of grid axis 0, with d_e = 0 along the Killing directions;
-    ``components`` holds axis nodes first, first + 1, ... of n."""
+    [lo, hi) of grid axis 0; ``components`` holds axis nodes first, first + 1,
+    ... of n.
+
+    d_e = 0 along the Killing directions, so the metric derivatives are held
+    and contracted on the p grid slots only: g^{ae} d_b g_{ec} for b < p and
+    g^{ae} d_e g_{bc} summed over e < p.  Gamma is built in place from the
+    negated second, with the first added into its [b < p] and [c < p] slices.
+    """
     p = components.ndim - 2
-    d = components.shape[-1]
     held = components[lo - first:hi - first]
-    dg = np.zeros(held.shape + (d,))  # dg[..., i, j, k] = d_k g_ij
+    dg = np.empty(held.shape + (p,))  # dg[..., i, j, k] = d_k g_ij
     dg[..., 0] = apply_diff(components, 0, spacings[0], 1, nodes=(lo, hi), n=n, first=first)
     for axis in range(1, p):
         dg[..., axis] = apply_diff(held, axis, spacings[axis], 1)
     ginv = np.linalg.inv(held)
-    raised = np.einsum("...ae,...ecb->...abc", ginv, dg)  # g^{ae} d_b g_{ec}
-    metric_grad = np.einsum("...ae,...bce->...abc", ginv, dg)  # g^{ae} d_e g_{bc}
+    raised = np.einsum("...ae,...ecb->...abc", ginv, dg)  # g^{ae} d_b g_{ec}, b < p
+    gamma = np.einsum("...ae,...bce->...abc", ginv[..., :p], dg)  # g^{ae} d_e g_{bc}
     del dg, ginv
-    gamma = raised + np.swapaxes(raised, -1, -2)
+    np.negative(gamma, out=gamma)
+    gamma[..., :p, :] += raised
+    gamma[..., :, :p] += raised.swapaxes(-1, -2)
     del raised
-    gamma -= metric_grad
     gamma *= 0.5
     return gamma
 

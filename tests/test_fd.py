@@ -79,6 +79,19 @@ def test_apply_diff_on_a_window_is_bitwise_the_full_axis(data, n, axis, deriv):
                    deriv, nodes=(start, stop), n=n, first=first + 1)
 
 
+@pytest.mark.parametrize("shape", [(17,), (17, 9), (12, 7, 8)])
+def test_hessian_field_on_a_window_is_bitwise_the_full_rows(shape):
+    values = np.random.default_rng(len(shape)).normal(size=shape)
+    spacings = [0.1, 0.2, 0.3][:len(shape)]
+    n = shape[0]
+    full = fd.hessian_field(values, spacings)
+    for start, stop in [(0, 2), (n - 3, n), (5, 8), (0, n)]:
+        lo, hi = stencil_reach(n, 2, start, stop)
+        got = fd.hessian_field(values[lo:hi], spacings, (start, stop), n, lo)
+        assert got.shape == full[start:stop].shape
+        assert got.tobytes() == full[start:stop].tobytes()
+
+
 @pytest.mark.parametrize("n", [9, 33, 257])
 def test_quintic_resample_matches_scipy_not_a_knot(n):
     rng = np.random.default_rng(n)
