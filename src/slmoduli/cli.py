@@ -302,8 +302,10 @@ def run_ma_solve(config, tol, out, oracle):
                    "damping": float(solver.get("damping", 1.0))}
     expr = config.get("boundary", "(u1**2 + u2**2) / 2")
     mesh = np.meshgrid(*axes, indexing="ij")
-    boundary = _eval_expression(expr, u1=mesh[0], u2=mesh[1])
-    pot = solve_ma_dirichlet(axes, np.broadcast_to(boundary, mesh[0].shape).copy(), **options)
+    boundary = np.broadcast_to(_eval_expression(expr, u1=mesh[0], u2=mesh[1]),
+                               mesh[0].shape).copy()
+    del mesh  # only the boundary data is held while the solver runs
+    pot = solve_ma_dirichlet(axes, boundary, **options)
     save_potential(pot, Path(out) / "solution.csv")
     residual = ma_residual(pot, pot.c)[interior(pot.values.shape, EDGE)]
     checks = {"prop3": _check(np.max(np.abs(residual)), max(tol, 1e-6))}

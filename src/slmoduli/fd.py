@@ -18,9 +18,10 @@ in for scipy's splines: the not-a-knot quintic interpolant (the spline
 columns at once by ``quintic_coefficients``, evaluated by
 ``quintic_resample`` (in blocks of ``RESAMPLE_COLUMNS`` columns when each
 column has its own nodes, so its work arrays do not grow with the number of
-columns) and taken as a tensor product over a box grid by
+columns) and taken as a tensor product over a uniform box grid by
 ``TensorQuintic`` (evaluated in blocks of ``POINT_BLOCK`` points, so its
-work arrays do not grow with the number of points); and
+work arrays do not grow with the number of points, and in closed form on
+the spans away from the not-a-knot ends); and
 ``cumulative_quadrature`` (a sixth-order running integral on a uniform
 grid).
 """
@@ -324,6 +325,44 @@ def _quintic_basis(knots, spans, x, derivs=0):
     return ders
 
 
+# _HORNER[5 - j, k, r] t^j, summed over j, is the k-th t-derivative of the
+# r-th of the six quintic B-splines nonzero on a span of uniform knots, at
+# the offset t in [0, 1] from its left knot in units of the knot spacing: the
+# cardinal basis matrix of the uniform quintic (Qin, "General matrix
+# representations for B-splines", Visual Computer 16, 2000) and its
+# derivatives, highest power first and zero above each derivative's degree.
+_HORNER = np.zeros((6, 3, 6))
+_HORNER[:, 0] = np.array([[1, 26, 66, 26, 1, 0], [-5, -50, 0, 50, 5, 0],
+                          [10, 20, -60, 20, 10, 0], [-10, 20, 0, -20, 10, 0],
+                          [5, -20, 30, -20, 5, 0], [-1, 5, -10, 10, -5, 1]])[::-1] / 120.0
+for _k in (1, 2):
+    _HORNER[1:, _k] = _HORNER[:-1, _k - 1] * np.arange(5.0, 0.0, -1.0)[:, None]
+_HORNER.flags.writeable = False
+del _k
+
+
+def _uniform_quintic_basis(t, spacing, derivs=0):
+    """``_quintic_basis`` on spans whose twelve surrounding knots are uniform.
+
+    ``t`` (p,) is each point's offset from its span's left knot over the knot
+    spacing.  Returns (derivs + 1, p, 6): the t-powers times ``_HORNER``,
+    over spacing^k for derivative k, by Horner's rule from the derivative's
+    highest power, elementwise along the points, so a point's numbers depend
+    on its t alone.
+    """
+    ders = np.empty((derivs + 1, len(t), 6))
+    acc = np.empty((6, len(t)))
+    for k in range(derivs + 1):
+        rows = _HORNER[:, k, :, None]
+        np.multiply(rows[k], t, out=acc)
+        acc += rows[k + 1]
+        for row in rows[k + 2:]:
+            acc *= t
+            acc += row
+        np.divide(acc.T, spacing ** k, out=ders[k])
+    return ders
+
+
 def quintic_coefficients(x, y):
     """Knots and B-spline coefficients of the not-a-knot quintic of every column.
 
@@ -421,47 +460,64 @@ def _resample_block(x, y, x_new):
 
 
 class TensorQuintic:
-    """Tensor-product not-a-knot quintic interpolant on a box grid.
+    """Tensor-product not-a-knot quintic interpolant on a uniform box grid.
 
     Along each axis it is the spline of ``quintic_coefficients``, so in one
     variable it is ``make_interp_spline(x, y, k=5)`` and in two it is the
     spline of FITPACK's ``RectBivariateSpline(x, y, z, kx=5, ky=5, s=0)``,
     which has the same knots.  The coefficients are solved one axis at a
     time; evaluation at scattered points gives values, gradients and
-    Hessians.  The points are evaluated in blocks of ``POINT_BLOCK``, so
-    the B-spline values, coefficient patches and contraction temporaries
-    are held for one block at a time.  Every step treats the points
-    independently, so a point's numbers do not depend on its block.
+    Hessians.  On a span at least five knots from either not-a-knot end the
+    six B-splines are the fixed quintics of ``_uniform_quintic_basis``; only
+    points in the end spans take the Cox-de Boor recursion.  The points are
+    evaluated in blocks of ``POINT_BLOCK``, so the B-spline values,
+    coefficient patches and contraction temporaries are held for one block
+    at a time.  Every step treats the points independently, so a point's
+    numbers do not depend on its block.
     """
 
     def __init__(self, axes, values):
         coef = np.asarray(values, dtype=float)
-        self.knots = []
+        self.knots, self.spacings = [], []
         for a, ax in enumerate(axes):
             ax = np.asarray(ax, dtype=float)
             moved = np.moveaxis(coef, a, 0)
             columns = moved.reshape(len(ax), -1)
             knots, solved = quintic_coefficients(ax[:, None], columns)
+            steps = np.diff(ax)
+            if np.max(np.abs(steps - steps[0])) > 1e-10 * abs(steps[0]):
+                raise GridMismatchError("tensor quintic axes must be uniform")
             self.knots.append(knots)
+            self.spacings.append((ax[-1] - ax[0]) / (len(ax) - 1))
             coef = np.moveaxis(solved.T.reshape(moved.shape), 0, a)
         self.coef = coef
+        # patches[i_1, ..., i_m] is the 6 x ... x 6 block of coefficients from
+        # index i_a on axis a, the patch of a point in spans i_a + 5
+        self.patches = np.lib.stride_tricks.sliding_window_view(coef, (6,) * coef.ndim)
 
     def _bases(self, points, derivs):
         """Per axis, the derivatives of the six B-splines nonzero at each point,
         and the coefficient patch those B-splines multiply."""
         points = np.asarray(points, dtype=float)
         m = self.coef.ndim
-        bases, index = [], []
+        bases, first = [], []
         for a in range(m):
             knots = self.knots[a]
             n = self.coef.shape[a]
             x = points[:, a]
             # the last knot span whose left knot is <= x, within [5, n - 1]
             spans = 5 + np.searchsorted(knots[0, 6:n], x, side="right")
-            bases.append(_quintic_basis(knots, spans[None], x[None], derivs)[:, 0])
-            window = spans[:, None] - 5 + np.arange(6)
-            index.append(window.reshape((len(x),) + (1,) * a + (6,) + (1,) * (m - 1 - a)))
-        return bases, self.coef[tuple(index)]
+            ders = _uniform_quintic_basis((x - knots[0, spans]) / self.spacings[a],
+                                          self.spacings[a], derivs)
+            # knots l - 5 ... l + 6 around span l are uniform for 11 <= l <= n - 7;
+            # the points of the other spans take the recursion instead
+            ends = np.flatnonzero((spans < 11) | (spans > n - 7))
+            if ends.size:
+                ders[:, ends] = _quintic_basis(knots, spans[None, ends], x[None, ends],
+                                               derivs)[:, 0]
+            bases.append(ders)
+            first.append(spans - 5)
+        return bases, self.patches[tuple(first)]
 
     @staticmethod
     def _contract(partial, bases, orders):

@@ -13,7 +13,10 @@ by sine-transform inversion of a constant-coefficient second-order operator;
 nothing is factorised.  The Legendre polish and the Fenchel residual
 evaluate the tensor quintic ``fd.TensorQuintic``, and the partial Legendre
 reduction resamples with ``fd.quintic_resample``, so the module runs on
-numpy alone.  Convexity and every residual are read on ``fd.interior``, and
+numpy alone.  The algebra of the 2x2 symmetric Hessians (eigenvalue range,
+determinant, clamped cofactors) is taken in closed form, so no stacked
+LAPACK call runs on a Hessian field; potentials of m >= 3 variables are
+refused.  Convexity and every residual are read on ``fd.interior``, and
 ``HessianPotential.coarsened`` is the coarse grid of every two-grid bound.
 """
 
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fd
 from .errors import ConvergenceError, ConvexityError, DomainError, InputError
 from .family import ModuliChart
 from .fd import (EDGE, TensorQuintic, apply_diff, diff_matrix, gradient_field, hessian_field,
@@ -89,16 +93,50 @@ class HessianPotential:
         return TensorQuintic(self.axes, self.values)
 
 
+def _order(hess):
+    """The order m (1 or 2) of a stack of symmetric m x m matrices.
+
+    The closed forms below cover m <= 2, the dimensions of every Hessian
+    potential the package builds; a larger m is refused, as
+    ``HessianPotential.spline`` refuses it.
+    """
+    m = hess.shape[-1]
+    if m > 2:
+        raise InputError("the Hessian algebra supports m <= 2")
+    return m
+
+
+def eigenvalue_range(hess):
+    """Smallest and largest eigenvalue of each symmetric m x m matrix (m = 1, 2).
+
+    In closed form: for [[a, b], [b, c]] they are mean -+ hypot((a - c) / 2, b)
+    with mean (a + c) / 2: no stacked LAPACK call, no copy of the matrices.
+    """
+    if _order(hess) == 1:
+        return hess[..., 0, 0], hess[..., 0, 0]
+    a, b, c = hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1]
+    mean = 0.5 * (a + c)
+    radius = np.hypot(0.5 * (a - c), b)
+    return mean - radius, mean + radius
+
+
+def hessian_det(hess):
+    """det of each symmetric m x m matrix (m = 1, 2), as a c - b^2 for m = 2."""
+    if _order(hess) == 1:
+        return hess[..., 0, 0].copy()
+    det = hess[..., 0, 0] * hess[..., 1, 1]
+    det -= hess[..., 0, 1] * hess[..., 0, 1]
+    return det
+
+
 def hessian_metric(pot):
     """Discrete Hessian matrix field; raises if convexity fails at an interior node."""
     hess = pot.hessian()
-    core = interior(pot.values.shape, EDGE)
-    eigs = np.linalg.eigvalsh(hess[core])
-    if np.min(eigs) <= CONVEXITY_TOL:
-        flat = np.argmin(eigs.min(axis=-1))
-        node = np.unravel_index(flat, hess[core].shape[:-2])
+    lowest = eigenvalue_range(hess[interior(pot.values.shape, EDGE)])[0]
+    if np.min(lowest) <= CONVEXITY_TOL:
+        node = np.unravel_index(np.argmin(lowest), lowest.shape)
         raise ConvexityError(
-            f"potential fails strict convexity (min eigenvalue {np.min(eigs):.3e})",
+            f"potential fails strict convexity (min eigenvalue {np.min(lowest):.3e})",
             node=tuple(int(i) + EDGE for i in node),
         )
     return hess
@@ -106,7 +144,7 @@ def hessian_metric(pot):
 
 def ma_residual(pot, c):
     """det(discrete Hessian) - c per node."""
-    return np.linalg.det(hessian_metric(pot)) - float(c)
+    return hessian_det(hessian_metric(pot)) - float(c)
 
 
 def _conjugate_axis(values, u_nodes, v_nodes):
@@ -210,24 +248,33 @@ def _refine_conjugate(pot, v_axes, argmax):
     derivatives keeps a few nodes moving at that scale for all 40 steps.  A
     node whose spline Hessian is not positive definite takes no step, so it
     keeps its grid argmax and the caller's grid-value guard applies there.
+    Each step walks the active nodes, and the Fenchel value walks all nodes,
+    in chunks of ``fd.POINT_BLOCK``: no spline jet is held for more than one
+    chunk, and every node's numbers are those of an unchunked walk.
     """
     spl = pot.spline()
     lo = np.array([ax[0] for ax in pot.axes])
     hi = np.array([ax[-1] for ax in pot.axes])
-    v_mesh = np.stack(np.meshgrid(*v_axes, indexing="ij"), axis=-1)
-    v = v_mesh.reshape(-1, pot.dim)
+    v = np.stack(np.meshgrid(*v_axes, indexing="ij"), axis=-1).reshape(-1, pot.dim)
     u = argmax.reshape(-1, pot.dim).copy()
     active = np.arange(len(u))  # the nodes whose last step was at least 1e-14
     for _ in range(40):
-        _, grad, hess = spl.jet(u[active])
-        new = np.clip(u[active] + _newton_step(hess, v[active] - grad), lo, hi)
-        moved = np.max(np.abs(new - u[active]), axis=1) >= 1e-14
-        u[active] = new
+        moved = np.empty(len(active), dtype=bool)
+        for start in range(0, len(active), fd.POINT_BLOCK):
+            chunk = active[start:start + fd.POINT_BLOCK]
+            at = u[chunk]
+            _, grad, hess = spl.jet(at)
+            new = np.clip(at + _newton_step(hess, v[chunk] - grad), lo, hi)
+            moved[start:start + len(chunk)] = np.max(np.abs(new - at), axis=1) >= 1e-14
+            u[chunk] = new
         active = active[moved]
         if not active.size:
             break
-    psi = np.sum(u * v, axis=1) - spl(u)
-    return psi.reshape(v_mesh.shape[:-1]), u.reshape(v_mesh.shape)
+    psi = np.empty(len(u))
+    for start in range(0, len(u), fd.POINT_BLOCK):
+        chunk = slice(start, start + fd.POINT_BLOCK)
+        psi[chunk] = np.sum(u[chunk] * v[chunk], axis=1) - spl(u[chunk])
+    return psi.reshape(argmax.shape[:-1]), u.reshape(argmax.shape)
 
 
 def _newton_step(hess, rhs):
@@ -276,10 +323,9 @@ def interpolation_tolerance(pot, dual_axes=None):
     Classical bound: the PL interpolant deviates by M h^2 / 8 with M the
     curvature; conjugation maps curvature M to 1/M, so both grids contribute.
     """
-    hess = hessian_metric(pot)
-    eigs = np.linalg.eigvalsh(hess[interior(pot.values.shape, EDGE)])
-    m_max = float(np.max(eigs))
-    m_min = float(np.min(eigs))
+    lowest, highest = eigenvalue_range(hessian_metric(pot)[interior(pot.values.shape, EDGE)])
+    m_max = float(np.max(highest))
+    m_min = float(np.min(lowest))
     h_u = max(pot.spacings)
     if dual_axes is None:
         dual_axes = gradient_image_axes(pot)
@@ -435,11 +481,29 @@ def _median(values):
 
 
 def _clamped_cofactors(hess):
-    """Cofactor coefficients of det for 2x2 Hessians, eigenvalues clamped at 1e-6."""
-    eigval, eigvec = np.linalg.eigh(hess)
-    eigval = np.maximum(eigval, 1e-6)
-    clamped = np.einsum("...ab,...b,...cb->...ac", eigvec, eigval, eigvec)
-    return clamped[..., 1, 1], clamped[..., 0, 0], clamped[..., 0, 1]
+    """Cofactor coefficients (k11, k22, k12) of det for 2x2 Hessians whose
+    eigenvalues are clamped from below at floor = 1e-6.
+
+    The clamped matrix is H + sum over eigenvalues lam < floor of
+    (floor - lam) P_lam, with the spectral projectors P_lo = (hi I - H) / (hi - lo)
+    and P_hi = (H - lo I) / (hi - lo).  Where only the lower eigenvalue is
+    clamped that is H + r (hi I - H) with r = (floor - lo) / (hi - lo) in
+    (0, 1]; where both are, floor I; elsewhere H itself.  An isotropic node
+    (hi = lo) is therefore max(lo, floor) I.
+    """
+    floor = 1e-6
+    lo, hi = eigenvalue_range(hess)
+    clamped = lo < floor
+    r = np.zeros_like(lo)
+    np.divide(floor - lo, hi - lo, out=r, where=clamped & (hi >= floor))
+    a, b, c = hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1]
+    k11 = c + r * (hi - c)
+    k22 = a + r * (hi - a)
+    k12 = b - r * b
+    both = hi < floor
+    k11[both] = k22[both] = floor
+    k12[both] = 0.0
+    return k11, k22, k12
 
 
 def _sine_basis(m, spacing):
@@ -494,9 +558,8 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50, damping=1.0
     if len(axes) != 2:
         raise InputError("the Monge-Ampere solver is restricted to m = 2")
     shape = (len(axes[0]), len(axes[1]))
-    mesh = np.meshgrid(*axes, indexing="ij")
     if callable(boundary):
-        bvals = boundary(*mesh)
+        bvals = boundary(*np.meshgrid(*axes, indexing="ij"))
     else:
         bvals = np.asarray(boundary, dtype=float)
         if bvals.shape != shape:
@@ -531,17 +594,19 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50, damping=1.0
                             _separable_inverse(sines, 1.0, 1.0), 1e-14).reshape(inner_shape)
 
     def residual_of(p):
-        hess = hessian_field(p, spacings)
-        return np.linalg.det(hess) - c, hess
+        """The residual and the clamped cofactors on the interior nodes; the
+        grid Hessian is dropped here, so GMRES holds only the cofactors."""
+        hess = hessian_field(p, spacings)[interior]
+        return hessian_det(hess) - c, _clamped_cofactors(hess)
 
-    res, hess = residual_of(phi)
-    history = [float(np.max(np.abs(res[interior])))]
+    res, cofactors = residual_of(phi)
+    history = [float(np.max(np.abs(res)))]
     for iteration in range(max_iter):
         if history[-1] < tol:
             return HessianPotential(
                 axes, phi, c, info={"iterations": iteration, "residuals": history}
             )
-        k11, k22, k12 = _clamped_cofactors(hess[interior])
+        k11, k22, k12 = cofactors
 
         def jacobian(x, k11=k11, k22=k22, k12=k12):
             dxx, dyy, dxy = second_derivatives(x)
@@ -550,8 +615,7 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50, damping=1.0
         precond = _separable_inverse(sines, _median(k11), _median(k22))
         eta = 1e-3 * min(1e-4, history[-1])
         try:
-            step = spsolve(_Operator((unknowns, unknowns), jacobian),
-                           -res[interior].ravel(), precond, eta)
+            step = spsolve(_Operator((unknowns, unknowns), jacobian), -res.ravel(), precond, eta)
         except ConvergenceError as exc:
             raise ConvergenceError(f"{exc} at residual {history[-1]:.3e}", history) from None
         delta = np.zeros(shape)
@@ -560,8 +624,8 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50, damping=1.0
         base = history[-1]
         while True:
             trial = phi + alpha * delta
-            trial_res, trial_hess = residual_of(trial)
-            norm = float(np.max(np.abs(trial_res[interior])))
+            trial_res, trial_cofactors = residual_of(trial)
+            norm = float(np.max(np.abs(trial_res)))
             if norm < base:
                 break
             if alpha < 1e-3:
@@ -569,7 +633,7 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50, damping=1.0
                     f"line search failed at residual {base:.3e}", history
                 )
             alpha *= 0.5
-        phi, res, hess = trial, trial_res, trial_hess
+        phi, res, cofactors = trial, trial_res, trial_cofactors
         history.append(norm)
         if len(history) > 5 and norm > 0.999 * history[-5]:
             raise ConvergenceError(

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InputError, MetricError
 from .fd import (EDGE, apply_diff, cumulative_quadrature, hessian_field, interior,
                  stencil_reach)
-from .hessian import HessianPotential, hessian_metric
+from .hessian import HessianPotential, hessian_det, hessian_metric
 
 SLAB_ROWS = 8  # nodes of grid axis 0 per slab of the curvature walks
 
@@ -45,7 +45,7 @@ class SemiflatManifold:
         Taken on first use and kept, so ``metric_block`` must not be
         reassigned after that.
         """
-        det = np.linalg.det(self.metric_block)
+        det = hessian_det(self.metric_block)
         if np.min(det) <= 0:
             raise MetricError("metric determinant must be positive")
         return det

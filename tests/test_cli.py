@@ -379,3 +379,43 @@ def test_ma_solve_does_not_load_numpy_ma(tmp_path):
         print(code, "numpy.ma" in sys.modules)
     """)
     assert _run_probe(probe, tmp_path).stdout.split() == ["0", "False"]
+
+
+def test_chart_and_curvature_commands_make_no_stacked_lapack_call(tmp_path, monkeypatch):
+    # the 2x2 Hessian eigenvalues, determinants and clamped cofactors are
+    # taken in closed form; the Christoffel oracle's 4x4 inverse is not
+    # among the patched routines
+    def refuse(*args, **kwargs):
+        raise AssertionError("stacked LAPACK call on 2x2 Hessians")
+
+    for name in ("eigh", "eigvalsh", "det"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    exact = {"axes": [[-0.5, 0.5, 17], [0.5, 1.5, 17]],
+             "expr": "u1**2 / (2 * u2) + u2**3 / 6", "c": 1.0}
+    cosh = {"axes": [[-1, 1, 17], [-1, 1, 17]], "expr": "(u1**2 + u2**2) / 2 + 0.1*cosh(u1)"}
+    runs = [("ma-solve", {"n": 17, "boundary": "cosh(u1) + cosh(u2)"}, [], {0}),
+            ("legendre", {"potential": cosh}, [], {0}),
+            ("partial-legendre", {"potential": exact}, [], {0}),
+            ("semiflat", {"potential": exact}, ["--oracle"], {0, 1})]
+    for command, config, flags, codes in runs:
+        cfg = _write(tmp_path / f"{command}.json", config)
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) in codes, command
+        assert "checks" in _report(out), command
+
+
+def test_ci_smoke_script_at_toy_sizes(tmp_path):
+    # the console-script and memory-guard steps of the CI workflow, on this
+    # checkout's package through ``python -m slmoduli.cli``
+    script = Path(__file__).resolve().parent.parent / "ci" / "smoke.py"
+    src = str(Path(slmoduli.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cli = f"{sys.executable} -m slmoduli.cli"
+    for check, extra in (("console", []), ("memory", ["--n", "33"])):
+        proc = subprocess.run([sys.executable, str(script), check, "--slmoduli", cli,
+                               "--tmp", str(tmp_path / check), *extra],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("peak RSS") == 4

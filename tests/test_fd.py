@@ -183,6 +183,30 @@ def test_tensor_quintic_point_blocks_keep_the_bits(monkeypatch, m, k):
             assert got.tobytes() == want.tobytes()
 
 
+def test_uniform_span_closed_form_matches_the_recursion():
+    # on spans whose twelve surrounding knots are uniform, the cardinal
+    # quintics and their first two derivatives are the Cox-de Boor ones
+    h = 0.0625
+    knots = (np.arange(40.0) * h - 1.0)[None]
+    rng = np.random.default_rng(5)
+    spans = rng.integers(5, 34, 500)
+    t = rng.uniform(0.0, 1.0, 500)
+    t[:3] = [0.0, 1.0, 0.5]
+    x = knots[0, spans] + t * h
+    want = fd._quintic_basis(knots, spans[None], x[None], 2)[:, 0]
+    got = fd._uniform_quintic_basis((x - knots[0, spans]) / h, h, 2)
+    for k in range(3):
+        assert np.max(np.abs(got[k] - want[k])) <= 1e-14 * h ** -k, k
+    assert np.array_equal(fd._uniform_quintic_basis(t, h, 0)[0],
+                          fd._uniform_quintic_basis(t, h, 2)[0])
+
+
+def test_tensor_quintic_refuses_non_uniform_axes():
+    x = np.linspace(0.0, 1.0, 9) ** 2
+    with pytest.raises(GridMismatchError):
+        TensorQuintic([x], np.sin(x))
+
+
 @pytest.mark.parametrize("n", [6, 7, 33])
 def test_cumulative_quadrature_exact_to_degree_five(n):
     h = 0.3
