@@ -3,7 +3,8 @@
     python ci/smoke.py console [--slmoduli CMD] [--tmp DIR]
     python ci/smoke.py memory [--n N] [--slmoduli CMD] [--tmp DIR]
 
-``console`` checks the exit contract: a passing check exits 0, and a grid too
+``console`` checks the exit contract: a passing check exits 0 (cy-validate,
+and semiflat on a three-variable Monge-Ampere quadratic), and a grid too
 small for its stencils or a config that is not a JSON object exits 2 with an
 error line and no traceback.  ``memory`` runs gh, semiflat --oracle,
 partial-legendre and legendre on N x N grids (default 257) and fails when a
@@ -48,9 +49,12 @@ def _config(tmp, name, payload):
 
 
 def console(slmoduli, tmp):
-    code, stderr, _ = _run(slmoduli, ["cy-validate"], tmp, "cy")
-    if code != 0 or "Traceback" in stderr:
-        return f"slmoduli cy-validate exited {code}"
+    quadratic = _config(tmp, "quadratic13", {"potential": {
+        "axes": [[-1, 1, 13]] * 3, "expr": "(u1**2 + u2**2 + u3**2) / 2", "c": 1.0}})
+    for args, name in [(["cy-validate"], "cy"), (["semiflat", "--config", quadratic], "sf13")]:
+        code, stderr, _ = _run(slmoduli, args, tmp, name)
+        if code != 0 or "Traceback" in stderr:
+            return f"slmoduli {args[0]} exited {code}, not 0 without a traceback"
     for command, text, name in [("gh", '{"n": 6}', "gh6"), ("ma-solve", "[]", "ma-list")]:
         code, stderr, _ = _run(slmoduli, [command, "--config", _config(tmp, name, text)],
                                tmp, name)

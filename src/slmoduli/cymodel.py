@@ -11,6 +11,7 @@ constant forms, so no check is taken for it.
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 from pathlib import Path
 
@@ -148,12 +149,14 @@ class FlatCalabiYauModel:
             self.ambient_dim, self.n, self.omega1.coeffs + 1j * self.omega2.coeffs
         )
 
+    @cached_property
     def ambient_metric(self):
-        """Metric g(X, Y) = omega(X, JY) from the induced complex structure."""
-        j = complex_structure_matrix(self.omega_c())
-        w = self.omega.as_matrix()
-        g = w @ j
-        return 0.5 * (g + g.T)
+        """Metric g(X, Y) = omega(X, JY) from the induced complex structure,
+        kept read-only on first use, so the forms must not be reassigned after."""
+        g = self.omega.as_matrix() @ complex_structure_matrix(self.omega_c())
+        g = 0.5 * (g + g.T)
+        g.flags.writeable = False
+        return g
 
 
 def annihilator_space(omega_c, tol=1e-10):
@@ -293,7 +296,7 @@ def _proportionality_check(model, omega_c, top, tol):
 
 def _positivity_check(model, omega_c, tol):
     try:
-        g = model.ambient_metric()
+        g = model.ambient_metric
     except DegeneracyError as exc:
         return AxiomCheck("positive", False, float("inf"), {"reason": str(exc)})
     eigs = np.linalg.eigvalsh(g)

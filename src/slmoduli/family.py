@@ -16,6 +16,7 @@ identities: symmetry of lambda^T mu and the L^2 metric identity.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +31,15 @@ from .forms import (
 )
 from .multilinear import complement_table
 
-DEFAULT_FIBER_RESOLUTION = 8
-
 
 @dataclass
 class AffineSLagFamily:
     """f(s, t) = P s + Q t + r with integer-lattice fiber frame P.
 
     The fiber is parametrised by s in the unit torus [0, 1)^n, so a constant
-    n-form on it integrates to its coefficient.
+    n-form on it integrates to its coefficient.  Derived constants are kept
+    (arrays read-only) on first use, so the frames and the phase must not be
+    reassigned after.
     """
 
     model: FlatCalabiYauModel
@@ -82,24 +83,27 @@ class AffineSLagFamily:
             raise DegeneracyError("complex form restricts to zero on the fiber")
         return float(np.pi / 2 - np.angle(top))
 
-    def calibrated_omega_c(self):
-        gamma = self.calibration_angle()
-        omega_c = self.model.omega_c()
-        return np.exp(1j * gamma) * omega_c
+    @cached_property
+    def calibrated_forms(self):
+        """(Omega_1, Omega_2): real and imaginary parts of e^{i gamma} Omega^c."""
+        omega_c = np.exp(1j * self.calibration_angle()) * self.model.omega_c()
+        return omega_c.real(), omega_c.imag()
 
-    def fiber_torus(self, resolution=DEFAULT_FIBER_RESOLUTION):
+    def fiber_torus(self, resolution):
         return GridTorus((resolution,) * self.n)
 
+    @cached_property
     def fiber_metric_matrix(self):
         """Induced metric G = P^T g P on the fiber; raises unless positive definite."""
-        g = self.P.T @ self.model.ambient_metric() @ self.P
+        g = self.P.T @ self.model.ambient_metric @ self.P
         if np.min(np.linalg.eigvalsh(g)) <= 0.0:
             raise MetricError("induced fiber metric is not positive definite")
+        g.flags.writeable = False
         return g
 
     def fiber_metric(self, torus):
         """Induced metric P^T g P as the constant metric of the fiber grid."""
-        return MetricField(torus, self.fiber_metric_matrix())
+        return MetricField(torus, self.fiber_metric_matrix)
 
     def fiber_restriction_residuals(self):
         """(||omega restricted||_inf, ||Omega_1 restricted||_inf) on a fiber.
@@ -108,31 +112,26 @@ class AffineSLagFamily:
         special Lagrangian fiber.
         """
         omega_res = self.model.omega.pullback(self.P).norm_inf()
-        omega1_res = self.calibrated_omega_c().real().pullback(self.P).norm_inf()
+        omega1_res = self.calibrated_forms[0].pullback(self.P).norm_inf()
         return omega_res, omega1_res
 
+    @cached_property
     def contraction_coefficients(self):
         """(Theta, Phi): column j holds the fiber coefficients of theta_j, phi_j.
 
         theta_j = iota(Q_j) omega and phi_j = iota(Q_j) Omega_1, both pulled
         back by P; Theta is n x m, Phi is C(n, n-1) x m.
         """
-        omega1 = self.calibrated_omega_c().real()
+        omega1 = self.calibrated_forms[0]
         theta = [self.model.omega.contract(q).pullback(self.P).coeffs for q in self.Q.T]
         phi = [omega1.contract(q).pullback(self.P).coeffs for q in self.Q.T]
-        return np.array(theta, dtype=float).T, np.array(phi, dtype=float).T
-
-    def contraction_one_form(self, j, torus):
-        """theta_j as a constant 1-form field on the fiber grid."""
-        return FormField.constant(torus, 1, self.contraction_coefficients()[0][:, j])
-
-    def contraction_nminus1_form(self, j, torus):
-        """phi_j as a constant (n-1)-form field on the fiber grid."""
-        return FormField.constant(torus, self.n - 1, self.contraction_coefficients()[1][:, j])
+        theta, phi = np.array(theta, dtype=float).T, np.array(phi, dtype=float).T
+        theta.flags.writeable = phi.flags.writeable = False
+        return theta, phi
 
     def fiber_volume(self):
         """Calibrated volume of a fiber: the coefficient of Omega_2 restricted by P."""
-        return float(self.calibrated_omega_c().imag().pullback(self.P).coeffs[0])
+        return float(self.calibrated_forms[1].pullback(self.P).coeffs[0])
 
     def mclean_check(self, j, torus):
         """||phi_j - star theta_j||_inf on a fiber grid.
@@ -140,8 +139,9 @@ class AffineSLagFamily:
         theta_j and phi_j are constant, so d theta_j = d star theta_j = 0
         exactly and McLean's identity is the only thing left to check.
         """
-        theta = self.contraction_one_form(j, torus)
-        phi = self.contraction_nminus1_form(j, torus)
+        theta, phi = self.contraction_coefficients
+        theta = FormField.constant(torus, 1, theta[:, j])
+        phi = FormField.constant(torus, self.n - 1, phi[:, j])
         return (phi - hodge_star(theta, self.fiber_metric(torus))).norm_inf()
 
     def period_matrices(self):
@@ -155,7 +155,7 @@ class AffineSLagFamily:
             raise InputError(
                 "period matrices need moduli dimension equal to b_1 of the fiber"
             )
-        theta, phi = self.contraction_coefficients()
+        theta, phi = self.contraction_coefficients
         mu = np.empty_like(theta)
         for i, comp, sign in complement_table(self.n, 1):
             mu[i] = sign * phi[comp]
@@ -168,7 +168,7 @@ class AffineSLagFamily:
         Theta^T G^{-1} Theta sqrt(det G) with G the induced fiber metric.
         """
         pm = self.period_matrices()
-        g = self.fiber_metric_matrix()
+        g = self.fiber_metric_matrix
         gram = pm.lam.T @ np.linalg.solve(g, pm.lam) * np.sqrt(np.linalg.det(g))
         return gram, float(np.max(np.abs(gram - pm.lam.T @ pm.mu)))
 

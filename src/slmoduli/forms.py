@@ -311,23 +311,3 @@ class CycleBasis:
         sign = -1.0 if i % 2 else 1.0
         return sign * float(np.sum(slab)) * float(measure)
 
-
-def to_csv(a, path):
-    """Flat CSV dump: one row per node, columns = index tuples."""
-    d = a.torus.dim
-    header = ",".join(
-        ["node"] + ["-".join(str(i) for i in t) or "scalar"
-                    for t in index_tuples(d, a.degree)]
-    )
-    flat = a.coeffs.reshape(-1, a.coeffs.shape[-1])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row, values in enumerate(flat):
-            fh.write(",".join([str(row)] + [repr(float(v)) for v in values]) + "\n")
-
-
-def from_csv(torus, degree, path):
-    """Inverse of :func:`to_csv` for a known grid and degree."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    coeffs = data[:, 1:].reshape(torus.shape + (comb(torus.dim, degree),))
-    return FormField(torus, degree, coeffs)

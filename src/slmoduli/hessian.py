@@ -15,12 +15,14 @@ evaluate the tensor quintic ``fd.TensorQuintic``, and the partial Legendre
 reduction resamples with ``fd.quintic_resample``, so the module runs on
 numpy alone.  The algebra of the 2x2 symmetric Hessians (eigenvalue range,
 determinant, clamped cofactors) is taken in closed form, so no stacked
-LAPACK call runs on a Hessian field; potentials of m >= 3 variables are
-refused.  Convexity and every residual are read on ``fd.interior``, and
-``HessianPotential.coarsened`` is the coarse grid of every two-grid bound.
+LAPACK call runs on a Hessian field of m <= 2 variables; m >= 3 takes
+LAPACK's eigenvalues and determinants.  Convexity and every residual are
+read on ``fd.interior``, and ``HessianPotential.coarsened`` is the coarse
+grid of every two-grid bound.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +77,15 @@ class HessianPotential:
     def hessian(self):
         return hessian_field(self.values, self.spacings)
 
+    @cached_property
+    def eigenvalue_bounds(self):
+        """(min, max) Hessian eigenvalue on ``fd.interior``, the convexity gate.
+
+        Kept on first use, so ``values`` must not change after; the Hessian
+        field is not kept.
+        """
+        return _convex_bounds(self.hessian())
+
     def gradient(self):
         return gradient_field(self.values, self.spacings)
 
@@ -93,27 +104,17 @@ class HessianPotential:
         return TensorQuintic(self.axes, self.values)
 
 
-def _order(hess):
-    """The order m (1 or 2) of a stack of symmetric m x m matrices.
-
-    The closed forms below cover m <= 2, the dimensions of every Hessian
-    potential the package builds; a larger m is refused, as
-    ``HessianPotential.spline`` refuses it.
-    """
-    m = hess.shape[-1]
-    if m > 2:
-        raise InputError("the Hessian algebra supports m <= 2")
-    return m
-
-
 def eigenvalue_range(hess):
-    """Smallest and largest eigenvalue of each symmetric m x m matrix (m = 1, 2).
+    """Smallest and largest eigenvalue of each symmetric m x m matrix.
 
-    In closed form: for [[a, b], [b, c]] they are mean -+ hypot((a - c) / 2, b)
-    with mean (a + c) / 2: no stacked LAPACK call, no copy of the matrices.
+    For m = 2 they are mean -+ hypot((a - c) / 2, b), mean = (a + c) / 2, of
+    [[a, b], [b, c]]: no LAPACK call, no copy.  m >= 3 takes ``eigvalsh``.
     """
-    if _order(hess) == 1:
+    if hess.shape[-1] == 1:
         return hess[..., 0, 0], hess[..., 0, 0]
+    if hess.shape[-1] > 2:
+        eig = np.linalg.eigvalsh(hess)
+        return eig[..., 0], eig[..., -1]
     a, b, c = hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1]
     mean = 0.5 * (a + c)
     radius = np.hypot(0.5 * (a - c), b)
@@ -121,24 +122,33 @@ def eigenvalue_range(hess):
 
 
 def hessian_det(hess):
-    """det of each symmetric m x m matrix (m = 1, 2), as a c - b^2 for m = 2."""
-    if _order(hess) == 1:
+    """det of each symmetric m x m matrix: a c - b^2 for m = 2, LAPACK's for m >= 3."""
+    if hess.shape[-1] == 1:
         return hess[..., 0, 0].copy()
+    if hess.shape[-1] > 2:
+        return np.linalg.det(hess)
     det = hess[..., 0, 0] * hess[..., 1, 1]
     det -= hess[..., 0, 1] * hess[..., 0, 1]
     return det
 
 
-def hessian_metric(pot):
-    """Discrete Hessian matrix field; raises if convexity fails at an interior node."""
-    hess = pot.hessian()
-    lowest = eigenvalue_range(hess[interior(pot.values.shape, EDGE)])[0]
+def _convex_bounds(hess):
+    """(min, max) eigenvalue of a Hessian field on ``fd.interior``, or ConvexityError."""
+    lowest, highest = eigenvalue_range(hess[interior(hess.shape[:-2], EDGE)])
     if np.min(lowest) <= CONVEXITY_TOL:
         node = np.unravel_index(np.argmin(lowest), lowest.shape)
         raise ConvexityError(
             f"potential fails strict convexity (min eigenvalue {np.min(lowest):.3e})",
             node=tuple(int(i) + EDGE for i in node),
         )
+    return float(np.min(lowest)), float(np.max(highest))
+
+
+def hessian_metric(pot):
+    """Discrete Hessian matrix field; raises if convexity fails at an interior
+    node.  Its eigenvalue bounds are kept as ``pot.eigenvalue_bounds``."""
+    hess = pot.hessian()
+    pot.eigenvalue_bounds = _convex_bounds(hess)
     return hess
 
 
@@ -204,7 +214,7 @@ def legendre_transform(pot, v_axes=None, refine=True):
     larger one is kept at each v-node.  The Fenchel pairing residual is not
     taken here; a caller that reads it calls ``fenchel_residual``.
     """
-    hessian_metric(pot)  # convexity is a precondition
+    pot.eigenvalue_bounds  # convexity is a precondition
     if v_axes is None:
         v_axes = gradient_image_axes(pot)
     v_axes = [np.asarray(ax, dtype=float) for ax in v_axes]
@@ -323,9 +333,7 @@ def interpolation_tolerance(pot, dual_axes=None):
     Classical bound: the PL interpolant deviates by M h^2 / 8 with M the
     curvature; conjugation maps curvature M to 1/M, so both grids contribute.
     """
-    lowest, highest = eigenvalue_range(hessian_metric(pot)[interior(pot.values.shape, EDGE)])
-    m_max = float(np.max(highest))
-    m_min = float(np.min(lowest))
+    m_min, m_max = pot.eigenvalue_bounds
     h_u = max(pot.spacings)
     if dual_axes is None:
         dual_axes = gradient_image_axes(pot)

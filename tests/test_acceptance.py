@@ -25,7 +25,7 @@ from slmoduli.family import (
     tilt_family,
 )
 from slmoduli.fd import richardson_tolerance
-from slmoduli.forms import l2_inner
+from slmoduli.forms import FormField, l2_inner
 from slmoduli.hessian import (
     HessianPotential,
     gradient_image_axes,
@@ -180,7 +180,8 @@ def test_criterion_04_l2_metric_identity():
         # the gridded L2 pairing of the contraction 1-forms gives the same Gram
         torus = fam.fiber_torus(FIBER_RES)
         g = fam.fiber_metric(torus)
-        thetas = [fam.contraction_one_form(j, torus) for j in range(fam.moduli_dim)]
+        theta = fam.contraction_coefficients[0]
+        thetas = [FormField.constant(torus, 1, theta[:, j]) for j in range(fam.moduli_dim)]
         grid_gram = np.array([[l2_inner(a, b, g) for b in thetas] for a in thetas])
         grid_worst = max(grid_worst, float(np.max(np.abs(grid_gram - gram))))
     gram, _ = tilt_family(1).mclean_metric()

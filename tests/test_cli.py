@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import slmoduli
+from slmoduli import cymodel, hessian
 from slmoduli.cli import COMMANDS, _eval_expression, main
 from slmoduli.errors import InputError
+from slmoduli.family import AffineSLagFamily
 from slmoduli.hessian import load_potential
 
 
@@ -24,6 +26,19 @@ def _write(path, payload):
 def _report(out):
     with open(out / "report.json") as fh:
         return json.load(fh)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for the test; returns the list that grows per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def test_cy_validate_std(tmp_path):
@@ -56,6 +71,18 @@ def test_family_scan_std(tmp_path):
     assert len(scan) == 10
 
 
+def test_family_scan_derives_each_family_constant_once(tmp_path, monkeypatch):
+    # J of the model, the calibration phase and Theta/Phi of the family are
+    # read by every check of the job, and derived once
+    j_calls = _count_calls(monkeypatch, cymodel, "complex_structure_matrix")
+    phase_calls = _count_calls(monkeypatch, AffineSLagFamily, "calibration_angle")
+    coeff_calls = _count_calls(monkeypatch, AffineSLagFamily.contraction_coefficients, "func")
+    cfg = _write(tmp_path / "cfg.json", {"family": "std:3", "grid": {"n": 2},
+                                         "fiber_resolution": 8})
+    assert main(["family-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (len(j_calls), len(phase_calls), len(coeff_calls)) == (1, 1, 1)
+
+
 def test_family_scan_tilt(tmp_path):
     cfg = _write(
         tmp_path / "cfg.json",
@@ -86,6 +113,17 @@ def test_legendre_command(tmp_path):
     assert dual.dim == 2
 
 
+def test_legendre_job_takes_one_hessian_per_potential(tmp_path, monkeypatch):
+    # the convexity gate of the forward and the back transform, one each; the
+    # interpolation tolerance reads the primal's kept eigenvalue bounds
+    fields = _count_calls(monkeypatch, hessian, "hessian_field")
+    ranges = _count_calls(monkeypatch, hessian, "eigenvalue_range")
+    cfg = _write(tmp_path / "cfg.json", {"potential": {
+        "axes": [[-1, 1, 33], [-1, 1, 33]], "expr": "(u1**2 + u2**2) / 2 + 0.1*cosh(u1)"}})
+    assert main(["legendre", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (len(fields), len(ranges)) == (2, 2)
+
+
 def test_ma_solve_and_partial_legendre(tmp_path):
     cfg = _write(
         tmp_path / "ma.json", {"boundary": "cosh(u1) + cosh(u2)", "n": 65}
@@ -113,6 +151,24 @@ def test_semiflat_command_with_oracle(tmp_path):
     ) == 0
     report = _report(tmp_path)
     assert "ricci_oracle" in report["checks"]
+
+
+def test_semiflat_verdicts_on_three_variable_potentials(tmp_path):
+    # m = 3 takes LAPACK's eigenvalues and determinants: 0.1 cosh(u1) breaks
+    # Monge-Ampere, which prop5 and ricci_flat see, while the Christoffel
+    # oracle still agrees with the log-det Ricci form; the quadratic passes
+    axes = [[-1, 1, 13]] * 3
+    quadratic = "(u1**2 + u2**2 + u3**2) / 2"
+    cases = [({"axes": axes, "expr": quadratic + " + 0.1*cosh(u1)"}, 1,
+              {"prop5", "ricci_flat"}),
+             ({"axes": axes, "expr": quadratic, "c": 1.0}, 0, set())]
+    for i, (potential, code, failing) in enumerate(cases):
+        cfg = _write(tmp_path / f"m3-{i}.json", {"potential": potential})
+        out = tmp_path / f"m3-{i}"
+        assert main(["semiflat", "--oracle", "--config", cfg, "--out", str(out)]) == code
+        checks = _report(out)["checks"]
+        assert {name for name, check in checks.items() if not check["pass"]} == failing
+        assert "ricci_oracle" in checks
 
 
 def test_semiflat_flags_non_ma_potential(tmp_path):

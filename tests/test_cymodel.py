@@ -118,7 +118,7 @@ def test_complex_structure_squares_to_minus_one():
 
 def test_ambient_metric_is_euclidean_for_std():
     for n in (1, 2, 3):
-        g = std_model(n).ambient_metric()
+        g = std_model(n).ambient_metric
         assert np.max(np.abs(g - np.eye(2 * n))) < 1e-10
 
 

@@ -58,7 +58,7 @@ def test_auto_phase_positivity():
 def _reference_periods(fam, torus):
     """lambda, mu and the fiber volume by integrating gridded constant forms."""
     basis = CycleBasis(torus)
-    omega1 = fam.calibrated_omega_c().real()
+    omega1, omega2 = fam.calibrated_forms
     m = fam.moduli_dim
     lam = np.zeros((m, m))
     mu = np.zeros((m, m))
@@ -70,8 +70,7 @@ def _reference_periods(fam, torus):
         for i in range(m):
             lam[i, j] = basis.integrate_loop(theta, i)
             mu[i, j] = basis.integrate_slab(phi, i)
-    omega2 = fam.calibrated_omega_c().imag().pullback(fam.P)
-    volume = integrate_top(FormField.constant(torus, fam.n, omega2.coeffs.real))
+    volume = integrate_top(FormField.constant(torus, fam.n, omega2.pullback(fam.P).coeffs.real))
     return lam, mu, volume
 
 

@@ -14,12 +14,10 @@ from slmoduli.forms import (
     GridTorus,
     MetricField,
     exterior_derivative,
-    from_csv,
     hodge_star,
     integrate_top,
     l2_inner,
     spectral_derivative,
-    to_csv,
     wedge,
 )
 
@@ -179,13 +177,3 @@ def test_cycle_basis_duality():
             assert abs(pairing - (1.0 if i == j else 0.0)) < 1e-12
             slab = basis.integrate_slab(basis.betas[j], i)
             assert abs(slab - (1.0 if i == j else 0.0)) < 1e-12
-
-
-def test_form_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    torus = GridTorus((8, 8))
-    a = FormField(torus, 1, rng.normal(size=torus.shape + (2,)))
-    path = tmp_path / "form.csv"
-    to_csv(a, path)
-    back = from_csv(torus, 1, path)
-    assert np.max(np.abs(back.coeffs - a.coeffs)) < 1e-15
