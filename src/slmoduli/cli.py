@@ -242,13 +242,15 @@ def run_family_scan(config, tol, out, oracle):
     torus = fam.fiber_torus(resolution)
 
     omega_res, omega1_res = fam.fiber_restriction_residuals()
-    scan = specialness_scan(fam, axes)
-    scan_to_csv(scan, Path(out) / "scan.csv")
+    # the family's constants, taken once and passed on
     pm = fam.period_matrices()
+    mclean = fam.mclean_metric(pm)
+    scan = specialness_scan(fam, axes, pm, mclean)
+    scan_to_csv(scan, Path(out) / "scan.csv")
     checks = {
         "slag_restriction": _check(max(omega_res, omega1_res), tol),
         "mclean": _check(max(fam.mclean_check(j, torus) for j in range(m)), tol),
-        "prop2": _check(fam.mclean_metric()[1], tol),
+        "prop2": _check(mclean[1], tol),
         "thm3": _check(lagrangian_residual(pm), max(tol, 1e-10)),
     }
     return {
@@ -363,10 +365,11 @@ def run_gh(config, tol, out, oracle):
     v = np.broadcast_to(_eval_expression(config.get("V", "2 + y1"), y1=mesh[0], y2=mesh[1]),
                         mesh[0].shape).copy()
     del mesh  # only V is held while the oracle walks its slabs
-    gh = gh_metric(v, axes, tol=max(tol, 1e-8))
+    gh = gh_metric(v, axes)
     checks = {"ricci_flat": _check(gh.ricci_max, max(tol, 1e-4))}
     return {
         "harmonic_residual": gh.harmonic_residual,
+        "harmonic_tol": gh.harmonic_tol,
         "ricci_max": gh.ricci_max,
         "checks": checks,
     }

@@ -161,13 +161,14 @@ class AffineSLagFamily:
             mu[i] = sign * phi[comp]
         return PeriodMatrices(theta, mu)
 
-    def mclean_metric(self):
+    def mclean_metric(self, pm=None):
         """L^2 Gram matrix of the theta_j and its deviation from lambda^T mu.
 
         For constant forms on the unit fiber torus the Gram matrix is
         Theta^T G^{-1} Theta sqrt(det G) with G the induced fiber metric.
+        ``pm`` is the family's ``period_matrices()``, taken here if not given.
         """
-        pm = self.period_matrices()
+        pm = self.period_matrices() if pm is None else pm
         g = self.fiber_metric_matrix
         gram = pm.lam.T @ np.linalg.solve(g, pm.lam) * np.sqrt(np.linalg.det(g))
         return gram, float(np.max(np.abs(gram - pm.lam.T @ pm.mu)))
@@ -357,23 +358,26 @@ def embed_F(chart):
     return table
 
 
-def specialness_scan(fam, axes):
+def specialness_scan(fam, axes, pm=None, mclean=None):
     """Tabulate the cohomology-torus volumes and fiber volume over t.
 
     Constancy of sqrt(det(mu lambda^{-1})) certifies the special embedding;
     constancy of the fiber volume must always hold.  The period matrices of
     an affine family are constant, so the volumes, the Lagrangian residual
-    and the L^2 metric residual are taken once and hold for every t.
+    and the L^2 metric residual are taken once and hold for every t.  ``pm``
+    and ``mclean`` are the family's ``period_matrices()`` and
+    ``mclean_metric(pm)``, taken here if not given.
     """
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     flat = pts.reshape(-1, pts.shape[-1])
-    pm = fam.period_matrices()
+    pm = fam.period_matrices() if pm is None else pm
+    mclean = fam.mclean_metric(pm) if mclean is None else mclean
     ratio = pm.mu @ np.linalg.inv(pm.lam)
     vol_h1 = np.full(len(flat), np.sqrt(np.abs(np.linalg.det(ratio))))
     vol_hn1 = np.full(len(flat), np.sqrt(np.abs(np.linalg.det(np.linalg.inv(ratio)))))
     vol_fiber = np.full(len(flat), fam.fiber_volume())
     lag = np.full(len(flat), lagrangian_residual(pm))
-    metric_res = np.full(len(flat), fam.mclean_metric()[1])
+    metric_res = np.full(len(flat), mclean[1])
 
     def variation(values):
         scale = max(np.max(np.abs(values)), 1e-300)

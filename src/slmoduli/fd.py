@@ -11,8 +11,9 @@ The taps of each node range are kept, so a slab walk that asks for the
 same ranges again pays for them once.  ``diff_matrix`` is the same table
 as a dense matrix.  The module also decides where a stencil residual is
 trusted and how far: ``interior`` is the one definition of the nodes a
-residual is read on, and ``richardson_tolerance`` turns the residual on
-every other node into a bound for the fine grid.  Two numpy kernels stand
+residual is read on, ``richardson_tolerance`` turns the residual on
+every other node into a bound for the fine grid, and ``roundoff_floor`` is
+the roundoff below which no such bound may fall.  Two numpy kernels stand
 in for scipy's splines: the not-a-knot quintic interpolant (the spline
 ``scipy.interpolate.make_interp_spline(x, y, k=5)`` builds), solved for many
 columns at once by ``quintic_coefficients``, evaluated by
@@ -265,6 +266,23 @@ def interior(shape, width):
             f"an axis of {min(shape)} nodes has no interior past {width} boundary nodes"
         )
     return (slice(width, -width),) * len(shape)
+
+
+def roundoff_floor(scale, spacing, deriv):
+    """Largest roundoff of one ``apply_diff`` pass of order ``deriv`` on data of
+    size ``scale`` (max |value|): eps * scale times the largest sum of |weights|
+    of a stencil row at ``spacing``.
+
+    Values rounded to within eps * scale move a derivative by up to this
+    much, which grows as spacing^-deriv; a residual of that size is roundoff,
+    not truncation, so a two-grid bound must not fall below it (Higham,
+    Accuracy and Stability of Numerical Algorithms, on the roundoff of
+    difference quotients).
+    """
+    head, centre, tail = _stencil(float(spacing), deriv)
+    heaviest = max(np.max(np.sum(np.abs(head), axis=1)), np.sum(np.abs(centre)),
+                   np.max(np.sum(np.abs(tail), axis=1)))
+    return float(np.finfo(float).eps * abs(scale) * heaviest)
 
 
 def richardson_tolerance(coarse_value, order=ORDER, floor=1e-12):

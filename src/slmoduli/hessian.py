@@ -30,10 +30,11 @@ from . import fd
 from .errors import ConvergenceError, ConvexityError, DomainError, InputError
 from .family import ModuliChart
 from .fd import (EDGE, TensorQuintic, apply_diff, diff_matrix, gradient_field, hessian_field,
-                 interior, quintic_resample)
+                 interior, quintic_resample, stencil_reach)
 
 # smallest Hessian eigenvalue on the interior that counts as strictly convex
 CONVEXITY_TOL = 1e-10
+HESSIAN_ROWS = 32  # nodes of grid axis 0 per block of a Hessian row walk
 
 
 @dataclass
@@ -74,17 +75,34 @@ class HessianPotential:
     def points(self):
         return np.stack(self.meshgrid(), axis=-1)
 
-    def hessian(self):
-        return hessian_field(self.values, self.spacings)
+    def hessian(self, lo=0, hi=None):
+        """Discrete Hessian on nodes [lo, hi) of grid axis 0 (default: the
+        whole grid), (hi - lo, *grid[1:], m, m).
+
+        Taken from the values on the stencils' reach of those rows with the
+        window form of ``fd.hessian_field``, so the rows are bitwise those of
+        the full field.
+        """
+        n = self.values.shape[0]
+        hi = n if hi is None else hi
+        first, last = stencil_reach(n, 2, lo, hi)
+        return hessian_field(self.values[first:last], self.spacings, (lo, hi), n, first)
 
     @cached_property
     def eigenvalue_bounds(self):
         """(min, max) Hessian eigenvalue on ``fd.interior``, the convexity gate.
 
-        Kept on first use, so ``values`` must not change after; the Hessian
-        field is not kept.
+        Kept on first use, so ``values`` must not change after.  The Hessian
+        is taken on the interior rows in blocks of ``HESSIAN_ROWS`` rows
+        (``hessian_blocks``), so no grid-sized field is formed; the bounds
+        and the ``ConvexityError`` node are bitwise those of
+        ``_convex_bounds`` on the full field.
         """
-        return _convex_bounds(self.hessian())
+        n = self.values.shape[0]
+        # at least one block, so that a grid too small for the stencils raises
+        # their error, as the full field does
+        return _interior_bounds(self.values.shape,
+                                hessian_blocks(self, EDGE, max(n - EDGE, EDGE + 1)))
 
     def gradient(self):
         return gradient_field(self.values, self.spacings)
@@ -132,16 +150,45 @@ def hessian_det(hess):
     return det
 
 
+def hessian_blocks(pot, start=0, stop=None):
+    """(lo, the Hessian on nodes [lo, lo + HESSIAN_ROWS) of grid axis 0) for
+    consecutive blocks of nodes [start, stop) (default: the whole axis)."""
+    stop = pot.values.shape[0] if stop is None else stop
+    for lo in range(start, stop, HESSIAN_ROWS):
+        yield lo, pot.hessian(lo, min(lo + HESSIAN_ROWS, stop))
+
+
 def _convex_bounds(hess):
     """(min, max) eigenvalue of a Hessian field on ``fd.interior``, or ConvexityError."""
-    lowest, highest = eigenvalue_range(hess[interior(hess.shape[:-2], EDGE)])
-    if np.min(lowest) <= CONVEXITY_TOL:
-        node = np.unravel_index(np.argmin(lowest), lowest.shape)
+    return _interior_bounds(hess.shape[:-2], [(0, hess)])
+
+
+def _interior_bounds(shape, blocks):
+    """``_convex_bounds`` of a field on ``shape`` given as blocks of rows.
+
+    ``blocks`` yields (lo, the field on axis-0 nodes lo, lo + 1, ...) for
+    consecutive row ranges.  Each block's interior nodes are reduced on
+    their own.  A minimum or maximum is exact, and the first node of the
+    least eigenvalue lies in the first block that attains it, so the result
+    and the error are those of the whole field.
+    """
+    lows, highs, nodes = [], [], []
+    for lo, hess in blocks:
+        core = interior(shape, EDGE)
+        rows = slice(max(EDGE - lo, 0), max(shape[0] - EDGE - lo, 0))
+        lowest, highest = eigenvalue_range(hess[(rows,) + core[1:]])
+        if lowest.size:
+            lows.append(np.min(lowest))
+            highs.append(np.max(highest))
+            node = np.unravel_index(np.argmin(lowest), lowest.shape)
+            nodes.append((lo + rows.start + int(node[0]),) + tuple(int(i) + EDGE for i in node[1:]))
+    least = np.min(lows)
+    if least <= CONVEXITY_TOL:
         raise ConvexityError(
-            f"potential fails strict convexity (min eigenvalue {np.min(lowest):.3e})",
-            node=tuple(int(i) + EDGE for i in node),
+            f"potential fails strict convexity (min eigenvalue {least:.3e})",
+            node=nodes[lows.index(least)],
         )
-    return float(np.min(lowest)), float(np.max(highest))
+    return float(least), float(np.max(highs))
 
 
 def hessian_metric(pot):

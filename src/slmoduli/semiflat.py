@@ -15,46 +15,47 @@ sixth-order ``fd.cumulative_quadrature``.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, MetricError
 from .fd import (EDGE, apply_diff, cumulative_quadrature, hessian_field, interior,
-                 stencil_reach)
-from .hessian import HessianPotential, hessian_det, hessian_metric
+                 richardson_tolerance, roundoff_floor, stencil_reach)
+from .hessian import HESSIAN_ROWS, HessianPotential, hessian_blocks, hessian_det
 
-SLAB_ROWS = 8  # nodes of grid axis 0 per slab of the curvature walks
+SLAB_ROWS = 4  # nodes of grid axis 0 per slab of the Christoffel walk
+METRIC_ROWS = 8  # nodes of grid axis 0 per metric build of the Christoffel walk
 
 
 @dataclass
 class SemiflatManifold:
-    """Kahler data on M x T^m derived from a convex potential."""
+    """Kahler data on M x T^m derived from a convex potential.
+
+    Holds the potential and det of its Hessian per node, which must be
+    positive; no (*grid, m, m) field is kept.  The metric of any rows of
+    grid axis 0 is built on demand by ``full_metric``.
+    """
 
     potential: HessianPotential
-    metric_block: np.ndarray  # (*u-grid, m, m), both blocks identical
+    metric_det: np.ndarray  # det of the metric block per node
+
+    def __post_init__(self):
+        if np.min(self.metric_det) <= 0:
+            raise MetricError("metric determinant must be positive")
 
     @property
     def m(self):
         return self.potential.dim
 
-    @cached_property
-    def metric_det(self):
-        """det of the metric block per node; must be positive.
-
-        Taken on first use and kept, so ``metric_block`` must not be
-        reassigned after that.
-        """
-        det = hessian_det(self.metric_block)
-        if np.min(det) <= 0:
-            raise MetricError("metric determinant must be positive")
-        return det
-
     def full_metric(self, lo=0, hi=None):
         """Real 2m x 2m metric field blockdiag(H, H) on nodes [lo, hi) of u-grid
-        axis 0 (default: the whole grid)."""
+        axis 0 (default: the whole grid).
+
+        H is ``HessianPotential.hessian`` of those rows, from the potential on
+        their stencils' reach, so the rows are bitwise those of the full field.
+        """
         m = self.m
-        h = self.metric_block[lo:hi]
+        h = self.potential.hessian(lo, hi)
         g = np.zeros(h.shape[:-2] + (2 * m, 2 * m))
         g[..., :m, :m] = h
         g[..., m:, m:] = h
@@ -64,13 +65,20 @@ class SemiflatManifold:
 def build_semiflat(pot):
     """Assemble the semiflat manifold from a strictly convex potential.
 
-    The metric block is the discrete Hessian (``hessian_metric``, which raises
-    on convexity loss).  No closedness residual is taken: the Kahler form
-    -sum dv_k ^ dx_k is built from the exact forms dv_k = d(d_k phi), and the
-    first-derivative stencils on different axes commute on every grid
-    function, so its discrete closedness residual is roundoff.
+    The metric block is the discrete Hessian.  ``pot.eigenvalue_bounds`` is
+    its convexity gate (raises on convexity loss), and its determinant is
+    taken block by block (``hessian.hessian_blocks``); both walk rows of the
+    Hessian, so no grid-sized (*, m, m) field is formed.  No closedness
+    residual is taken: the Kahler form -sum dv_k ^ dx_k is built from the
+    exact forms dv_k = d(d_k phi), and the first-derivative stencils on
+    different axes commute on every grid function, so its discrete
+    closedness residual is roundoff.
     """
-    return SemiflatManifold(pot, hessian_metric(pot))
+    pot.eigenvalue_bounds  # convexity is a precondition
+    det = np.empty(pot.values.shape)
+    for lo, hess in hessian_blocks(pot):
+        det[lo:lo + len(hess)] = hessian_det(hess)
+    return SemiflatManifold(pot, det)
 
 
 def holomorphic_norm_field(sf):
@@ -104,14 +112,15 @@ def ricci_form(sf, lo=0, hi=None):
 def ricci_form_max(sf):
     """max |R_jk| of ``ricci_form`` on ``interior(shape, EDGE + 1)``.
 
-    Taken slab by slab, on the rows of each slab of ``SLAB_ROWS`` nodes of
-    grid axis 0, so no grid-sized (*, m, m) tensor is formed; a max is exact,
-    so the value is bitwise that of the full field.
+    Taken on blocks of ``hessian.HESSIAN_ROWS`` nodes of grid axis 0, so no
+    grid-sized (*, m, m) tensor is formed; a max is exact, so the value is
+    bitwise that of the full field.
     """
     shape = sf.metric_det.shape
     others = (slice(None),) + interior(shape, EDGE + 1)[1:]
-    return float(max(np.max(np.abs(ricci_form(sf, rows.start, rows.stop)[others]))
-                     for _, rows in _slabs(shape[0], EDGE + 1)))
+    stop = shape[0] - EDGE - 1
+    return float(max(np.max(np.abs(ricci_form(sf, lo, min(lo + HESSIAN_ROWS, stop))[others]))
+                     for lo in range(EDGE + 1, stop, HESSIAN_ROWS)))
 
 
 def ricci_agreement(sf):
@@ -125,56 +134,41 @@ def ricci_agreement(sf):
     with the grid because the oracle stacks three one-sided derivative passes
     near the boundary.
 
-    The oracle runs slab by slab (``_oracle_interior``) and ``ricci_form``
-    on each slab's rows: no grid-sized metric or Ricci tensor is formed, and
-    the two maxima are taken per slab.  A max is exact, so the value is
-    bitwise that of the full-array formula.
+    The oracle walks the interior rows once (``_oracle_interior``), and
+    ``ricci_form`` is taken on blocks of ``HESSIAN_ROWS`` rows as the walk
+    reaches them: no grid-sized metric or Ricci tensor is formed, and the
+    two maxima are taken per slab.  A max is exact, so the value is bitwise
+    that of the full-array formula.
     """
     m = sf.m
     shape = sf.metric_det.shape
+    width = max(EDGE + 1, min(shape) // 8)
+    kahler_rows = _RowWindow(lambda lo, hi: ricci_form(sf, lo, hi), shape[0] - width,
+                             HESSIAN_ROWS)
     devs, blocks = [], []
-    for index, oracle in _oracle_interior(sf.full_metric, shape, sf.potential.spacings,
-                                          max(EDGE + 1, min(shape) // 8)):
+    for index, oracle in _oracle_interior(sf.full_metric, shape, sf.potential.spacings, width):
         rows = index[0]
-        kahler = ricci_form(sf, rows.start, rows.stop)[(slice(None),) + index[1:]]
+        kahler = kahler_rows(rows.start, rows.stop)[(slice(None),) + index[1:]]
         uu = oracle[..., :m, :m]
         devs.append(np.max(np.abs(uu - kahler)))
         blocks.append(np.max(np.abs(oracle[..., m:, m:] - uu)))
     return float(max(np.max(devs), np.max(blocks)))
 
 
-def _slabs(n, width):
-    """The slabs of ``SLAB_ROWS`` nodes of an n-node grid axis 0 that hold
-    nodes of ``interior`` at ``width``: (start, stop) of each slab and the
-    slice of its interior rows.  The slabs start at the same rows whatever
-    the width; a slab wholly inside the boundary layer is left out.
-    """
-    for start in range(0, n, SLAB_ROWS):
-        stop = min(start + SLAB_ROWS, n)
-        rows = slice(max(start, width), min(stop, n - width))
-        if rows.start < rows.stop:
-            yield (start, stop), rows
-
-
 def _oracle_interior(metric, shape, spacings, width):
     """The oracle's Ricci tensor on ``interior(shape, width)``, one slab at a time.
 
     ``metric(lo, hi)`` builds the metric field on nodes [lo, hi) of grid
-    axis 0.  Axis 0 is walked in slabs of ``SLAB_ROWS`` nodes; each slab gets
-    the metric on the reach of the reach of its first-derivative stencils,
-    which the nested passes of the curvature read, and ``ricci_from_metric``
-    on the slab.  Yields (index, ric) for each slab with interior nodes:
-    ``index`` selects those nodes of a grid field, ``ric`` is the tensor on
-    them.  A slab wholly inside the boundary layer is skipped before its
-    metric is built; the slabs start at the same rows whatever the width.
+    axis 0.  The interior rows are walked once by ``_ricci_walk``, in slabs
+    of ``SLAB_ROWS`` nodes from the first interior row, so the metric is
+    built once on each node the nested stencils read and on no other.
+    Yields (index, ric) for each slab: ``index`` selects the slab's
+    interior nodes of a grid field, ``ric`` is the tensor on them.
     """
     core = interior(shape, width)
-    n = shape[0]
-    for (start, stop), rows in _slabs(n, width):
-        lo, hi = stencil_reach(n, 1, *stencil_reach(n, 1, start, stop))
-        ric = ricci_from_metric(metric(lo, hi), spacings, (start, stop), n, lo)
-        yield ((rows,) + core[1:],
-               ric[(slice(rows.start - start, rows.stop - start),) + core[1:]])
+    others = (slice(None),) + core[1:]
+    for lo, hi, ric in _ricci_walk(metric, spacings, shape[0], width, shape[0] - width):
+        yield (slice(lo, hi),) + core[1:], ric[others]
 
 
 def ricci_from_metric(components, spacings, nodes=None, n=None, first=0):
@@ -203,13 +197,13 @@ def ricci_from_metric(components, spacings, nodes=None, n=None, first=0):
     the reach of the first-derivative stencils of that range
     (``fd.stencil_reach`` twice), which the nested passes read.
 
-    The range is walked in slabs of ``SLAB_ROWS`` nodes.  For each slab the
-    metric derivatives, g^{-1} and Gamma are formed on the slab and the reach
-    of its first-derivative stencils along axis 0 (two nodes per side inside
-    the grid), and R on the slab alone.  Beyond the input and the result, the
-    tracemalloc peak is about 1.13 times one (SLAB_ROWS + 4)-row (*, d, d, d)
-    Gamma array plus two (*, d, d, p) arrays, the metric derivatives and
-    g^{ae} d_b g_{ec} on the p grid slots (measured at d = 4, p = 2).
+    The range is walked once by ``_ricci_walk``, in slabs of ``SLAB_ROWS``
+    nodes, carrying the Christoffel symbols of the rows two neighbouring
+    slabs share, so the metric derivatives, g^{-1} and Gamma are formed once
+    on each node.  Beyond the input and the result, the tracemalloc peak is
+    about one (SLAB_ROWS + 4)-row (*, d, d, d) Gamma window plus, on the
+    SLAB_ROWS rows each slab adds, Gamma and the two (*, d, d, p) arrays of
+    the metric derivatives and g^{ae} d_b g_{ec} on the p grid slots.
     ``fd.apply_diff`` gives each node the same arithmetic on a slab as on the
     full grid, so the result is bitwise the matching rows of the full-array
     assembly kept in tests/test_semiflat.py, whatever window holds the input.
@@ -217,43 +211,109 @@ def ricci_from_metric(components, spacings, nodes=None, n=None, first=0):
     components = np.asarray(components, dtype=float)
     n = components.shape[0] if n is None else n
     start, stop = (0, n) if nodes is None else nodes
-    ric = np.zeros((stop - start,) + components.shape[1:])
-    for lo in range(start, stop, SLAB_ROWS):
-        hi = min(lo + SLAB_ROWS, stop)
-        _ricci_slab(components, spacings, n, first, lo, hi, ric[lo - start:hi - start])
+
+    def held(lo, hi):
+        if lo < first or hi > first + components.shape[0]:
+            raise ValueError(f"nodes [{first}, {first + components.shape[0]}) do not "
+                             f"cover the reach [{lo}, {hi}) of nodes [{start}, {stop})")
+        return components[lo - first:hi - first]
+
+    ric = np.empty((stop - start,) + components.shape[1:])
+    for lo, hi, rows in _ricci_walk(held, spacings, n, start, stop):
+        ric[lo - start:hi - start] = rows
     return ric
 
 
-def _ricci_slab(components, spacings, n, first, start, stop, out):
-    """Add R_bd on nodes [start, stop) of grid axis 0 into ``out``."""
-    p = components.ndim - 2
-    d = components.shape[-1]
-    lo, hi = stencil_reach(n, 1, start, stop)
-    slab = slice(start - lo, stop - lo)
+class _RowWindow:
+    """Fields on a window of grid axis 0 that slides forward, each node built once.
 
-    def grad(held, axis):
-        """d_axis on the slab of a field held on nodes [lo, hi) of axis 0."""
-        if axis == 0:
-            return apply_diff(held, 0, spacings[0], 1, nodes=(start, stop), n=n, first=lo)
-        return apply_diff(held[slab], axis, spacings[axis], 1)
+    ``build(lo, hi)`` returns the field on axis-0 nodes [lo, hi).  Calling
+    the window with (lo, hi), neither end below that of the call before,
+    returns the field on those nodes as a view of its buffer, valid until
+    the next call.  Nodes it holds are not built again; the others are built
+    at least ``chunk`` at a time, up to node ``end``, and the held nodes from
+    lo on move to the front of the buffer.
+    """
 
-    gamma = _christoffel(components, spacings, n, first, lo, hi)
+    def __init__(self, build, end, chunk=1):
+        self.build, self.end, self.chunk = build, end, chunk
+        self.lo = self.hi = 0
+        self.buffer = None
+
+    def __call__(self, lo, hi):
+        if hi > self.hi:
+            kept = max(self.hi - lo, 0)
+            top = min(max(hi, lo + kept + self.chunk), self.end)
+            fresh = self.build(lo + kept, top)
+            held = self.buffer
+            if held is None or len(held) < top - lo:
+                self.buffer = np.empty((top - lo,) + fresh.shape[1:])
+            if kept:
+                self.buffer[:kept] = held[lo - self.lo:self.hi - self.lo]
+            self.buffer[kept:top - lo] = fresh
+            self.lo, self.hi = lo, top
+        return self.buffer[lo - self.lo:hi - self.lo]
+
+
+def _ricci_walk(metric, spacings, n, start, stop):
+    """R on nodes [start, stop) of an n-node grid axis 0, walked once.
+
+    Yields (lo, hi, ric) for consecutive slabs [lo, hi) of ``SLAB_ROWS``
+    nodes, ``ric`` the Ricci tensor on the slab.  ``metric(lo, hi)`` gives
+    the metric on axis-0 nodes [lo, hi); it is asked for ``METRIC_ROWS``
+    nodes at a time, never beyond the reach of the reach of [start, stop).
+    Two windows slide along the axis: the metric on the reach of the
+    first-derivative stencils of the rows whose Gamma is new, and Gamma on
+    the reach of the slab.  Consecutive slabs share the halo of their
+    reaches (4 rows inside the grid), which the Gamma window carries over,
+    so each node's metric, derivatives, inverse and Gamma are built once.
+    Gamma^a_{ab} is a view of the Gamma window.
+    """
+    if start >= stop:
+        return
+    reach = stencil_reach(n, 1, start, stop)
+    metric_rows = _RowWindow(metric, stencil_reach(n, 1, *reach)[1], METRIC_ROWS)
+
+    def christoffel(lo, hi):
+        first, last = stencil_reach(n, 1, lo, hi)
+        return _christoffel(metric_rows(first, last), spacings, n, first, lo, hi)
+
+    gamma_rows = _RowWindow(christoffel, reach[1])
+    for lo in range(start, stop, SLAB_ROWS):
+        hi = min(lo + SLAB_ROWS, stop)
+        first, last = stencil_reach(n, 1, lo, hi)
+        yield lo, hi, _ricci_slab(gamma_rows(first, last), spacings, n, first, lo, hi)
+
+
+def _ricci_slab(gamma, spacings, n, first, start, stop):
+    """R_bd on nodes [start, stop) of grid axis 0 from Gamma held on nodes
+    first, first + 1, ... of the n-node axis, at least the reach of the
+    slab's first-derivative stencils."""
+    p = gamma.ndim - 3
+    d = gamma.shape[-1]
+    slab = slice(start - first, stop - first)
     diagonal = np.einsum("...aab->...ab", gamma)  # Gamma^a_{ab}, not summed over a
-    diagonal_grad = [grad(diagonal, axis) for axis in range(p)]
+    # grads[axis][..., 0, a, b] = d_axis Gamma^a_{ab} and grads[axis][..., 1, :, :] =
+    # d_axis Gamma^axis_{..}: one stencil pass per axis, of both stacked
+    grads = [apply_diff(np.stack([diagonal, gamma[..., 0, :, :]], axis=-3), 0, spacings[0], 1,
+                        nodes=(start, stop), n=n, first=first)]
+    grads += [apply_diff(np.stack([diagonal[slab], gamma[slab, ..., axis, :, :]], axis=-3),
+                         axis, spacings[axis], 1) for axis in range(1, p)]
     gamma_slab = gamma[slab]
     # [..., e, d * d + b] = Gamma^e_{db}
     gamma_rows = gamma_slab.reshape(gamma_slab.shape[:-3] + (d, d * d))
+    ric = np.zeros(gamma_slab.shape[:-1])
     for a in range(d):
-        term = np.zeros(out.shape)  # R^a_{bad}, indexed [b, d]
+        term = np.zeros(ric.shape)  # R^a_{bad}, indexed [b, d]
         for axis in range(p):
-            term[..., axis] -= diagonal_grad[axis][..., a, :]
-        if a < p:
-            d_gamma = grad(gamma[..., a, :, :], a)  # d_a Gamma^a_{db}
-            np.add(d_gamma.swapaxes(-1, -2), term, out=term)
+            term[..., axis] -= grads[axis][..., 0, a, :]
+        if a < p:  # d_a Gamma^a_{db}
+            np.add(grads[a][..., 1, :, :].swapaxes(-1, -2), term, out=term)
         # Gamma^a_{ae} Gamma^e_{db} and Gamma^a_{de} Gamma^e_{ab} as batched matmul
-        term += (diagonal[slab, ..., a, None, :] @ gamma_rows).reshape(out.shape).swapaxes(-1, -2)
+        term += (diagonal[slab, ..., a, None, :] @ gamma_rows).reshape(ric.shape).swapaxes(-1, -2)
         term -= (gamma_slab[..., a, :, :] @ gamma_slab[..., :, a, :]).swapaxes(-1, -2)
-        out += term
+        ric += term
+    return ric
 
 
 def _christoffel(components, spacings, n, first, lo, hi):
@@ -334,6 +394,7 @@ class GibbonsHawkingMetric:
     conjugate_w: np.ndarray
     ricci_max: float
     harmonic_residual: float
+    harmonic_tol: float
 
     def components(self, lo=0, hi=None):
         """The metric on nodes [lo, hi) of grid axis 0 (default: the whole
@@ -353,36 +414,50 @@ def _gh_components(v, w):
     return g
 
 
-def gh_metric(v_values, axes, tol=1e-8):
+def gh_metric(v_values, axes):
     """Gibbons-Hawking 4-metric from a positive harmonic function of (y1, y2).
 
     g = V (dy1^2 + dy2^2 + dy3^2) + V^{-1} (dtau + W dy3)^2 where W is the
     harmonic conjugate of V, so that the connection satisfies dA = *dV.
     Returns V, W and the max |Ricci| of the metric via the Christoffel
     oracle; the construction is Ricci-flat, so the residual is pure stencil
-    error, read past EDGE + 1 boundary nodes.  The oracle runs slab by slab
-    (``_oracle_interior``) on the metric of each slab's rows, so neither the
-    metric nor its Ricci tensor is ever held on the whole grid; the metric
-    of any rows is ``components``.
+    error, read past EDGE + 1 boundary nodes.  The oracle walks the interior
+    rows once (``_oracle_interior``) on the metric of the rows it reaches,
+    so neither the metric nor its Ricci tensor is ever held on the whole
+    grid; the metric of any rows is ``components``.
+
+    V is harmonic when max |Laplacian V| is below ``harmonic_tol``, 10 times
+    the two-grid estimate (``fd.richardson_tolerance``) from the Laplacian on
+    every other node, and never below 10 times its roundoff floor
+    (``fd.roundoff_floor`` of the two second-derivative passes), which an
+    exactly harmonic V reaches on fine grids.
     """
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     v = np.asarray(v_values, dtype=float)
     if v.shape != (len(axes[0]), len(axes[1])):
         raise InputError("V must be sampled on the (y1, y2) grid")
     spacings = [float(ax[1] - ax[0]) for ax in axes]
-    harmonic_residual = float(np.max(np.abs(apply_diff(v, 0, spacings[0], 2)
-                                            + apply_diff(v, 1, spacings[1], 2))))
-    if harmonic_residual > tol:
-        raise InputError(
-            f"V is not harmonic: ||Laplacian||_inf = {harmonic_residual:.3e}"
-        )
+    harmonic_residual = _laplacian_max(v, spacings)
+    coarse = _laplacian_max(v[::2, ::2], [float(ax[2] - ax[0]) for ax in axes])
+    scale = np.max(np.abs(v))
+    harmonic_tol = 10.0 * richardson_tolerance(
+        coarse, floor=sum(roundoff_floor(scale, h, 2) for h in spacings))
+    if harmonic_residual > harmonic_tol:
+        raise InputError(f"V is not harmonic: ||Laplacian||_inf = {harmonic_residual:.3e} "
+                         f"above {harmonic_tol:.3e}")
     if np.min(v) <= 0:
         raise InputError("V must be positive on the whole domain")
     w = _harmonic_conjugate(v, spacings)
     slabs = _oracle_interior(lambda lo, hi: _gh_components(v[lo:hi], w[lo:hi]), v.shape,
                              spacings, EDGE + 1)
     ricci_max = float(np.max([np.max(np.abs(ric)) for _, ric in slabs]))
-    return GibbonsHawkingMetric(axes, v, w, ricci_max, harmonic_residual)
+    return GibbonsHawkingMetric(axes, v, w, ricci_max, harmonic_residual, harmonic_tol)
+
+
+def _laplacian_max(v, spacings):
+    """max |V_11 + V_22| over the whole grid."""
+    return float(np.max(np.abs(apply_diff(v, 0, spacings[0], 2)
+                               + apply_diff(v, 1, spacings[1], 2))))
 
 
 def _harmonic_conjugate(v, spacings):

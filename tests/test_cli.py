@@ -83,6 +83,17 @@ def test_family_scan_derives_each_family_constant_once(tmp_path, monkeypatch):
     assert (len(j_calls), len(phase_calls), len(coeff_calls)) == (1, 1, 1)
 
 
+def test_family_scan_takes_the_period_and_gram_matrices_once(tmp_path, monkeypatch):
+    # the scan and the checks read lambda, mu and the McLean Gram matrix of
+    # one family; the job takes each once and passes it on
+    periods = _count_calls(monkeypatch, AffineSLagFamily, "period_matrices")
+    grams = _count_calls(monkeypatch, AffineSLagFamily, "mclean_metric")
+    cfg = _write(tmp_path / "cfg.json", {"family": "std:3", "grid": {"n": 2},
+                                         "fiber_resolution": 8})
+    assert main(["family-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (len(periods), len(grams)) == (1, 1)
+
+
 def test_family_scan_tilt(tmp_path):
     cfg = _write(
         tmp_path / "cfg.json",
@@ -208,6 +219,16 @@ def test_gh_command(tmp_path):
     assert main(["gh", "--out", str(tmp_path)]) == 0
     report = _report(tmp_path)
     assert report["checks"]["ricci_flat"]["pass"]
+    assert report["harmonic_residual"] < report["harmonic_tol"]
+
+
+def test_gh_command_takes_a_harmonic_v_on_a_coarse_grid(tmp_path):
+    # ||Laplacian V|| = 2.1e-6 is stencil error at 33^2; a fixed 1e-8 gate
+    # refused it with exit 2
+    cfg = _write(tmp_path / "gh.json", {"V": "3 + exp(y1) * cos(y2)", "n": 33})
+    assert main(["gh", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = _report(tmp_path)
+    assert 1e-6 < report["harmonic_residual"] < report["harmonic_tol"]
 
 
 def test_config_error_exit_code(tmp_path):

@@ -57,6 +57,52 @@ def test_convexity_violation_reports_node():
         assert err.value.node is not None
 
 
+def _dipped(n, row, depth):
+    """A convex quadratic with a Gaussian dip centred on node (row, n // 3)."""
+    axes = [np.linspace(-1, 1, n), np.linspace(-1, 1, n + 4)]
+    centre = (axes[0][row], axes[1][n // 3])
+    return HessianPotential.from_function(axes, lambda a, b: (
+        a ** 2 + 0.5 * a * b + b ** 2
+        - depth * np.exp(-((a - centre[0]) ** 2 + (b - centre[1]) ** 2) / 0.01)))
+
+
+@pytest.mark.parametrize("case", [(65, 40, 0.0), (65, 40, 0.005), (65, 40, 1.0),
+                                  (97, 70, 1.0), (33, 3, 1.0)])
+def test_eigenvalue_bounds_by_rows_are_the_full_field_gate(monkeypatch, case):
+    # the gate walks blocks of HESSIAN_ROWS rows and never forms the whole
+    # field; its bounds, or its error with the first node of the least
+    # eigenvalue, are bitwise those of the full-field gate
+    pot = _dipped(*case)
+    try:
+        expected = hessian._convex_bounds(pot.hessian())
+    except ConvexityError as exc:
+        expected = (str(exc), exc.node)
+    rows = []
+    original = hessian.hessian_field
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(hessian, "hessian_field", recorded)
+    try:
+        got = pot.eigenvalue_bounds
+    except ConvexityError as exc:
+        got = (str(exc), exc.node)
+    assert got == expected
+    assert max(rows) <= hessian.HESSIAN_ROWS < case[0]
+
+
+def test_eigenvalue_bounds_of_a_tied_field_point_at_the_first_node():
+    # a constant potential: every interior node ties for the least eigenvalue,
+    # an exact 0, and the first of them is in the first block
+    pot = HessianPotential([np.linspace(-1, 1, 81)] * 2, np.ones((81, 81)))
+    with pytest.raises(ConvexityError) as err:
+        pot.eigenvalue_bounds
+    assert err.value.node == (2, 2)
+
+
 def test_nonuniform_axes_rejected():
     with pytest.raises(InputError):
         HessianPotential([np.array([0.0, 0.1, 0.3])], np.zeros(3))
