@@ -34,7 +34,7 @@ from .fd import (EDGE, TensorQuintic, apply_diff, diff_matrix, gradient_field, h
 
 # smallest Hessian eigenvalue on the interior that counts as strictly convex
 CONVEXITY_TOL = 1e-10
-HESSIAN_ROWS = 32  # nodes of grid axis 0 per block of a Hessian row walk
+HESSIAN_NODES = 2 ** 14  # grid nodes per block of a Hessian row walk
 
 
 @dataclass
@@ -93,8 +93,9 @@ class HessianPotential:
         """(min, max) Hessian eigenvalue on ``fd.interior``, the convexity gate.
 
         Kept on first use, so ``values`` must not change after.  The Hessian
-        is taken on the interior rows in blocks of ``HESSIAN_ROWS`` rows
-        (``hessian_blocks``), so no grid-sized field is formed; the bounds
+        is taken on the interior rows in blocks of ``block_rows`` rows
+        (``hessian_blocks``), so no field of more than ``HESSIAN_NODES``
+        nodes is formed; the bounds
         and the ``ConvexityError`` node are bitwise those of
         ``_convex_bounds`` on the full field.
         """
@@ -150,12 +151,19 @@ def hessian_det(hess):
     return det
 
 
+def block_rows(shape):
+    """Nodes of grid axis 0 per block of a row walk over a grid of ``shape``:
+    as many as hold ``HESSIAN_NODES`` grid nodes, and at least one."""
+    return max(1, HESSIAN_NODES * shape[0] // int(np.prod(shape)))
+
+
 def hessian_blocks(pot, start=0, stop=None):
-    """(lo, the Hessian on nodes [lo, lo + HESSIAN_ROWS) of grid axis 0) for
+    """(lo, the Hessian on nodes [lo, lo + block_rows) of grid axis 0) for
     consecutive blocks of nodes [start, stop) (default: the whole axis)."""
     stop = pot.values.shape[0] if stop is None else stop
-    for lo in range(start, stop, HESSIAN_ROWS):
-        yield lo, pot.hessian(lo, min(lo + HESSIAN_ROWS, stop))
+    rows = block_rows(pot.values.shape)
+    for lo in range(start, stop, rows):
+        yield lo, pot.hessian(lo, min(lo + rows, stop))
 
 
 def _convex_bounds(hess):

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InputError, MetricError
 from .fd import (EDGE, apply_diff, cumulative_quadrature, hessian_field, interior,
                  richardson_tolerance, roundoff_floor, stencil_reach)
-from .hessian import HESSIAN_ROWS, HessianPotential, hessian_blocks, hessian_det
+from .hessian import HessianPotential, block_rows, hessian_blocks, hessian_det
 
 SLAB_ROWS = 4  # nodes of grid axis 0 per slab of the Christoffel walk
 METRIC_ROWS = 8  # nodes of grid axis 0 per metric build of the Christoffel walk
@@ -112,15 +112,15 @@ def ricci_form(sf, lo=0, hi=None):
 def ricci_form_max(sf):
     """max |R_jk| of ``ricci_form`` on ``interior(shape, EDGE + 1)``.
 
-    Taken on blocks of ``hessian.HESSIAN_ROWS`` nodes of grid axis 0, so no
+    Taken on blocks of ``hessian.block_rows`` nodes of grid axis 0, so no
     grid-sized (*, m, m) tensor is formed; a max is exact, so the value is
     bitwise that of the full field.
     """
     shape = sf.metric_det.shape
     others = (slice(None),) + interior(shape, EDGE + 1)[1:]
-    stop = shape[0] - EDGE - 1
-    return float(max(np.max(np.abs(ricci_form(sf, lo, min(lo + HESSIAN_ROWS, stop))[others]))
-                     for lo in range(EDGE + 1, stop, HESSIAN_ROWS)))
+    stop, rows = shape[0] - EDGE - 1, block_rows(shape)
+    return float(max(np.max(np.abs(ricci_form(sf, lo, min(lo + rows, stop))[others]))
+                     for lo in range(EDGE + 1, stop, rows)))
 
 
 def ricci_agreement(sf):
@@ -135,7 +135,7 @@ def ricci_agreement(sf):
     near the boundary.
 
     The oracle walks the interior rows once (``_oracle_interior``), and
-    ``ricci_form`` is taken on blocks of ``HESSIAN_ROWS`` rows as the walk
+    ``ricci_form`` is taken on blocks of ``METRIC_ROWS`` rows as the walk
     reaches them: no grid-sized metric or Ricci tensor is formed, and the
     two maxima are taken per slab.  A max is exact, so the value is bitwise
     that of the full-array formula.
@@ -144,7 +144,7 @@ def ricci_agreement(sf):
     shape = sf.metric_det.shape
     width = max(EDGE + 1, min(shape) // 8)
     kahler_rows = _RowWindow(lambda lo, hi: ricci_form(sf, lo, hi), shape[0] - width,
-                             HESSIAN_ROWS)
+                             METRIC_ROWS)
     devs, blocks = [], []
     for index, oracle in _oracle_interior(sf.full_metric, shape, sf.potential.spacings, width):
         rows = index[0]
