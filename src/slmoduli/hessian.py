@@ -94,10 +94,10 @@ class HessianPotential:
 
         Kept on first use, so ``values`` must not change after.  The Hessian
         is taken on the interior rows in blocks of ``block_rows`` rows
-        (``hessian_blocks``), so no field of more than ``HESSIAN_NODES``
-        nodes is formed; the bounds
-        and the ``ConvexityError`` node are bitwise those of
-        ``_convex_bounds`` on the full field.
+        (``hessian_blocks``), each of about ``HESSIAN_NODES`` grid nodes, so
+        no grid-sized field is formed on larger grids; the bounds and the
+        ``ConvexityError`` node are bitwise those of ``_convex_bounds`` on
+        the full field.
         """
         n = self.values.shape[0]
         # at least one block, so that a grid too small for the stencils raises
