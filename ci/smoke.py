@@ -1,7 +1,8 @@
-"""Console-script and memory-guard checks of the slmoduli command line.
+"""Console-script, memory-guard and thread checks of the slmoduli command line.
 
     python ci/smoke.py console [--slmoduli CMD] [--tmp DIR]
     python ci/smoke.py memory [--n N] [--slmoduli CMD] [--tmp DIR]
+    python ci/smoke.py threads [--n N] [--slmoduli CMD] [--tmp DIR]
 
 ``console`` checks the exit contract: a passing check exits 0 (cy-validate,
 and semiflat on a three-variable Monge-Ampere quadratic), and a grid too
@@ -9,13 +10,17 @@ small for its stencils or a config that is not a JSON object exits 2 with an
 error line and no traceback.  ``memory`` runs gh, semiflat --oracle,
 partial-legendre and legendre on N x N grids (default 257) and fails when a
 command exits with an unexpected code, prints a traceback, or peaks above
-``LIMIT_MB`` of resident memory.  ``--slmoduli`` is the command that runs the
-CLI (default ``slmoduli``, the installed console script); ``--tmp`` holds the
-configs and outputs (default: a new temporary directory).  Exits 1 on the
-first failure.
+``LIMIT_MB`` of resident memory.  ``threads`` runs the same four commands
+under 1 and 2 BLAS threads and fails unless every output but ``run.log`` is
+byte for byte the same (ma-solve is not yet thread-independent, so it is
+left out).  ``--slmoduli`` is the command that runs the CLI (default
+``slmoduli``, the installed console script); ``--tmp`` holds the configs
+and outputs (default: a new temporary directory).  Exits 1 on the first
+failure.
 """
 
 import argparse
+import filecmp
 import json
 import os
 import shlex
@@ -25,14 +30,15 @@ import tempfile
 from pathlib import Path
 
 LIMIT_MB = 60
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _run(slmoduli, args, tmp, name):
+def _run(slmoduli, args, tmp, name, env=None):
     """Run one command; returns its exit code, its stderr and its own peak RSS in MB."""
     err_path = tmp / f"{name}.err"
     with open(err_path, "w") as err:
         proc = subprocess.Popen([*slmoduli, *args, "--out", str(tmp / name)],
-                                stdout=subprocess.DEVNULL, stderr=err)
+                                stdout=subprocess.DEVNULL, stderr=err, env=env)
         # wait4 reaps the child with its own resource usage, not the maximum
         # over every child reaped so far
         _, status, usage = os.wait4(proc.pid, 0)
@@ -63,7 +69,9 @@ def console(slmoduli, tmp):
     return None
 
 
-def memory(slmoduli, tmp, n):
+def _guard_runs(tmp, n):
+    """(args, allowed exit codes) of gh, semiflat --oracle, partial-legendre
+    and legendre on N x N grids."""
     gh = _config(tmp, f"gh{n}", {"n": n})
     exact = _config(tmp, f"exact{n}", {"potential": {
         "axes": [[-0.5, 0.5, n], [0.5, 1.5, n]], "expr": "u1**2 / (2 * u2) + u2**3 / 6",
@@ -72,11 +80,14 @@ def memory(slmoduli, tmp, n):
         "axes": [[-1, 1, n], [-1, 1, n]], "expr": "(u1**2 + u2**2) / 2 + 0.1*cosh(u1)"}})
     # the verdict of semiflat on the exact solution is not checked here, only
     # that it is a verdict (exit 0 or 1) and not an error
-    runs = [(["gh", "--config", gh], {0}),
+    return [(["gh", "--config", gh], {0}),
             (["semiflat", "--oracle", "--config", exact], {0, 1}),
             (["partial-legendre", "--config", exact], {0}),
             (["legendre", "--config", legendre], {0})]
-    for args, codes in runs:
+
+
+def memory(slmoduli, tmp, n):
+    for args, codes in _guard_runs(tmp, n):
         code, stderr, peak = _run(slmoduli, args, tmp, f"{args[0]}{n}")
         if code not in codes or "Traceback" in stderr:
             return f"slmoduli {args[0]} at {n}^2 exited {code}"
@@ -86,12 +97,35 @@ def memory(slmoduli, tmp, n):
     return None
 
 
+def threads(slmoduli, tmp, n):
+    for args, codes in _guard_runs(tmp, n):
+        outs = []
+        for count in (1, 2):
+            name = f"{args[0]}{n}-threads{count}"
+            env = {**os.environ, **dict.fromkeys(BLAS_VARIABLES, str(count))}
+            code, stderr, _ = _run(slmoduli, args, tmp, name, env)
+            if code not in codes or "Traceback" in stderr:
+                return f"slmoduli {args[0]} at {n}^2 with {count} BLAS threads exited {code}"
+            outs.append(tmp / name)
+        names = [sorted(p.name for p in out.iterdir() if p.name != "run.log") for out in outs]
+        if names[0] != names[1]:
+            return f"slmoduli {args[0]} at {n}^2 wrote {names[0]} and {names[1]}"
+        differ = [name for name in names[0]
+                  if not filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False)]
+        if differ:
+            return f"slmoduli {args[0]} at {n}^2: {differ} differ between 1 and 2 BLAS threads"
+        print(f"slmoduli {args[0]} at {n}^2: {len(names[0])} outputs identical at 1 and 2 "
+              "BLAS threads")
+    return None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("check", choices=["console", "memory"])
+    parser.add_argument("check", choices=["console", "memory", "threads"])
     parser.add_argument("--slmoduli", default="slmoduli", help="command that runs the CLI")
     parser.add_argument("--tmp", default=None, help="directory for configs and outputs")
-    parser.add_argument("--n", type=int, default=257, help="nodes per axis of the memory guard")
+    parser.add_argument("--n", type=int, default=257,
+                        help="nodes per axis of the memory guard and the thread check")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
         tmp = Path(args.tmp or scratch)
@@ -100,7 +134,7 @@ def main(argv=None):
         if args.check == "console":
             failure = console(slmoduli, tmp)
         else:
-            failure = memory(slmoduli, tmp, args.n)
+            failure = {"memory": memory, "threads": threads}[args.check](slmoduli, tmp, args.n)
     if failure:
         print(f"error: {failure}", file=sys.stderr)
         return 1

@@ -8,10 +8,11 @@ Gram matrix of the theta_j and the fiber volume are computed once per family
 in closed form from ``ConstantForm`` algebra.  Constant forms are closed and
 co-closed exactly, so the gridded forms are built only for the McLean
 identity phi_j = star theta_j on a fiber grid with the constant induced
-metric.  The module also integrates the moduli coordinates u, v (closedness
-of given period functions is a precondition), tabulates the embedding
-t -> (u(t), v(t)), and reports the residuals certifying the structural
-identities: symmetry of lambda^T mu and the L^2 metric identity.
+metric.  The module also gives the moduli coordinates u, v (for a family
+they are linear in t, since lambda and mu are constant; for given period
+functions they are integrated, with closedness a precondition), tabulates
+the embedding t -> (u(t), v(t)), and reports the residuals certifying the
+structural identities: symmetry of lambda^T mu and the L^2 metric identity.
 """
 
 import json
@@ -173,15 +174,6 @@ class AffineSLagFamily:
         gram = pm.lam.T @ np.linalg.solve(g, pm.lam) * np.sqrt(np.linalg.det(g))
         return gram, float(np.max(np.abs(gram - pm.lam.T @ pm.mu)))
 
-    def lambda_function(self):
-        """t -> lambda(t); constant for affine families."""
-        lam = self.period_matrices().lam
-        return lambda t: np.broadcast_to(lam, np.shape(t)[:-1] + lam.shape).copy()
-
-    def mu_function(self):
-        mu = self.period_matrices().mu
-        return lambda t: np.broadcast_to(mu, np.shape(t)[:-1] + mu.shape).copy()
-
 
 @dataclass
 class PeriodMatrices:
@@ -302,24 +294,27 @@ def _cumtrapz(values, x, axis):
 def moduli_coordinates(fam_or_fns, axes, order=None, closedness_tol=1e-8):
     """Integrate du = lambda dt, dv = mu dt over a box grid from its first node.
 
-    Accepts either a family or a pair (lambda_fn, mu_fn).  For a pair,
-    closedness of the period 1-forms is a checked precondition: the
-    generating rectangles of the grid must have loop residual below
-    ``closedness_tol``.  A family's lambda is constant, so its loops close
-    and the check is skipped.
+    Accepts either a family or a pair (lambda_fn, mu_fn).  A family's lambda
+    and mu are constant, so u = (t - t0) lambda^T and v = (t - t0) mu^T in
+    closed form, and the chart's lambda and mu are read-only broadcast views
+    of the two matrices.  For a pair, closedness of the period 1-forms is a
+    checked precondition (the generating rectangles of the grid must have
+    loop residual below ``closedness_tol``), and u, v are integrated along
+    axis-ordered staircase paths (``order``, default the axis order).
     """
     axes = [np.asarray(ax, dtype=float) for ax in axes]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     if isinstance(fam_or_fns, AffineSLagFamily):
-        lam_fn = fam_or_fns.lambda_function()
-        mu_fn = fam_or_fns.mu_function()
-    else:
-        lam_fn, mu_fn = fam_or_fns
-        _check_grid_closedness(lam_fn, axes, closedness_tol)
+        pm = fam_or_fns.period_matrices()
+        offsets = pts - pts[(0,) * len(axes)]
+        lam, mu = (np.broadcast_to(mat, pts.shape[:-1] + mat.shape) for mat in (pm.lam, pm.mu))
+        return ModuliChart(axes, offsets @ pm.lam.T, offsets @ pm.mu.T, lam, mu)
+    lam_fn, mu_fn = fam_or_fns
+    _check_grid_closedness(lam_fn, axes, closedness_tol)
     if order is None:
         order = list(range(len(axes)))
     u = _staircase_integral(lam_fn, axes, order)
     v = _staircase_integral(mu_fn, axes, order)
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     return ModuliChart(axes, u, v, lam_fn(pts), mu_fn(pts))
 
 

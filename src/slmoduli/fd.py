@@ -24,7 +24,7 @@ columns) and taken as a tensor product over a uniform box grid by
 work arrays do not grow with the number of points, and in closed form on
 the spans away from the not-a-knot ends); and
 ``cumulative_quadrature`` (a sixth-order running integral on a uniform
-grid).
+grid, a banded sum of six cell weights followed by a cumulative sum).
 """
 
 from functools import lru_cache
@@ -585,25 +585,38 @@ class TensorQuintic:
 
 
 @lru_cache(maxsize=None)
-def cumulative_quadrature(n, spacing):
-    """(n, n) matrix C with (C f)_i = integral of f from node 0 to node i.
-
-    Uniform grid of n >= 6 nodes.  The integral over each cell is the exact
-    integral of the degree-5 interpolant through the six nodes nearest that
-    cell (k - 2 ... k + 3 for cell [k, k + 1], shifted inward at the ends),
-    so C integrates polynomials of degree <= 5 exactly and its error is
-    O(h^6).  The cached matrix is read-only.
-    """
+def _cell_weights(n, spacing):
+    """First node (n - 1,) and weights (n - 1, 6) of the six nodes nearest
+    each cell [k, k + 1] of ``cumulative_quadrature``, both read-only."""
     if n < 6:
         raise GridMismatchError(f"need at least 6 nodes for the quadrature, got {n}")
     moments = 1.0 / np.arange(1.0, 7.0)  # integral of s^p over [0, 1]
-    cells = np.zeros((n - 1, n))
-    for k in range(n - 1):
-        lo = min(max(k - 2, 0), n - 6)
+    first = np.clip(np.arange(n - 1) - 2, 0, n - 6)
+    weights = np.empty((n - 1, 6))
+    for k, lo in enumerate(first):
         nodes = np.arange(lo, lo + 6) - float(k)
-        weights = np.linalg.solve(np.vander(nodes, increasing=True).T, moments)
-        cells[k, lo:lo + 6] = weights * float(spacing)
-    cumulative = np.zeros((n, n))
-    np.cumsum(cells, axis=0, out=cumulative[1:])
-    cumulative.flags.writeable = False
-    return cumulative
+        weights[k] = np.linalg.solve(np.vander(nodes, increasing=True).T, moments) * spacing
+    first.flags.writeable = weights.flags.writeable = False
+    return first, weights
+
+
+def cumulative_quadrature(values, spacing, axis=0):
+    """Running integral of ``values`` along ``axis`` from its first node.
+
+    Uniform grid of n >= 6 nodes along ``axis``.  The integral over each
+    cell is the exact integral of the degree-5 interpolant through the six
+    nodes nearest that cell (k - 2 ... k + 3 for cell [k, k + 1], shifted
+    inward at the ends), so polynomials of degree <= 5 integrate exactly and
+    the error is O(h^6).  The six weights of each cell are applied as a
+    banded sum and the cells added up by ``np.cumsum``; only the weights are
+    kept between calls.
+    """
+    values = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    first, weights = _cell_weights(values.shape[0], float(spacing))
+    column = (len(first),) + (1,) * (values.ndim - 1)
+    out = np.zeros(values.shape)
+    cells = out[1:]
+    for j in range(6):
+        cells += weights[:, j].reshape(column) * values[first + j]
+    np.cumsum(cells, axis=0, out=cells)
+    return np.moveaxis(out, 0, axis)

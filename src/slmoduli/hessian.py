@@ -1,10 +1,12 @@
 """Hessian potentials on a box chart: metrics, Legendre duality, Monge-Ampere.
 
 A potential is a strictly convex scalar on a uniform box grid.  The module
-computes its Hessian metric, the Monge-Ampere residual det(Hess) - c, the
+computes its Hessian metric and, by row blocks, det Hess phi (the one route
+to it, for the Monge-Ampere residual det(Hess) - c and the semiflat
+manifold), both behind the convexity gate ``eigenvalue_bounds``; the
 discrete Legendre transform (one separable per-axis pass that returns the
-grid conjugate together with its argmax node, optionally sharpened by a
-spline Newton refinement started from that node), the mirror role-swap, the
+grid conjugate together with its argmax node, sharpened by a spline Newton
+refinement started from that node), the mirror role-swap, the
 2D partial Legendre reduction to the Laplace equation, and a damped
 Newton-Krylov Dirichlet solver for det(Hess phi) = c in two variables.  The
 solver applies its fourth-order Jacobian as 1D matrix products without
@@ -34,7 +36,7 @@ from .fd import (EDGE, TensorQuintic, apply_diff, diff_matrix, gradient_field, h
 
 # smallest Hessian eigenvalue on the interior that counts as strictly convex
 CONVEXITY_TOL = 1e-10
-HESSIAN_NODES = 2 ** 14  # grid nodes per block of a Hessian row walk
+HESSIAN_NODES = 2 ** 14  # grid nodes per block of a row walk (``row_blocks``)
 
 
 @dataclass
@@ -92,18 +94,32 @@ class HessianPotential:
     def eigenvalue_bounds(self):
         """(min, max) Hessian eigenvalue on ``fd.interior``, the convexity gate.
 
-        Kept on first use, so ``values`` must not change after.  The Hessian
-        is taken on the interior rows in blocks of ``block_rows`` rows
-        (``hessian_blocks``), each of about ``HESSIAN_NODES`` grid nodes, so
-        no grid-sized field is formed on larger grids; the bounds and the
-        ``ConvexityError`` node are bitwise those of ``_convex_bounds`` on
-        the full field.
+        Kept on first use, so ``values`` must not change after.  Raises
+        ``ConvexityError`` at the first node of the least eigenvalue unless
+        that exceeds ``CONVEXITY_TOL``.  The Hessian is taken on the interior
+        rows by ``row_blocks``, so no grid-sized field is formed on larger
+        grids.  Each block is reduced on its own: a minimum or maximum is
+        exact, and the first node of the least eigenvalue lies in the first
+        block that attains it, so the bounds and the error node are those of
+        the whole field.
         """
-        n = self.values.shape[0]
+        shape = self.values.shape
+        lows, highs, nodes = [], [], []
         # at least one block, so that a grid too small for the stencils raises
         # their error, as the full field does
-        return _interior_bounds(self.values.shape,
-                                hessian_blocks(self, EDGE, max(n - EDGE, EDGE + 1)))
+        for lo, hess in row_blocks(self.hessian, shape, EDGE, max(shape[0] - EDGE, EDGE + 1)):
+            lowest, highest = eigenvalue_range(hess[(slice(None),) + interior(shape, EDGE)[1:]])
+            lows.append(np.min(lowest))
+            highs.append(np.max(highest))
+            node = np.unravel_index(np.argmin(lowest), lowest.shape)
+            nodes.append((lo + int(node[0]),) + tuple(int(i) + EDGE for i in node[1:]))
+        least = np.min(lows)
+        if least <= CONVEXITY_TOL:
+            raise ConvexityError(
+                f"potential fails strict convexity (min eigenvalue {least:.3e})",
+                node=nodes[lows.index(least)],
+            )
+        return float(least), float(np.max(highs))
 
     def gradient(self):
         return gradient_field(self.values, self.spacings)
@@ -151,65 +167,42 @@ def hessian_det(hess):
     return det
 
 
-def block_rows(shape):
-    """Nodes of grid axis 0 per block of a row walk over a grid of ``shape``:
-    as many as hold ``HESSIAN_NODES`` grid nodes, and at least one."""
-    return max(1, HESSIAN_NODES * shape[0] // int(np.prod(shape)))
+def row_blocks(build, shape, start=0, stop=None):
+    """(lo, build(lo, hi)) for consecutive blocks [lo, hi) of nodes [start,
+    stop) of grid axis 0 (default: the whole axis) of a grid of ``shape``.
 
-
-def hessian_blocks(pot, start=0, stop=None):
-    """(lo, the Hessian on nodes [lo, lo + block_rows) of grid axis 0) for
-    consecutive blocks of nodes [start, stop) (default: the whole axis)."""
-    stop = pot.values.shape[0] if stop is None else stop
-    rows = block_rows(pot.values.shape)
-    for lo in range(start, stop, rows):
-        yield lo, pot.hessian(lo, min(lo + rows, stop))
-
-
-def _convex_bounds(hess):
-    """(min, max) eigenvalue of a Hessian field on ``fd.interior``, or ConvexityError."""
-    return _interior_bounds(hess.shape[:-2], [(0, hess)])
-
-
-def _interior_bounds(shape, blocks):
-    """``_convex_bounds`` of a field on ``shape`` given as blocks of rows.
-
-    ``blocks`` yields (lo, the field on axis-0 nodes lo, lo + 1, ...) for
-    consecutive row ranges.  Each block's interior nodes are reduced on
-    their own.  A minimum or maximum is exact, and the first node of the
-    least eigenvalue lies in the first block that attains it, so the result
-    and the error are those of the whole field.
+    A block has as many nodes as hold ``HESSIAN_NODES`` grid nodes, and at
+    least one.
     """
-    lows, highs, nodes = [], [], []
-    for lo, hess in blocks:
-        core = interior(shape, EDGE)
-        rows = slice(max(EDGE - lo, 0), max(shape[0] - EDGE - lo, 0))
-        lowest, highest = eigenvalue_range(hess[(rows,) + core[1:]])
-        if lowest.size:
-            lows.append(np.min(lowest))
-            highs.append(np.max(highest))
-            node = np.unravel_index(np.argmin(lowest), lowest.shape)
-            nodes.append((lo + rows.start + int(node[0]),) + tuple(int(i) + EDGE for i in node[1:]))
-    least = np.min(lows)
-    if least <= CONVEXITY_TOL:
-        raise ConvexityError(
-            f"potential fails strict convexity (min eigenvalue {least:.3e})",
-            node=nodes[lows.index(least)],
-        )
-    return float(least), float(np.max(highs))
+    stop = shape[0] if stop is None else stop
+    rows = max(1, HESSIAN_NODES * shape[0] // int(np.prod(shape)))
+    for lo in range(start, stop, rows):
+        yield lo, build(lo, min(lo + rows, stop))
 
 
 def hessian_metric(pot):
-    """Discrete Hessian matrix field; raises if convexity fails at an interior
-    node.  Its eigenvalue bounds are kept as ``pot.eigenvalue_bounds``."""
-    hess = pot.hessian()
-    pot.eigenvalue_bounds = _convex_bounds(hess)
-    return hess
+    """Discrete Hessian matrix field behind the convexity gate ``pot.eigenvalue_bounds``."""
+    pot.eigenvalue_bounds  # convexity is a precondition
+    return pot.hessian()
+
+
+def hessian_det_field(pot):
+    """det Hess phi on every grid node, behind the convexity gate ``pot.eigenvalue_bounds``.
+
+    The Hessian is taken by ``row_blocks``, so no grid-sized (*, m, m) field
+    is formed; its rows, and so the determinant, are bitwise those of the
+    full field.
+    """
+    pot.eigenvalue_bounds  # convexity is a precondition
+    det = np.empty(pot.values.shape)
+    for lo, hess in row_blocks(pot.hessian, pot.values.shape):
+        det[lo:lo + len(hess)] = hessian_det(hess)
+    return det
 
 
 def ma_residual(pot, c):
     """det(discrete Hessian) - c per node."""
-    return hessian_det(hessian_metric(pot)) - float(c)
+    return hessian_det_field(pot) - float(c)
 
 
 def _conjugate_axis(values, u_nodes, v_nodes):
@@ -258,27 +251,26 @@ def gradient_image_axes(pot, margin=0.0):
     return axes
 
 
-def legendre_transform(pot, v_axes=None, refine=True):
+def legendre_transform(pot, v_axes=None):
     """psi(v) = sup_u (<u, v> - phi(u)) on a regular v-grid.
 
     The sup is taken exactly over the piecewise-linear interpolant by one
     separable pass (``_grid_conjugate``), which also yields the maximising
-    node of every v-node.  With ``refine`` that node starts a projected
-    Newton polish on a quintic spline of phi, which restores smooth-order
-    accuracy; both values are lower bounds of the sup over the box, so the
-    larger one is kept at each v-node.  The Fenchel pairing residual is not
-    taken here; a caller that reads it calls ``fenchel_residual``.
+    node of every v-node.  That node starts a projected Newton polish on a
+    quintic spline of phi, which restores smooth-order accuracy; both values
+    are lower bounds of the sup over the box, so the larger one is kept at
+    each v-node.  The Fenchel pairing residual is not taken here; a caller
+    that reads it calls ``fenchel_residual``.
     """
     pot.eigenvalue_bounds  # convexity is a precondition
     if v_axes is None:
         v_axes = gradient_image_axes(pot)
     v_axes = [np.asarray(ax, dtype=float) for ax in v_axes]
     psi, argmax = _grid_conjugate(pot, v_axes)
-    if refine:
-        fine, fine_argmax = _refine_conjugate(pot, v_axes, argmax)
-        better = fine > psi
-        psi = np.where(better, fine, psi)
-        argmax = np.where(better[..., None], fine_argmax, argmax)
+    fine, fine_argmax = _refine_conjugate(pot, v_axes, argmax)
+    better = fine > psi
+    psi = np.where(better, fine, psi)
+    argmax = np.where(better[..., None], fine_argmax, argmax)
     dual_c = None if pot.c is None else 1.0 / pot.c
     return LegendrePair(pot, HessianPotential(v_axes, psi, dual_c), argmax)
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InputError, MetricError
 from .fd import (EDGE, apply_diff, cumulative_quadrature, hessian_field, interior,
                  richardson_tolerance, roundoff_floor, stencil_reach)
-from .hessian import HessianPotential, block_rows, hessian_blocks, hessian_det
+from .hessian import HessianPotential, hessian_det_field, row_blocks
 
 SLAB_ROWS = 4  # nodes of grid axis 0 per slab of the Christoffel walk
 METRIC_ROWS = 8  # nodes of grid axis 0 per metric build of the Christoffel walk
@@ -65,20 +65,15 @@ class SemiflatManifold:
 def build_semiflat(pot):
     """Assemble the semiflat manifold from a strictly convex potential.
 
-    The metric block is the discrete Hessian.  ``pot.eigenvalue_bounds`` is
-    its convexity gate (raises on convexity loss), and its determinant is
-    taken block by block (``hessian.hessian_blocks``); both walk rows of the
-    Hessian, so no grid-sized (*, m, m) field is formed.  No closedness
-    residual is taken: the Kahler form -sum dv_k ^ dx_k is built from the
-    exact forms dv_k = d(d_k phi), and the first-derivative stencils on
-    different axes commute on every grid function, so its discrete
-    closedness residual is roundoff.
+    The metric block is the discrete Hessian; the manifold holds its
+    determinant, ``hessian.hessian_det_field``, which raises on convexity
+    loss and walks rows of the Hessian, so no grid-sized (*, m, m) field is
+    formed.  No closedness residual is taken: the Kahler form
+    -sum dv_k ^ dx_k is built from the exact forms dv_k = d(d_k phi), and the
+    first-derivative stencils on different axes commute on every grid
+    function, so its discrete closedness residual is roundoff.
     """
-    pot.eigenvalue_bounds  # convexity is a precondition
-    det = np.empty(pot.values.shape)
-    for lo, hess in hessian_blocks(pot):
-        det[lo:lo + len(hess)] = hessian_det(hess)
-    return SemiflatManifold(pot, det)
+    return SemiflatManifold(pot, hessian_det_field(pot))
 
 
 def holomorphic_norm_field(sf):
@@ -112,15 +107,15 @@ def ricci_form(sf, lo=0, hi=None):
 def ricci_form_max(sf):
     """max |R_jk| of ``ricci_form`` on ``interior(shape, EDGE + 1)``.
 
-    Taken on blocks of ``hessian.block_rows`` nodes of grid axis 0, so no
+    Taken on blocks of nodes of grid axis 0 (``hessian.row_blocks``), so no
     grid-sized (*, m, m) tensor is formed; a max is exact, so the value is
     bitwise that of the full field.
     """
     shape = sf.metric_det.shape
     others = (slice(None),) + interior(shape, EDGE + 1)[1:]
-    stop, rows = shape[0] - EDGE - 1, block_rows(shape)
-    return float(max(np.max(np.abs(ricci_form(sf, lo, min(lo + rows, stop))[others]))
-                     for lo in range(EDGE + 1, stop, rows)))
+    blocks = row_blocks(lambda lo, hi: ricci_form(sf, lo, hi), shape, EDGE + 1,
+                        shape[0] - EDGE - 1)
+    return float(max(np.max(np.abs(ric[others])) for _, ric in blocks))
 
 
 def ricci_agreement(sf):
@@ -171,7 +166,7 @@ def _oracle_interior(metric, shape, spacings, width):
         yield (slice(lo, hi),) + core[1:], ric[others]
 
 
-def ricci_from_metric(components, spacings, nodes=None, n=None, first=0):
+def ricci_from_metric(components, spacings):
     """Numerical Ricci tensor of a metric field on a box grid.
 
     The grid axes correspond to the first p coordinates; the remaining
@@ -189,15 +184,7 @@ def ricci_from_metric(components, spacings, nodes=None, n=None, first=0):
     d_a Gamma^a_{db}, then the two quadratic terms; the terms of a = 0 ... d - 1
     are summed in turn.
 
-    As in ``fd.apply_diff``, ``components`` holds nodes first ... first +
-    components.shape[0] - 1 of grid axis 0, an axis of ``n`` nodes (default:
-    all of them, first = 0), and the result is R on the axis-0 nodes
-    ``nodes`` = (start, stop) (default (0, n)), shape
-    (stop - start, *grid[1:], d, d).  The held nodes must cover the reach of
-    the reach of the first-derivative stencils of that range
-    (``fd.stencil_reach`` twice), which the nested passes read.
-
-    The range is walked once by ``_ricci_walk``, in slabs of ``SLAB_ROWS``
+    The grid is walked once by ``_ricci_walk``, in slabs of ``SLAB_ROWS``
     nodes, carrying the Christoffel symbols of the rows two neighbouring
     slabs share, so the metric derivatives, g^{-1} and Gamma are formed once
     on each node.  Beyond the input and the result, the tracemalloc peak is
@@ -205,22 +192,14 @@ def ricci_from_metric(components, spacings, nodes=None, n=None, first=0):
     SLAB_ROWS rows each slab adds, Gamma and the two (*, d, d, p) arrays of
     the metric derivatives and g^{ae} d_b g_{ec} on the p grid slots.
     ``fd.apply_diff`` gives each node the same arithmetic on a slab as on the
-    full grid, so the result is bitwise the matching rows of the full-array
-    assembly kept in tests/test_semiflat.py, whatever window holds the input.
+    full grid, so the result is bitwise the full-array assembly kept in
+    tests/test_semiflat.py.
     """
     components = np.asarray(components, dtype=float)
-    n = components.shape[0] if n is None else n
-    start, stop = (0, n) if nodes is None else nodes
-
-    def held(lo, hi):
-        if lo < first or hi > first + components.shape[0]:
-            raise ValueError(f"nodes [{first}, {first + components.shape[0]}) do not "
-                             f"cover the reach [{lo}, {hi}) of nodes [{start}, {stop})")
-        return components[lo - first:hi - first]
-
-    ric = np.empty((stop - start,) + components.shape[1:])
-    for lo, hi, rows in _ricci_walk(held, spacings, n, start, stop):
-        ric[lo - start:hi - start] = rows
+    n = components.shape[0]
+    ric = np.empty(components.shape)
+    for lo, hi, rows in _ricci_walk(lambda lo, hi: components[lo:hi], spacings, n, 0, n):
+        ric[lo:hi] = rows
     return ric
 
 
@@ -468,6 +447,6 @@ def _harmonic_conjugate(v, spacings):
     """
     v1 = apply_diff(v, 0, spacings[0], 1)
     v2 = apply_diff(v, 1, spacings[1], 1)
-    c0 = cumulative_quadrature(v.shape[0], spacings[0])
-    c1 = cumulative_quadrature(v.shape[1], spacings[1])
-    return (c0 @ -v2[:, 0])[:, None] + v1 @ c1.T
+    w = cumulative_quadrature(v1, spacings[1], axis=1)
+    w += cumulative_quadrature(-v2[:, 0], spacings[0])[:, None]
+    return w

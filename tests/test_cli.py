@@ -482,17 +482,20 @@ def test_chart_and_curvature_commands_make_no_stacked_lapack_call(tmp_path, monk
 
 
 def test_ci_smoke_script_at_toy_sizes(tmp_path):
-    # the console-script and memory-guard steps of the CI workflow, on this
-    # checkout's package through ``python -m slmoduli.cli``
+    # the console-script, memory-guard and thread-check steps of the CI
+    # workflow, on this checkout's package through ``python -m slmoduli.cli``
     script = Path(__file__).resolve().parent.parent / "ci" / "smoke.py"
     src = str(Path(slmoduli.__file__).resolve().parent.parent)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cli = f"{sys.executable} -m slmoduli.cli"
-    for check, extra in (("console", []), ("memory", ["--n", "33"])):
+    stdout = {}
+    for check, extra in (("console", []), ("memory", ["--n", "33"]), ("threads", ["--n", "33"])):
         proc = subprocess.run([sys.executable, str(script), check, "--slmoduli", cli,
                                "--tmp", str(tmp_path / check), *extra],
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
-    assert proc.stdout.count("peak RSS") == 4
+        stdout[check] = proc.stdout
+    assert stdout["memory"].count("peak RSS") == 4
+    assert stdout["threads"].count("identical at 1 and 2 BLAS threads") == 4

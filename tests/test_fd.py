@@ -33,7 +33,7 @@ def test_stencils_refuse_too_few_nodes():
     with pytest.raises(GridMismatchError):
         apply_diff(np.ones((4, 9)), 0, 0.1, 1)
     with pytest.raises(GridMismatchError):
-        cumulative_quadrature(5, 0.1)
+        cumulative_quadrature(np.ones(5), 0.1)
 
 
 @pytest.mark.parametrize("n", [6, 7, 33, 257])
@@ -210,17 +210,24 @@ def test_tensor_quintic_refuses_non_uniform_axes():
 @pytest.mark.parametrize("n", [6, 7, 33])
 def test_cumulative_quadrature_exact_to_degree_five(n):
     h = 0.3
-    c = cumulative_quadrature(n, h)
     nodes = np.arange(n) * h - 1.0
+    powers = np.stack([nodes ** p for p in range(6)])
+    exact = np.stack([(nodes ** (p + 1) - nodes[0] ** (p + 1)) / (p + 1) for p in range(6)])
+    # all six powers as the rows of one array, integrated along axis 1, and
+    # each power on its own, with the same numbers
+    stacked = cumulative_quadrature(powers, h, axis=1)
     for p in range(6):
-        exact = (nodes ** (p + 1) - nodes[0] ** (p + 1)) / (p + 1)
-        assert np.max(np.abs(c @ nodes ** p - exact)) <= 1e-13 * max(1.0, np.max(np.abs(exact)))
-    assert not c.flags.writeable
+        assert np.max(np.abs(stacked[p] - exact[p])) <= 1e-13 * max(1.0, np.max(np.abs(exact[p])))
+        assert np.array_equal(cumulative_quadrature(powers[p], h), stacked[p])
+    # only the six weights of each cell are kept between calls
+    first, weights = fd._cell_weights(n, h)
+    assert weights.shape == (n - 1, 6) and not weights.flags.writeable
+    assert not first.flags.writeable
 
 
 def test_cumulative_quadrature_sixth_order():
     errors = {}
     for n in (33, 65):
         x = np.linspace(0.0, 1.0, n)
-        errors[n] = np.max(np.abs(cumulative_quadrature(n, x[1]) @ np.exp(x) - (np.exp(x) - 1.0)))
+        errors[n] = np.max(np.abs(cumulative_quadrature(np.exp(x), x[1]) - (np.exp(x) - 1.0)))
     assert np.log2(errors[33] / errors[65]) > 5.5

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from slmoduli.errors import ConvergenceError, ConvexityError, InputError
 from slmoduli import fd, hessian
-from slmoduli.fd import diff_matrix, hessian_field, richardson_tolerance
+from slmoduli.fd import diff_matrix, hessian_field, interior, richardson_tolerance
 from slmoduli.hessian import (
     HessianPotential,
     eigenvalue_range,
@@ -66,6 +66,19 @@ def _dipped(n, row, depth):
         - depth * np.exp(-((a - centre[0]) ** 2 + (b - centre[1]) ** 2) / 0.01)))
 
 
+def _full_field_gate(pot):
+    """The convexity gate read off the whole Hessian field: (min, max) eigenvalue
+    on the interior, or the error message and the first node of the least."""
+    core = interior(pot.values.shape, fd.EDGE)
+    lowest, highest = eigenvalue_range(pot.hessian()[core])
+    least = np.min(lowest)
+    if least > hessian.CONVEXITY_TOL:
+        return float(least), float(np.max(highest))
+    node = np.unravel_index(np.argmin(lowest), lowest.shape)
+    return (f"potential fails strict convexity (min eigenvalue {least:.3e})",
+            tuple(int(i) + fd.EDGE for i in node))
+
+
 @pytest.mark.parametrize("case", [(65, 40, 0.0), (65, 40, 0.005), (65, 40, 1.0),
                                   (97, 70, 1.0), (33, 3, 1.0)])
 def test_eigenvalue_bounds_by_rows_are_the_full_field_gate(monkeypatch, case):
@@ -74,10 +87,7 @@ def test_eigenvalue_bounds_by_rows_are_the_full_field_gate(monkeypatch, case):
     # eigenvalue, are bitwise those of the full-field gate
     monkeypatch.setattr(hessian, "HESSIAN_NODES", 16 * (case[0] + 4))
     pot = _dipped(*case)
-    try:
-        expected = hessian._convex_bounds(pot.hessian())
-    except ConvexityError as exc:
-        expected = (str(exc), exc.node)
+    expected = _full_field_gate(pot)
     rows = []
     original = hessian.hessian_field
 
@@ -102,6 +112,40 @@ def test_eigenvalue_bounds_of_a_tied_field_point_at_the_first_node():
     with pytest.raises(ConvexityError) as err:
         pot.eigenvalue_bounds
     assert err.value.node == (2, 2)
+
+
+def test_ma_residual_and_hessian_metric_fail_at_the_gate_node():
+    pot = _dipped(65, 40, 1.0)
+    with pytest.raises(ConvexityError) as err:
+        pot.eigenvalue_bounds
+    for gate in (lambda p: ma_residual(p, 1.0), hessian_metric):
+        with pytest.raises(ConvexityError) as again:
+            gate(pot)
+        assert again.value.node == err.value.node
+        assert str(again.value) == str(err.value)
+
+
+def test_ma_residual_by_row_blocks_is_bitwise_the_full_field(monkeypatch):
+    # 257^2 takes five row blocks of HESSIAN_NODES grid nodes; the
+    # determinant of each is that of the matching rows of the whole field
+    n = 257
+    pot = HessianPotential.from_function(
+        [np.linspace(-1, 1, n), np.linspace(0.5, 1.5, n)],
+        lambda a, b: np.cosh(a) + b ** 3 / 6 + 0.2 * a * b, c=1.5)
+    pot.eigenvalue_bounds
+    blocks = []
+    original = hessian.hessian_field
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        blocks.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(hessian, "hessian_field", recorded)
+    residual = ma_residual(pot, pot.c)
+    assert len(blocks) >= 5 and sum(blocks) == n
+    monkeypatch.setattr(hessian, "hessian_field", original)
+    assert residual.tobytes() == (hessian_det(pot.hessian()) - pot.c).tobytes()
 
 
 def test_nonuniform_axes_rejected():
@@ -264,10 +308,10 @@ def test_separable_argmax_matches_brute_force(m):
     for _ in range(10):
         pot = _random_convex(rng, m, int(rng.integers(9, 26)))
         v_axes = gradient_image_axes(pot, margin=rng.uniform(0.0, 0.3))
-        pair = legendre_transform(pot, v_axes=v_axes, refine=False)
+        psi, argmax = hessian._grid_conjugate(pot, v_axes)
         ref_pts, ref_max, ref_gap = _brute_force_argmax(pot, v_axes)
-        argmax = pair.argmax_points.reshape(-1, m)
-        psi = pair.dual.values.reshape(-1)
+        argmax = argmax.reshape(-1, m)
+        psi = psi.reshape(-1)
         assert np.max(np.abs(psi - ref_max)) < 1e-13
         # the same node wherever the maximum is not a near tie
         unique = ref_gap > 1e-12
@@ -306,7 +350,7 @@ def test_polished_conjugate_not_below_grid_conjugate():
         dual = legendre_transform(pot, v_axes=v_axes).dual
         # forward transform and back-transform of the dual, as in the criterion
         for primal, target in ((pot, v_axes), (dual, pot.axes)):
-            grid = legendre_transform(primal, v_axes=target, refine=False).dual.values
+            grid = hessian._grid_conjugate(primal, target)[0]
             polished = legendre_transform(primal, v_axes=target).dual.values
             assert np.min(polished - grid) >= -1e-12, trial
 

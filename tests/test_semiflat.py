@@ -288,29 +288,40 @@ def test_each_row_reaches_the_inverse_once_per_walk(monkeypatch, name):
     monkeypatch.setattr(np.linalg, "inv", counted)
     ricci_from_metric(g, spacings)
     assert sum(inverted) == n
-    inverted.clear()
-    start, stop = n // 4, n - n // 4
-    lo, hi = stencil_reach(n, 1, *stencil_reach(n, 1, start, stop))
-    ricci_from_metric(g[lo:hi], spacings, (start, stop), n, lo)
-    assert sum(inverted) == np.subtract(*stencil_reach(n, 1, start, stop)[::-1])
 
 
 @pytest.mark.parametrize("name", ["semiflat", "gh", "hessian", "exp", "random_spd"])
-def test_ricci_from_metric_on_a_window_is_bitwise_the_full_rows(name):
+def test_ricci_walk_on_a_window_is_bitwise_the_full_rows(monkeypatch, name):
+    # ranges at either end of axis 0 and in the middle, as the oracle walks
+    # its interior: the metric is asked for no node beyond the reach of the
+    # reach of the range, each node of the first reach is inverted once, and
+    # the rows are bitwise those of the full-array assembly
     g, spacings = _pinned_metric(name)
     n = g.shape[0]
     full = _ricci_full_arrays(g, spacings)
-    # ranges at either end of axis 0 and in the middle, each read from the
-    # window its nested stencils need, then from one node less
-    for start, stop in [(0, 2), (n - 3, n), (n // 2 - 1, n // 2 + 2), (0, n)]:
+    inverted = []
+    original = np.linalg.inv
+
+    def counted(a):
+        inverted.append(a.shape[0])
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    for start, stop in [(0, 2), (n - 3, n), (n // 2 - 1, n // 2 + 2), (n // 4, n - n // 4)]:
         lo, hi = stencil_reach(n, 1, *stencil_reach(n, 1, start, stop))
-        got = ricci_from_metric(g[lo:hi], spacings, (start, stop), n, lo)
-        assert got.shape == full[start:stop].shape
+        asked = []
+
+        def metric(first, last):
+            asked.append((first, last))
+            return g[first:last]
+
+        inverted.clear()
+        slabs = list(semiflat._ricci_walk(metric, spacings, n, start, stop))
+        assert lo <= min(a for a, _ in asked) and max(b for _, b in asked) <= hi
+        assert sum(inverted) == np.subtract(*stencil_reach(n, 1, start, stop)[::-1])
+        assert [a for a, _, _ in slabs] == list(range(start, stop, SLAB_ROWS))
+        got = np.concatenate([rows for _, _, rows in slabs])
         assert got.tobytes() == full[start:stop].tobytes()
-        if hi - lo < n:
-            short = (lo + 1, hi) if lo > 0 else (lo, hi - 1)
-            with pytest.raises(ValueError):
-                ricci_from_metric(g[slice(*short)], spacings, (start, stop), n, short[0])
 
 
 def _agreement_full_arrays(sf, kahler):
