@@ -8,10 +8,12 @@
 and semiflat on a three-variable Monge-Ampere quadratic), and a grid too
 small for its stencils or a config that is not a JSON object exits 2 with an
 error line and no traceback.  ``memory`` runs gh, semiflat --oracle,
-partial-legendre and legendre on N x N grids (default 257) and fails when a
-command exits with an unexpected code, prints a traceback, or peaks above
-``LIMIT_MB`` of resident memory.  ``threads`` runs the same four commands
-under 1 and 2 BLAS threads and fails unless every output but ``run.log`` is
+partial-legendre and legendre on N x N grids (default 257), then
+partial-legendre on the dual.csv that legendre wrote, so the potential CSV
+reader runs at that size too; it fails when a command exits with an
+unexpected code, prints a traceback, or peaks above ``LIMIT_MB`` of
+resident memory.  ``threads`` runs the same five commands under 1 and 2
+BLAS threads and fails unless every output but ``run.log`` is
 byte for byte the same (ma-solve is not yet thread-independent, so it is
 left out).  ``--slmoduli`` is the command that runs the CLI (default
 ``slmoduli``, the installed console script); ``--tmp`` holds the configs
@@ -69,9 +71,10 @@ def console(slmoduli, tmp):
     return None
 
 
-def _guard_runs(tmp, n):
-    """(args, allowed exit codes) of gh, semiflat --oracle, partial-legendre
-    and legendre on N x N grids."""
+def _guard_runs(tmp, n, dual):
+    """(name, args, allowed exit codes) of gh, semiflat --oracle,
+    partial-legendre and legendre on N x N grids, then of partial-legendre
+    on ``dual``, the dual.csv of that legendre run."""
     gh = _config(tmp, f"gh{n}", {"n": n})
     exact = _config(tmp, f"exact{n}", {"potential": {
         "axes": [[-0.5, 0.5, n], [0.5, 1.5, n]], "expr": "u1**2 / (2 * u2) + u2**3 / 6",
@@ -80,41 +83,45 @@ def _guard_runs(tmp, n):
         "axes": [[-1, 1, n], [-1, 1, n]], "expr": "(u1**2 + u2**2) / 2 + 0.1*cosh(u1)"}})
     # the verdict of semiflat on the exact solution is not checked here, only
     # that it is a verdict (exit 0 or 1) and not an error
-    return [(["gh", "--config", gh], {0}),
-            (["semiflat", "--oracle", "--config", exact], {0, 1}),
-            (["partial-legendre", "--config", exact], {0}),
-            (["legendre", "--config", legendre], {0})]
+    # the dual of a potential with det Hess != 1 has det Hess != 1, so its
+    # Laplace residual fails prop3: exit 1 is the verdict, read from the CSV
+    csv = _config(tmp, f"dual{n}", {"potential": str(dual)})
+    return [("gh", ["gh", "--config", gh], {0}),
+            ("semiflat", ["semiflat", "--oracle", "--config", exact], {0, 1}),
+            ("partial-legendre", ["partial-legendre", "--config", exact], {0}),
+            ("legendre", ["legendre", "--config", legendre], {0}),
+            ("partial-legendre-dual", ["partial-legendre", "--config", csv], {1})]
 
 
 def memory(slmoduli, tmp, n):
-    for args, codes in _guard_runs(tmp, n):
-        code, stderr, peak = _run(slmoduli, args, tmp, f"{args[0]}{n}")
+    for name, args, codes in _guard_runs(tmp, n, tmp / f"legendre{n}" / "dual.csv"):
+        code, stderr, peak = _run(slmoduli, args, tmp, f"{name}{n}")
         if code not in codes or "Traceback" in stderr:
-            return f"slmoduli {args[0]} at {n}^2 exited {code}"
-        print(f"slmoduli {args[0]} at {n}^2: peak RSS {peak:.1f} MB (limit {LIMIT_MB} MB)")
+            return f"slmoduli {name} at {n}^2 exited {code}"
+        print(f"slmoduli {name} at {n}^2: peak RSS {peak:.1f} MB (limit {LIMIT_MB} MB)")
         if peak > LIMIT_MB:
-            return f"slmoduli {args[0]} at {n}^2 peaked at {peak:.1f} MB"
+            return f"slmoduli {name} at {n}^2 peaked at {peak:.1f} MB"
     return None
 
 
 def threads(slmoduli, tmp, n):
-    for args, codes in _guard_runs(tmp, n):
+    # the legendre run's two duals are byte-identical before the last run reads one
+    for name, args, codes in _guard_runs(tmp, n, tmp / f"legendre{n}-threads1" / "dual.csv"):
         outs = []
         for count in (1, 2):
-            name = f"{args[0]}{n}-threads{count}"
             env = {**os.environ, **dict.fromkeys(BLAS_VARIABLES, str(count))}
-            code, stderr, _ = _run(slmoduli, args, tmp, name, env)
+            code, stderr, _ = _run(slmoduli, args, tmp, f"{name}{n}-threads{count}", env)
             if code not in codes or "Traceback" in stderr:
-                return f"slmoduli {args[0]} at {n}^2 with {count} BLAS threads exited {code}"
-            outs.append(tmp / name)
-        names = [sorted(p.name for p in out.iterdir() if p.name != "run.log") for out in outs]
-        if names[0] != names[1]:
-            return f"slmoduli {args[0]} at {n}^2 wrote {names[0]} and {names[1]}"
-        differ = [name for name in names[0]
-                  if not filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False)]
+                return f"slmoduli {name} at {n}^2 with {count} BLAS threads exited {code}"
+            outs.append(tmp / f"{name}{n}-threads{count}")
+        files = [sorted(p.name for p in out.iterdir() if p.name != "run.log") for out in outs]
+        if files[0] != files[1]:
+            return f"slmoduli {name} at {n}^2 wrote {files[0]} and {files[1]}"
+        differ = [file for file in files[0]
+                  if not filecmp.cmp(outs[0] / file, outs[1] / file, shallow=False)]
         if differ:
-            return f"slmoduli {args[0]} at {n}^2: {differ} differ between 1 and 2 BLAS threads"
-        print(f"slmoduli {args[0]} at {n}^2: {len(names[0])} outputs identical at 1 and 2 "
+            return f"slmoduli {name} at {n}^2: {differ} differ between 1 and 2 BLAS threads"
+        print(f"slmoduli {name} at {n}^2: {len(files[0])} outputs identical at 1 and 2 "
               "BLAS threads")
     return None
 

@@ -51,6 +51,8 @@ class HessianPotential:
     def __post_init__(self):
         self.axes = [np.asarray(ax, dtype=float) for ax in self.axes]
         self.values = np.asarray(self.values, dtype=float)
+        if not self.axes:
+            raise InputError("a potential needs at least one grid axis")
         if self.values.shape != tuple(len(ax) for ax in self.axes):
             raise InputError("potential values do not match the grid axes")
         for ax in self.axes:
@@ -301,10 +303,14 @@ def _grid_conjugate(pot, v_axes):
 def _refine_conjugate(pot, v_axes, argmax):
     """Projected Newton polish of the conjugate on a quintic spline of phi.
 
-    A node stops once its step falls below 1e-14; roundoff in the spline
-    derivatives keeps a few nodes moving at that scale for all 40 steps.  A
-    node whose spline Hessian is not positive definite takes no step, so it
-    keeps its grid argmax and the caller's grid-value guard applies there.
+    A node stops once its step s (max norm) falls below 1e-14, or, from its
+    second step on, once s is at most half the step before (ratio r <= 1/2)
+    and the steps still to come, at most 2 s r, fall below the float spacing
+    of u: this ends the roundoff chatter that ran some nodes for all 40
+    steps.  A node whose spline Hessian is not positive definite takes no
+    step, so it keeps its grid argmax and the caller's grid-value guard
+    applies there.
+
     Each step walks the active nodes, and the Fenchel value walks all nodes,
     in chunks of ``fd.POINT_BLOCK``: no spline jet is held for more than one
     chunk, and every node's numbers are those of an unchunked walk.
@@ -314,16 +320,22 @@ def _refine_conjugate(pot, v_axes, argmax):
     hi = np.array([ax[-1] for ax in pot.axes])
     v = np.stack(np.meshgrid(*v_axes, indexing="ij"), axis=-1).reshape(-1, pot.dim)
     u = argmax.reshape(-1, pot.dim).copy()
-    active = np.arange(len(u))  # the nodes whose last step was at least 1e-14
-    for _ in range(40):
+    active = np.arange(len(u))  # the nodes that have not stopped
+    last = np.full(len(u), np.inf)  # each active node's last step (>= 1e-14)
+    for sweep in range(40):
         moved = np.empty(len(active), dtype=bool)
         for start in range(0, len(active), fd.POINT_BLOCK):
             chunk = active[start:start + fd.POINT_BLOCK]
             at = u[chunk]
             _, grad, hess = spl.jet(at)
             new = np.clip(at + _newton_step(hess, v[chunk] - grad), lo, hi)
-            moved[start:start + len(chunk)] = np.max(np.abs(new - at), axis=1) >= 1e-14
+            step = np.max(np.abs(new - at), axis=1)
+            ratio = step / last[chunk]
+            ulp = np.spacing(np.max(np.abs(new), axis=1))
+            converged = (ratio <= 0.5) & (2.0 * step * ratio < ulp) & (sweep > 0)
+            moved[start:start + len(chunk)] = ~(converged | (step < 1e-14))
             u[chunk] = new
+            last[chunk] = step
         active = active[moved]
         if not active.size:
             break
@@ -608,6 +620,9 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50, damping=1.0
     (``_separable_inverse``).  The initial guess solves the fourth-order
     Poisson problem Laplace(phi) = 2 sqrt(c) to rtol 1e-14, preconditioned
     by the same inverse with unit coefficients.  Nothing is factorised.
+
+    ``info`` holds the Newton ``iterations``, the max-norm ``residuals`` and
+    the result's ``interior_residual`` det(Hess phi) - c inside the ring.
     """
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     if len(axes) != 2:
@@ -626,9 +641,9 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50, damping=1.0
     spacings = (float(axes[0][1] - axes[0][0]), float(axes[1][1] - axes[1][0]))
     d1x, d2x = (diff_matrix(shape[0], spacings[0], k) for k in (1, 2))
     d1y, d2y = (diff_matrix(shape[1], spacings[1], k) for k in (1, 2))
-    # interior rows and columns: a correction vanishes on the Dirichlet ring
-    d1x_r, d2x_r, d1y_r, d2y_r = (np.ascontiguousarray(d[interior])
-                                  for d in (d1x, d2x, d1y, d2y))
+    # views of the interior rows and columns: a correction vanishes on the
+    # Dirichlet ring
+    d1x_r, d2x_r, d1y_r, d2y_r = (d[interior] for d in (d1x, d2x, d1y, d2y))
     sines = [_sine_basis(m, h) for m, h in zip(inner_shape, spacings)]
 
     def second_derivatives(x):
@@ -654,13 +669,15 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50, damping=1.0
         hess = hessian_field(p, spacings)[interior]
         return hessian_det(hess) - c, _clamped_cofactors(hess)
 
+    def solved(iterations):
+        return HessianPotential(axes, phi, c, info={
+            "iterations": iterations, "residuals": history, "interior_residual": res})
+
     res, cofactors = residual_of(phi)
     history = [float(np.max(np.abs(res)))]
     for iteration in range(max_iter):
         if history[-1] < tol:
-            return HessianPotential(
-                axes, phi, c, info={"iterations": iteration, "residuals": history}
-            )
+            return solved(iteration)
         k11, k22, k12 = cofactors
 
         def jacobian(x, k11=k11, k22=k22, k12=k12):
@@ -695,9 +712,7 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50, damping=1.0
                 f"Newton stagnation at residual {norm:.3e}", history
             )
     if history[-1] < tol:
-        return HessianPotential(
-            axes, phi, c, info={"iterations": max_iter, "residuals": history}
-        )
+        return solved(max_iter)
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations "
         f"(residual {history[-1]:.3e})",
@@ -718,25 +733,59 @@ def save_potential(pot, path):
 
 
 def load_potential(path):
+    """Read a ``save_potential`` CSV back into a ``HessianPotential``.
+
+    UTF-8 lines ``m,<m>``, m lines ``axis,<lo>,<hi>,<n>``, an optional
+    ``c,<c>``, then one node value per line in C order; blank lines are
+    ignored.  The values are parsed by numpy in C, with no object per node.
+    Raises ``InputError``: "cannot read" for a missing or non-UTF-8 file;
+    "malformed" for an unexpected header line, m < 1, a value line that is
+    not one float (``#`` included), or an empty or miscounted value block.
+    """
     try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        with open(path, encoding="utf-8") as fh:
+            return _read_potential(fh)
+    # a UnicodeDecodeError is a ValueError, so it is caught first
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read potential file {path}: {exc}") from exc
-    try:
-        m = int(lines[0].split(",")[1])
-        axes = []
-        cursor = 1
-        for _ in range(m):
-            _, lo, hi, n = lines[cursor].split(",")
-            axes.append(np.linspace(float(lo), float(hi), int(n)))
-            cursor += 1
-        c = None
-        if lines[cursor].startswith("c,"):
-            c = float(lines[cursor].split(",")[1])
-            cursor += 1
-        values = np.array([float(ln) for ln in lines[cursor:]])
-        shape = tuple(len(ax) for ax in axes)
-        return HessianPotential(axes, values.reshape(shape), c)
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"malformed potential file {path}: {exc}") from exc
+
+
+def _read_potential(fh):
+    """The potential of an open ``save_potential`` CSV (``load_potential``)."""
+    (m,) = _header(fh, "m")
+    axes = []
+    for _ in range(int(m)):
+        lo, hi, n = _header(fh, "axis")
+        axes.append(np.linspace(float(lo), float(hi), int(n)))
+    c = None
+    line, at = _next_line(fh)
+    if line.startswith("c,"):
+        c = float(line.removeprefix("c,"))
+        _, at = _next_line(fh)  # an empty value block raises here, not in loadtxt
+    fh.seek(at)
+    values = np.loadtxt(fh, dtype=float, ndmin=1, comments=None)
+    if values.ndim != 1:
+        raise ValueError(f"a value line holds {values.shape[1]} numbers")
+    return HessianPotential(axes, values.reshape(tuple(len(ax) for ax in axes)), c)
+
+
+def _header(fh, label):
+    """The fields after ``label`` on the next non-blank line of ``fh``."""
+    line, _ = _next_line(fh)
+    name, *fields = line.split(",")
+    if name != label:
+        raise ValueError(f"expected a {label} line, got {line!r}")
+    return fields
+
+
+def _next_line(fh):
+    """The next non-blank line of ``fh``, stripped, and the position before it."""
+    while True:
+        at = fh.tell()
+        line = fh.readline()
+        if not line:
+            raise ValueError("the file ends before the node values")
+        if line.strip():
+            return line.strip(), at

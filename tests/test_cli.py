@@ -15,6 +15,7 @@ from slmoduli import cymodel, hessian
 from slmoduli.cli import COMMANDS, _eval_expression, main
 from slmoduli.errors import InputError
 from slmoduli.family import AffineSLagFamily
+from slmoduli.fd import EDGE, interior
 from slmoduli.hessian import load_potential
 
 
@@ -147,6 +148,27 @@ def test_ma_solve_and_partial_legendre(tmp_path):
     )
     assert main(["partial-legendre", "--config", cfg2, "--out", str(tmp_path)]) == 0
     assert _report(tmp_path)["checks"]["prop3"]["pass"]
+
+
+def test_ma_solve_reads_prop3_from_the_solver(tmp_path, monkeypatch):
+    # after the solve only the convexity gate walks the Hessian of phi; prop3
+    # is the solver's last det - c, bitwise the determinant walk's residual
+    fields = _count_calls(monkeypatch, hessian, "hessian_field")
+    solve = slmoduli.cli.solve_ma_dirichlet
+    during = []
+
+    def solve_and_count(*args, **kwargs):
+        pot = solve(*args, **kwargs)
+        during.append(len(fields))
+        return pot
+
+    monkeypatch.setattr(slmoduli.cli, "solve_ma_dirichlet", solve_and_count)
+    cfg = _write(tmp_path / "ma.json", {"boundary": "cosh(u1) + cosh(u2)", "n": 65})
+    assert main(["ma-solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(fields) - during[0] == 1
+    pot = load_potential(tmp_path / "solution.csv")
+    residual = hessian.ma_residual(pot, pot.c)[interior(pot.values.shape, EDGE)]
+    assert _report(tmp_path)["checks"]["prop3"]["residual"] == float(np.max(np.abs(residual)))
 
 
 def test_semiflat_command_with_oracle(tmp_path):
@@ -290,6 +312,8 @@ def _square(n):
         ("ma-solve", {"solver": {"tol": "x"}}, "InputError"),
         ("ma-solve", {"solver": 5}, "InputError"),
         ("family-scan", {"fiber_resolution": "x"}, "InputError"),
+        # a potential without a grid axis
+        ("legendre", {"potential": {"axes": [], "expr": "1"}}, "InputError"),
     ],
 )
 def test_rejected_input_exit_code_and_report(tmp_path, capsys, command, payload, error):
@@ -497,5 +521,5 @@ def test_ci_smoke_script_at_toy_sizes(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         stdout[check] = proc.stdout
-    assert stdout["memory"].count("peak RSS") == 4
-    assert stdout["threads"].count("identical at 1 and 2 BLAS threads") == 4
+    assert stdout["memory"].count("peak RSS") == 5
+    assert stdout["threads"].count("identical at 1 and 2 BLAS threads") == 5

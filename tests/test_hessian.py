@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,25 @@ def test_legendre_polish_chunks_keep_the_bits(monkeypatch):
     chunked, whole = pairs
     assert chunked.dual.values.tobytes() == whole.dual.values.tobytes()
     assert chunked.argmax_points.tobytes() == whole.argmax_points.tobytes()
+
+
+def test_legendre_polish_stops_when_its_steps_contract(monkeypatch):
+    # 129^2 nodes are 9 chunks of 2048; the polish converges in three sweeps,
+    # so at most 27 jets per transform.  A stop at 1e-14 alone kept the nodes
+    # whose spline gradient is not exact to 1e-14 chattering through all 40
+    # sweeps: 66 jets forward and 65 back
+    n = 129
+    axes = [np.linspace(-1, 1, n)] * 2
+    pot = HessianPotential.from_function(axes, lambda a, b: (a ** 2 + b ** 2) / 2
+                                         + 0.1 * np.cosh(a))
+    jets, jet = [], fd.TensorQuintic.jet
+    monkeypatch.setattr(fd.TensorQuintic, "jet", lambda spl, x: jets.append(None) or jet(spl, x))
+    pair = legendre_transform(pot)
+    forward = len(jets)
+    back = legendre_transform(pair.dual, v_axes=pot.axes)
+    assert forward <= 27 and len(jets) - forward <= 27
+    assert fenchel_residual(pot, pair.dual) < 1e-14
+    assert np.max(np.abs(back.dual.values - pot.values)) < 10.0 * interpolation_tolerance(pot)
 
 
 def test_self_dual_quadratic():
@@ -558,9 +578,20 @@ def test_solver_info_is_a_dataclass_field():
     axes = [np.linspace(0.0, 1.0, 17)] * 2
     pot = solve_ma_dirichlet(axes, lambda a, b: 0.5 * (a ** 2 + b ** 2), c=1.0)
     assert "info" in {f.name for f in dataclasses.fields(HessianPotential)}
-    assert set(pot.info) == {"iterations", "residuals"}
+    assert set(pot.info) == {"iterations", "residuals", "interior_residual"}
     assert "info" not in repr(pot)
     assert HessianPotential(axes, pot.values).info is None
+
+
+@pytest.mark.parametrize("n", [17, 65])
+def test_solver_interior_residual_is_the_ma_residual_of_its_result(n):
+    # the residual the stopping test read is det - c of the returned
+    # potential inside the Dirichlet ring, bitwise that of the row-block walk
+    axes = [np.linspace(0.0, 1.0, n)] * 2
+    pot = solve_ma_dirichlet(axes, lambda a, b: np.cosh(a) + np.cosh(b), c=1.3)
+    inner = pot.info["interior_residual"]
+    assert inner.tobytes() == ma_residual(pot, 1.3)[1:-1, 1:-1].tobytes()
+    assert np.max(np.abs(inner)) == pot.info["residuals"][-1]
 
 
 def test_solver_respects_max_iter():
@@ -722,22 +753,88 @@ def test_median_is_bitwise_np_median(parity, data):
 
 
 def test_potential_csv_roundtrip(tmp_path):
+    # every float written by repr reads back bitwise, signed zeros,
+    # subnormals and the ends of the exponent range included, with and
+    # without c; blank and whitespace-only lines anywhere are ignored
     pot = _quadratic([np.linspace(-1, 1, 17), np.linspace(0, 2, 9)], np.eye(2))
-    pot.c = 1.0
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+               1e300, -1e300, 1e-300, -1e-300, 0.1, 1 / 3, np.nextafter(1.0, 2.0)]
+    pot.values.flat[:len(special)] = special
     path = tmp_path / "pot.csv"
-    save_potential(pot, path)
-    back = load_potential(path)
-    assert back.c == 1.0
-    assert np.max(np.abs(back.values - pot.values)) < 1e-12
-    for a, b in zip(back.axes, pot.axes):
-        assert np.max(np.abs(a - b)) < 1e-12
+    for c in (1.0, None, 0.7):
+        for blank in (False, True):
+            pot.c = c
+            save_potential(pot, path)
+            if blank:
+                lines = path.read_text().splitlines()
+                path.write_text("\n" + "\n  \n".join(lines) + "\n\t\n\n")
+            back = load_potential(path)
+            assert back.c == c
+            assert back.values.tobytes() == pot.values.tobytes()
+            assert np.signbit(back.values.flat[1])
+            for a, b in zip(back.axes, pot.axes):
+                assert a.tobytes() == b.tobytes()
+
+
+_HEADER = "m,2\naxis,0.0,1.0,3\naxis,0.0,1.0,2\n"
+_VALUES = "".join(f"{float(i)!r}\n" for i in range(6))
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff\xfe" + _HEADER.encode() + _VALUES.encode(), "cannot read"),
+    (_HEADER.encode() + b"1.0\n\xff\n" + _VALUES[4:].encode(), "cannot read"),
+    ("m,x\n", "malformed"),
+    ("m,0\n5.0\n", "malformed"),  # no grid axis
+    ("m,-1\n5.0\n", "malformed"),
+    ("q,2\naxis,0.0,1.0,3\naxis,0.0,1.0,2\n" + _VALUES, "malformed"),  # not m
+    ("m,2\naxis,0.0,1.0,3\nc,0.0,1.0,2\n" + _VALUES, "malformed"),  # not an axis
+    ("m,2,3\n" + _HEADER[4:] + _VALUES, "malformed"),
+    ("m,2\naxis,0,1\naxis,0,1,2\n" + _VALUES, "malformed"),
+    (_HEADER, "malformed"),  # no values
+    (_HEADER + "c,1.0\n\n", "malformed"),  # no values after c
+    (_HEADER + "c,x\n" + _VALUES, "malformed"),
+    (_HEADER + "c,1.0,2.0\n" + _VALUES, "malformed"),
+    (_HEADER + _VALUES[:-4], "malformed"),  # too few values
+    (_HEADER + _VALUES + "6.0\n", "malformed"),  # too many
+    (_HEADER + "abc\n" + _VALUES[4:], "malformed"),
+    (_HEADER + "# 0.0\n" + _VALUES, "malformed"),  # no comments
+    (_HEADER + "0.0 1.0\n" + _VALUES[8:], "malformed"),  # two numbers on a line
+    (_HEADER + "0.0 1.0\n2.0 3.0\n4.0 5.0\n", "malformed"),  # a 2-D block
+    (_HEADER + "0.0,1.0\n" + _VALUES[8:], "malformed"),
+])
+def test_potential_file_refusals(tmp_path, content, reason):
+    path = tmp_path / "bad.csv"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused without a numpy warning
+        with pytest.raises(InputError, match=f"^{reason} potential file"):
+            load_potential(path)
 
 
 def test_malformed_potential_file(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("m,2\naxis,0,1,5\n")
-    with pytest.raises(InputError):
+    path.write_text("m,2\naxis,0,1,5\n")  # the header stops
+    with pytest.raises(InputError, match="^malformed potential file"):
         load_potential(path)
+
+
+def test_missing_potential_file(tmp_path):
+    with pytest.raises(InputError, match="^cannot read potential file"):
+        load_potential(tmp_path / "absent.csv")
+
+
+def test_load_potential_holds_no_object_per_node(tmp_path):
+    # a Python float and a stripped line per node held about 14 N doubles at
+    # 129^2; the value block parsed in C holds little more than the values
+    n = 129
+    axes = [np.linspace(-1, 1, n)] * 2
+    path = tmp_path / "pot.csv"
+    save_potential(HessianPotential.from_function(axes, lambda a, b: a * a + b * b, 1.0),
+                   path)
+    assert _traced_peak(load_potential, path) < 3 * n * n * 8
 
 
 def test_richardson_tolerance_scaling():
