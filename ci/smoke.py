@@ -6,19 +6,20 @@
 
 ``console`` checks the exit contract: a passing check exits 0 (cy-validate,
 and semiflat on a three-variable Monge-Ampere quadratic), and a grid too
-small for its stencils or a config that is not a JSON object exits 2 with an
-error line and no traceback.  ``memory`` runs gh, semiflat --oracle,
-partial-legendre and legendre on N x N grids (default 257), then
-partial-legendre on the dual.csv that legendre wrote, so the potential CSV
-reader runs at that size too; it fails when a command exits with an
-unexpected code, prints a traceback, or peaks above ``LIMIT_MB`` of
-resident memory.  ``threads`` runs the same five commands under 1 and 2
-BLAS threads and fails unless every output but ``run.log`` is
-byte for byte the same (ma-solve is not yet thread-independent, so it is
-left out).  ``--slmoduli`` is the command that runs the CLI (default
-``slmoduli``, the installed console script); ``--tmp`` holds the configs
-and outputs (default: a new temporary directory).  Exits 1 on the first
-failure.
+small for its stencils, a moduli grid with no nodes, a tolerance that is not
+a number or a config that is not a JSON object exits 2 with an error line
+and no traceback.  ``memory`` runs gh, semiflat --oracle, partial-legendre
+and legendre on N x N grids (default 257), then partial-legendre on the
+dual.csv that legendre wrote, so the potential CSV reader runs at that size
+too, and family-scan of std:3 with its McLean check on a ``FIBER_N``^3 fiber
+grid; it fails when a command exits with an unexpected code, prints a
+traceback, or peaks above ``LIMIT_MB`` of resident memory.  ``threads`` runs
+the five plane commands under 1 and 2 BLAS threads and fails unless every
+output but ``run.log`` is byte for byte the same (ma-solve is not yet
+thread-independent, so it is left out).  ``--slmoduli`` is the command
+that runs the CLI (default ``slmoduli``, the installed console script);
+``--tmp`` holds the configs and outputs (default: a new temporary
+directory).  Exits 1 on the first failure.
 """
 
 import argparse
@@ -32,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 LIMIT_MB = 60
+FIBER_N = 80
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -63,11 +65,15 @@ def console(slmoduli, tmp):
         code, stderr, _ = _run(slmoduli, args, tmp, name)
         if code != 0 or "Traceback" in stderr:
             return f"slmoduli {args[0]} exited {code}, not 0 without a traceback"
-    for command, text, name in [("gh", '{"n": 6}', "gh6"), ("ma-solve", "[]", "ma-list")]:
-        code, stderr, _ = _run(slmoduli, [command, "--config", _config(tmp, name, text)],
+    for command, text, flags, name in [("gh", '{"n": 6}', [], "gh6"),
+                                       ("ma-solve", "[]", [], "ma-list"),
+                                       ("family-scan", '{"grid": {"n": 0}}', [], "scan0"),
+                                       ("cy-validate", "{}", ["--tol", "nan"], "cy-nan")]:
+        code, stderr, _ = _run(slmoduli, [command, "--config", _config(tmp, name, text), *flags],
                                tmp, name)
         if code != 2 or "Traceback" in stderr:
-            return f"slmoduli {command} with config {text} exited {code}, not 2 without a traceback"
+            given = " ".join([f"config {text}", *flags])
+            return f"slmoduli {command} with {given} exited {code}, not 2 without a traceback"
     return None
 
 
@@ -94,13 +100,18 @@ def _guard_runs(tmp, n, dual):
 
 
 def memory(slmoduli, tmp, n):
-    for name, args, codes in _guard_runs(tmp, n, tmp / f"legendre{n}" / "dual.csv"):
-        code, stderr, peak = _run(slmoduli, args, tmp, f"{name}{n}")
+    scan = _config(tmp, f"scan{FIBER_N}", {"family": "std:3", "fiber_resolution": FIBER_N})
+    runs = [(name, args, codes, f"{n}^2", f"{name}{n}")
+            for name, args, codes in _guard_runs(tmp, n, tmp / f"legendre{n}" / "dual.csv")]
+    runs.append(("family-scan", ["family-scan", "--config", scan], {0}, f"{FIBER_N}^3",
+                 f"scan{FIBER_N}"))
+    for name, args, codes, size, out in runs:
+        code, stderr, peak = _run(slmoduli, args, tmp, out)
         if code not in codes or "Traceback" in stderr:
-            return f"slmoduli {name} at {n}^2 exited {code}"
-        print(f"slmoduli {name} at {n}^2: peak RSS {peak:.1f} MB (limit {LIMIT_MB} MB)")
+            return f"slmoduli {name} at {size} exited {code}"
+        print(f"slmoduli {name} at {size}: peak RSS {peak:.1f} MB (limit {LIMIT_MB} MB)")
         if peak > LIMIT_MB:
-            return f"slmoduli {name} at {n}^2 peaked at {peak:.1f} MB"
+            return f"slmoduli {name} at {size} peaked at {peak:.1f} MB"
     return None
 
 

@@ -201,6 +201,8 @@ def _moduli_axes(config, m, n):
     with _config_value("grid"):
         grid = config.get("grid", {})
         n = int(grid.get("n", n))
+        if n < 1:
+            raise InputError(f"grid.n must be at least 1, got {n}")
         axes = [np.linspace(lo, hi, n) for lo, hi in grid.get("ranges", [[0.0, 1.0]] * m)]
     if len(axes) != m:
         raise InputError(f"grid has {len(axes)} ranges for {m} moduli")
@@ -211,6 +213,8 @@ def _plane_axes(config, n):
     """The plane grid of gh and ma-solve: config ``n`` (default ``n``) nodes per side."""
     with _config_value("n or domain"):
         n = int(config.get("n", n))
+        if n < 2:
+            raise InputError(f"n must be at least 2 for a grid spacing, got {n}")
         axes = [np.linspace(lo, hi, n) for lo, hi in config.get("domain", [[0.0, 1.0]] * 2)]
     if len(axes) != 2:
         raise InputError(f"domain has {len(axes)} ranges, not 2")
@@ -418,8 +422,8 @@ def main(argv=None):
         print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.tol <= 0:
-            raise InputError("tolerance must be positive")
+        if not 0 < args.tol < np.inf:
+            raise InputError(f"tolerance must be positive and finite, got {args.tol}")
         config = _load_config(args.config) if args.config else {}
         report = _RUNNERS[args.command](config, args.tol, out, args.oracle)
         verdicts = report["axioms"] if args.command == "cy-validate" else report["checks"]
@@ -428,7 +432,9 @@ def main(argv=None):
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         report = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         code = 2
-    report = {"command": args.command, "tol": args.tol, **report}
+    # JSON has no nan or inf, so a refused non-finite tolerance is written as text
+    tol = args.tol if np.isfinite(args.tol) else str(args.tol)
+    report = {"command": args.command, "tol": tol, **report}
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

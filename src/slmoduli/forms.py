@@ -95,10 +95,13 @@ class FormField:
 
     @classmethod
     def constant(cls, torus, degree, values):
+        """The form with the same coefficients at every node.
+
+        ``coeffs`` is a read-only broadcast view of ``values``: it holds no
+        bytes per node, and arithmetic on the form returns new arrays.
+        """
         values = np.asarray(values, dtype=float)
-        coeffs = np.broadcast_to(
-            values, torus.shape + (comb(torus.dim, degree),)
-        ).copy()
+        coeffs = np.broadcast_to(values, torus.shape + (comb(torus.dim, degree),))
         return cls(torus, degree, coeffs)
 
     @classmethod
@@ -219,7 +222,10 @@ def hodge_star(a, g):
     """Metric Hodge star, orientation from ascending axis order.
 
     The minors of the inverse metric are scalars, applied to every node's
-    coefficients.  Satisfies star(star(a)) = (-1)^{k(d-k)} a.
+    coefficients.  Each output component is summed in place in its own slice
+    of the result and then scaled once by sign * sqrt(det g), so the call
+    holds the result and one node-sized term.  Satisfies
+    star(star(a)) = (-1)^{k(d-k)} a.
     """
     if g.torus != a.torus:
         raise GridMismatchError("metric and form live on different grids")
@@ -230,10 +236,10 @@ def hodge_star(a, g):
     k_tuples = index_tuples(d, k)
     out = np.zeros(a.torus.shape + (comb(d, d - k),))
     for ii, comp_pos, sign in complement_table(d, k):
-        raised = np.zeros(a.torus.shape)
+        raised = out[..., comp_pos]
         for jj, tj in enumerate(k_tuples):
             raised += minor_matrix(ginv, k_tuples[ii], tj) * a.coeffs[..., jj]
-        out[..., comp_pos] += sign * sqrt_det * raised
+        raised *= sign * sqrt_det
     return FormField(a.torus, d - k, out)
 
 

@@ -314,6 +314,11 @@ def _square(n):
         ("family-scan", {"fiber_resolution": "x"}, "InputError"),
         # a potential without a grid axis
         ("legendre", {"potential": {"axes": [], "expr": "1"}}, "InputError"),
+        # grids with no spacing or no nodes
+        *((command, {"n": n}, "InputError") for command in ("ma-solve", "gh")
+          for n in (-1, 0, 1)),
+        *((command, {"grid": {"n": n}}, "InputError") for command in ("family-scan", "embed")
+          for n in (-1, 0)),
     ],
 )
 def test_rejected_input_exit_code_and_report(tmp_path, capsys, command, payload, error):
@@ -337,6 +342,28 @@ def test_rejected_input_exit_code_and_report(tmp_path, capsys, command, payload,
     assert "checks" not in report
     log = (tmp_path / "run.log").read_text().splitlines()
     assert log[-1].endswith(f"{command} exit=2")
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command", ["cy-validate", "gh"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+def test_tolerance_must_be_positive_and_finite(tmp_path, capsys, command, tol):
+    assert main([command, f"--tol={tol}", "--out", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    report = _strict_json((tmp_path / "report.json").read_text())
+    assert report["error"]["type"] == "InputError"
+    assert "checks" not in report and "axioms" not in report
+
+
+@pytest.mark.parametrize("command", ["family-scan", "embed"])
+def test_one_node_moduli_grid_is_a_point(tmp_path, command):
+    cfg = _write(tmp_path / "cfg.json", {"grid": {"n": 1}, "fiber_resolution": 8})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
 def test_number_in_place_of_a_path_is_refused(tmp_path):
@@ -521,5 +548,5 @@ def test_ci_smoke_script_at_toy_sizes(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         stdout[check] = proc.stdout
-    assert stdout["memory"].count("peak RSS") == 5
+    assert stdout["memory"].count("peak RSS") == 6
     assert stdout["threads"].count("identical at 1 and 2 BLAS threads") == 5

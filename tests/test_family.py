@@ -1,5 +1,8 @@
 """Affine fiber families: periods, moduli coordinates, scans, persistence."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from slmoduli.family import (
     std_family,
     tilt_family,
 )
+from slmoduli.cli import main
 from slmoduli.cymodel import save_model, std_model
 from slmoduli.forms import CycleBasis, FormField, integrate_top
 from slmoduli.hessian import mirror_swap
@@ -134,6 +138,37 @@ def test_recombination_invariance(n, seed, ops):
     scale = np.max(np.abs(z_inv)) * np.max(np.abs(z)) * n
     assert np.max(np.abs(back.lam - pm.lam)) < 1e-10 * scale * np.max(np.abs(pm.lam))
     assert np.max(np.abs(back.mu - pm.mu)) < 1e-10 * scale * np.max(np.abs(pm.mu))
+
+
+def test_mclean_check_holds_one_node_sized_form():
+    fam = std_family(3)
+    torus = fam.fiber_torus(32)
+    fam.mclean_check(0, torus)  # the family's constants are derived once
+    tracemalloc.start()
+    try:
+        residuals = [fam.mclean_check(j, torus) for j in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(residuals) < 1e-14
+    # the star's output, 3 coefficients per node, and one term of its sum
+    assert peak <= 1.5 * 32 ** 3 * 3 * 8
+
+
+@pytest.mark.parametrize("family", ["std:3", "@random"])
+def test_family_scan_report_does_not_depend_on_fiber_resolution(tmp_path, family):
+    if family == "@random":
+        family = str(tmp_path / "family.json")
+        save_family(random_family(np.random.default_rng(23), n=3), family, model_ref="std:3")
+    outputs = []
+    for resolution in (8, 16, 32):
+        cfg = tmp_path / f"cfg{resolution}.json"
+        cfg.write_text(json.dumps({"family": family, "grid": {"n": 2},
+                                   "fiber_resolution": resolution}))
+        out = tmp_path / f"out{resolution}"
+        assert main(["family-scan", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("report.json", "scan.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_mclean_metric_tilt_value():

@@ -20,6 +20,7 @@ from slmoduli.forms import (
     spectral_derivative,
     wedge,
 )
+from slmoduli.multilinear import complement_table, index_tuples, minor_matrix
 
 
 def test_grid_torus_geometry():
@@ -98,6 +99,48 @@ def test_hodge_star_flat_torus():
     expected = np.sqrt(np.linalg.det(mat)) * np.array([-raised[1], raised[0]])
     star = hodge_star(FormField.constant(torus, 1, a), MetricField(torus, mat))
     assert np.max(np.abs(star.coeffs - expected)) < 1e-14
+
+
+def test_constant_form_is_a_read_only_view():
+    torus = GridTorus((8, 8, 8))
+    values = np.array([0.5, -1.0, 2.0])
+    form = FormField.constant(torus, 1, values)
+    assert form.coeffs.shape == torus.shape + (3,)
+    assert not form.coeffs.flags.writeable
+    # one coefficient vector, broadcast over the nodes: no bytes per node
+    assert not form.coeffs.flags.owndata
+    assert form.coeffs.strides[:3] == (0, 0, 0)
+    with pytest.raises(ValueError):
+        form.coeffs[0, 0, 0, 0] = 1.0
+    assert np.array_equal((form + form).coeffs, np.broadcast_to(2 * values, form.coeffs.shape))
+
+
+def _sum_then_scale_star(a, g):
+    """The Hodge star summed per component in its own array, then scaled."""
+    d, k = a.torus.dim, a.degree
+    ginv = np.linalg.inv(g.components)
+    sqrt_det = np.sqrt(np.linalg.det(g.components))
+    k_tuples = index_tuples(d, k)
+    out = np.zeros(a.torus.shape + (comb(d, d - k),))
+    for ii, comp_pos, sign in complement_table(d, k):
+        raised = np.zeros(a.torus.shape)
+        for jj, tj in enumerate(k_tuples):
+            raised += minor_matrix(ginv, k_tuples[ii], tj) * a.coeffs[..., jj]
+        out[..., comp_pos] += sign * sqrt_det * raised
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hodge_star_equals_sum_then_scale(d):
+    rng = np.random.default_rng(20 + d)
+    torus = GridTorus((8,) * d)
+    mat = rng.normal(size=(d, d))
+    g = MetricField(torus, mat @ mat.T + d * np.eye(d))
+    assert np.count_nonzero(g.components - np.diag(np.diag(g.components)))
+    for k in range(d + 1):
+        a = _random_form(torus, k, rng)
+        # == holds for values; only the sign of an exact zero may differ
+        assert np.array_equal(hodge_star(a, g).coeffs, _sum_then_scale_star(a, g)), k
 
 
 def test_hodge_star_involution_sign():
