@@ -7,16 +7,17 @@
 ``console`` checks the exit contract: a passing check exits 0 (cy-validate,
 and semiflat on a three-variable Monge-Ampere quadratic), and a grid too
 small for its stencils, a moduli grid with no nodes, a tolerance that is not
-a number or a config that is not a JSON object exits 2 with an error line
-and no traceback.  ``memory`` runs gh, semiflat --oracle, partial-legendre
-and legendre on N x N grids (default 257), then partial-legendre on the
-dual.csv that legendre wrote, so the potential CSV reader runs at that size
-too, and family-scan of std:3 with its McLean check on a ``FIBER_N``^3 fiber
-grid; it fails when a command exits with an unexpected code, prints a
-traceback, or peaks above ``LIMIT_MB`` of resident memory.  ``threads`` runs
-the five plane commands under 1 and 2 BLAS threads and fails unless every
-output but ``run.log`` is byte for byte the same (ma-solve is not yet
-thread-independent, so it is left out).  ``--slmoduli`` is the command
+a number, a config that is not a JSON object or an expression that is not
+finite on its grid exits 2 with an error line and no traceback.  ``memory``
+runs gh, semiflat --oracle, partial-legendre and legendre on N x N grids
+(default 257), then partial-legendre on the dual.csv that legendre wrote, so
+the potential CSV reader runs at that size too, and family-scan of std:3
+with its McLean check on a ``FIBER_N``^3 fiber grid; it fails when a command
+exits with an unexpected code, prints a traceback, or peaks above
+``LIMIT_MB`` of resident memory.  ``threads`` runs the five plane commands
+under 1 and 2 BLAS threads and fails unless every output but ``run.log`` is
+byte for byte the same (ma-solve is not yet thread-independent, so it is
+left out).  ``--slmoduli`` is the command
 that runs the CLI (default ``slmoduli``, the installed console script);
 ``--tmp`` holds the configs and outputs (default: a new temporary
 directory).  Exits 1 on the first failure.
@@ -68,7 +69,9 @@ def console(slmoduli, tmp):
     for command, text, flags, name in [("gh", '{"n": 6}', [], "gh6"),
                                        ("ma-solve", "[]", [], "ma-list"),
                                        ("family-scan", '{"grid": {"n": 0}}', [], "scan0"),
-                                       ("cy-validate", "{}", ["--tol", "nan"], "cy-nan")]:
+                                       ("cy-validate", "{}", ["--tol", "nan"], "cy-nan"),
+                                       ("gh", '{"V": "sqrt(y1 - 0.5) + 2", "n": 17}', [],
+                                        "gh-sqrt")]:
         code, stderr, _ = _run(slmoduli, [command, "--config", _config(tmp, name, text), *flags],
                                tmp, name)
         if code != 2 or "Traceback" in stderr:

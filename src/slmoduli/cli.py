@@ -40,7 +40,6 @@ from .family import (
     lagrangian_residual,
     load_family,
     moduli_coordinates,
-    scan_to_csv,
     specialness_scan,
 )
 from .fd import EDGE, interior, richardson_tolerance
@@ -126,13 +125,19 @@ def _eval_expression(expr, **variables):
     and calls of the functions in ``_EXPR_NAMES``.  Anything else (attribute
     access, subscripts, other names or operators) raises InputError.
     A power of two integers is taken in floats, so it overflows instead of
-    growing an unbounded integer.
+    growing an unbounded integer.  Values that are not finite raise
+    InputError, with numpy's floating-point warnings off.
     """
     try:
         tree = ast.parse(expr, mode="eval")
-        return np.asarray(_eval_node(tree.body, {**_EXPR_NAMES, **variables}), dtype=float)
+        with np.errstate(all="ignore"):
+            values = np.asarray(_eval_node(tree.body, {**_EXPR_NAMES, **variables}),
+                                dtype=float)
     except Exception as exc:
         raise InputError(f"cannot evaluate expression {expr!r}: {exc}") from exc
+    if values.size and not (np.isfinite(np.min(values)) and np.isfinite(np.max(values))):
+        raise InputError(f"expression {expr!r} is not finite on the whole grid")
+    return values
 
 
 def _eval_node(node, names):
@@ -249,8 +254,7 @@ def run_family_scan(config, tol, out, oracle):
     # the family's constants, taken once and passed on
     pm = fam.period_matrices()
     mclean = fam.mclean_metric(pm)
-    scan = specialness_scan(fam, axes, pm, mclean)
-    scan_to_csv(scan, Path(out) / "scan.csv")
+    scan = specialness_scan(fam, axes, pm)
     checks = {
         "slag_restriction": _check(max(omega_res, omega1_res), tol),
         "mclean": _check(max(fam.mclean_check(j, torus) for j in range(m)), tol),
@@ -263,6 +267,9 @@ def run_family_scan(config, tol, out, oracle):
         "Q": fam.Q.tolist(),
         "lambda": pm.lam.tolist(),
         "mu": pm.mu.tolist(),
+        "vol_H1": scan["vol_h1"],
+        "vol_Hn1": scan["vol_hn1"],
+        "vol_fiber": scan["vol_fiber"],
         "checks": checks,
     }
 

@@ -4,15 +4,15 @@ A family is the affine fibration (s, t) -> P s + Q t + r over an m-dimensional
 moduli chart.  On a flat torus the contraction 1-forms theta_j = iota(Q_j)
 omega and (n-1)-forms phi_j = iota(Q_j) Omega_1, pulled back to a fiber, are
 constant and independent of t.  So the period matrices lambda, mu, the L^2
-Gram matrix of the theta_j and the fiber volume are computed once per family
-in closed form from ``ConstantForm`` algebra.  Constant forms are closed and
-co-closed exactly, so the gridded forms are built only for the McLean
-identity phi_j = star theta_j on a fiber grid with the constant induced
-metric.  The module also gives the moduli coordinates u, v (for a family
-they are linear in t, since lambda and mu are constant; for given period
-functions they are integrated, with closedness a precondition), tabulates
-the embedding t -> (u(t), v(t)), and reports the residuals certifying the
-structural identities: symmetry of lambda^T mu and the L^2 metric identity.
+Gram matrix of the theta_j, the fiber volume and the cohomology-torus volumes
+are computed once per family in closed form from ``ConstantForm`` algebra.
+Constant forms are closed and co-closed exactly, so the gridded forms are
+built only for the McLean identity phi_j = star theta_j on a fiber grid with
+the constant induced metric.  Since lambda and mu are constant, the moduli
+coordinates of du = lambda dt, dv = mu dt are linear in t, u = (t - t0)
+lambda^T and v = (t - t0) mu^T; the module tabulates the embedding
+t -> (u(t), v(t)) and reports the residuals certifying the structural
+identities: symmetry of lambda^T mu and the L^2 metric identity.
 """
 
 import json
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .cymodel import FlatCalabiYauModel, resolve_model, std_model
-from .errors import DegeneracyError, DomainError, InputError, MetricError
+from .errors import DegeneracyError, InputError, MetricError
 from .forms import (
     FormField,
     GridTorus,
@@ -226,7 +226,7 @@ def closedness_loop_residual(lam_fn, loop):
 
 @dataclass
 class ModuliChart:
-    """u, v (zero at the first node) and the period matrices over a box grid in t."""
+    """u, v (zero at the first node) over a box grid in t; lambda, mu are m x m."""
 
     axes: list
     u: np.ndarray
@@ -243,104 +243,18 @@ class ModuliChart:
         return np.stack(mesh, axis=-1)
 
     def swap(self):
-        """Exchange the roles of (u, lambda) and (v, mu)."""
-        return ModuliChart(
-            self.axes,
-            self.v.copy(),
-            self.u.copy(),
-            self.mu.copy(),
-            self.lam.copy(),
-        )
+        """Exchange the roles of (u, lambda) and (v, mu); the arrays are shared."""
+        return ModuliChart(self.axes, self.v, self.u, self.mu, self.lam)
 
 
-def _staircase_integral(field, axes, order):
-    """Path integral of sum_j M_ij dt_j along axis-ordered staircase paths.
-
-    ``field`` maps points (..., m) to matrices (..., m, m).  The path from the
-    first grid node to a node runs along the axes in ``order``, later axes
-    held at their first node until reached.
-    """
-    m = len(axes)
-    shape = tuple(len(ax) for ax in axes)
-    out = np.zeros(shape + (m,))
-    done = []
-    for axis in order:
-        # sample on the sub-grid of processed axes plus the current one
-        grids = [ax if j in done or j == axis else ax[:1] for j, ax in enumerate(axes)]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        pts = np.stack(mesh, axis=-1)
-        mat = field(pts)  # (..., m, m), rows i, columns j
-        integrand = mat[..., :, axis]
-        t_ax = np.asarray(axes[axis])
-        # cumulative trapezoid along the current axis, zero at its first node
-        seg = _cumtrapz(integrand, t_ax, axis=axis)
-        # broadcast over the axes not yet reached
-        reps = [1] * (m + 1)
-        for j in range(m):
-            if seg.shape[j] == 1:
-                reps[j] = shape[j]
-        out += np.tile(seg, reps)
-        done.append(axis)
-    return out
-
-
-def _cumtrapz(values, x, axis):
-    dx = np.diff(x)
-    pair_means = 0.5 * (np.take(values, range(1, len(x)), axis=axis)
-                        + np.take(values, range(0, len(x) - 1), axis=axis))
-    shape = [1] * values.ndim
-    shape[axis] = len(dx)
-    increments = pair_means * dx.reshape(shape)
-    zero = np.zeros(np.take(values, [0], axis=axis).shape)
-    return np.concatenate([zero, np.cumsum(increments, axis=axis)], axis=axis)
-
-
-def moduli_coordinates(fam_or_fns, axes, order=None, closedness_tol=1e-8):
-    """Integrate du = lambda dt, dv = mu dt over a box grid from its first node.
-
-    Accepts either a family or a pair (lambda_fn, mu_fn).  A family's lambda
-    and mu are constant, so u = (t - t0) lambda^T and v = (t - t0) mu^T in
-    closed form, and the chart's lambda and mu are read-only broadcast views
-    of the two matrices.  For a pair, closedness of the period 1-forms is a
-    checked precondition (the generating rectangles of the grid must have
-    loop residual below ``closedness_tol``), and u, v are integrated along
-    axis-ordered staircase paths (``order``, default the axis order).
-    """
+def moduli_coordinates(fam, axes):
+    """du = lambda dt, dv = mu dt from the first node of a box grid: lambda
+    and mu are constant, so u = (t - t0) lambda^T and v = (t - t0) mu^T."""
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    if isinstance(fam_or_fns, AffineSLagFamily):
-        pm = fam_or_fns.period_matrices()
-        offsets = pts - pts[(0,) * len(axes)]
-        lam, mu = (np.broadcast_to(mat, pts.shape[:-1] + mat.shape) for mat in (pm.lam, pm.mu))
-        return ModuliChart(axes, offsets @ pm.lam.T, offsets @ pm.mu.T, lam, mu)
-    lam_fn, mu_fn = fam_or_fns
-    _check_grid_closedness(lam_fn, axes, closedness_tol)
-    if order is None:
-        order = list(range(len(axes)))
-    u = _staircase_integral(lam_fn, axes, order)
-    v = _staircase_integral(mu_fn, axes, order)
-    return ModuliChart(axes, u, v, lam_fn(pts), mu_fn(pts))
-
-
-def _check_grid_closedness(lam_fn, axes, tol):
-    m = len(axes)
-    if m < 2:
-        return
-    base = np.array([ax[0] for ax in axes])
-    for a in range(m):
-        for b in range(a + 1, m):
-            pts = [base.copy() for _ in range(5)]
-            pts[1][a] = axes[a][-1]
-            pts[2][a] = axes[a][-1]
-            pts[2][b] = axes[b][-1]
-            pts[3][b] = axes[b][-1]
-            res = closedness_loop_residual(lam_fn, np.array(pts))
-            if res > tol:
-                raise DomainError(
-                    f"period 1-forms are not closed on the chart "
-                    f"(axes {a},{b} rectangle residual {res:.3e}); "
-                    "path integration would be path-dependent"
-                )
+    pm = fam.period_matrices()
+    offsets = pts - pts[(0,) * len(axes)]
+    return ModuliChart(axes, offsets @ pm.lam.T, offsets @ pm.mu.T, pm.lam, pm.mu)
 
 
 def embed_F(chart):
@@ -357,62 +271,23 @@ def embed_F(chart):
     return table
 
 
-def specialness_scan(fam, axes, pm=None, mclean=None):
-    """Tabulate the cohomology-torus volumes and fiber volume over t.
+def specialness_scan(fam, axes, pm=None):
+    """The flattened points of a box grid in t and the volumes over it.
 
-    Constancy of sqrt(det(mu lambda^{-1})) certifies the special embedding;
-    constancy of the fiber volume must always hold.  The period matrices of
-    an affine family are constant, so the volumes, the Lagrangian residual
-    and the L^2 metric residual are taken once and hold for every t.  ``pm``
-    and ``mclean`` are the family's ``period_matrices()`` and
-    ``mclean_metric(pm)``, taken here if not given.
+    The volumes of H^1 and H^{n-1}, sqrt|det(mu lambda^{-1})| and its inverse,
+    and the calibrated fiber volume are constants of an affine family, one
+    number each for the whole chart.  ``pm`` is the family's
+    ``period_matrices()``, taken here if not given.
     """
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    flat = pts.reshape(-1, pts.shape[-1])
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     pm = fam.period_matrices() if pm is None else pm
-    mclean = fam.mclean_metric(pm) if mclean is None else mclean
     ratio = pm.mu @ np.linalg.inv(pm.lam)
-    vol_h1 = np.full(len(flat), np.sqrt(np.abs(np.linalg.det(ratio))))
-    vol_hn1 = np.full(len(flat), np.sqrt(np.abs(np.linalg.det(np.linalg.inv(ratio)))))
-    vol_fiber = np.full(len(flat), fam.fiber_volume())
-    lag = np.full(len(flat), lagrangian_residual(pm))
-    metric_res = np.full(len(flat), mclean[1])
-
-    def variation(values):
-        scale = max(np.max(np.abs(values)), 1e-300)
-        return float((np.max(values) - np.min(values)) / scale)
-
     return {
-        "points": flat,
-        "vol_h1": vol_h1,
-        "vol_hn1": vol_hn1,
-        "vol_fiber": vol_fiber,
-        "lag_residual": lag,
-        "metric_residual": metric_res,
-        "vol_h1_variation": variation(vol_h1),
-        "vol_hn1_variation": variation(vol_hn1),
-        "vol_fiber_variation": variation(vol_fiber),
+        "points": points,
+        "vol_h1": float(np.sqrt(np.abs(np.linalg.det(ratio)))),
+        "vol_hn1": float(np.sqrt(np.abs(np.linalg.det(np.linalg.inv(ratio))))),
+        "vol_fiber": fam.fiber_volume(),
     }
-
-
-def scan_to_csv(scan, path):
-    pts = scan["points"]
-    m = pts.shape[1]
-    header = ",".join(
-        [f"t_{i + 1}" for i in range(m)]
-        + ["vol_H1", "vol_Hn1", "vol_fiber", "lag_residual", "metric_residual"]
-    )
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(len(pts)):
-            row = list(pts[i]) + [
-                scan["vol_h1"][i],
-                scan["vol_hn1"][i],
-                scan["vol_fiber"][i],
-                scan["lag_residual"][i],
-                scan["metric_residual"][i],
-            ]
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 def std_family(n):

@@ -59,6 +59,11 @@ class HessianPotential:
             steps = np.diff(ax)
             if len(steps) == 0 or np.max(np.abs(steps - steps[0])) > 1e-10 * abs(steps[0]):
                 raise InputError("grid axes must be uniform and non-trivial")
+        # a NaN shows in the minimum and the maximum, -inf and +inf in one of them
+        if not (np.isfinite(np.min(self.values)) and np.isfinite(np.max(self.values))):
+            raise InputError("potential values must be finite")
+        if self.c is not None and not np.isfinite(self.c):
+            raise InputError(f"the constant c must be finite, got {self.c}")
 
     @classmethod
     def from_function(cls, axes, fn, c=None):

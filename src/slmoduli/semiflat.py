@@ -424,7 +424,7 @@ def gh_metric(v_values, axes):
     if harmonic_residual > harmonic_tol:
         raise InputError(f"V is not harmonic: ||Laplacian||_inf = {harmonic_residual:.3e} "
                          f"above {harmonic_tol:.3e}")
-    if np.min(v) <= 0:
+    if not np.min(v) > 0:  # a NaN fails this test too
         raise InputError("V must be positive on the whole domain")
     w = _harmonic_conjugate(v, spacings)
     slabs = _oracle_interior(lambda lo, hi: _gh_components(v[lo:hi], w[lo:hi]), v.shape,

@@ -16,6 +16,7 @@ import pytest
 
 from slmoduli.cymodel import ConstantForm, FlatCalabiYauModel, std_model, validate_axioms
 from slmoduli.family import (
+    AffineSLagFamily,
     closedness_loop_residual,
     lagrangian_residual,
     moduli_coordinates,
@@ -226,19 +227,24 @@ def test_criterion_06_constant_determinant_suite(cosh_solutions):
     tols = [10.0 * max(c / 16.0, 1e-8) for c in coarse]
     ok_a = fine[0] < tols[0] and fine[1] < tols[1]
 
-    # (b), (c) constancy of the cohomology and fiber volumes over t
-    worst_b = worst_c = 0.0
-    for name, fam in _builtin_families():
-        axes = [np.linspace(0.0, 1.0, 5)] * fam.moduli_dim
-        scan = specialness_scan(fam, axes)
-        worst_b = max(worst_b, scan["vol_h1_variation"], scan["vol_hn1_variation"])
-        worst_c = max(worst_c, scan["vol_fiber_variation"])
+    # (b) the calibration identity: the calibrated fiber volume is the
+    # Riemannian one, sqrt(det G), on every built-in family
+    def calibration_gap(fam):
+        scan = specialness_scan(fam, [np.linspace(0.0, 1.0, 5)] * fam.moduli_dim)
+        return abs(scan["vol_fiber"] - np.sqrt(np.linalg.det(fam.fiber_metric_matrix)))
+
+    worst = max(calibration_gap(fam) for name, fam in _builtin_families())
+    # (c) negative control: a phase that does not calibrate the fiber breaks it
+    slope_one = tilt_family(1)
+    control = calibration_gap(AffineSLagFamily(slope_one.model, slope_one.P, slope_one.Q,
+                                               phase=0.3))
     _report(
         6,
-        "constant determinant: pair residuals and volume constancy",
-        ok_a and worst_b < 1e-10 and worst_c < 1e-10,
+        "constant determinant: pair residuals and the calibration identity",
+        ok_a and worst < 1e-10 and control > 1e-10,
         f"pair residuals {fine[0]:.1e}/{fine[1]:.1e} < {tols[0]:.1e}/{tols[1]:.1e}; "
-        f"volume variations {worst_b:.1e}, {worst_c:.1e} < 1e-10",
+        f"|vol_fiber - sqrt(det G)| {worst:.1e} < 1e-10; "
+        f"off-calibration phase 0.3 misses by {control:.1e} > 1e-10",
     )
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from slmoduli.cli import COMMANDS, _eval_expression, main
 from slmoduli.errors import InputError
 from slmoduli.family import AffineSLagFamily
 from slmoduli.fd import EDGE, interior
-from slmoduli.hessian import load_potential
+from slmoduli.hessian import HessianPotential, load_potential, save_potential
 
 
 def _write(path, payload):
@@ -67,9 +68,10 @@ def test_family_scan_std(tmp_path):
     report = _report(tmp_path)
     for key in ("slag_restriction", "mclean", "prop2", "thm3"):
         assert report["checks"][key]["pass"], key
-    scan = (tmp_path / "scan.csv").read_text().splitlines()
-    assert scan[0].startswith("t_1,t_2,vol_H1")
-    assert len(scan) == 10
+    # lambda = mu = -I and G = I: every volume is 1, reported once per family
+    assert (report["vol_H1"], report["vol_Hn1"], report["vol_fiber"]) == (1.0, 1.0, 1.0)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "report.json",
+                                                                "run.log"]
 
 
 def test_family_scan_derives_each_family_constant_once(tmp_path, monkeypatch):
@@ -358,6 +360,37 @@ def test_tolerance_must_be_positive_and_finite(tmp_path, capsys, command, tol):
     report = _strict_json((tmp_path / "report.json").read_text())
     assert report["error"]["type"] == "InputError"
     assert "checks" not in report and "axioms" not in report
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("gh", {"V": "sqrt(y1 - 0.5) + 2", "n": 17}),
+        ("semiflat", {"potential": {"axes": [[-1, 1, 17]] * 2,
+                                    "expr": "(u1**2 + u2**2) / 2 + 0*log(u1 + 0.5)"}}),
+        ("semiflat", {"potential": "@nan_csv"}),
+    ],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, command, payload):
+    # a value that is not finite is refused where it enters, with one error
+    # line and a report that is strict JSON
+    if payload.get("potential") == "@nan_csv":
+        csv = tmp_path / "nan.csv"
+        save_potential(HessianPotential.from_function([np.linspace(-1, 1, 17)] * 2,
+                                                      lambda a, b: (a ** 2 + b ** 2) / 2), csv)
+        lines = csv.read_text().splitlines()
+        csv.write_text("\n".join(lines[:-1] + ["nan"]) + "\n")
+        payload = {"potential": str(csv)}
+    cfg = _write(tmp_path / "cfg.json", payload)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not caught
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InputError: ")
+    report = _strict_json((tmp_path / "report.json").read_text())
+    assert report["error"]["type"] == "InputError"
+    assert "checks" not in report
 
 
 @pytest.mark.parametrize("command", ["family-scan", "embed"])

@@ -154,6 +154,16 @@ def test_nonuniform_axes_rejected():
         HessianPotential([np.array([0.0, 0.1, 0.3])], np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_potential_rejected(bad):
+    values = np.zeros(3)
+    values[1] = bad
+    with pytest.raises(InputError, match="finite"):
+        HessianPotential([np.linspace(0.0, 1.0, 3)], values)
+    with pytest.raises(InputError, match="finite"):
+        HessianPotential([np.linspace(0.0, 1.0, 3)], np.zeros(3), c=bad)
+
+
 def test_ma_residual_closed_form():
     # phi = u1^4/12 + u1^2/2 + u2^2/2: det Hess = 1 + u1^2
     axes = [np.linspace(-1, 1, 33)] * 2
@@ -801,6 +811,8 @@ _VALUES = "".join(f"{float(i)!r}\n" for i in range(6))
     (_HEADER + "0.0 1.0\n" + _VALUES[8:], "malformed"),  # two numbers on a line
     (_HEADER + "0.0 1.0\n2.0 3.0\n4.0 5.0\n", "malformed"),  # a 2-D block
     (_HEADER + "0.0,1.0\n" + _VALUES[8:], "malformed"),
+    (_HEADER + "nan\n" + _VALUES[4:], "malformed"),  # not finite
+    (_HEADER + "c,inf\n" + _VALUES, "malformed"),
 ])
 def test_potential_file_refusals(tmp_path, content, reason):
     path = tmp_path / "bad.csv"

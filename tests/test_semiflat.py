@@ -524,6 +524,10 @@ def test_gh_metric_rejects_nonharmonic_or_nonpositive():
         gh_metric(2.0 + y1 ** 3, axes)
     with pytest.raises(InputError):
         gh_metric(y1 - 0.5, axes)
+    v = 2.0 + y1
+    v[0, 0] = np.nan  # not positive either
+    with pytest.raises(InputError, match="positive"):
+        gh_metric(v, axes)
 
 
 def _plane_v(n, fn):
