@@ -7,8 +7,9 @@
 ``console`` checks the exit contract: a passing check exits 0 (cy-validate,
 and semiflat on a three-variable Monge-Ampere quadratic), and a grid too
 small for its stencils, a moduli grid with no nodes, a tolerance that is not
-a number, a config that is not a JSON object or an expression that is not
-finite on its grid exits 2 with an error line and no traceback.  ``memory``
+a number, a config that is not a JSON object, an expression that is not
+finite on its grid, a Monge-Ampere constant that is not positive or a domain
+range with no width exits 2 with an error line and no traceback.  ``memory``
 runs gh, semiflat --oracle, partial-legendre and legendre on N x N grids
 (default 257), then partial-legendre on the dual.csv that legendre wrote, so
 the potential CSV reader runs at that size too, and family-scan of std:3
@@ -71,7 +72,11 @@ def console(slmoduli, tmp):
                                        ("family-scan", '{"grid": {"n": 0}}', [], "scan0"),
                                        ("cy-validate", "{}", ["--tol", "nan"], "cy-nan"),
                                        ("gh", '{"V": "sqrt(y1 - 0.5) + 2", "n": 17}', [],
-                                        "gh-sqrt")]:
+                                        "gh-sqrt"),
+                                       ("ma-solve", '{"n": 17, "solver": {"c": -1}}', [],
+                                        "ma-negative-c"),
+                                       ("gh", '{"n": 17, "domain": [[0, 0], [0, 1]]}', [],
+                                        "gh-flat")]:
         code, stderr, _ = _run(slmoduli, [command, "--config", _config(tmp, name, text), *flags],
                                tmp, name)
         if code != 2 or "Traceback" in stderr:

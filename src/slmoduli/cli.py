@@ -215,7 +215,8 @@ def _moduli_axes(config, m, n):
 
 
 def _plane_axes(config, n):
-    """The plane grid of gh and ma-solve: config ``n`` (default ``n``) nodes per side."""
+    """The plane grid of gh and ma-solve: config ``n`` (default ``n``) nodes per
+    side on each ``domain`` range [lo, hi], lo < hi."""
     with _config_value("n or domain"):
         n = int(config.get("n", n))
         if n < 2:
@@ -223,6 +224,9 @@ def _plane_axes(config, n):
         axes = [np.linspace(lo, hi, n) for lo, hi in config.get("domain", [[0.0, 1.0]] * 2)]
     if len(axes) != 2:
         raise InputError(f"domain has {len(axes)} ranges, not 2")
+    for ax in axes:
+        if not ax[0] < ax[-1]:
+            raise InputError(f"a domain range [lo, hi] needs lo < hi, got [{ax[0]}, {ax[-1]}]")
     return axes
 
 
@@ -311,8 +315,7 @@ def run_ma_solve(config, tol, out, oracle):
         solver = config.get("solver", {})
         options = {"c": float(solver.get("c", 1.0)),
                    "tol": float(solver.get("tol", 1e-8)),
-                   "max_iter": int(solver.get("max_iter", 50)),
-                   "damping": float(solver.get("damping", 1.0))}
+                   "max_iter": int(solver.get("max_iter", 50))}
     expr = config.get("boundary", "(u1**2 + u2**2) / 2")
     mesh = np.meshgrid(*axes, indexing="ij")
     boundary = np.broadcast_to(_eval_expression(expr, u1=mesh[0], u2=mesh[1]),
@@ -335,15 +338,10 @@ def run_ma_solve(config, tol, out, oracle):
 
 def run_partial_legendre(config, tol, out, oracle):
     pot = _resolve_potential(config["potential"])
-    result = partial_legendre_2d(pot)
+    residual = partial_legendre_2d(pot)
     coarse = partial_legendre_2d(pot.coarsened())
-    checks = {"prop3": _two_grid_check(result["laplace_residual"],
-                                       coarse["laplace_residual"], 1e-10)}
-    return {
-        "laplace_residual": result["laplace_residual"],
-        "coarse_residual": coarse["laplace_residual"],
-        "checks": checks,
-    }
+    checks = {"prop3": _two_grid_check(residual, coarse, 1e-10)}
+    return {"laplace_residual": residual, "coarse_residual": coarse, "checks": checks}
 
 
 def run_semiflat(config, tol, out, oracle):

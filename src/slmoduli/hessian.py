@@ -7,11 +7,12 @@ manifold), both behind the convexity gate ``eigenvalue_bounds``; the
 discrete Legendre transform (one separable per-axis pass that returns the
 grid conjugate together with its argmax node, sharpened by a spline Newton
 refinement started from that node), the mirror role-swap, the
-2D partial Legendre reduction to the Laplace equation, and a damped
+2D partial Legendre reduction to the Laplace equation, and a line-searched
 Newton-Krylov Dirichlet solver for det(Hess phi) = c in two variables.  The
-solver applies its fourth-order Jacobian as 1D matrix products without
-assembling it and solves each Newton step by a numpy GMRES, preconditioned
-by sine-transform inversion of a constant-coefficient second-order operator;
+solver starts from the sine-transform solve of a 3-point Poisson problem,
+applies its fourth-order Jacobian as 1D matrix products without assembling
+it and solves each Newton step by a numpy GMRES, preconditioned by
+sine-transform inversion of a constant-coefficient second-order operator;
 nothing is factorised.  The Legendre polish and the Fenchel residual
 evaluate the tensor quintic ``fd.TensorQuintic``, and the partial Legendre
 reduction resamples with ``fd.quintic_resample``, so the module runs on
@@ -41,7 +42,8 @@ HESSIAN_NODES = 2 ** 14  # grid nodes per block of a row walk (``row_blocks``)
 
 @dataclass
 class HessianPotential:
-    """Scalar potential phi on a uniform box grid in u-space."""
+    """Scalar potential phi on a strictly increasing uniform box grid in u-space,
+    with an optional Monge-Ampere constant c > 0."""
 
     axes: list
     values: np.ndarray
@@ -57,13 +59,14 @@ class HessianPotential:
             raise InputError("potential values do not match the grid axes")
         for ax in self.axes:
             steps = np.diff(ax)
-            if len(steps) == 0 or np.max(np.abs(steps - steps[0])) > 1e-10 * abs(steps[0]):
-                raise InputError("grid axes must be uniform and non-trivial")
+            if (len(steps) == 0 or not steps[0] > 0
+                    or np.max(np.abs(steps - steps[0])) > 1e-10 * steps[0]):
+                raise InputError("grid axes must be uniform and strictly increasing")
         # a NaN shows in the minimum and the maximum, -inf and +inf in one of them
         if not (np.isfinite(np.min(self.values)) and np.isfinite(np.max(self.values))):
             raise InputError("potential values must be finite")
-        if self.c is not None and not np.isfinite(self.c):
-            raise InputError(f"the constant c must be finite, got {self.c}")
+        if self.c is not None:
+            _check_constant(self.c)
 
     @classmethod
     def from_function(cls, axes, fn, c=None):
@@ -144,6 +147,12 @@ class HessianPotential:
         if self.dim > 2:
             raise InputError("spline interpolation supports m <= 2")
         return TensorQuintic(self.axes, self.values)
+
+
+def _check_constant(c):
+    """Raise ``InputError`` unless the Monge-Ampere constant c is positive and finite."""
+    if not 0 < c < np.inf:
+        raise InputError(f"the Monge-Ampere constant c must be positive and finite, got {c}")
 
 
 def eigenvalue_range(hess):
@@ -233,11 +242,10 @@ def _conjugate_axis(values, u_nodes, v_nodes):
 
 @dataclass
 class LegendrePair:
-    """A potential, its convex conjugate, and the maximising u of every v-node."""
+    """A potential and its convex conjugate."""
 
     primal: HessianPotential
     dual: HessianPotential
-    argmax_points: np.ndarray = field(default=None, repr=False)
 
     def swapped(self):
         return LegendrePair(self.dual, self.primal)
@@ -274,12 +282,10 @@ def legendre_transform(pot, v_axes=None):
         v_axes = gradient_image_axes(pot)
     v_axes = [np.asarray(ax, dtype=float) for ax in v_axes]
     psi, argmax = _grid_conjugate(pot, v_axes)
-    fine, fine_argmax = _refine_conjugate(pot, v_axes, argmax)
-    better = fine > psi
-    psi = np.where(better, fine, psi)
-    argmax = np.where(better[..., None], fine_argmax, argmax)
+    fine = _refine_conjugate(pot, v_axes, argmax)
+    psi = np.where(fine > psi, fine, psi)
     dual_c = None if pot.c is None else 1.0 / pot.c
-    return LegendrePair(pot, HessianPotential(v_axes, psi, dual_c), argmax)
+    return LegendrePair(pot, HessianPotential(v_axes, psi, dual_c))
 
 
 def _grid_conjugate(pot, v_axes):
@@ -306,7 +312,8 @@ def _grid_conjugate(pot, v_axes):
 
 
 def _refine_conjugate(pot, v_axes, argmax):
-    """Projected Newton polish of the conjugate on a quintic spline of phi.
+    """Projected Newton polish of the conjugate on a quintic spline of phi,
+    started from the grid ``argmax``; returns the polished conjugate values.
 
     A node stops once its step s (max norm) falls below 1e-14, or, from its
     second step on, once s is at most half the step before (ratio r <= 1/2)
@@ -348,7 +355,7 @@ def _refine_conjugate(pot, v_axes, argmax):
     for start in range(0, len(u), fd.POINT_BLOCK):
         chunk = slice(start, start + fd.POINT_BLOCK)
         psi[chunk] = np.sum(u[chunk] * v[chunk], axis=1) - spl(u[chunk])
-    return psi.reshape(argmax.shape[:-1]), u.reshape(argmax.shape)
+    return psi.reshape(argmax.shape[:-1])
 
 
 def _newton_step(hess, rhs):
@@ -415,7 +422,7 @@ def mirror_swap(obj):
 
 
 def partial_legendre_2d(pot):
-    """Per-slice Legendre transform in u_1 and the Laplace residual of h.
+    """Laplace residual of the per-slice Legendre transform h in u_1.
 
     Coordinates (s, u_2) with s = d phi / d u_1 and h = u_1 s - phi.  For a
     unit-determinant potential h is harmonic; in general
@@ -423,14 +430,12 @@ def partial_legendre_2d(pot):
     away from zero for non-Monge-Ampere input.  The target constant is
     normalized to 1 by rescaling phi with c^{1/2} first.  The residual is
     read past EDGE + 1 boundary nodes, since the Laplacian of h nests a
-    second derivative in a first one.
+    second derivative in a first one.  Returns max |h_ss + h_{u2 u2}| there.
     """
     if pot.dim != 2:
         raise InputError("partial Legendre reduction is specific to m = 2")
     values = pot.values
     if pot.c is not None and abs(pot.c - 1.0) > 1e-14:
-        if pot.c <= 0:
-            raise InputError("Monge-Ampere constant must be positive")
         values = values / np.sqrt(pot.c)
     work = HessianPotential(pot.axes, values)
     slopes = apply_diff(values, 0, work.spacings[0], 1)
@@ -446,15 +451,10 @@ def partial_legendre_2d(pot):
     s_axis = np.linspace(s_lo, s_hi, len(work.axes[0]))
     h = quintic_resample(slopes, h_nodes, s_axis)
     ds = float(s_axis[1] - s_axis[0])
-    laplacian = apply_diff(h, 0, ds, 2) + apply_diff(h, 1, work.spacings[1], 2)
+    laplacian = apply_diff(h, 0, ds, 2)
+    laplacian += apply_diff(h, 1, work.spacings[1], 2)
     core = laplacian[interior(laplacian.shape, EDGE + 1)]
-    return {
-        "s_axis": s_axis,
-        "u2_axis": work.axes[1],
-        "h": h,
-        "laplacian": laplacian,
-        "laplace_residual": float(np.max(np.abs(core))),
-    }
+    return float(max(np.max(core), -np.min(core)))
 
 
 # GMRES restart length and number of restart cycles.  With the sine-transform
@@ -607,8 +607,8 @@ def _separable_inverse(sines, k11, k22):
     return apply
 
 
-def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50, damping=1.0):
-    """Damped Newton-Krylov for det(Hess phi) = c with Dirichlet boundary data.
+def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50):
+    """Line-searched Newton-Krylov for det(Hess phi) = c with Dirichlet data.
 
     ``boundary`` is a callable (u1, u2) -> value or a full grid array whose
     boundary ring is used.  The residual and the Jacobian use the fourth-order
@@ -622,9 +622,11 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50, damping=1.0
     convergence quadratic.  The preconditioner is the separable operator
     k11 D2 (x) I + k22 I (x) D2 with the 3-point second difference D2 and the
     median clamped cofactors, inverted by sine transforms
-    (``_separable_inverse``).  The initial guess solves the fourth-order
-    Poisson problem Laplace(phi) = 2 sqrt(c) to rtol 1e-14, preconditioned
-    by the same inverse with unit coefficients.  Nothing is factorised.
+    (``_separable_inverse``).  The initial guess solves the 3-point Poisson
+    problem Laplace(phi) = 2 sqrt(c) exactly by the same inverse with unit
+    coefficients, so ``spsolve`` runs once per Newton step.  The line search
+    halves alpha from 1 until the max-norm residual falls.  Nothing is
+    factorised.  A c that is not positive and finite raises ``InputError``.
 
     ``info`` holds the Newton ``iterations``, the max-norm ``residuals`` and
     the result's ``interior_residual`` det(Hess phi) - c inside the ring.
@@ -632,6 +634,7 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50, damping=1.0
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     if len(axes) != 2:
         raise InputError("the Monge-Ampere solver is restricted to m = 2")
+    _check_constant(c)
     shape = (len(axes[0]), len(axes[1]))
     if callable(boundary):
         bvals = boundary(*np.meshgrid(*axes, indexing="ij"))
@@ -655,18 +658,14 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50, damping=1.0
         grid = x.reshape(inner_shape)
         return d2x_r @ grid, grid @ d2y_r.T, d1x_r @ grid @ d1y_r.T
 
-    def laplacian(x):
-        grid = x.reshape(inner_shape)
-        return (d2x_r @ grid + grid @ d2y_r.T).ravel()
-
-    # initial guess: Poisson solve Laplace(phi) = 2 sqrt(c) with the given
-    # Dirichlet data, which matches the boundary without introducing kinks
+    # initial guess: the 3-point Poisson problem Laplace(phi) = 2 sqrt(c) with
+    # the given Dirichlet data, which matches the boundary without kinks
     phi = np.array(bvals, dtype=float)
     phi[interior] = 0.0
-    lap_boundary = (d2x @ phi + phi @ d2y.T)[interior]
-    rhs0 = (2.0 * np.sqrt(c) - lap_boundary).ravel()
-    phi[interior] = spsolve(_Operator((unknowns, unknowns), laplacian), rhs0,
-                            _separable_inverse(sines, 1.0, 1.0), 1e-14).reshape(inner_shape)
+    ring = ((phi[:-2, 1:-1] + phi[2:, 1:-1]) / spacings[0] ** 2
+            + (phi[1:-1, :-2] + phi[1:-1, 2:]) / spacings[1] ** 2)
+    phi[interior] = _separable_inverse(sines, 1.0, 1.0)(
+        (2.0 * np.sqrt(c) - ring).ravel()).reshape(inner_shape)
 
     def residual_of(p):
         """The residual and the clamped cofactors on the interior nodes; the
@@ -697,7 +696,7 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50, damping=1.0
             raise ConvergenceError(f"{exc} at residual {history[-1]:.3e}", history) from None
         delta = np.zeros(shape)
         delta[interior] = step.reshape(inner_shape)
-        alpha = damping
+        alpha = 1.0
         base = history[-1]
         while True:
             trial = phi + alpha * delta

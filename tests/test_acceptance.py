@@ -311,10 +311,10 @@ def test_criterion_08_solver_recovers_quadratic():
 
 
 def test_criterion_09_partial_legendre_reduction(cosh_solutions):
-    fine = partial_legendre_2d(cosh_solutions[65])["laplace_residual"]
-    coarse = partial_legendre_2d(cosh_solutions[33])["laplace_residual"]
+    fine = partial_legendre_2d(cosh_solutions[65])
+    coarse = partial_legendre_2d(cosh_solutions[33])
     tol = 10.0 * richardson_tolerance(coarse)
-    quartic_res = partial_legendre_2d(_quartic())["laplace_residual"]
+    quartic_res = partial_legendre_2d(_quartic())
     # closed form for the quartic: h_ss + h_{u2 u2} = -u1^2/(1+u1^2), peak 1/2
     ok = fine < tol and 0.3 < quartic_res < 0.6
     _report(

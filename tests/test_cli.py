@@ -321,6 +321,21 @@ def _square(n):
           for n in (-1, 0, 1)),
         *((command, {"grid": {"n": n}}, "InputError") for command in ("family-scan", "embed")
           for n in (-1, 0)),
+        # a Monge-Ampere constant that is not positive
+        ("ma-solve", {"n": 17, "solver": {"c": -1}}, "InputError"),
+        ("ma-solve", {"n": 17, "solver": {"c": 0}}, "InputError"),
+        ("legendre", {"potential": {**_square(17)["potential"], "c": 0}}, "InputError"),
+        *(("semiflat", {"potential": {**_square(17)["potential"], "c": c}}, "InputError")
+          for c in (0, -1)),
+        ("partial-legendre", {"potential": {**_square(17)["potential"], "c": -1}}, "InputError"),
+        # grids with no extent: a zero-width or reversed domain range, and
+        # potential axes that do not increase
+        *((command, {"n": 17, "domain": domain}, "InputError") for command in ("ma-solve", "gh")
+          for domain in ([[0, 0], [0, 1]], [[0, 1], [1, 0]])),
+        ("semiflat", {"potential": {"axes": [[0, 0, 17], [-1, 1, 17]],
+                                    "expr": "(u1**2 + u2**2) / 2"}}, "InputError"),
+        ("legendre", {"potential": {"axes": [[1, -1, 33], [1, -1, 33]],
+                                    "expr": "(u1**2 + u2**2) / 2"}}, "InputError"),
     ],
 )
 def test_rejected_input_exit_code_and_report(tmp_path, capsys, command, payload, error):
@@ -336,8 +351,10 @@ def test_rejected_input_exit_code_and_report(tmp_path, capsys, command, payload,
                    for key, value in payload.items()}
     cfg = _write(tmp_path / "cfg.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path), *flags]) == 2
-    assert "Traceback" not in capsys.readouterr().err
-    report = _report(tmp_path)
+    # one error line: no traceback and no warning
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    report = _strict_json((tmp_path / "report.json").read_text())
     assert report["command"] == command
     assert report["error"]["type"] == error
     assert report["error"]["message"]

@@ -154,6 +154,22 @@ def test_nonuniform_axes_rejected():
         HessianPotential([np.array([0.0, 0.1, 0.3])], np.zeros(3))
 
 
+@pytest.mark.parametrize("axis", [np.zeros(3), np.linspace(1.0, 0.0, 3)])
+def test_axes_without_extent_rejected(axis):
+    # a zero-width axis puts a zero spacing under every stencil, and the
+    # tensor quintic searches a decreasing axis as if it increased
+    with pytest.raises(InputError, match="strictly increasing"):
+        HessianPotential([axis], np.zeros(3))
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_non_positive_constant_rejected(c):
+    with pytest.raises(InputError, match="positive"):
+        HessianPotential([np.linspace(0.0, 1.0, 3)], np.zeros(3), c=c)
+    with pytest.raises(InputError, match="positive"):
+        solve_ma_dirichlet([np.linspace(0.0, 1.0, 9)] * 2, lambda a, b: (a ** 2 + b ** 2) / 2, c=c)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_potential_rejected(bad):
     values = np.zeros(3)
@@ -247,7 +263,15 @@ def test_legendre_polish_chunks_keep_the_bits(monkeypatch):
             pairs.append(legendre_transform(pot))
     chunked, whole = pairs
     assert chunked.dual.values.tobytes() == whole.dual.values.tobytes()
-    assert chunked.argmax_points.tobytes() == whole.argmax_points.tobytes()
+    # the polished values themselves, before the grid-value guard
+    v_axes = whole.dual.axes
+    _, argmax = hessian._grid_conjugate(pot, v_axes)
+    polished = []
+    for block in (64, 10 ** 9):
+        with monkeypatch.context() as patch:
+            patch.setattr(fd, "POINT_BLOCK", block)
+            polished.append(hessian._refine_conjugate(pot, v_axes, argmax))
+    assert polished[0].tobytes() == polished[1].tobytes()
 
 
 def test_legendre_polish_stops_when_its_steps_contract(monkeypatch):
@@ -485,16 +509,14 @@ def test_mirror_swap_rejects_unrelated_object_with_swap():
 
 def test_partial_legendre_quadratic_harmonic():
     pot = _quadratic([np.linspace(-1, 1, 65)] * 2, np.eye(2))
-    result = partial_legendre_2d(pot)
-    assert result["laplace_residual"] < 1e-8
+    assert partial_legendre_2d(pot) < 1e-8
 
 
 def test_partial_legendre_rescales_constant():
     # det Hess = 4; after rescaling by sqrt(c) the reduction is harmonic
     pot = _quadratic([np.linspace(-1, 1, 65)] * 2, 2.0 * np.eye(2))
     pot.c = 4.0
-    result = partial_legendre_2d(pot)
-    assert result["laplace_residual"] < 1e-8
+    assert partial_legendre_2d(pot) < 1e-8
 
 
 def test_partial_legendre_detects_non_ma():
@@ -502,9 +524,8 @@ def test_partial_legendre_detects_non_ma():
     pot = HessianPotential.from_function(
         axes, lambda a, b: a ** 4 / 12 + a ** 2 / 2 + b ** 2 / 2, c=1.0
     )
-    result = partial_legendre_2d(pot)
     # closed form: h_ss + h_u2u2 = -u1^2 / (1 + u1^2), max magnitude 1/2
-    assert 0.3 < result["laplace_residual"] < 0.6
+    assert 0.3 < partial_legendre_2d(pot) < 0.6
 
 
 def _traced_peak(fn, *args):
@@ -691,13 +712,13 @@ def _failing_spsolve(fail_at):
 
 @pytest.mark.parametrize("fail_at", [0, 1])
 def test_gmres_failure_raises_convergence_error(monkeypatch, fail_at):
-    # call 0 is the Poisson initial guess, call 1 the first Newton step
+    # call k is Newton step k + 1; the history holds the residuals before it
     monkeypatch.setattr(hessian, "spsolve", _failing_spsolve(fail_at))
     axes = [np.linspace(0.0, 1.0, 17)] * 2
     with pytest.raises(ConvergenceError) as err:
         solve_ma_dirichlet(axes, lambda a, b: np.cosh(a) + np.cosh(b), c=1.0)
     assert "GMRES" in str(err.value)
-    assert len(err.value.history) == fail_at
+    assert len(err.value.history) == fail_at + 1
 
 
 @pytest.mark.parametrize("preconditioned", [False, True])
@@ -743,10 +764,30 @@ def test_solver_gmres_iterations_are_bounded(monkeypatch, n, data):
         # det Hess = 1 exactly
         axes = [np.linspace(-0.5, 0.5, n), np.linspace(0.5, 1.5, n)]
         pot = solve_ma_dirichlet(axes, lambda a, b: a ** 2 / (2 * b) + b ** 3 / 6, c=1.0)
-    assert len(applications) == pot.info["iterations"] + 1
+    assert len(applications) == pot.info["iterations"]
     # iterations plus one true residual per cycle
     assert max(applications) <= 45
-    assert applications[0] <= 20  # the Poisson start
+
+
+@pytest.mark.parametrize("data", ["cosh", "quadratic"])
+def test_solver_runs_one_linear_solve_per_newton_step(monkeypatch, data):
+    # the start is the sine-transform solve of the 3-point Poisson problem,
+    # so GMRES runs for the Newton steps alone
+    real = hessian.spsolve
+    calls = []
+
+    def spsolve(A, b, precond, rtol):
+        calls.append(1)
+        return real(A, b, precond, rtol)
+
+    monkeypatch.setattr(hessian, "spsolve", spsolve)
+    axes = [np.linspace(0.0, 1.0, 33)] * 2
+    if data == "cosh":
+        pot = solve_ma_dirichlet(axes, lambda a, b: 1.05 * (np.cosh(a) + np.cosh(b)), c=1.0)
+    else:
+        pot = solve_ma_dirichlet(axes, lambda a, b: (a ** 2 + b ** 2) / 2, c=1.3)
+    assert pot.info["iterations"] > 0
+    assert len(calls) == pot.info["iterations"]
 
 
 @pytest.mark.parametrize("parity", [0, 1])
