@@ -5,7 +5,9 @@
     python ci/smoke.py threads [--n N] [--slmoduli CMD] [--tmp DIR]
 
 ``console`` checks the exit contract: a passing check exits 0 (cy-validate,
-and semiflat on a three-variable Monge-Ampere quadratic), and a grid too
+semiflat on a three-variable Monge-Ampere quadratic, and legendre on the
+solution.csv of a 129 x 129 ma-solve with boundary cosh(u1) + cosh(u2) on
+[-1, 1]^2), and a grid too
 small for its stencils, a moduli grid with no nodes, a tolerance that is not
 a number, a config that is not a JSON object, an expression that is not
 finite on its grid, a Monge-Ampere constant that is not positive or a domain
@@ -63,7 +65,12 @@ def _config(tmp, name, payload):
 def console(slmoduli, tmp):
     quadratic = _config(tmp, "quadratic13", {"potential": {
         "axes": [[-1, 1, 13]] * 3, "expr": "(u1**2 + u2**2 + u3**2) / 2", "c": 1.0}})
-    for args, name in [(["cy-validate"], "cy"), (["semiflat", "--config", quadratic], "sf13")]:
+    solve = _config(tmp, "ma129", {"boundary": "cosh(u1) + cosh(u2)", "n": 129,
+                                   "domain": [[-1, 1], [-1, 1]]})
+    solution = _config(tmp, "legendre-ma129", {"potential": str(tmp / "ma129" / "solution.csv")})
+    for args, name in [(["cy-validate"], "cy"), (["semiflat", "--config", quadratic], "sf13"),
+                       (["ma-solve", "--config", solve], "ma129"),
+                       (["legendre", "--config", solution], "legendre-ma129")]:
         code, stderr, _ = _run(slmoduli, args, tmp, name)
         if code != 0 or "Traceback" in stderr:
             return f"slmoduli {args[0]} exited {code}, not 0 without a traceback"

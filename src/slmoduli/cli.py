@@ -47,6 +47,7 @@ from .hessian import (
     HessianPotential,
     fenchel_residual,
     interpolation_tolerance,
+    involution_residual,
     legendre_transform,
     load_potential,
     partial_legendre_2d,
@@ -61,23 +62,11 @@ from .semiflat import (
     ricci_form_max,
 )
 
-COMMANDS = (
-    "cy-validate",
-    "family-scan",
-    "embed",
-    "legendre",
-    "ma-solve",
-    "partial-legendre",
-    "semiflat",
-    "gh",
-)
-
 # Errors that mean "this input cannot be processed": exit 2, never a traceback.
 # The config, model, family and potential loaders turn every OSError of
 # reading their file into InputError.
 _INPUT_ERRORS = (
     InputError,
-    KeyError,
     ConvexityError,
     ConvergenceError,
     DegeneracyError,
@@ -186,17 +175,27 @@ def _resolve_family(spec):
     return load_family(spec), spec
 
 
+def _required(mapping, key, what):
+    """``mapping[key]``, or ``InputError`` naming the key that ``what`` lacks."""
+    if key not in mapping:
+        raise InputError(f"{what} has no {key!r} entry")
+    return mapping[key]
+
+
 def _resolve_potential(spec):
+    """A config's potential: a CSV path, or an object with ``axes``, ``expr``
+    and an optional ``c``."""
     if isinstance(spec, str):
         return load_potential(spec)
     if not isinstance(spec, dict):
         raise InputError(f"a potential is a path or an object with axes and expr, not {spec!r}")
     with _config_value("potential"):
-        axes = [np.linspace(lo, hi, int(n)) for lo, hi, n in spec["axes"]]
+        axes = [np.linspace(lo, hi, int(n))
+                for lo, hi, n in _required(spec, "axes", "the potential")]
         c = None if spec.get("c") is None else float(spec["c"])
     mesh = np.meshgrid(*axes, indexing="ij")
     names = {f"u{i + 1}": mesh[i] for i in range(len(mesh))}
-    values = _eval_expression(spec["expr"], **names)
+    values = _eval_expression(_required(spec, "expr", "the potential"), **names)
     shape = tuple(len(ax) for ax in axes)
     return HessianPotential(axes, np.broadcast_to(values, shape).copy(), c)
 
@@ -296,14 +295,15 @@ def run_embed(config, tol, out, oracle):
 
 
 def run_legendre(config, tol, out, oracle):
-    pot = _resolve_potential(config["potential"])
+    """Conjugate onto the box inside the gradient image and back onto the box
+    inside the dual's, which lies in the u-box; the involution is read there."""
+    pot = _resolve_potential(_required(config, "potential", "the config"))
     pair = legendre_transform(pot)
     save_potential(pair.dual, Path(out) / "dual.csv")
-    back = legendre_transform(pair.dual, v_axes=pot.axes)
-    involution = float(np.max(np.abs(back.dual.values - pot.values)))
-    itol = 10.0 * interpolation_tolerance(pot, pair.dual.axes)
+    back = legendre_transform(pair.dual).dual
+    itol = 10.0 * interpolation_tolerance(pot)
     checks = {
-        "legendre_involution": _check(involution, itol),
+        "legendre_involution": _check(involution_residual(pot, back), itol),
         "fenchel": _check(fenchel_residual(pot, pair.dual), max(tol, 1e-8)),
     }
     return {"checks": checks}
@@ -337,15 +337,15 @@ def run_ma_solve(config, tol, out, oracle):
 
 
 def run_partial_legendre(config, tol, out, oracle):
-    pot = _resolve_potential(config["potential"])
-    residual = partial_legendre_2d(pot)
-    coarse = partial_legendre_2d(pot.coarsened())
-    checks = {"prop3": _two_grid_check(residual, coarse, 1e-10)}
+    pot = _resolve_potential(_required(config, "potential", "the config"))
+    residual, floor = partial_legendre_2d(pot)
+    coarse, _ = partial_legendre_2d(pot.coarsened())
+    checks = {"prop3": _two_grid_check(residual, coarse, floor)}
     return {"laplace_residual": residual, "coarse_residual": coarse, "checks": checks}
 
 
 def run_semiflat(config, tol, out, oracle):
-    pot = _resolve_potential(config["potential"])
+    pot = _resolve_potential(_required(config, "potential", "the config"))
     sf = build_semiflat(pot)
     norm = holomorphic_norm_field(sf)
     ricci_max = ricci_form_max(sf)
@@ -400,6 +400,7 @@ _RUNNERS = {
     "semiflat": run_semiflat,
     "gh": run_gh,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def build_parser():

@@ -1,27 +1,22 @@
 """Hessian potentials on a box chart: metrics, Legendre duality, Monge-Ampere.
 
-A potential is a strictly convex scalar on a uniform box grid.  The module
-computes its Hessian metric and, by row blocks, det Hess phi (the one route
-to it, for the Monge-Ampere residual det(Hess) - c and the semiflat
-manifold), both behind the convexity gate ``eigenvalue_bounds``; the
-discrete Legendre transform (one separable per-axis pass that returns the
-grid conjugate together with its argmax node, sharpened by a spline Newton
-refinement started from that node), the mirror role-swap, the
-2D partial Legendre reduction to the Laplace equation, and a line-searched
-Newton-Krylov Dirichlet solver for det(Hess phi) = c in two variables.  The
-solver starts from the sine-transform solve of a 3-point Poisson problem,
-applies its fourth-order Jacobian as 1D matrix products without assembling
-it and solves each Newton step by a numpy GMRES, preconditioned by
-sine-transform inversion of a constant-coefficient second-order operator;
-nothing is factorised.  The Legendre polish and the Fenchel residual
-evaluate the tensor quintic ``fd.TensorQuintic``, and the partial Legendre
-reduction resamples with ``fd.quintic_resample``, so the module runs on
-numpy alone.  The algebra of the 2x2 symmetric Hessians (eigenvalue range,
-determinant, clamped cofactors) is taken in closed form, so no stacked
-LAPACK call runs on a Hessian field of m <= 2 variables; m >= 3 takes
-LAPACK's eigenvalues and determinants.  Convexity and every residual are
-read on ``fd.interior``, and ``HessianPotential.coarsened`` is the coarse
-grid of every two-grid bound.
+A potential is a strictly convex scalar on a uniform box grid.  Behind the
+convexity gate ``eigenvalue_bounds`` the module computes its Hessian metric
+and, by row blocks, det Hess phi (the one route to it).  Every dual box is
+the slope interval that every grid line spans, per axis (``_inscribed_axis``):
+the Legendre transform conjugates onto it by one separable per-axis pass and
+a spline Newton polish started from its argmax node; the 2D partial Legendre
+reduction to the Laplace equation resamples onto it.  Also here: the mirror
+role-swap, and a line-searched Newton-Krylov Dirichlet solver for
+det(Hess phi) = c in two variables, started from a sine-transform Poisson
+solve, with its fourth-order Jacobian applied as 1D matrix products and each
+step solved by a numpy GMRES preconditioned by sine-transform inversion;
+nothing is factorised.  The splines are ``fd.TensorQuintic`` and
+``fd.quintic_resample``, so the module runs on numpy alone.  The algebra of
+2x2 symmetric Hessians (eigenvalue range, determinant, clamped cofactors) is
+closed form; m >= 3 takes LAPACK's.  Convexity and every residual are read
+on ``fd.interior``, and ``HessianPotential.coarsened`` is the coarse grid of
+every two-grid bound.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +28,7 @@ from . import fd
 from .errors import ConvergenceError, ConvexityError, DomainError, InputError
 from .family import ModuliChart
 from .fd import (EDGE, TensorQuintic, apply_diff, diff_matrix, gradient_field, hessian_field,
-                 interior, quintic_resample, stencil_reach)
+                 interior, quintic_resample, roundoff_floor, stencil_reach)
 
 # smallest Hessian eigenvalue on the interior that counts as strictly convex
 CONVEXITY_TOL = 1e-10
@@ -65,8 +60,9 @@ class HessianPotential:
         # a NaN shows in the minimum and the maximum, -inf and +inf in one of them
         if not (np.isfinite(np.min(self.values)) and np.isfinite(np.max(self.values))):
             raise InputError("potential values must be finite")
-        if self.c is not None:
-            _check_constant(self.c)
+        if self.c is not None and not 0 < self.c < np.inf:
+            raise InputError(f"the Monge-Ampere constant c must be positive and finite, "
+                             f"got {self.c}")
 
     @classmethod
     def from_function(cls, axes, fn, c=None):
@@ -81,11 +77,8 @@ class HessianPotential:
     def spacings(self):
         return tuple(float(ax[1] - ax[0]) for ax in self.axes)
 
-    def meshgrid(self):
-        return np.meshgrid(*self.axes, indexing="ij")
-
     def points(self):
-        return np.stack(self.meshgrid(), axis=-1)
+        return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
 
     def hessian(self, lo=0, hi=None):
         """Discrete Hessian on nodes [lo, hi) of grid axis 0 (default: the
@@ -142,17 +135,13 @@ class HessianPotential:
         return HessianPotential([ax[::2] for ax in self.axes],
                                 self.values[(slice(None, None, 2),) * self.dim], self.c)
 
+    @cached_property
     def spline(self):
-        """Quintic interpolant of the potential (m = 1 or 2), an ``fd.TensorQuintic``."""
+        """Quintic interpolant of the potential (m = 1 or 2), an
+        ``fd.TensorQuintic``; kept on first use, as ``eigenvalue_bounds`` is."""
         if self.dim > 2:
             raise InputError("spline interpolation supports m <= 2")
         return TensorQuintic(self.axes, self.values)
-
-
-def _check_constant(c):
-    """Raise ``InputError`` unless the Monge-Ampere constant c is positive and finite."""
-    if not 0 < c < np.inf:
-        raise InputError(f"the Monge-Ampere constant c must be positive and finite, got {c}")
 
 
 def eigenvalue_range(hess):
@@ -251,41 +240,47 @@ class LegendrePair:
         return LegendrePair(self.dual, self.primal)
 
 
-def gradient_image_axes(pot, margin=0.0):
-    """Per-axis ranges of the discrete gradient map, as uniform v-axes.
-
-    Each v-axis has as many nodes as the u-axis it comes from.
-    """
-    grad = pot.gradient()
-    axes = []
-    for a in range(pot.dim):
-        lo = float(np.min(grad[..., a]))
-        hi = float(np.max(grad[..., a]))
-        pad = margin * (hi - lo)
-        axes.append(np.linspace(lo + pad, hi - pad, len(pot.axes[a])))
-    return axes
+def _inscribed_axis(slopes, axis, n):
+    """``n`` uniform nodes from the max of ``slopes`` on the low face of
+    ``axis`` to their min on the high face, the slope interval that every grid
+    line along ``axis`` spans; ``DomainError`` if that is empty."""
+    lo = float(np.max(np.take(slopes, 0, axis=axis)))
+    hi = float(np.min(np.take(slopes, -1, axis=axis)))
+    if hi <= lo:
+        raise DomainError(f"no slope interval common to every line along u_{axis + 1}: d phi / d "
+                          f"u_{axis + 1} is {lo:.6g} on the low face, {hi:.6g} on the high face")
+    return np.linspace(lo, hi, n)
 
 
-def legendre_transform(pot, v_axes=None):
-    """psi(v) = sup_u (<u, v> - phi(u)) on a regular v-grid.
+def gradient_image_axes(pot):
+    """The dual box of ``legendre_transform``, one uniform v-axis of as many
+    nodes per u-axis: the slopes d phi / d u_a that every grid line along u_a
+    spans (``_inscribed_axis``).  It lies inside the discrete gradient image,
+    where psi is smooth; past the image psi is only piecewise affine."""
+    return [_inscribed_axis(apply_diff(pot.values, a, h, 1), a, len(ax))
+            for a, (ax, h) in enumerate(zip(pot.axes, pot.spacings))]
 
-    The sup is taken exactly over the piecewise-linear interpolant by one
-    separable pass (``_grid_conjugate``), which also yields the maximising
-    node of every v-node.  That node starts a projected Newton polish on a
-    quintic spline of phi, which restores smooth-order accuracy; both values
-    are lower bounds of the sup over the box, so the larger one is kept at
-    each v-node.  The Fenchel pairing residual is not taken here; a caller
-    that reads it calls ``fenchel_residual``.
+
+def legendre_transform(pot):
+    """psi(v) = sup_u (<u, v> - phi(u)) on the box ``gradient_image_axes(pot)``,
+    by ``_conjugate``.  The Fenchel pairing residual is not taken here; a
+    caller that reads it calls ``fenchel_residual``.
     """
     pot.eigenvalue_bounds  # convexity is a precondition
-    if v_axes is None:
-        v_axes = gradient_image_axes(pot)
-    v_axes = [np.asarray(ax, dtype=float) for ax in v_axes]
+    v_axes = gradient_image_axes(pot)
+    dual_c = None if pot.c is None else 1.0 / pot.c
+    return LegendrePair(pot, HessianPotential(v_axes, _conjugate(pot, v_axes), dual_c))
+
+
+def _conjugate(pot, v_axes):
+    """The conjugate of pot on any v-box: the exact sup over the piecewise-
+    linear interpolant (``_grid_conjugate``), whose argmax node starts a
+    Newton polish on a quintic spline of phi (``_refine_conjugate``).  Both
+    are lower bounds of the sup over the u-box, so the larger is kept: the
+    polish falls below the grid value where the box reaches past the image."""
     psi, argmax = _grid_conjugate(pot, v_axes)
     fine = _refine_conjugate(pot, v_axes, argmax)
-    psi = np.where(fine > psi, fine, psi)
-    dual_c = None if pot.c is None else 1.0 / pot.c
-    return LegendrePair(pot, HessianPotential(v_axes, psi, dual_c))
+    return np.where(fine > psi, fine, psi)
 
 
 def _grid_conjugate(pot, v_axes):
@@ -321,13 +316,13 @@ def _refine_conjugate(pot, v_axes, argmax):
     of u: this ends the roundoff chatter that ran some nodes for all 40
     steps.  A node whose spline Hessian is not positive definite takes no
     step, so it keeps its grid argmax and the caller's grid-value guard
-    applies there.
+    applies there (``_conjugate``).
 
     Each step walks the active nodes, and the Fenchel value walks all nodes,
     in chunks of ``fd.POINT_BLOCK``: no spline jet is held for more than one
     chunk, and every node's numbers are those of an unchunked walk.
     """
-    spl = pot.spline()
+    spl = pot.spline
     lo = np.array([ax[0] for ax in pot.axes])
     hi = np.array([ax[-1] for ax in pot.axes])
     v = np.stack(np.meshgrid(*v_axes, indexing="ij"), axis=-1).reshape(-1, pot.dim)
@@ -393,22 +388,27 @@ def fenchel_residual(primal, dual):
     inside = np.all((v >= lo) & (v <= hi), axis=1)
     if not np.any(inside):
         return float("nan")
-    psi = dual.spline()(v[inside])
+    psi = dual.spline(v[inside])
     gap = phi[inside] + psi - np.sum(u[inside] * v[inside], axis=1)
     return float(np.max(np.abs(gap)))
 
 
-def interpolation_tolerance(pot, dual_axes=None):
-    """Error scale of the piecewise-linear conjugation route.
+def involution_residual(pot, back):
+    """max |psi** - phi| on the grid of ``back``, the conjugate of pot's dual;
+    phi is read off pot's spline, as that grid is not pot's."""
+    points = back.points().reshape(-1, back.dim)
+    return float(np.max(np.abs(back.values.ravel() - pot.spline(points))))
+
+
+def interpolation_tolerance(pot):
+    """Error scale of the piecewise-linear conjugation route onto the dual box.
 
     Classical bound: the PL interpolant deviates by M h^2 / 8 with M the
     curvature; conjugation maps curvature M to 1/M, so both grids contribute.
     """
     m_min, m_max = pot.eigenvalue_bounds
     h_u = max(pot.spacings)
-    if dual_axes is None:
-        dual_axes = gradient_image_axes(pot)
-    h_v = max(float(ax[1] - ax[0]) for ax in dual_axes)
+    h_v = max(float(ax[1] - ax[0]) for ax in gradient_image_axes(pot))
     return (m_max * h_u ** 2 + h_v ** 2 / m_min) / 8.0
 
 
@@ -422,39 +422,40 @@ def mirror_swap(obj):
 
 
 def partial_legendre_2d(pot):
-    """Laplace residual of the per-slice Legendre transform h in u_1.
+    """Laplace residual of the per-slice Legendre transform h in u_1, and its
+    roundoff floor.
 
     Coordinates (s, u_2) with s = d phi / d u_1 and h = u_1 s - phi.  For a
     unit-determinant potential h is harmonic; in general
     h_ss + h_{u2 u2} = (1 - det Hess phi) / phi_11, which bounds the residual
     away from zero for non-Monge-Ampere input.  The target constant is
-    normalized to 1 by rescaling phi with c^{1/2} first.  The residual is
-    read past EDGE + 1 boundary nodes, since the Laplacian of h nests a
-    second derivative in a first one.  Returns max |h_ss + h_{u2 u2}| there.
+    normalized to 1 by rescaling phi with c^{1/2} first.  The s-axis follows
+    the rule of the Legendre dual box (``_inscribed_axis``).  The residual is
+    read past EDGE + 1 boundary nodes, since the Laplacian of h nests a second
+    derivative in a first one.  Returns max |h_ss + h_{u2 u2}| there and the
+    ``fd.roundoff_floor`` of the two second-derivative passes at scale max |h|,
+    which an exactly harmonic h reaches on fine grids.
     """
     if pot.dim != 2:
         raise InputError("partial Legendre reduction is specific to m = 2")
     values = pot.values
     if pot.c is not None and abs(pot.c - 1.0) > 1e-14:
         values = values / np.sqrt(pot.c)
-    work = HessianPotential(pot.axes, values)
-    slopes = apply_diff(values, 0, work.spacings[0], 1)
+    slopes = apply_diff(values, 0, pot.spacings[0], 1)
     # quintic_resample also needs each slice's slopes strictly increasing
-    if (np.min(apply_diff(values, 0, work.spacings[0], 2)) <= 0
+    if (np.min(apply_diff(values, 0, pot.spacings[0], 2)) <= 0
             or np.min(np.diff(slopes, axis=0)) <= 0):
         raise ConvexityError("a u_1 slice fails strict convexity")
-    h_nodes = work.axes[0][:, None] * slopes - values
-    s_lo = float(np.max(slopes[0, :]))
-    s_hi = float(np.min(slopes[-1, :]))
-    if s_hi <= s_lo:
-        raise DomainError("slices have no common slope interval")
-    s_axis = np.linspace(s_lo, s_hi, len(work.axes[0]))
+    h_nodes = pot.axes[0][:, None] * slopes - values
+    s_axis = _inscribed_axis(slopes, 0, len(pot.axes[0]))
     h = quintic_resample(slopes, h_nodes, s_axis)
     ds = float(s_axis[1] - s_axis[0])
     laplacian = apply_diff(h, 0, ds, 2)
-    laplacian += apply_diff(h, 1, work.spacings[1], 2)
+    laplacian += apply_diff(h, 1, pot.spacings[1], 2)
     core = laplacian[interior(laplacian.shape, EDGE + 1)]
-    return float(max(np.max(core), -np.min(core)))
+    scale = max(np.max(h), -np.min(h))
+    floor = roundoff_floor(scale, ds, 2) + roundoff_floor(scale, pot.spacings[1], 2)
+    return float(max(np.max(core), -np.min(core))), floor
 
 
 # GMRES restart length and number of restart cycles.  With the sine-transform
@@ -626,7 +627,8 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50):
     problem Laplace(phi) = 2 sqrt(c) exactly by the same inverse with unit
     coefficients, so ``spsolve`` runs once per Newton step.  The line search
     halves alpha from 1 until the max-norm residual falls.  Nothing is
-    factorised.  A c that is not positive and finite raises ``InputError``.
+    factorised.  Input that fails the checks of a ``HessianPotential`` (axes,
+    boundary values, c) raises ``InputError`` before the solve.
 
     ``info`` holds the Newton ``iterations``, the max-norm ``residuals`` and
     the result's ``interior_residual`` det(Hess phi) - c inside the ring.
@@ -634,14 +636,10 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50):
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     if len(axes) != 2:
         raise InputError("the Monge-Ampere solver is restricted to m = 2")
-    _check_constant(c)
-    shape = (len(axes[0]), len(axes[1]))
     if callable(boundary):
-        bvals = boundary(*np.meshgrid(*axes, indexing="ij"))
-    else:
-        bvals = np.asarray(boundary, dtype=float)
-        if bvals.shape != shape:
-            raise InputError("boundary array must cover the full grid")
+        boundary = boundary(*np.meshgrid(*axes, indexing="ij"))
+    phi = HessianPotential(axes, boundary, c).values.copy()  # checked before any solve work
+    shape = phi.shape
     interior = (slice(1, -1), slice(1, -1))
     inner_shape = (shape[0] - 2, shape[1] - 2)
     unknowns = inner_shape[0] * inner_shape[1]
@@ -660,7 +658,6 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50):
 
     # initial guess: the 3-point Poisson problem Laplace(phi) = 2 sqrt(c) with
     # the given Dirichlet data, which matches the boundary without kinks
-    phi = np.array(bvals, dtype=float)
     phi[interior] = 0.0
     ring = ((phi[:-2, 1:-1] + phi[2:, 1:-1]) / spacings[0] ** 2
             + (phi[1:-1, :-2] + phi[1:-1, 2:]) / spacings[1] ** 2)

@@ -138,6 +138,32 @@ def test_legendre_job_takes_one_hessian_per_potential(tmp_path, monkeypatch):
     assert (len(fields), len(ranges)) == (2, 2)
 
 
+def test_legendre_job_builds_one_spline_per_potential(tmp_path, monkeypatch):
+    # the forward polish and the involution read the primal's spline, the
+    # Fenchel residual and the back polish the dual's; each is built once
+    builds = _count_calls(monkeypatch, hessian, "TensorQuintic")
+    cfg = _write(tmp_path / "cfg.json", {"potential": {
+        "axes": [[-1, 1, 33], [-1, 1, 33]], "expr": "(u1**2 + u2**2) / 2 + 0.1*cosh(u1)"}})
+    assert main(["legendre", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("alpha", [0.95, 1.0, 1.05])
+def test_legendre_takes_solver_output(tmp_path, alpha):
+    # the dual box lies inside the gradient image and the back transform's
+    # inside the dual's; a box that reached past the image of the 129^2 cosh
+    # solution gave the dual kinks at its corners, and the convexity gate of
+    # the back transform refused it (min eigenvalue -0.081)
+    cfg = _write(tmp_path / "ma.json", {"boundary": f"{alpha!r} * (cosh(u1) + cosh(u2))",
+                                        "n": 129, "domain": [[-1, 1], [-1, 1]]})
+    assert main(["ma-solve", "--config", cfg, "--out", str(tmp_path / "ma")]) == 0
+    cfg = _write(tmp_path / "leg.json", {"potential": str(tmp_path / "ma" / "solution.csv")})
+    assert main(["legendre", "--config", cfg, "--out", str(tmp_path)]) == 0
+    checks = _report(tmp_path)["checks"]
+    assert checks["legendre_involution"]["residual"] < 1e-8
+    assert checks["fenchel"]["residual"] < 1e-8
+
+
 def test_ma_solve_and_partial_legendre(tmp_path):
     cfg = _write(
         tmp_path / "ma.json", {"boundary": "cosh(u1) + cosh(u2)", "n": 65}
@@ -150,6 +176,31 @@ def test_ma_solve_and_partial_legendre(tmp_path):
     )
     assert main(["partial-legendre", "--config", cfg2, "--out", str(tmp_path)]) == 0
     assert _report(tmp_path)["checks"]["prop3"]["pass"]
+
+
+def _exact_solution(n, bump=0.0):
+    """The paper's exact solution u1^2/(2 u2) + u2^3/6 on an n x n grid, plus
+    ``bump`` times a Gaussian at (0, 1)."""
+    return {"potential": {"axes": [[-0.5, 0.5, n], [0.5, 1.5, n]], "c": 1.0,
+                          "expr": f"u1**2 / (2 * u2) + u2**3 / 6 "
+                                  f"+ {bump!r} * exp(-(u1**2 + (u2 - 1)**2) / 0.02)"}}
+
+
+def test_partial_legendre_floor_is_the_roundoff_of_its_passes(tmp_path):
+    # on the exact solution the Laplace residual is roundoff, which grows as
+    # h^-2: 1.1e-9 at 513^2, above a fixed floor of 1e-9; the roundoff floor
+    # of the two second-derivative passes passes it, while a 1e-6 bump, far
+    # above that floor, still fails
+    cases = [(_exact_solution(513), 0), (_exact_solution(129, 1e-6), 1),
+             (_exact_solution(257, 1e-6), 1)]
+    for i, (config, code) in enumerate(cases):
+        cfg = _write(tmp_path / f"pl{i}.json", config)
+        assert main(["partial-legendre", "--config", cfg, "--out", str(tmp_path / str(i))]) == code
+        prop3 = _report(tmp_path / str(i))["checks"]["prop3"]
+        if code == 0:
+            assert 1e-9 < prop3["residual"] < 1e-8 < prop3["tol"]
+        else:
+            assert prop3["residual"] > 1e-4
 
 
 def test_ma_solve_reads_prop3_from_the_solver(tmp_path, monkeypatch):
@@ -336,6 +387,17 @@ def _square(n):
                                     "expr": "(u1**2 + u2**2) / 2"}}, "InputError"),
         ("legendre", {"potential": {"axes": [[1, -1, 33], [1, -1, 33]],
                                     "expr": "(u1**2 + u2**2) / 2"}}, "InputError"),
+        # a config without a potential, and a potential without a grid or an
+        # expression
+        *((command, payload, "InputError")
+          for command in ("legendre", "semiflat", "partial-legendre")
+          for payload in ({}, {"potential": {"expr": "u1"}},
+                          {"potential": {"axes": [[-1, 1, 17]]}})),
+        # no slope interval common to every line along u1: d phi / d u1 =
+        # u1 + u2 / 2 reaches 0.5 on the face u1 = -1, only -0.5 on u1 = 1
+        ("legendre", {"potential": {"axes": [[-1, 1, 17], [-3, 3, 17]],
+                                    "expr": "(u1**2 + u2**2) / 2 + u1 * u2 / 2"}},
+         "DomainError"),
     ],
 )
 def test_rejected_input_exit_code_and_report(tmp_path, capsys, command, payload, error):
@@ -414,6 +476,24 @@ def test_non_finite_input_exits_2(tmp_path, capsys, command, payload):
 def test_one_node_moduli_grid_is_a_point(tmp_path, command):
     cfg = _write(tmp_path / "cfg.json", {"grid": {"n": 1}, "fiber_resolution": 8})
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+def test_missing_config_key_is_named(tmp_path, monkeypatch):
+    for payload, key in (({}, "'potential'"), ({"potential": {"expr": "u1"}}, "'axes'"),
+                         ({"potential": {"axes": [[-1, 1, 17]]}}, "'expr'")):
+        cfg = _write(tmp_path / "cfg.json", payload)
+        assert main(["legendre", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert _report(tmp_path)["error"]["message"].endswith(f"has no {key} entry")
+    # a KeyError inside a computation is a fault of the program, not bad
+    # input: it shows as a traceback, not as exit 2
+
+    def fault(pot):
+        raise KeyError("fault")
+
+    monkeypatch.setattr(slmoduli.cli, "legendre_transform", fault)
+    cfg = _write(tmp_path / "cfg.json", _square(17))
+    with pytest.raises(KeyError):
+        main(["legendre", "--config", cfg, "--out", str(tmp_path)])
 
 
 def test_number_in_place_of_a_path_is_refused(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slmoduli.errors import ConvergenceError, ConvexityError, InputError
+from slmoduli.errors import ConvergenceError, ConvexityError, DomainError, InputError
 from slmoduli import fd, hessian
 from slmoduli.fd import diff_matrix, hessian_field, interior, richardson_tolerance
 from slmoduli.hessian import (
@@ -20,6 +20,7 @@ from slmoduli.hessian import (
     hessian_det,
     hessian_metric,
     interpolation_tolerance,
+    involution_residual,
     legendre_transform,
     load_potential,
     ma_residual,
@@ -287,15 +288,15 @@ def test_legendre_polish_stops_when_its_steps_contract(monkeypatch):
     monkeypatch.setattr(fd.TensorQuintic, "jet", lambda spl, x: jets.append(None) or jet(spl, x))
     pair = legendre_transform(pot)
     forward = len(jets)
-    back = legendre_transform(pair.dual, v_axes=pot.axes)
+    back = legendre_transform(pair.dual)
     assert forward <= 27 and len(jets) - forward <= 27
     assert fenchel_residual(pot, pair.dual) < 1e-14
-    assert np.max(np.abs(back.dual.values - pot.values)) < 10.0 * interpolation_tolerance(pot)
+    assert involution_residual(pot, back.dual) < 10.0 * interpolation_tolerance(pot)
 
 
 def test_self_dual_quadratic():
     pot = _quadratic([np.linspace(-1, 1, 33)] * 2, np.eye(2))
-    pair = legendre_transform(pot, v_axes=pot.axes)
+    pair = legendre_transform(pot)
     assert np.max(np.abs(pair.dual.values - pot.values)) < 1e-10
     assert fenchel_residual(pot, pair.dual) < 1e-10
 
@@ -303,9 +304,8 @@ def test_self_dual_quadratic():
 def test_legendre_quadratic_inverse_matrix():
     mat = np.array([[2.0, 0.5], [0.5, 1.5]])
     pot = _quadratic([np.linspace(-1, 1, 33)] * 2, mat)
-    # shrink the dual box into the gradient image (a sheared parallelogram)
-    v_axes = gradient_image_axes(pot, margin=0.25)
-    pair = legendre_transform(pot, v_axes=v_axes)
+    # the dual box lies inside the gradient image, a sheared parallelogram
+    pair = legendre_transform(pot)
     inv = np.linalg.inv(mat)
     dual_hess = hessian_metric(pair.dual)
     assert np.max(np.abs(dual_hess - inv)) < 1e-7
@@ -317,9 +317,8 @@ def test_legendre_involution_smooth_potential():
         axes, lambda a, b: 0.5 * (a ** 2 + b ** 2) + 0.1 * np.cosh(a + 0.5 * b)
     )
     pair = legendre_transform(pot)
-    back = legendre_transform(pair.dual, v_axes=pot.axes)
-    err = np.max(np.abs(back.dual.values - pot.values))
-    assert err < 10.0 * interpolation_tolerance(pot)
+    back = legendre_transform(pair.dual)
+    assert involution_residual(pot, back.dual) < 10.0 * interpolation_tolerance(pot)
 
 
 def test_legendre_1d():
@@ -356,12 +355,22 @@ def _random_convex(rng, m, n):
     return HessianPotential.from_function([np.linspace(-1, 1, n)] * m, fn)
 
 
+def _bounding_box_axes(pot, shrink):
+    """v-axes on the bounding box of the gradient image, pulled in by ``shrink``
+    of its width at each end: a box that reaches past the image, which the
+    private conjugation steps accept."""
+    grad = pot.gradient().reshape(-1, pot.dim)
+    lo, hi = np.min(grad, axis=0), np.max(grad, axis=0)
+    pad = shrink * (hi - lo)
+    return [np.linspace(a, b, len(ax)) for a, b, ax in zip(lo + pad, hi - pad, pot.axes)]
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_separable_argmax_matches_brute_force(m):
     rng = np.random.default_rng(11 + m)
     for _ in range(10):
         pot = _random_convex(rng, m, int(rng.integers(9, 26)))
-        v_axes = gradient_image_axes(pot, margin=rng.uniform(0.0, 0.3))
+        v_axes = _bounding_box_axes(pot, rng.uniform(0.0, 0.3))
         psi, argmax = hessian._grid_conjugate(pot, v_axes)
         ref_pts, ref_max, ref_gap = _brute_force_argmax(pot, v_axes)
         argmax = argmax.reshape(-1, m)
@@ -379,8 +388,10 @@ def test_separable_argmax_matches_brute_force(m):
 
 
 def test_polished_conjugate_not_below_grid_conjugate():
-    # the draws of acceptance criterion 07; without the guard the polished
-    # back-transform fell below the grid value by up to 2.7e-3
+    # the draws of acceptance criterion 07, on boxes that reach past the
+    # gradient image: the bounding box of the forward transform, and the
+    # u-box as the target of the back-transform.  Without the guard in
+    # ``_conjugate`` the polish fell below the grid value by up to 2.2e-3
     rng = np.random.default_rng(77)
     for trial in range(50):
         m = 1 if trial % 2 == 0 else 2
@@ -400,13 +411,10 @@ def test_polished_conjugate_not_below_grid_conjugate():
             return 0.5 * np.einsum("...a,ab,...b->...", u, mat, u) + amp * np.cosh(u @ vec)
 
         pot = HessianPotential.from_function(axes, fn)
-        v_axes = gradient_image_axes(pot, margin=0.2)
-        dual = legendre_transform(pot, v_axes=v_axes).dual
-        # forward transform and back-transform of the dual, as in the criterion
-        for primal, target in ((pot, v_axes), (dual, pot.axes)):
+        dual = legendre_transform(pot).dual
+        for primal, target in ((pot, _bounding_box_axes(pot, 0.0)), (dual, pot.axes)):
             grid = hessian._grid_conjugate(primal, target)[0]
-            polished = legendre_transform(primal, v_axes=target).dual.values
-            assert np.min(polished - grid) >= -1e-12, trial
+            assert np.min(hessian._conjugate(primal, target) - grid) >= -1e-12, trial
 
 
 def test_polish_step_skips_only_nodes_without_a_definite_hessian():
@@ -445,22 +453,70 @@ def test_legendre_involution_random_quadratics(m, diag, corr, shift):
         return 0.5 * np.einsum("...a,ab,...b->...", u, mat, u) + u @ lin
 
     pot = HessianPotential.from_function([np.linspace(-1, 1, 33 if m == 1 else 17)] * m, fn)
-    v_axes = gradient_image_axes(pot, margin=0.2)
-    pair = legendre_transform(pot, v_axes=v_axes)
-    # the quintic spline is exact on a quadratic: wherever the maximiser
-    # A^-1 (v - b) lies in the box the dual is the closed form
-    v = np.stack(np.meshgrid(*v_axes, indexing="ij"), axis=-1)
+    pair = legendre_transform(pot)
+    # the quintic spline is exact on a quadratic, and every maximiser
+    # A^-1 (v - b) of the dual box lies in the u-box: the dual is the closed form
+    v = pair.dual.points()
     inv = np.linalg.inv(mat)
     exact = 0.5 * np.einsum("...a,ab,...b->...", v - lin, inv, v - lin)
-    attained = np.all(np.abs((v - lin) @ inv) <= 1.0, axis=-1)
-    assert np.max(np.abs(pair.dual.values - exact)[attained]) < 1e-10
-    # involution where the gradient stays one dual spacing inside the v-box
-    back = legendre_transform(pair.dual, v_axes=pot.axes)
-    grad = pot.gradient()
-    lo = np.array([ax[1] for ax in v_axes])
-    hi = np.array([ax[-2] for ax in v_axes])
-    inside = np.all((grad >= lo) & (grad <= hi), axis=-1)
-    assert np.max(np.abs(back.dual.values - pot.values)[inside]) < 1e-9
+    assert np.max(np.abs(pair.dual.values - exact)) < 1e-10
+    back = legendre_transform(pair.dual)
+    assert involution_residual(pot, back.dual) < 1e-9
+
+
+def test_legendre_involution_correlated_potentials():
+    # quadratics with correlation up to 1/2 plus a cosh term: a dual box on
+    # the bounding box of the gradient image reaches past the image, where
+    # the dual has kinks at the box corners, and the convexity gate of the
+    # back transform refused 15 of these 20 draws
+    rng = np.random.default_rng(3)
+    axes = [np.linspace(-1.0, 1.0, 33)] * 2
+    for trial in range(20):
+        mat = rng.uniform(0.8, 2.0) * np.eye(2)
+        mat[0, 1] = mat[1, 0] = rng.uniform(-0.5, 0.5) * mat[0, 0]
+        amp = rng.uniform(0.0, 0.15)
+        vec = rng.normal(size=2)
+        vec /= np.linalg.norm(vec)
+
+        def fn(*mesh):
+            u = np.stack(mesh, axis=-1)
+            return 0.5 * np.einsum("...a,ab,...b->...", u, mat, u) + amp * np.cosh(u @ vec)
+
+        pot = HessianPotential.from_function(axes, fn)
+        pair = legendre_transform(pot)
+        back = legendre_transform(pair.dual)
+        assert involution_residual(pot, back.dual) < 10.0 * interpolation_tolerance(pot), trial
+
+
+def test_dual_box_must_fit_in_the_gradient_image():
+    # d phi / d u1 = u1 + u2 / 2 reaches 0.5 on the face u1 = -1 and only
+    # -0.5 on the face u1 = 1, so no slope interval is common to every line
+    # along u1
+    pot = HessianPotential.from_function([np.linspace(-1, 1, 17), np.linspace(-3, 3, 17)],
+                                         lambda a, b: (a ** 2 + b ** 2) / 2 + a * b / 2)
+    with pytest.raises(DomainError):
+        gradient_image_axes(pot)
+    with pytest.raises(DomainError):
+        legendre_transform(pot)
+
+
+def test_dual_box_is_the_slope_interval_of_the_partial_reduction(monkeypatch):
+    # one rule picks the dual box and the s-axis of the partial reduction:
+    # the max of the slopes on the low face to their min on the high face
+    axes = [np.linspace(-1, 1, 33), np.linspace(0.5, 1.5, 33)]
+    pot = HessianPotential.from_function(axes, lambda a, b: a ** 2 / (2 * b) + b ** 3 / 6)
+    slopes = pot.gradient()
+    box = gradient_image_axes(pot)
+    for a in range(2):
+        lo = np.max(np.take(slopes[..., a], 0, axis=a))
+        hi = np.min(np.take(slopes[..., a], -1, axis=a))
+        assert (box[a][0], box[a][-1]) == (lo, hi)
+    calls = []
+    inscribed = hessian._inscribed_axis
+    monkeypatch.setattr(hessian, "_inscribed_axis",
+                        lambda *args: calls.append(args[1]) or inscribed(*args))
+    partial_legendre_2d(pot)
+    assert calls == [0]
 
 
 def test_fenchel_residual_detects_wrong_dual():
@@ -509,14 +565,14 @@ def test_mirror_swap_rejects_unrelated_object_with_swap():
 
 def test_partial_legendre_quadratic_harmonic():
     pot = _quadratic([np.linspace(-1, 1, 65)] * 2, np.eye(2))
-    assert partial_legendre_2d(pot) < 1e-8
+    assert partial_legendre_2d(pot)[0] < 1e-8
 
 
 def test_partial_legendre_rescales_constant():
     # det Hess = 4; after rescaling by sqrt(c) the reduction is harmonic
     pot = _quadratic([np.linspace(-1, 1, 65)] * 2, 2.0 * np.eye(2))
     pot.c = 4.0
-    assert partial_legendre_2d(pot) < 1e-8
+    assert partial_legendre_2d(pot)[0] < 1e-8
 
 
 def test_partial_legendre_detects_non_ma():
@@ -525,7 +581,7 @@ def test_partial_legendre_detects_non_ma():
         axes, lambda a, b: a ** 4 / 12 + a ** 2 / 2 + b ** 2 / 2, c=1.0
     )
     # closed form: h_ss + h_u2u2 = -u1^2 / (1 + u1^2), max magnitude 1/2
-    assert 0.3 < partial_legendre_2d(pot) < 0.6
+    assert 0.3 < partial_legendre_2d(pot)[0] < 0.6
 
 
 def _traced_peak(fn, *args):
@@ -584,6 +640,25 @@ def test_partial_legendre_requires_2d():
     pot = HessianPotential.from_function([np.linspace(-1, 1, 33)], lambda u: u ** 2)
     with pytest.raises(InputError):
         partial_legendre_2d(pot)
+
+
+def test_solver_checks_its_input_before_solving(monkeypatch):
+    # a zero-width axis gave RuntimeWarnings and then an IndexError, and a
+    # decreasing axis ran the whole solve before it was refused
+    monkeypatch.setattr(hessian, "_sine_basis", None)  # any solve work fails
+    grid = [np.linspace(0, 1, 9)] * 2
+    cases = [([np.zeros(9), np.linspace(0, 1, 9)], {}),
+             ([np.linspace(1, 0, 9)] * 2, {}),
+             ([np.linspace(0, 1, 9), np.linspace(0, 1, 9) ** 2], {}),
+             (grid, {"boundary": np.zeros((9, 8))}),
+             (grid, {"c": 0.0}),
+             (grid, {"c": np.inf})]
+    for axes, options in cases:
+        options = {"boundary": lambda a, b: (a ** 2 + b ** 2) / 2, **options}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError):
+                solve_ma_dirichlet(axes, **options)
 
 
 def test_solver_recovers_quadratic_exactly():
