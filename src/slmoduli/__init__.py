@@ -49,7 +49,6 @@ from .hessian import (
     hessian_metric,
     legendre_transform,
     load_potential,
-    ma_residual,
     mirror_swap,
     partial_legendre_2d,
     save_potential,

@@ -11,9 +11,9 @@ The taps of each node range are kept, so a slab walk that asks for the
 same ranges again pays for them once.  ``diff_matrix`` is the same table
 as a dense matrix.  The module also decides where a stencil residual is
 trusted and how far: ``interior`` is the one definition of the nodes a
-residual is read on, ``richardson_tolerance`` turns the residual on
-every other node into a bound for the fine grid, and ``roundoff_floor`` is
-the roundoff below which no such bound may fall.  Two numpy kernels stand
+residual is read on, ``two_grid_bound`` turns the residual on every
+other node into a bound for the fine grid, and ``roundoff_floor`` is the
+roundoff below which no such bound may fall.  Two numpy kernels stand
 in for scipy's splines: the not-a-knot quintic interpolant (the spline
 ``scipy.interpolate.make_interp_spline(x, y, k=5)`` builds), solved for many
 columns at once by ``quintic_coefficients``, evaluated by
@@ -289,15 +289,20 @@ def roundoff_floor(scale, spacing, deriv):
     return float(np.finfo(float).eps * abs(scale) * heaviest)
 
 
-def richardson_tolerance(coarse_value, order=ORDER, floor=1e-12):
+def richardson_tolerance(coarse_value, floor):
     """Estimate the fine-grid truncation scale from a coarse-grid residual.
 
     The coarse grid keeps every other node (``HessianPotential.coarsened``).
-    For a quantity vanishing in the continuum at rate h^order, the coarse
-    residual is ~ 2^order times the fine one, so the fine-grid scale is
-    coarse / 2^order.
+    For a quantity vanishing in the continuum at rate h^ORDER, the coarse
+    residual is ~ 2^ORDER times the fine one, so the fine-grid scale is
+    coarse / 2^ORDER, and never below ``floor``, the fine grid's roundoff.
     """
-    return max(abs(float(coarse_value)) / 2 ** order, floor)
+    return max(abs(float(coarse_value)) / 2 ** ORDER, floor)
+
+
+def two_grid_bound(coarse_value, floor):
+    """Every two-grid bound of the package: 10 x ``richardson_tolerance``."""
+    return 10.0 * richardson_tolerance(coarse_value, floor)
 
 
 def _quintic_basis(knots, spans, x, derivs=0):

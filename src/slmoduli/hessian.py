@@ -130,7 +130,7 @@ class HessianPotential:
     def coarsened(self):
         """The potential on every other node of each axis, with the same c.
 
-        The coarse grid of every two-grid bound (``fd.richardson_tolerance``).
+        The coarse grid of every two-grid bound (``fd.two_grid_bound``).
         """
         return HessianPotential([ax[::2] for ax in self.axes],
                                 self.values[(slice(None, None, 2),) * self.dim], self.c)
@@ -203,11 +203,6 @@ def hessian_det_field(pot):
     for lo, hess in row_blocks(pot.hessian, pot.values.shape):
         det[lo:lo + len(hess)] = hessian_det(hess)
     return det
-
-
-def ma_residual(pot, c):
-    """det(discrete Hessian) - c per node."""
-    return hessian_det_field(pot) - float(c)
 
 
 def _conjugate_axis(values, u_nodes, v_nodes):

@@ -8,19 +8,21 @@ Nijenhuis integrability residual of charts given by a period matrix function
 lambda(t), the holomorphic-norm field, the Ricci form by the log-det identity
 with a Christoffel-symbol oracle as an independent second route, and the
 m = 2 Gibbons-Hawking cross-check.  Every residual is read on
-``fd.interior``: EDGE boundary nodes are dropped for a single derivative
-pass, EDGE + 1 for the nested passes of a curvature.  The module runs on
-numpy alone: the Gibbons-Hawking harmonic conjugate integrates with the
-sixth-order ``fd.cumulative_quadrature``.
+``fd.interior``: the three of a potential on one ``read_region``, with their
+roundoff measured on ``roughened`` data; the Nijenhuis residual past EDGE
+boundary nodes, the Gibbons-Hawking curvature past EDGE + 1.  The module
+runs on numpy alone: the Gibbons-Hawking harmonic conjugate integrates with
+the sixth-order ``fd.cumulative_quadrature``.
 """
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, MetricError
 from .fd import (EDGE, apply_diff, cumulative_quadrature, hessian_field, interior,
-                 richardson_tolerance, roundoff_floor, stencil_reach)
+                 roundoff_floor, stencil_reach, two_grid_bound)
 from .hessian import HessianPotential, hessian_det_field, row_blocks
 
 SLAB_ROWS = 4  # nodes of grid axis 0 per slab of the Christoffel walk
@@ -76,16 +78,49 @@ def build_semiflat(pot):
     return SemiflatManifold(pot, hessian_det_field(pot))
 
 
-def holomorphic_norm_field(sf):
+def read_region(shape):
+    """The nodes every semiflat residual is read on: ``fd.interior`` past
+    max(EDGE + 1, n // 8) nodes, n the smallest axis (the oracle nests three
+    one-sided passes near the boundary); on 65, 129, 257, ... nodes it is
+    the same box as on every other node."""
+    return interior(shape, max(EDGE + 1, min(shape) // 8))
+
+
+def roughened(pot):
+    """``pot`` times 1 + eps * xi, xi uniform on [-1, 1) from a fixed seed: the
+    data as rounding may leave it, so the change of a residual from ``pot``
+    to it is roundoff.  The bits come from the standard library, since
+    numpy.random would add 5 MB of resident memory."""
+    bits = np.frombuffer(random.Random(0).randbytes(8 * pot.values.size), dtype=np.uint64)
+    xi = ((bits >> np.uint64(11)) * 2.0 ** -52 - 1.0).reshape(pot.values.shape)
+    return HessianPotential(pot.axes, pot.values * (1.0 + np.finfo(float).eps * xi), pot.c)
+
+
+def _read(fields, sf, rough):
+    """max |f| over the fields ``fields(sf)`` yields; given ``rough``, a
+    manifold on the same grid, max |f - g| over those of ``sf`` and ``rough``."""
+    if rough is None:
+        return float(max(np.max(np.abs(f)) for f in fields(sf)))
+    return float(max(np.max(np.abs(f - g)) for f, g in zip(fields(sf), fields(rough))))
+
+
+def holomorphic_norm_field(sf, rough=None):
     """Variation of the pointwise squared-norm ratio of the holomorphic m-form.
 
     The ratio equals 1/det(Hess phi) up to a fixed dimensional factor; its
-    constancy is equivalent to the Monge-Ampere condition.  Returns
-    {"variation": max/min - 1 of the ratio on ``interior(shape, EDGE)``}.
+    constancy is equivalent to the Monge-Ampere condition.  Returns max/min
+    - 1 of the ratio on ``read_region``; given ``rough``, a manifold on the
+    same grid, how far max/min can move when each ratio moves by up to d, its
+    largest change from ``sf`` to ``rough``: d / min * (1 + max / min), to
+    first order.
     """
-    norm = 1.0 / sf.metric_det
-    core = norm[interior(norm.shape, EDGE)]
-    return {"variation": float(np.max(core) / np.min(core) - 1.0)}
+    region = read_region(sf.metric_det.shape)
+    norm = 1.0 / sf.metric_det[region]
+    top, bottom = np.max(norm), np.min(norm)
+    if rough is None:
+        return float(top / bottom - 1.0)
+    change = np.max(np.abs(1.0 / rough.metric_det[region] - norm))
+    return float(change / bottom * (1.0 + top / bottom))
 
 
 def ricci_form(sf, lo=0, hi=None):
@@ -104,50 +139,48 @@ def ricci_form(sf, lo=0, hi=None):
                                 n, first)
 
 
-def ricci_form_max(sf):
-    """max |R_jk| of ``ricci_form`` on ``interior(shape, EDGE + 1)``.
+def ricci_form_max(sf, rough=None):
+    """max |R_jk| of ``ricci_form`` on ``read_region`` (``_read``).
 
     Taken on blocks of nodes of grid axis 0 (``hessian.row_blocks``), so no
     grid-sized (*, m, m) tensor is formed; a max is exact, so the value is
     bitwise that of the full field.
     """
+    return _read(_ricci_fields, sf, rough)
+
+
+def _ricci_fields(sf):
     shape = sf.metric_det.shape
-    others = (slice(None),) + interior(shape, EDGE + 1)[1:]
-    blocks = row_blocks(lambda lo, hi: ricci_form(sf, lo, hi), shape, EDGE + 1,
-                        shape[0] - EDGE - 1)
-    return float(max(np.max(np.abs(ric[others])) for _, ric in blocks))
+    region = read_region(shape)
+    for _, ric in row_blocks(lambda lo, hi: ricci_form(sf, lo, hi), shape, region[0].start,
+                             shape[0] - region[0].start):
+        yield ric[(slice(None),) + region[1:]]
 
 
-def ricci_agreement(sf):
-    """max interior deviation between the log-det Ricci form and the oracle.
+def ricci_agreement(sf, rough=None):
+    """max deviation between the log-det Ricci form and the oracle, and
+    between the oracle's x-x and u-u blocks, on ``read_region`` (``_read``).
 
-    Also checks that the oracle's x-x block repeats its u-u block.  The mixed
-    u-x block is not read: it is exactly 0.0, because g_ux is an exact zero,
-    ``np.linalg.inv`` keeps the zero blocks of blockdiag(H, H), and every
-    mixed term of the contraction has a zero factor.  The boundary layer it
-    drops, max(EDGE + 1, n // 8) nodes for the smallest axis of n nodes, grows
-    with the grid because the oracle stacks three one-sided derivative passes
-    near the boundary.
-
-    The oracle walks the interior rows once (``_oracle_interior``), and
-    ``ricci_form`` is taken on blocks of ``METRIC_ROWS`` rows as the walk
-    reaches them: no grid-sized metric or Ricci tensor is formed, and the
-    two maxima are taken per slab.  A max is exact, so the value is bitwise
-    that of the full-array formula.
+    The mixed u-x block is exactly 0.0 (g_ux is an exact zero, which
+    ``np.linalg.inv`` and every mixed term of the contraction keep), so it
+    is not read.  The oracle walks the rows once (``_oracle_interior``) and
+    ``ricci_form`` is taken on ``METRIC_ROWS`` rows at a time as it goes: no
+    grid-sized tensor is formed, and the value is bitwise the full-array one.
     """
+    return _read(_agreement_fields, sf, rough)
+
+
+def _agreement_fields(sf):
     m = sf.m
     shape = sf.metric_det.shape
-    width = max(EDGE + 1, min(shape) // 8)
+    width = read_region(shape)[0].start
     kahler_rows = _RowWindow(lambda lo, hi: ricci_form(sf, lo, hi), shape[0] - width,
                              METRIC_ROWS)
-    devs, blocks = [], []
     for index, oracle in _oracle_interior(sf.full_metric, shape, sf.potential.spacings, width):
         rows = index[0]
-        kahler = kahler_rows(rows.start, rows.stop)[(slice(None),) + index[1:]]
         uu = oracle[..., :m, :m]
-        devs.append(np.max(np.abs(uu - kahler)))
-        blocks.append(np.max(np.abs(oracle[..., m:, m:] - uu)))
-    return float(max(np.max(devs), np.max(blocks)))
+        yield uu - kahler_rows(rows.start, rows.stop)[(slice(None),) + index[1:]]
+        yield oracle[..., m:, m:] - uu
 
 
 def _oracle_interior(metric, shape, spacings, width):
@@ -405,9 +438,9 @@ def gh_metric(v_values, axes):
     so neither the metric nor its Ricci tensor is ever held on the whole
     grid; the metric of any rows is ``components``.
 
-    V is harmonic when max |Laplacian V| is below ``harmonic_tol``, 10 times
-    the two-grid estimate (``fd.richardson_tolerance``) from the Laplacian on
-    every other node, and never below 10 times its roundoff floor
+    V is harmonic when max |Laplacian V| is below ``harmonic_tol``, the
+    two-grid bound (``fd.two_grid_bound``) from the Laplacian on every other
+    node, and never below 10 times its roundoff floor
     (``fd.roundoff_floor`` of the two second-derivative passes), which an
     exactly harmonic V reaches on fine grids.
     """
@@ -419,8 +452,7 @@ def gh_metric(v_values, axes):
     harmonic_residual = _laplacian_max(v, spacings)
     coarse = _laplacian_max(v[::2, ::2], [float(ax[2] - ax[0]) for ax in axes])
     scale = np.max(np.abs(v))
-    harmonic_tol = 10.0 * richardson_tolerance(
-        coarse, floor=sum(roundoff_floor(scale, h, 2) for h in spacings))
+    harmonic_tol = two_grid_bound(coarse, sum(roundoff_floor(scale, h, 2) for h in spacings))
     if harmonic_residual > harmonic_tol:
         raise InputError(f"V is not harmonic: ||Laplacian||_inf = {harmonic_residual:.3e} "
                          f"above {harmonic_tol:.3e}")

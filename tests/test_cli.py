@@ -220,7 +220,7 @@ def test_ma_solve_reads_prop3_from_the_solver(tmp_path, monkeypatch):
     assert main(["ma-solve", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len(fields) - during[0] == 1
     pot = load_potential(tmp_path / "solution.csv")
-    residual = hessian.ma_residual(pot, pot.c)[interior(pot.values.shape, EDGE)]
+    residual = (hessian.hessian_det_field(pot) - pot.c)[interior(pot.values.shape, EDGE)]
     assert _report(tmp_path)["checks"]["prop3"]["residual"] == float(np.max(np.abs(residual)))
 
 
@@ -271,11 +271,59 @@ def test_semiflat_flags_non_ma_potential(tmp_path):
     assert main(["semiflat", "--config", cfg, "--out", str(tmp_path)]) == 1
     report = _report(tmp_path)
     assert not report["checks"]["prop5"]["pass"]
+    assert not report["checks"]["ricci_flat"]["pass"]
+
+
+def _exact(n, a, extra=""):
+    """The paper's solution of det Hess = 1 on [-1/2, 1/2] x [1/2, 3/2], as a
+    potential config, plus ``extra``."""
+    return {"axes": [[-0.5, 0.5, n], [0.5, 1.5, n]],
+            "expr": f"{a!r} * u1**2 / (2 * u2) + u2**3 / (6 * {a!r}){extra}", "c": 1.0}
+
+
+@pytest.mark.parametrize("n, a", [(257, 0.8), (129, 1.25)])
+def test_semiflat_passes_the_exact_solution(tmp_path, n, a):
+    # at 257^2 and a = 0.8 the Kahler Ricci form is roundoff: 5.45e-6 on the
+    # fine grid and 5.33e-6 on the coarse one, so the two-grid bound needs
+    # its measured floor (1.42e-5) and reads 1.42e-4; with no floor it
+    # would be 3.33e-6
+    cfg = _write(tmp_path / "exact.json", {"potential": _exact(n, a)})
+    assert main(["semiflat", "--oracle", "--config", cfg, "--out", str(tmp_path)]) == 0
+    checks = _report(tmp_path)["checks"]
+    assert set(checks) == {"prop5", "ricci_flat", "ricci_oracle"}
+    if n == 257:
+        assert 2e-6 < checks["ricci_flat"]["residual"] < 1e-5 < checks["ricci_flat"]["tol"]
+
+
+@pytest.mark.parametrize("n", [65, 129])
+def test_semiflat_rejects_a_bump_on_the_exact_solution(tmp_path, n):
+    # a 1e-6 bump reads prop5 2.4e-4 and ricci_flat 2.0e-2 at every size,
+    # so the two-grid bound never shrinks below it
+    potential = _exact(n, 1.0, " + 1e-6 * exp(-(u1**2 + (u2 - 1)**2) / 0.02)")
+    cfg = _write(tmp_path / "cfg.json", {"potential": potential})
+    assert main(["semiflat", "--oracle", "--config", cfg, "--out", str(tmp_path)]) == 1
+    checks = _report(tmp_path)["checks"]
+    assert not checks["prop5"]["pass"] and not checks["ricci_flat"]["pass"]
+
+
+def test_semiflat_verdicts_do_not_read_tol(tmp_path):
+    # every bound comes from the coarse grid and the measured roundoff
+    # floor; only the echoed argument differs
+    cfg = _write(tmp_path / "exact.json", {"potential": _exact(65, 1.0)})
+    reports = []
+    for tol in ("1e-3", "1e-12"):
+        out = tmp_path / tol
+        assert main(["semiflat", "--oracle", "--tol", tol, "--config", cfg,
+                     "--out", str(out)]) == 0
+        report = _report(out)
+        assert report.pop("tol") == float(tol)
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_semiflat_ma_residual_from_stored_hessian(tmp_path):
     from slmoduli.cli import _resolve_potential
-    from slmoduli.hessian import ma_residual
+    from slmoduli.semiflat import read_region
 
     spec = {
         "axes": [[-1, 1, 33], [-0.5, 1, 29]],
@@ -285,8 +333,10 @@ def test_semiflat_ma_residual_from_stored_hessian(tmp_path):
     cfg = _write(tmp_path / "cfg.json", {"potential": spec})
     main(["semiflat", "--config", cfg, "--out", str(tmp_path)])
     pot = _resolve_potential(spec)
-    trim = (slice(3, -3),) * 2
-    expected = float(np.max(np.abs(ma_residual(pot, pot.c)[trim])))
+    # the read region of every semiflat residual: 3 nodes in from each side
+    trim = read_region(pot.values.shape)
+    assert trim == (slice(3, -3),) * 2
+    expected = float(np.max(np.abs((hessian.hessian_det_field(pot) - pot.c)[trim])))
     assert _report(tmp_path)["ma_residual_max"] == expected
 
 
@@ -398,6 +448,9 @@ def _square(n):
         ("legendre", {"potential": {"axes": [[-1, 1, 17], [-3, 3, 17]],
                                     "expr": "(u1**2 + u2**2) / 2 + u1 * u2 / 2"}},
          "DomainError"),
+        # every semiflat check is a two-grid check: the coarse grid of 5 or 6
+        # nodes has no read region past 3 boundary nodes
+        *(("semiflat", _square(n), "GridMismatchError") for n in (9, 10, 11, 12)),
     ],
 )
 def test_rejected_input_exit_code_and_report(tmp_path, capsys, command, payload, error):

@@ -11,19 +11,20 @@ from hypothesis import strategies as st
 
 from slmoduli.errors import ConvergenceError, ConvexityError, DomainError, InputError
 from slmoduli import fd, hessian
-from slmoduli.fd import diff_matrix, hessian_field, interior, richardson_tolerance
+from slmoduli.fd import (diff_matrix, hessian_field, interior, richardson_tolerance,
+                         two_grid_bound)
 from slmoduli.hessian import (
     HessianPotential,
     eigenvalue_range,
     fenchel_residual,
     gradient_image_axes,
     hessian_det,
+    hessian_det_field,
     hessian_metric,
     interpolation_tolerance,
     involution_residual,
     legendre_transform,
     load_potential,
-    ma_residual,
     mirror_swap,
     partial_legendre_2d,
     save_potential,
@@ -120,7 +121,7 @@ def test_ma_residual_and_hessian_metric_fail_at_the_gate_node():
     pot = _dipped(65, 40, 1.0)
     with pytest.raises(ConvexityError) as err:
         pot.eigenvalue_bounds
-    for gate in (lambda p: ma_residual(p, 1.0), hessian_metric):
+    for gate in (hessian_det_field, hessian_metric):
         with pytest.raises(ConvexityError) as again:
             gate(pot)
         assert again.value.node == err.value.node
@@ -144,7 +145,7 @@ def test_ma_residual_by_row_blocks_is_bitwise_the_full_field(monkeypatch):
         return out
 
     monkeypatch.setattr(hessian, "hessian_field", recorded)
-    residual = ma_residual(pot, pot.c)
+    residual = hessian_det_field(pot) - pot.c
     assert len(blocks) >= 5 and sum(blocks) == n
     monkeypatch.setattr(hessian, "hessian_field", original)
     assert residual.tobytes() == (hessian_det(pot.hessian()) - pot.c).tobytes()
@@ -187,7 +188,7 @@ def test_ma_residual_closed_form():
     pot = HessianPotential.from_function(
         axes, lambda a, b: a ** 4 / 12 + a ** 2 / 2 + b ** 2 / 2
     )
-    res = ma_residual(pot, 1.0)
+    res = hessian_det_field(pot) - 1.0
     u1 = axes[0][:, None] * np.ones_like(axes[1])[None, :]
     assert np.max(np.abs(res - u1 ** 2)) < 1e-8
 
@@ -696,7 +697,7 @@ def test_solver_interior_residual_is_the_ma_residual_of_its_result(n):
     axes = [np.linspace(0.0, 1.0, n)] * 2
     pot = solve_ma_dirichlet(axes, lambda a, b: np.cosh(a) + np.cosh(b), c=1.3)
     inner = pot.info["interior_residual"]
-    assert inner.tobytes() == ma_residual(pot, 1.3)[1:-1, 1:-1].tobytes()
+    assert inner.tobytes() == (hessian_det_field(pot) - 1.3)[1:-1, 1:-1].tobytes()
     assert np.max(np.abs(inner)) == pot.info["residuals"][-1]
 
 
@@ -966,6 +967,8 @@ def test_load_potential_holds_no_object_per_node(tmp_path):
 
 
 def test_richardson_tolerance_scaling():
-    assert richardson_tolerance(16.0) == pytest.approx(1.0)
-    assert richardson_tolerance(0.0) == pytest.approx(1e-12)
-    assert richardson_tolerance(8.0, order=3) == pytest.approx(1.0)
+    assert richardson_tolerance(16.0, 1e-12) == pytest.approx(1.0)
+    assert richardson_tolerance(0.0, 1e-12) == pytest.approx(1e-12)
+    assert richardson_tolerance(-16.0, 2.0) == 2.0
+    assert two_grid_bound(16.0, 1e-12) == 10.0 * richardson_tolerance(16.0, 1e-12)
+    assert two_grid_bound(0.0, 3e-9) == 3e-8
