@@ -6,12 +6,12 @@
 
 ``console`` checks the exit contract: a passing check exits 0 (cy-validate,
 semiflat on a three-variable Monge-Ampere quadratic, and legendre on the
-solution.csv of a 129 x 129 ma-solve with boundary cosh(u1) + cosh(u2) on
-[-1, 1]^2), and a grid too
-small for its stencils, a moduli grid with no nodes, a tolerance that is not
-a number, a config that is not a JSON object, an expression that is not
-finite on its grid, a Monge-Ampere constant that is not positive or a domain
-range with no width exits 2 with an error line and no traceback.  ``memory``
+solution.csv of a 33 x 33 and of a 129 x 129 ma-solve with boundary
+cosh(u1) + cosh(u2) on [-1, 1]^2), and a grid too small for its stencils, a
+moduli grid with no nodes, a malformed model shorthand, a config that is not
+a JSON object, an expression that is not finite on its grid, a Monge-Ampere
+constant that is not positive or a domain range with no width exits 2 with
+an error line and no traceback.  ``memory``
 runs gh, semiflat --oracle (on the paper's exact solution of det Hess = 1,
 so it must pass), partial-legendre and legendre on N x N grids (default
 257), then partial-legendre on the dual.csv that legendre wrote, so
@@ -66,30 +66,30 @@ def _config(tmp, name, payload):
 def console(slmoduli, tmp):
     quadratic = _config(tmp, "quadratic13", {"potential": {
         "axes": [[-1, 1, 13]] * 3, "expr": "(u1**2 + u2**2 + u3**2) / 2", "c": 1.0}})
-    solve = _config(tmp, "ma129", {"boundary": "cosh(u1) + cosh(u2)", "n": 129,
-                                   "domain": [[-1, 1], [-1, 1]]})
-    solution = _config(tmp, "legendre-ma129", {"potential": str(tmp / "ma129" / "solution.csv")})
-    for args, name in [(["cy-validate"], "cy"), (["semiflat", "--config", quadratic], "sf13"),
-                       (["ma-solve", "--config", solve], "ma129"),
-                       (["legendre", "--config", solution], "legendre-ma129")]:
+    passing = [(["cy-validate"], "cy"), (["semiflat", "--config", quadratic], "sf13")]
+    for n in (33, 129):
+        solve = _config(tmp, f"ma{n}", {"boundary": "cosh(u1) + cosh(u2)", "n": n,
+                                        "domain": [[-1, 1], [-1, 1]]})
+        solution = _config(tmp, f"legendre-ma{n}",
+                           {"potential": str(tmp / f"ma{n}" / "solution.csv")})
+        passing += [(["ma-solve", "--config", solve], f"ma{n}"),
+                    (["legendre", "--config", solution], f"legendre-ma{n}")]
+    for args, name in passing:
         code, stderr, _ = _run(slmoduli, args, tmp, name)
         if code != 0 or "Traceback" in stderr:
-            return f"slmoduli {args[0]} exited {code}, not 0 without a traceback"
-    for command, text, flags, name in [("gh", '{"n": 6}', [], "gh6"),
-                                       ("ma-solve", "[]", [], "ma-list"),
-                                       ("family-scan", '{"grid": {"n": 0}}', [], "scan0"),
-                                       ("cy-validate", "{}", ["--tol", "nan"], "cy-nan"),
-                                       ("gh", '{"V": "sqrt(y1 - 0.5) + 2", "n": 17}', [],
-                                        "gh-sqrt"),
-                                       ("ma-solve", '{"n": 17, "solver": {"c": -1}}', [],
-                                        "ma-negative-c"),
-                                       ("gh", '{"n": 17, "domain": [[0, 0], [0, 1]]}', [],
-                                        "gh-flat")]:
-        code, stderr, _ = _run(slmoduli, [command, "--config", _config(tmp, name, text), *flags],
+            return f"slmoduli {args[0]} ({name}) exited {code}, not 0 without a traceback"
+    for command, text, name in [("gh", '{"n": 6}', "gh6"),
+                                ("ma-solve", "[]", "ma-list"),
+                                ("family-scan", '{"grid": {"n": 0}}', "scan0"),
+                                ("cy-validate", '{"model": "std:x"}', "cy-shorthand"),
+                                ("gh", '{"V": "sqrt(y1 - 0.5) + 2", "n": 17}', "gh-sqrt"),
+                                ("ma-solve", '{"n": 17, "solver": {"c": -1}}', "ma-negative-c"),
+                                ("gh", '{"n": 17, "domain": [[0, 0], [0, 1]]}', "gh-flat")]:
+        code, stderr, _ = _run(slmoduli, [command, "--config", _config(tmp, name, text)],
                                tmp, name)
         if code != 2 or "Traceback" in stderr:
-            given = " ".join([f"config {text}", *flags])
-            return f"slmoduli {command} with {given} exited {code}, not 2 without a traceback"
+            return (f"slmoduli {command} with config {text} exited {code}, "
+                    "not 2 without a traceback")
     return None
 
 

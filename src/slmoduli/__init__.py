@@ -58,6 +58,7 @@ from .semiflat import (
     SemiflatManifold,
     build_semiflat,
     gh_metric,
+    gh_ricci_max,
     hessian_chart,
     holomorphic_norm_field,
     nijenhuis_residual,

@@ -8,9 +8,10 @@ entry of ``checks`` (``axioms`` for cy-validate) passed, 1 if one failed
 (the report is still written), 2 for configuration or input errors, including
 input the mathematics rejects (a non-convex potential, a solver that cannot
 converge); then the report carries an ``error`` entry with the exception type
-and message.  ``semiflat`` and ``partial-legendre`` bound their checks by the
-two-grid rule and do not read ``--tol``.  Timestamps go to a sidecar ``run.log``
-so that reports are byte-identical across reruns.
+and message.  No option moves a bound: a check on smooth data is
+``_two_grid_check``, any other reads a named constant (``IDENTITY_TOL``,
+``SOLVER_TOL``, ``cymodel.AXIOM_TOL``).  Timestamps go to a sidecar
+``run.log`` so that reports are byte-identical across reruns.
 """
 
 import argparse
@@ -47,8 +48,8 @@ from .fd import EDGE, interior, two_grid_bound
 from .hessian import (
     HessianPotential,
     fenchel_residual,
-    interpolation_tolerance,
     involution_residual,
+    legendre_floor,
     legendre_transform,
     load_potential,
     partial_legendre_2d,
@@ -58,12 +59,16 @@ from .hessian import (
 from .semiflat import (
     build_semiflat,
     gh_metric,
+    gh_ricci_max,
     holomorphic_norm_field,
     read_region,
     ricci_agreement,
     ricci_form_max,
     roughened,
 )
+
+IDENTITY_TOL = 1e-8  # the bound of an exact identity (cymodel.AXIOM_TOL for the axioms)
+SOLVER_TOL = 1e-6  # the bound of ma-solve's prop3, the solver's own last residual
 
 # Errors that mean "this input cannot be processed": exit 2, never a traceback.
 # The config, model, family and potential loaders turn every OSError of
@@ -242,13 +247,13 @@ def _two_grid_check(fine, coarse, floor):
     return _check(fine, two_grid_bound(coarse, floor))
 
 
-def run_cy_validate(config, tol, out, oracle):
+def run_cy_validate(config, out, oracle):
     ref = config.get("model", "std:2")
-    report = validate_axioms(resolve_model(ref), tol=min(tol, 1e-10))
+    report = validate_axioms(resolve_model(ref))
     return {"model": str(ref), "axioms": report.to_dict()}
 
 
-def run_family_scan(config, tol, out, oracle):
+def run_family_scan(config, out, oracle):
     fam, ref = _resolve_family(config.get("family", "std:2"))
     m = fam.moduli_dim
     axes = _moduli_axes(config, m, 5)
@@ -262,10 +267,10 @@ def run_family_scan(config, tol, out, oracle):
     mclean = fam.mclean_metric(pm)
     scan = specialness_scan(fam, axes, pm)
     checks = {
-        "slag_restriction": _check(max(omega_res, omega1_res), tol),
-        "mclean": _check(max(fam.mclean_check(j, torus) for j in range(m)), tol),
-        "prop2": _check(mclean[1], tol),
-        "thm3": _check(lagrangian_residual(pm), max(tol, 1e-10)),
+        "slag_restriction": _check(max(omega_res, omega1_res), IDENTITY_TOL),
+        "mclean": _check(max(fam.mclean_check(j, torus) for j in range(m)), IDENTITY_TOL),
+        "prop2": _check(mclean[1], IDENTITY_TOL),
+        "thm3": _check(lagrangian_residual(pm), IDENTITY_TOL),
     }
     return {
         "family": ref,
@@ -280,7 +285,7 @@ def run_family_scan(config, tol, out, oracle):
     }
 
 
-def run_embed(config, tol, out, oracle):
+def run_embed(config, out, oracle):
     fam, ref = _resolve_family(config.get("family", "std:2"))
     m = fam.moduli_dim
     chart = moduli_coordinates(fam, _moduli_axes(config, m, 9))
@@ -293,53 +298,53 @@ def run_embed(config, tol, out, oracle):
         fh.write(",".join(header) + "\n")
         for t, row in zip(pts, flat):
             fh.write(",".join(repr(float(x)) for x in list(t) + list(row)) + "\n")
-    checks = {"thm3": _check(lagrangian_residual(fam.period_matrices()), max(tol, 1e-10))}
+    checks = {"thm3": _check(lagrangian_residual(fam.period_matrices()), IDENTITY_TOL)}
     return {"family": ref, "checks": checks}
 
 
-def run_legendre(config, tol, out, oracle):
-    """Conjugate onto the box inside the gradient image and back onto the box
-    inside the dual's, which lies in the u-box; the involution is read there."""
+def _legendre_residuals(pot):
+    """The dual of ``pot`` and its Fenchel and involution residuals; the back
+    transform's box lies inside the image of the dual's gradient, in the u-box."""
+    dual = legendre_transform(pot).dual
+    back = legendre_transform(dual).dual
+    return dual, {"legendre_involution": involution_residual(pot, back),
+                  "fenchel": fenchel_residual(pot, dual)}
+
+
+def run_legendre(config, out, oracle):
+    """Both checks are ``_two_grid_check``, floored at ``legendre_floor``."""
     pot = _resolve_potential(_required(config, "potential", "the config"))
-    pair = legendre_transform(pot)
-    save_potential(pair.dual, Path(out) / "dual.csv")
-    back = legendre_transform(pair.dual).dual
-    itol = 10.0 * interpolation_tolerance(pot)
-    checks = {
-        "legendre_involution": _check(involution_residual(pot, back), itol),
-        "fenchel": _check(fenchel_residual(pot, pair.dual), max(tol, 1e-8)),
-    }
-    return {"checks": checks}
+    dual, fine = _legendre_residuals(pot)
+    save_potential(dual, Path(out) / "dual.csv")
+    floor = dict.fromkeys(fine, legendre_floor(pot, dual))
+    del dual  # not held through the coarse transforms
+    _, coarse = _legendre_residuals(pot.coarsened())
+    checks = {name: _two_grid_check(fine[name], coarse[name], floor[name]) for name in fine}
+    return {"coarse": coarse, "floor": floor, "checks": checks}
 
 
-def run_ma_solve(config, tol, out, oracle):
+def run_ma_solve(config, out, oracle):
     axes = _plane_axes(config, 65)
     with _config_value("solver"):
-        solver = config.get("solver", {})
-        options = {"c": float(solver.get("c", 1.0)),
-                   "tol": float(solver.get("tol", 1e-8)),
-                   "max_iter": int(solver.get("max_iter", 50))}
+        c = float(config.get("solver", {}).get("c", 1.0))
     expr = config.get("boundary", "(u1**2 + u2**2) / 2")
     mesh = np.meshgrid(*axes, indexing="ij")
     boundary = np.broadcast_to(_eval_expression(expr, u1=mesh[0], u2=mesh[1]),
                                mesh[0].shape).copy()
     del mesh  # only the boundary data is held while the solver runs
-    pot = solve_ma_dirichlet(axes, boundary, **options)
+    pot = solve_ma_dirichlet(axes, boundary, c)
     save_potential(pot, Path(out) / "solution.csv")
     pot.eigenvalue_bounds  # convexity is a precondition
     # the solver's last det - c, on the nodes inside the Dirichlet ring: one
     # node further in reads the interior(shape, EDGE) of the grid
     inner = pot.info["interior_residual"]
     residual = inner[interior(inner.shape, EDGE - 1)]
-    checks = {"prop3": _check(np.max(np.abs(residual)), max(tol, 1e-6))}
-    return {
-        "iterations": pot.info["iterations"],
-        "residual_history": pot.info["residuals"],
-        "checks": checks,
-    }
+    checks = {"prop3": _check(np.max(np.abs(residual)), SOLVER_TOL)}
+    return {"iterations": pot.info["iterations"], "residual_history": pot.info["residuals"],
+            "checks": checks}
 
 
-def run_partial_legendre(config, tol, out, oracle):
+def run_partial_legendre(config, out, oracle):
     pot = _resolve_potential(_required(config, "potential", "the config"))
     residual, floor = partial_legendre_2d(pot)
     coarse, _ = partial_legendre_2d(pot.coarsened())
@@ -347,7 +352,7 @@ def run_partial_legendre(config, tol, out, oracle):
     return {"laplace_residual": residual, "coarse_residual": coarse, "checks": checks}
 
 
-def run_semiflat(config, tol, out, oracle):
+def run_semiflat(config, out, oracle):
     """Every check is ``_two_grid_check``, floored at 2^k times the coarse
     residual's change on ``roughened`` data for k derivatives of phi."""
     pot = _resolve_potential(_required(config, "potential", "the config"))
@@ -368,23 +373,23 @@ def run_semiflat(config, tol, out, oracle):
     return {"ma_residual_max": ma_max, "coarse": coarse, "floor": floor, "checks": checks}
 
 
-def run_gh(config, tol, out, oracle):
+def run_gh(config, out, oracle):
+    """``ricci_flat`` is ``_two_grid_check``, floored as ``run_semiflat``'s are."""
     axes = _plane_axes(config, 33)
     mesh = np.meshgrid(*axes, indexing="ij")
     v = np.broadcast_to(_eval_expression(config.get("V", "2 + y1"), y1=mesh[0], y2=mesh[1]),
                         mesh[0].shape).copy()
     del mesh  # only V is held while the oracle walks its slabs
     gh = gh_metric(v, axes)
-    checks = {"ricci_flat": _check(gh.ricci_max, max(tol, 1e-4))}
-    return {
-        "harmonic_residual": gh.harmonic_residual,
-        "harmonic_tol": gh.harmonic_tol,
-        "ricci_max": gh.ricci_max,
-        "checks": checks,
-    }
+    gh_coarse = gh.coarsened()
+    fine, coarse = gh_ricci_max(gh), gh_ricci_max(gh_coarse)
+    floor = 2 ** 4 * gh_ricci_max(gh_coarse, gh_coarse.roughened())
+    checks = {"ricci_flat": _two_grid_check(fine, coarse, floor)}
+    return {"harmonic_residual": gh.harmonic_residual, "harmonic_tol": gh.harmonic_tol,
+            "coarse": {"ricci_flat": coarse}, "floor": {"ricci_flat": floor}, "checks": checks}
 
 
-# Every runner takes (config, tol, out, oracle) and returns the report; only
+# Every runner takes (config, out, oracle) and returns the report; only
 # ``semiflat`` reads ``oracle``.  ``main`` derives the exit code from it.
 _RUNNERS = {
     "cy-validate": run_cy_validate,
@@ -402,13 +407,11 @@ COMMANDS = tuple(_RUNNERS)
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="slmoduli",
-        description="Special Lagrangian moduli toolkit, batch interface",
+        description="Special Lagrangian moduli toolkit, batch interface.  No option "
+        "moves a bound: each check reads a two-grid bound or a named constant.",
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", type=str, default=None, help="JSON config path")
-    parser.add_argument("--tol", type=float, default=1e-8,
-                        help="residual tolerance override (not read by semiflat and "
-                        "partial-legendre, whose bounds are two-grid)")
     parser.add_argument("--out", type=str, default=".", help="output directory")
     parser.add_argument("--oracle", action="store_true",
                         help="enable the Christoffel Ricci cross-check")
@@ -425,19 +428,15 @@ def main(argv=None):
         print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
         return 2
     try:
-        if not 0 < args.tol < np.inf:
-            raise InputError(f"tolerance must be positive and finite, got {args.tol}")
         config = _load_config(args.config) if args.config else {}
-        report = _RUNNERS[args.command](config, args.tol, out, args.oracle)
+        report = _RUNNERS[args.command](config, out, args.oracle)
         verdicts = report["axioms"] if args.command == "cy-validate" else report["checks"]
         code = 0 if all(c["pass"] for c in verdicts.values()) else 1
     except _INPUT_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         report = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         code = 2
-    # JSON has no nan or inf, so a refused non-finite tolerance is written as text
-    tol = args.tol if np.isfinite(args.tol) else str(args.tol)
-    report = {"command": args.command, "tol": tol, **report}
+    report = {"command": args.command, **report}
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -25,6 +25,8 @@ from .multilinear import (
     wedge_coeffs,
 )
 
+AXIOM_TOL = 1e-10  # the bound of every axiom residual, each an exact identity
+
 
 @dataclass
 class ConstantForm:
@@ -225,7 +227,7 @@ class AxiomReport:
         }
 
 
-def validate_axioms(model, tol=1e-10):
+def validate_axioms(model, tol=AXIOM_TOL):
     """Check the four structural conditions plus positivity, one report each.
 
     The top-wedge proportionality is reported as a single complex constant

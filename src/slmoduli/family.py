@@ -242,10 +242,6 @@ class ModuliChart:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def swap(self):
-        """Exchange the roles of (u, lambda) and (v, mu); the arrays are shared."""
-        return ModuliChart(self.axes, self.v, self.u, self.mu, self.lam)
-
 
 def moduli_coordinates(fam, axes):
     """du = lambda dt, dv = mu dt from the first node of a box grid: lambda

@@ -289,20 +289,16 @@ def roundoff_floor(scale, spacing, deriv):
     return float(np.finfo(float).eps * abs(scale) * heaviest)
 
 
-def richardson_tolerance(coarse_value, floor):
-    """Estimate the fine-grid truncation scale from a coarse-grid residual.
+def two_grid_bound(coarse_value, floor):
+    """Every two-grid bound of the package: 10 x the Richardson estimate of the
+    fine-grid truncation scale, never below ``floor``, the fine grid's roundoff.
 
     The coarse grid keeps every other node (``HessianPotential.coarsened``).
     For a quantity vanishing in the continuum at rate h^ORDER, the coarse
     residual is ~ 2^ORDER times the fine one, so the fine-grid scale is
-    coarse / 2^ORDER, and never below ``floor``, the fine grid's roundoff.
+    coarse / 2^ORDER.
     """
-    return max(abs(float(coarse_value)) / 2 ** ORDER, floor)
-
-
-def two_grid_bound(coarse_value, floor):
-    """Every two-grid bound of the package: 10 x ``richardson_tolerance``."""
-    return 10.0 * richardson_tolerance(coarse_value, floor)
+    return 10.0 * max(abs(float(coarse_value)) / 2 ** ORDER, floor)
 
 
 def _quintic_basis(knots, spans, x, derivs=0):

@@ -231,9 +231,6 @@ class LegendrePair:
     primal: HessianPotential
     dual: HessianPotential
 
-    def swapped(self):
-        return LegendrePair(self.dual, self.primal)
-
 
 def _inscribed_axis(slopes, axis, n):
     """``n`` uniform nodes from the max of ``slopes`` on the low face of
@@ -395,24 +392,23 @@ def involution_residual(pot, back):
     return float(np.max(np.abs(back.values.ravel() - pot.spline(points))))
 
 
-def interpolation_tolerance(pot):
-    """Error scale of the piecewise-linear conjugation route onto the dual box.
-
-    Classical bound: the PL interpolant deviates by M h^2 / 8 with M the
-    curvature; conjugation maps curvature M to 1/M, so both grids contribute.
-    """
-    m_min, m_max = pot.eigenvalue_bounds
-    h_u = max(pot.spacings)
-    h_v = max(float(ax[1] - ax[0]) for ax in gradient_image_axes(pot))
-    return (m_max * h_u ** 2 + h_v ** 2 / m_min) / 8.0
+def legendre_floor(primal, dual):
+    """Roundoff floor of the Fenchel and involution residuals of a primal and
+    its dual, eps (max |phi| + max |psi| + sum_a max |u_a| max |v_a|): the
+    rounding of the values the gap phi + psi - <u, v> sums, which no
+    derivative amplifies (Higham, Accuracy and Stability of Numerical Algorithms)."""
+    pairing = sum(np.max(np.abs(u)) * np.max(np.abs(v)) for u, v in zip(primal.axes, dual.axes))
+    return float(np.finfo(float).eps * (np.max(np.abs(primal.values))
+                                        + np.max(np.abs(dual.values)) + pairing))
 
 
 def mirror_swap(obj):
-    """Exchange (u, lambda, phi) with (v, mu, psi); an involution."""
+    """Exchange (u, lambda, phi) with (v, mu, psi); an involution that shares
+    the arrays."""
     if isinstance(obj, LegendrePair):
-        return obj.swapped()
+        return LegendrePair(obj.dual, obj.primal)
     if isinstance(obj, ModuliChart):
-        return obj.swap()
+        return ModuliChart(obj.axes, obj.v, obj.u, obj.mu, obj.lam)
     raise InputError(f"mirror_swap does not apply to {type(obj).__name__}")
 
 

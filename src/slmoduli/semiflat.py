@@ -8,9 +8,9 @@ Nijenhuis integrability residual of charts given by a period matrix function
 lambda(t), the holomorphic-norm field, the Ricci form by the log-det identity
 with a Christoffel-symbol oracle as an independent second route, and the
 m = 2 Gibbons-Hawking cross-check.  Every residual is read on
-``fd.interior``: the three of a potential on one ``read_region``, with their
-roundoff measured on ``roughened`` data; the Nijenhuis residual past EDGE
-boundary nodes, the Gibbons-Hawking curvature past EDGE + 1.  The module
+``fd.interior``: the three of a potential on one ``read_region``, the
+Gibbons-Hawking curvature past EDGE + 1, all with their roundoff measured on
+``roughened`` data; the Nijenhuis residual past EDGE boundary nodes.  The module
 runs on numpy alone: the Gibbons-Hawking harmonic conjugate integrates with
 the sixth-order ``fd.cumulative_quadrature``.
 """
@@ -87,13 +87,18 @@ def read_region(shape):
 
 
 def roughened(pot):
-    """``pot`` times 1 + eps * xi, xi uniform on [-1, 1) from a fixed seed: the
-    data as rounding may leave it, so the change of a residual from ``pot``
-    to it is roundoff.  The bits come from the standard library, since
-    numpy.random would add 5 MB of resident memory."""
-    bits = np.frombuffer(random.Random(0).randbytes(8 * pot.values.size), dtype=np.uint64)
-    xi = ((bits >> np.uint64(11)) * 2.0 ** -52 - 1.0).reshape(pot.values.shape)
-    return HessianPotential(pot.axes, pot.values * (1.0 + np.finfo(float).eps * xi), pot.c)
+    """``pot`` with ``_rough`` values: the data as rounding may leave it, so the
+    change of a residual from ``pot`` to it is roundoff."""
+    return HessianPotential(pot.axes, _rough(pot.values), pot.c)
+
+
+def _rough(values):
+    """``values`` times 1 + eps * xi, xi uniform on [-1, 1) from a fixed seed.
+    The bits come from the standard library, since numpy.random would add
+    5 MB of resident memory."""
+    bits = np.frombuffer(random.Random(0).randbytes(8 * values.size), dtype=np.uint64)
+    xi = ((bits >> np.uint64(11)) * 2.0 ** -52 - 1.0).reshape(values.shape)
+    return values * (1.0 + np.finfo(float).eps * xi)
 
 
 def _read(fields, sf, rough):
@@ -401,48 +406,49 @@ def hessian_chart(fn_hess):
 
 @dataclass
 class GibbonsHawkingMetric:
+    """The metric of V on a (y1, y2) grid; W, the harmonic conjugate (dA = *dV),
+    is built from V on construction.  A ``coarsened`` or ``roughened`` metric
+    is not gated again, so its harmonic_* entries are None."""
+
     axes: list
     potential_v: np.ndarray
-    conjugate_w: np.ndarray
-    ricci_max: float
-    harmonic_residual: float
-    harmonic_tol: float
+    harmonic_residual: float = None
+    harmonic_tol: float = None
+
+    def __post_init__(self):
+        self.spacings = [float(ax[1] - ax[0]) for ax in self.axes]
+        self.conjugate_w = _harmonic_conjugate(self.potential_v, self.spacings)
 
     def components(self, lo=0, hi=None):
-        """The metric on nodes [lo, hi) of grid axis 0 (default: the whole
-        grid), (rows, n_2, 4, 4) in (y1, y2, y3, tau)."""
-        return _gh_components(self.potential_v[lo:hi], self.conjugate_w[lo:hi])
+        """g = V (dy1^2 + dy2^2 + dy3^2) + V^{-1} (dtau + W dy3)^2 on nodes
+        [lo, hi) of grid axis 0 (default: the whole grid), (rows, n_2, 4, 4)
+        in (y1, y2, y3, tau)."""
+        v, w = self.potential_v[lo:hi], self.conjugate_w[lo:hi]
+        g = np.zeros(v.shape + (4, 4))
+        g[..., 0, 0] = v
+        g[..., 1, 1] = v
+        g[..., 2, 2] = v + w ** 2 / v
+        g[..., 2, 3] = g[..., 3, 2] = w / v
+        g[..., 3, 3] = 1.0 / v
+        return g
 
+    def coarsened(self):
+        """The metric of V on every other node of each axis."""
+        return GibbonsHawkingMetric([ax[::2] for ax in self.axes], self.potential_v[::2, ::2])
 
-def _gh_components(v, w):
-    """g = V (dy1^2 + dy2^2 + dy3^2) + V^{-1} (dtau + W dy3)^2 at each node of
-    V and W."""
-    g = np.zeros(v.shape + (4, 4))
-    g[..., 0, 0] = v
-    g[..., 1, 1] = v
-    g[..., 2, 2] = v + w ** 2 / v
-    g[..., 2, 3] = g[..., 3, 2] = w / v
-    g[..., 3, 3] = 1.0 / v
-    return g
+    def roughened(self):
+        """The metric of ``_rough`` V, as ``roughened`` is of a potential."""
+        return GibbonsHawkingMetric(self.axes, _rough(self.potential_v))
 
 
 def gh_metric(v_values, axes):
     """Gibbons-Hawking 4-metric from a positive harmonic function of (y1, y2).
 
-    g = V (dy1^2 + dy2^2 + dy3^2) + V^{-1} (dtau + W dy3)^2 where W is the
-    harmonic conjugate of V, so that the connection satisfies dA = *dV.
-    Returns V, W and the max |Ricci| of the metric via the Christoffel
-    oracle; the construction is Ricci-flat, so the residual is pure stencil
-    error, read past EDGE + 1 boundary nodes.  The oracle walks the interior
-    rows once (``_oracle_interior``) on the metric of the rows it reaches,
-    so neither the metric nor its Ricci tensor is ever held on the whole
-    grid; the metric of any rows is ``components``.
-
     V is harmonic when max |Laplacian V| is below ``harmonic_tol``, the
     two-grid bound (``fd.two_grid_bound``) from the Laplacian on every other
-    node, and never below 10 times its roundoff floor
-    (``fd.roundoff_floor`` of the two second-derivative passes), which an
-    exactly harmonic V reaches on fine grids.
+    node, and never below 10 times its roundoff floor (``fd.roundoff_floor``
+    of the two second-derivative passes), which an exactly harmonic V reaches
+    on fine grids.
     """
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     v = np.asarray(v_values, dtype=float)
@@ -458,11 +464,15 @@ def gh_metric(v_values, axes):
                          f"above {harmonic_tol:.3e}")
     if not np.min(v) > 0:  # a NaN fails this test too
         raise InputError("V must be positive on the whole domain")
-    w = _harmonic_conjugate(v, spacings)
-    slabs = _oracle_interior(lambda lo, hi: _gh_components(v[lo:hi], w[lo:hi]), v.shape,
-                             spacings, EDGE + 1)
-    ricci_max = float(np.max([np.max(np.abs(ric)) for _, ric in slabs]))
-    return GibbonsHawkingMetric(axes, v, w, ricci_max, harmonic_residual, harmonic_tol)
+    return GibbonsHawkingMetric(axes, v, harmonic_residual, harmonic_tol)
+
+
+def gh_ricci_max(gh, rough=None):
+    """max |Ric| of a ``GibbonsHawkingMetric``, stencil error of a Ricci-flat
+    metric, past EDGE + 1 boundary nodes (``_read``).  The oracle walks the
+    rows once (``_oracle_interior``), so no grid-sized metric or Ricci exists."""
+    return _read(lambda metric: (ric for _, ric in _oracle_interior(
+        metric.components, metric.potential_v.shape, metric.spacings, EDGE + 1)), gh, rough)
 
 
 def _laplacian_max(v, spacings):

@@ -25,12 +25,11 @@ from slmoduli.family import (
     std_family,
     tilt_family,
 )
-from slmoduli.fd import richardson_tolerance
+from slmoduli.fd import two_grid_bound
 from slmoduli.forms import FormField, l2_inner
 from slmoduli.hessian import (
     HessianPotential,
     hessian_det_field,
-    interpolation_tolerance,
     involution_residual,
     legendre_transform,
     mirror_swap,
@@ -40,12 +39,15 @@ from slmoduli.hessian import (
 from slmoduli.semiflat import (
     build_semiflat,
     gh_metric,
+    gh_ricci_max,
     hessian_chart,
     holomorphic_norm_field,
     nijenhuis_residual,
     ricci_agreement,
     ricci_form,
 )
+
+from legendre_bounds import interpolation_tolerance
 
 FIBER_RES = 64
 
@@ -305,7 +307,7 @@ def test_criterion_08_solver_recovers_quadratic():
 def test_criterion_09_partial_legendre_reduction(cosh_solutions):
     fine, _ = partial_legendre_2d(cosh_solutions[65])
     coarse, _ = partial_legendre_2d(cosh_solutions[33])
-    tol = 10.0 * richardson_tolerance(coarse, 1e-12)
+    tol = two_grid_bound(coarse, 1e-12)
     quartic_res, _ = partial_legendre_2d(_quartic())
     # closed form for the quartic: h_ss + h_{u2 u2} = -u1^2/(1+u1^2), peak 1/2
     ok = fine < tol and 0.3 < quartic_res < 0.6
@@ -328,7 +330,7 @@ def test_criterion_10_integrability():
 
     fine = nijenhuis_residual(hessian_chart(hess), axes_f)
     coarse = nijenhuis_residual(hessian_chart(hess), axes_c)
-    tol = 10.0 * richardson_tolerance(coarse, 1e-12)
+    tol = two_grid_bound(coarse, 1e-12)
 
     def bad(t):
         t1, _ = t
@@ -372,7 +374,7 @@ def test_criterion_11_ricci_flat_iff_ma(cosh_solutions):
         )
         ric1[n] = float(np.max(np.abs(ricci_form(sf1)[3:-3])))
         var1 = holomorphic_norm_field(sf1)
-    tol_ric1 = 10.0 * richardson_tolerance(ric1[33], 1e-12)
+    tol_ric1 = two_grid_bound(ric1[33], 1e-12)
     ok_separating = ric1[65] < tol_ric1 and var1 > 1.0
     _report(
         11,
@@ -400,15 +402,15 @@ def test_criterion_12_ricci_double_entry():
         for n in (33, 65):
             pot = HessianPotential.from_function([np.linspace(lo, hi, n)] * m, fn)
             values[n] = ricci_agreement(build_semiflat(pot))
-        tol = 10.0 * richardson_tolerance(values[33], 1e-12)
+        tol = two_grid_bound(values[33], 1e-12)
         worst_ratio = max(worst_ratio, values[65] / tol)
 
     gh_values = {}
     for n in (25, 49):
         axes = [np.linspace(0.0, 1.0, n)] * 2
         y1, _ = np.meshgrid(*axes, indexing="ij")
-        gh_values[n] = gh_metric(2.0 + y1, axes).ricci_max
-    gh_tol = 10.0 * richardson_tolerance(gh_values[25], 1e-12)
+        gh_values[n] = gh_ricci_max(gh_metric(2.0 + y1, axes))
+    gh_tol = two_grid_bound(gh_values[25], 1e-12)
     _report(
         12,
         "log-det Ricci matches the Christoffel oracle; ansatz metric Ricci flat",

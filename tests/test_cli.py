@@ -1,5 +1,6 @@
 """Batch interface: every command, report shape, exit codes."""
 
+import functools
 import json
 import os
 import subprocess
@@ -128,24 +129,25 @@ def test_legendre_command(tmp_path):
 
 
 def test_legendre_job_takes_one_hessian_per_potential(tmp_path, monkeypatch):
-    # the convexity gate of the forward and the back transform, one each; the
-    # interpolation tolerance reads the primal's kept eigenvalue bounds
+    # the convexity gate of the forward and the back transform, one each, on
+    # the fine grid and on the coarse grid of the two-grid bound
     fields = _count_calls(monkeypatch, hessian, "hessian_field")
     ranges = _count_calls(monkeypatch, hessian, "eigenvalue_range")
     cfg = _write(tmp_path / "cfg.json", {"potential": {
         "axes": [[-1, 1, 33], [-1, 1, 33]], "expr": "(u1**2 + u2**2) / 2 + 0.1*cosh(u1)"}})
     assert main(["legendre", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert (len(fields), len(ranges)) == (2, 2)
+    assert (len(fields), len(ranges)) == (4, 4)
 
 
 def test_legendre_job_builds_one_spline_per_potential(tmp_path, monkeypatch):
     # the forward polish and the involution read the primal's spline, the
-    # Fenchel residual and the back polish the dual's; each is built once
+    # Fenchel residual and the back polish the dual's; each is built once, on
+    # the fine grid and on the coarse one
     builds = _count_calls(monkeypatch, hessian, "TensorQuintic")
     cfg = _write(tmp_path / "cfg.json", {"potential": {
         "axes": [[-1, 1, 33], [-1, 1, 33]], "expr": "(u1**2 + u2**2) / 2 + 0.1*cosh(u1)"}})
     assert main(["legendre", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert len(builds) == 2
+    assert len(builds) == 4
 
 
 @pytest.mark.parametrize("alpha", [0.95, 1.0, 1.05])
@@ -162,6 +164,58 @@ def test_legendre_takes_solver_output(tmp_path, alpha):
     checks = _report(tmp_path)["checks"]
     assert checks["legendre_involution"]["residual"] < 1e-8
     assert checks["fenchel"]["residual"] < 1e-8
+
+
+def _legendre_config(n, beta):
+    return {"potential": {"axes": [[-1, 1, n], [-1, 1, n]],
+                          "expr": f"(u1**2 + u2**2) / 2 + {beta!r} * cosh(u1)"}}
+
+
+def test_legendre_takes_the_33_node_solver_output(tmp_path):
+    # the Fenchel gap of the 33^2 cosh solution is 6.1e-8, stencil error of
+    # the solve, 8.6 times below that of the 17^2 grid; a fixed 1e-8 refused it
+    cfg = _write(tmp_path / "ma.json", {"boundary": "cosh(u1) + cosh(u2)", "n": 33,
+                                        "domain": [[-1, 1], [-1, 1]]})
+    assert main(["ma-solve", "--config", cfg, "--out", str(tmp_path / "ma")]) == 0
+    cfg = _write(tmp_path / "leg.json", {"potential": str(tmp_path / "ma" / "solution.csv")})
+    assert main(["legendre", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = _report(tmp_path)
+    assert report["checks"]["fenchel"]["residual"] > 1e-8
+    assert set(report["coarse"]) == set(report["floor"]) == {"fenchel", "legendre_involution"}
+
+
+def test_legendre_passes_on_its_roundoff_floor(tmp_path):
+    # at 257^2 and beta = 0.05 both residuals are roundoff on both grids
+    # (1.1e-15 fine, 8.9e-16 coarse): 10 coarse / 16 would be 5.6e-16, and the
+    # floor eps (max |phi| + max |psi| + sum max |u_a| max |v_a|) lets it pass
+    cfg = _write(tmp_path / "leg.json", _legendre_config(257, 0.05))
+    assert main(["legendre", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = _report(tmp_path)
+    for name, check in report["checks"].items():
+        assert check["residual"] > 10.0 * report["coarse"][name] / 16
+        assert check["tol"] == 10.0 * report["floor"][name]
+
+
+@pytest.mark.parametrize("n", [65, 129])
+def test_legendre_rejects_a_shifted_dual(tmp_path, monkeypatch, n):
+    # psi + 1e-9 moves the Fenchel gap and psi** by 1e-9 on both grids, so
+    # neither residual falls with h; fixed bounds of 1e-8 and 10 times the
+    # piecewise-linear interpolation error let both pass
+    real = slmoduli.cli.legendre_transform
+    duals = []
+
+    def shifted(pot):
+        pair = real(pot)
+        if not any(pot is dual for dual in duals):  # a forward transform
+            pair.dual.values += 1e-9
+            duals.append(pair.dual)
+        return pair
+
+    monkeypatch.setattr(slmoduli.cli, "legendre_transform", shifted)
+    cfg = _write(tmp_path / "leg.json", _legendre_config(n, 0.1))
+    assert main(["legendre", "--config", cfg, "--out", str(tmp_path)]) == 1
+    checks = _report(tmp_path)["checks"]
+    assert not checks["fenchel"]["pass"] and not checks["legendre_involution"]["pass"]
 
 
 def test_ma_solve_and_partial_legendre(tmp_path):
@@ -306,21 +360,6 @@ def test_semiflat_rejects_a_bump_on_the_exact_solution(tmp_path, n):
     assert not checks["prop5"]["pass"] and not checks["ricci_flat"]["pass"]
 
 
-def test_semiflat_verdicts_do_not_read_tol(tmp_path):
-    # every bound comes from the coarse grid and the measured roundoff
-    # floor; only the echoed argument differs
-    cfg = _write(tmp_path / "exact.json", {"potential": _exact(65, 1.0)})
-    reports = []
-    for tol in ("1e-3", "1e-12"):
-        out = tmp_path / tol
-        assert main(["semiflat", "--oracle", "--tol", tol, "--config", cfg,
-                     "--out", str(out)]) == 0
-        report = _report(out)
-        assert report.pop("tol") == float(tol)
-        reports.append(report)
-    assert reports[0] == reports[1]
-
-
 def test_semiflat_ma_residual_from_stored_hessian(tmp_path):
     from slmoduli.cli import _resolve_potential
     from slmoduli.semiflat import read_region
@@ -356,10 +395,32 @@ def test_gh_command_takes_a_harmonic_v_on_a_coarse_grid(tmp_path):
     assert 1e-6 < report["harmonic_residual"] < report["harmonic_tol"]
 
 
+def test_gh_passes_on_its_roundoff_floor(tmp_path):
+    # at 513^2 the curvature of b = 0.1 is roundoff: 4.16e-9 fine against
+    # 6.5e-10 coarse, so with no floor the bound would be 4.07e-10
+    cfg = _write(tmp_path / "gh.json", {"V": "2 + y1 + 0.1 * (y1**2 - y2**2)", "n": 513})
+    assert main(["gh", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = _report(tmp_path)
+    check = report["checks"]["ricci_flat"]
+    assert check["residual"] > 10.0 * report["coarse"]["ricci_flat"] / 16
+    assert check["tol"] == 10.0 * report["floor"]["ricci_flat"]
+
+
+@pytest.mark.parametrize("n", [129, 257])
+def test_gh_rejects_a_scaled_conjugate(tmp_path, monkeypatch, n):
+    # W (1 + 1e-6) breaks dW = *dV by the same amount on every grid, so the
+    # curvature does not fall with h; a fixed 1e-4 bound let it pass
+    real = slmoduli.semiflat._harmonic_conjugate
+    monkeypatch.setattr(slmoduli.semiflat, "_harmonic_conjugate",
+                        lambda v, spacings: real(v, spacings) * (1.0 + 1e-6))
+    cfg = _write(tmp_path / "gh.json", {"V": "2 + y1 + 0.3 * (y1**2 - y2**2)", "n": n})
+    assert main(["gh", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert not _report(tmp_path)["checks"]["ricci_flat"]["pass"]
+
+
 def test_config_error_exit_code(tmp_path):
     assert main(["cy-validate", "--config", "/nonexistent.json",
                  "--out", str(tmp_path)]) == 2
-    assert main(["gh", "--tol", "-1", "--out", str(tmp_path)]) == 2
     bad = _write(tmp_path / "bad.json", {"V": "os.system('true')"})
     assert main(["gh", "--config", bad, "--out", str(tmp_path)]) == 2
 
@@ -375,9 +436,8 @@ def _square(n):
         ("legendre",
          {"potential": {"axes": [[-1, 1, 17], [-1, 1, 17]], "expr": "-(u1**2 + u2**2)"}},
          "ConvexityError"),
-        ("ma-solve",
-         {"boundary": "cosh(u1) + cosh(u2)", "n": 17, "solver": {"max_iter": 1}},
-         "ConvergenceError"),
+        # one Newton step does not converge (the solver is patched below)
+        ("ma-solve", {"boundary": "cosh(u1) + cosh(u2)", "n": 17}, "ConvergenceError"),
         ("gh", {"V": "os.system('true')"}, "InputError"),
         # grids too small for a stencil, for the trusted interior of a
         # residual, or for those of the coarse grid of a two-grid bound
@@ -412,7 +472,7 @@ def _square(n):
         *((command, {"potential": {"axes": 5, "expr": "u1"}}, "InputError")
           for command in ("legendre", "semiflat", "partial-legendre")),
         ("semiflat", {"potential": {**_square(17)["potential"], "c": "x"}}, "InputError"),
-        ("ma-solve", {"solver": {"tol": "x"}}, "InputError"),
+        ("ma-solve", {"solver": {"c": "x"}}, "InputError"),
         ("ma-solve", {"solver": 5}, "InputError"),
         ("family-scan", {"fiber_resolution": "x"}, "InputError"),
         # a potential without a grid axis
@@ -451,10 +511,18 @@ def _square(n):
         # every semiflat check is a two-grid check: the coarse grid of 5 or 6
         # nodes has no read region past 3 boundary nodes
         *(("semiflat", _square(n), "GridMismatchError") for n in (9, 10, 11, 12)),
+        # so are legendre's and gh's: a 5-node coarse grid is too small for
+        # the stencils, a 6-node one has no curvature read past 3 nodes
+        ("legendre", _square(10), "GridMismatchError"),
+        ("gh", {"n": 12}, "GridMismatchError"),
     ],
 )
-def test_rejected_input_exit_code_and_report(tmp_path, capsys, command, payload, error):
+def test_rejected_input_exit_code_and_report(tmp_path, capsys, monkeypatch, command, payload,
+                                             error):
     command, *flags = command.split()
+    if error == "ConvergenceError":
+        monkeypatch.setattr(slmoduli.cli, "solve_ma_dirichlet",
+                            functools.partial(hessian.solve_ma_dirichlet, max_iter=1))
     (tmp_path / "dir").mkdir()
     unreadable = tmp_path / "unreadable"
     unreadable.write_text("{")
@@ -482,16 +550,6 @@ def _strict_json(text):
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
     return json.loads(text, parse_constant=refuse)
-
-
-@pytest.mark.parametrize("command", ["cy-validate", "gh"])
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
-def test_tolerance_must_be_positive_and_finite(tmp_path, capsys, command, tol):
-    assert main([command, f"--tol={tol}", "--out", str(tmp_path)]) == 2
-    assert "Traceback" not in capsys.readouterr().err
-    report = _strict_json((tmp_path / "report.json").read_text())
-    assert report["error"]["type"] == "InputError"
-    assert "checks" not in report and "axioms" not in report
 
 
 @pytest.mark.parametrize(

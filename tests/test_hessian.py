@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from slmoduli.errors import ConvergenceError, ConvexityError, DomainError, InputError
 from slmoduli import fd, hessian
-from slmoduli.fd import (diff_matrix, hessian_field, interior, richardson_tolerance,
-                         two_grid_bound)
+from slmoduli.fd import diff_matrix, hessian_field, interior, two_grid_bound
 from slmoduli.hessian import (
     HessianPotential,
     eigenvalue_range,
@@ -21,7 +20,6 @@ from slmoduli.hessian import (
     hessian_det,
     hessian_det_field,
     hessian_metric,
-    interpolation_tolerance,
     involution_residual,
     legendre_transform,
     load_potential,
@@ -30,6 +28,8 @@ from slmoduli.hessian import (
     save_potential,
     solve_ma_dirichlet,
 )
+
+from legendre_bounds import interpolation_tolerance
 
 
 def _quadratic(axes, mat):
@@ -967,8 +967,8 @@ def test_load_potential_holds_no_object_per_node(tmp_path):
 
 
 def test_richardson_tolerance_scaling():
-    assert richardson_tolerance(16.0, 1e-12) == pytest.approx(1.0)
-    assert richardson_tolerance(0.0, 1e-12) == pytest.approx(1e-12)
-    assert richardson_tolerance(-16.0, 2.0) == 2.0
-    assert two_grid_bound(16.0, 1e-12) == 10.0 * richardson_tolerance(16.0, 1e-12)
+    # 10 x the coarse value over 2^4, never below 10 x the floor
+    assert two_grid_bound(16.0, 1e-12) == pytest.approx(10.0)
+    assert two_grid_bound(0.0, 1e-12) == pytest.approx(1e-11)
+    assert two_grid_bound(-16.0, 2.0) == 20.0
     assert two_grid_bound(0.0, 3e-9) == 3e-8

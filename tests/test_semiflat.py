@@ -7,7 +7,7 @@ import pytest
 
 from slmoduli import cli, semiflat
 from slmoduli.errors import InputError, MetricError
-from slmoduli.fd import EDGE, apply_diff, interior, richardson_tolerance, stencil_reach
+from slmoduli.fd import EDGE, apply_diff, interior, stencil_reach, two_grid_bound
 from slmoduli.hessian import HessianPotential, solve_ma_dirichlet
 from slmoduli.semiflat import (
     METRIC_ROWS,
@@ -15,6 +15,7 @@ from slmoduli.semiflat import (
     SemiflatManifold,
     build_semiflat,
     gh_metric,
+    gh_ricci_max,
     hessian_chart,
     holomorphic_norm_field,
     nijenhuis_residual,
@@ -94,7 +95,7 @@ def test_ricci_double_entry_agreement():
     def agreement(n):
         return ricci_agreement(build_semiflat(_quartic_potential(n)))
 
-    assert agreement(65) < 10.0 * richardson_tolerance(agreement(33), 1e-12)
+    assert agreement(65) < two_grid_bound(agreement(33), 1e-12)
 
 
 def test_ricci_agreement_1d_exponential():
@@ -415,7 +416,7 @@ def test_gh_ricci_max_is_bitwise_the_full_array_formula(shape):
     gh = gh_metric(2.0 + y1 + 0.3 * (y1 ** 2 - y2 ** 2), axes)
     spacings = [float(ax[1] - ax[0]) for ax in axes]
     ric = _ricci_full_arrays(gh.components(), spacings)
-    assert gh.ricci_max == float(np.max(np.abs(ric[interior(shape, EDGE + 1)])))
+    assert gh_ricci_max(gh) == float(np.max(np.abs(ric[interior(shape, EDGE + 1)])))
     assert np.array_equal(gh.components(3, 9), gh.components()[3:9])
 
 
@@ -450,7 +451,7 @@ def test_semiflat_oracle_job_holds_less_than_one_grid_sized_tensor(tmp_path):
     n, d = 257, 4
     config = {"potential": {"axes": [[-0.5, 0.5, n], [0.5, 1.5, n]],
                             "expr": "u1**2 / (2 * u2) + u2**3 / 6", "c": 1.0}}
-    peak = _traced_peak(cli.run_semiflat, config, 1e-8, tmp_path, True)
+    peak = _traced_peak(cli.run_semiflat, config, tmp_path, True)
     assert peak < 0.55 * n * n * d ** 2 * 8
 
 
@@ -498,7 +499,7 @@ def test_nijenhuis_vanishes_for_hessian_chart():
     coarse = nijenhuis_residual(
         hessian_chart(hess), [np.linspace(0.1, 1.1, 17)] * 2
     )
-    assert fine < 10.0 * richardson_tolerance(coarse, 1e-12)
+    assert fine < two_grid_bound(coarse, 1e-12)
 
 
 def test_nijenhuis_flags_nonintegrable_chart():
@@ -529,8 +530,27 @@ def test_gh_metric_ricci_flat():
     axes_c = [np.linspace(0, 1, 25)] * 2
     y1c, _ = np.meshgrid(*axes_c, indexing="ij")
     ghc = gh_metric(2.0 + y1c, axes_c)
-    assert gh.ricci_max < 10.0 * richardson_tolerance(ghc.ricci_max, 1e-12)
+    assert gh_ricci_max(gh) < two_grid_bound(gh_ricci_max(ghc), 1e-12)
     assert gh.harmonic_residual < 1e-8
+
+
+def test_gh_coarse_and_rough_metrics_rebuild_w_from_v():
+    # the coarse grid of gh's two-grid bound, and its roughened copy: W is
+    # rebuilt from V there, V is perturbed by the xi of semiflat.roughened,
+    # and neither is gated again
+    axes = [np.linspace(0, 1, 33)] * 2
+    y1, y2 = np.meshgrid(*axes, indexing="ij")
+    gh = gh_metric(2.0 + y1 + 0.3 * (y1 ** 2 - y2 ** 2), axes)
+    coarse = gh.coarsened()
+    reference = gh_metric(gh.potential_v[::2, ::2], [ax[::2] for ax in axes])
+    assert np.array_equal(coarse.conjugate_w, reference.conjugate_w)
+    assert coarse.harmonic_residual is None and coarse.harmonic_tol is None
+    rough = coarse.roughened()
+    potential = HessianPotential(coarse.axes, coarse.potential_v)
+    assert np.array_equal(rough.potential_v, semiflat.roughened(potential).values)
+    change = np.max(np.abs(rough.potential_v / coarse.potential_v - 1.0))
+    assert 0.0 < change <= 2 * np.finfo(float).eps  # eps, and the rounding of the ratio
+    assert 0.0 < gh_ricci_max(coarse, rough) < 1e-3 * gh_ricci_max(coarse)
 
 
 def test_gh_metric_harmonic_conjugate():
