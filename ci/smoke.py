@@ -1,8 +1,9 @@
-"""Console-script, memory-guard and thread checks of the slmoduli command line.
+"""Console-script, memory-guard, thread and import checks of the slmoduli command line.
 
     python ci/smoke.py console [--slmoduli CMD] [--tmp DIR]
     python ci/smoke.py memory [--n N] [--slmoduli CMD] [--tmp DIR]
     python ci/smoke.py threads [--n N] [--slmoduli CMD] [--tmp DIR]
+    python ci/smoke.py imports [--slmoduli CMD] [--tmp DIR]
 
 ``console`` checks the exit contract: a passing check exits 0 (cy-validate,
 semiflat on a three-variable Monge-Ampere quadratic, and legendre on the
@@ -21,7 +22,10 @@ exits with an unexpected code, prints a traceback, or peaks above
 ``LIMIT_MB`` of resident memory.  ``threads`` runs the five plane commands
 under 1 and 2 BLAS threads and fails unless every output but ``run.log`` is
 byte for byte the same (ma-solve is not yet thread-independent, so it is
-left out).  ``--slmoduli`` is the command
+left out).  ``imports`` runs cy-validate, family-scan and embed at toy size
+with ``PYTHONPROFILEIMPORTTIME=1`` and fails if a command exits non-zero or
+its import profile names a module of ``FIBER_UNLOADED``: the fiber commands
+never load the grid layer, nor numpy.random.  ``--slmoduli`` is the command
 that runs the CLI (default ``slmoduli``, the installed console script);
 ``--tmp`` holds the configs and outputs (default: a new temporary
 directory).  Exits 1 on the first failure.
@@ -40,6 +44,8 @@ from pathlib import Path
 LIMIT_MB = 60
 FIBER_N = 80
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+FIBER_UNLOADED = ("slmoduli.fd", "slmoduli.hessian", "slmoduli.semiflat", "numpy.random")
+IMPORT_TIME = "import time:"
 
 
 def _run(slmoduli, args, tmp, name, env=None):
@@ -53,7 +59,9 @@ def _run(slmoduli, args, tmp, name, env=None):
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
     stderr = err_path.read_text()
-    sys.stderr.write(stderr)
+    # an import-time profile is read by the caller, not echoed
+    sys.stderr.writelines(line for line in stderr.splitlines(keepends=True)
+                          if not line.startswith(IMPORT_TIME))
     return proc.returncode, stderr, usage.ru_maxrss / 1024
 
 
@@ -151,9 +159,29 @@ def threads(slmoduli, tmp, n):
     return None
 
 
+def imports(slmoduli, tmp):
+    toy = _config(tmp, "toy-grid", {"grid": {"n": 3}, "fiber_resolution": 8})
+    env = {**os.environ, "PYTHONPROFILEIMPORTTIME": "1"}
+    for args in (["cy-validate"], ["family-scan", "--config", toy], ["embed", "--config", toy]):
+        code, stderr, _ = _run(slmoduli, args, tmp, f"{args[0]}-imports", env)
+        if code != 0 or "Traceback" in stderr:
+            return f"slmoduli {args[0]} exited {code}, not 0 without a traceback"
+        # each profile line ends in "| <module name>"
+        names = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
+                 if line.startswith(IMPORT_TIME)}
+        if "slmoduli.cymodel" not in names:
+            return f"slmoduli {args[0]} printed no import profile naming slmoduli.cymodel"
+        loaded = [name for name in FIBER_UNLOADED if name in names]
+        if loaded:
+            return f"slmoduli {args[0]} loaded {', '.join(loaded)}"
+        print(f"slmoduli {args[0]}: {len(names)} modules imported, none of "
+              f"{', '.join(FIBER_UNLOADED)}")
+    return None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("check", choices=["console", "memory", "threads"])
+    parser.add_argument("check", choices=["console", "memory", "threads", "imports"])
     parser.add_argument("--slmoduli", default="slmoduli", help="command that runs the CLI")
     parser.add_argument("--tmp", default=None, help="directory for configs and outputs")
     parser.add_argument("--n", type=int, default=257,
@@ -165,6 +193,8 @@ def main(argv=None):
         slmoduli = shlex.split(args.slmoduli)
         if args.check == "console":
             failure = console(slmoduli, tmp)
+        elif args.check == "imports":
+            failure = imports(slmoduli, tmp)
         else:
             failure = {"memory": memory, "threads": threads}[args.check](slmoduli, tmp, args.n)
     if failure:

@@ -12,6 +12,12 @@ and message.  No option moves a bound: a check on smooth data is
 ``_two_grid_check``, any other reads a named constant (``IDENTITY_TOL``,
 ``SOLVER_TOL``, ``cymodel.AXIOM_TOL``).  Timestamps go to a sidecar
 ``run.log`` so that reports are byte-identical across reruns.
+
+Of the package, only ``errors`` is imported with this module.  Each runner
+imports what it calls from the defining module when it runs, so a command
+compiles only its own layer: ``cy-validate``, ``family-scan`` and ``embed``
+never load ``fd``, ``hessian`` or ``semiflat``.  A function replaced on its
+module is the one the runner calls.
 """
 
 import argparse
@@ -25,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .cymodel import resolve_model, validate_axioms
 from .errors import (
     ConvergenceError,
     ConvexityError,
@@ -35,36 +40,6 @@ from .errors import (
     GridMismatchError,
     InputError,
     MetricError,
-)
-from .family import (
-    embed_F,
-    family_from_shorthand,
-    lagrangian_residual,
-    load_family,
-    moduli_coordinates,
-    specialness_scan,
-)
-from .fd import EDGE, interior, two_grid_bound
-from .hessian import (
-    HessianPotential,
-    fenchel_residual,
-    involution_residual,
-    legendre_floor,
-    legendre_transform,
-    load_potential,
-    partial_legendre_2d,
-    save_potential,
-    solve_ma_dirichlet,
-)
-from .semiflat import (
-    build_semiflat,
-    gh_metric,
-    gh_ricci_max,
-    holomorphic_norm_field,
-    read_region,
-    ricci_agreement,
-    ricci_form_max,
-    roughened,
 )
 
 IDENTITY_TOL = 1e-8  # the bound of an exact identity (cymodel.AXIOM_TOL for the axioms)
@@ -176,6 +151,8 @@ def _config_value(what):
 
 
 def _resolve_family(spec):
+    from .family import family_from_shorthand, load_family
+
     if not isinstance(spec, str):
         raise InputError(f"a family is 'std:<n>', 'tilt:1:<k>' or a path, not {spec!r}")
     if spec.startswith(("std:", "tilt:")):
@@ -193,6 +170,8 @@ def _required(mapping, key, what):
 def _resolve_potential(spec):
     """A config's potential: a CSV path, or an object with ``axes``, ``expr``
     and an optional ``c``."""
+    from .hessian import HessianPotential, load_potential
+
     if isinstance(spec, str):
         return load_potential(spec)
     if not isinstance(spec, dict):
@@ -244,16 +223,22 @@ def _check(residual, tol):
 
 def _two_grid_check(fine, coarse, floor):
     """Bound ``fine`` by ``fd.two_grid_bound`` of ``coarse`` and ``floor``."""
+    from .fd import two_grid_bound
+
     return _check(fine, two_grid_bound(coarse, floor))
 
 
 def run_cy_validate(config, out, oracle):
+    from .cymodel import resolve_model, validate_axioms
+
     ref = config.get("model", "std:2")
     report = validate_axioms(resolve_model(ref))
     return {"model": str(ref), "axioms": report.to_dict()}
 
 
 def run_family_scan(config, out, oracle):
+    from .family import lagrangian_residual, specialness_scan
+
     fam, ref = _resolve_family(config.get("family", "std:2"))
     m = fam.moduli_dim
     axes = _moduli_axes(config, m, 5)
@@ -286,6 +271,8 @@ def run_family_scan(config, out, oracle):
 
 
 def run_embed(config, out, oracle):
+    from .family import embed_F, lagrangian_residual, moduli_coordinates
+
     fam, ref = _resolve_family(config.get("family", "std:2"))
     m = fam.moduli_dim
     chart = moduli_coordinates(fam, _moduli_axes(config, m, 9))
@@ -305,6 +292,8 @@ def run_embed(config, out, oracle):
 def _legendre_residuals(pot):
     """The dual of ``pot`` and its Fenchel and involution residuals; the back
     transform's box lies inside the image of the dual's gradient, in the u-box."""
+    from .hessian import fenchel_residual, involution_residual, legendre_transform
+
     dual = legendre_transform(pot).dual
     back = legendre_transform(dual).dual
     return dual, {"legendre_involution": involution_residual(pot, back),
@@ -313,6 +302,8 @@ def _legendre_residuals(pot):
 
 def run_legendre(config, out, oracle):
     """Both checks are ``_two_grid_check``, floored at ``legendre_floor``."""
+    from .hessian import legendre_floor, save_potential
+
     pot = _resolve_potential(_required(config, "potential", "the config"))
     dual, fine = _legendre_residuals(pot)
     save_potential(dual, Path(out) / "dual.csv")
@@ -324,6 +315,9 @@ def run_legendre(config, out, oracle):
 
 
 def run_ma_solve(config, out, oracle):
+    from .fd import EDGE, interior
+    from .hessian import save_potential, solve_ma_dirichlet
+
     axes = _plane_axes(config, 65)
     with _config_value("solver"):
         c = float(config.get("solver", {}).get("c", 1.0))
@@ -345,6 +339,8 @@ def run_ma_solve(config, out, oracle):
 
 
 def run_partial_legendre(config, out, oracle):
+    from .hessian import partial_legendre_2d
+
     pot = _resolve_potential(_required(config, "potential", "the config"))
     residual, floor = partial_legendre_2d(pot)
     coarse, _ = partial_legendre_2d(pot.coarsened())
@@ -355,6 +351,9 @@ def run_partial_legendre(config, out, oracle):
 def run_semiflat(config, out, oracle):
     """Every check is ``_two_grid_check``, floored at 2^k times the coarse
     residual's change on ``roughened`` data for k derivatives of phi."""
+    from .semiflat import (build_semiflat, holomorphic_norm_field, read_region,
+                           ricci_agreement, ricci_form_max, roughened)
+
     pot = _resolve_potential(_required(config, "potential", "the config"))
     residuals = {"prop5": (holomorphic_norm_field, 2), "ricci_flat": (ricci_form_max, 4)}
     if oracle:
@@ -375,6 +374,8 @@ def run_semiflat(config, out, oracle):
 
 def run_gh(config, out, oracle):
     """``ricci_flat`` is ``_two_grid_check``, floored as ``run_semiflat``'s are."""
+    from .semiflat import gh_metric, gh_ricci_max
+
     axes = _plane_axes(config, 33)
     mesh = np.meshgrid(*axes, indexing="ij")
     v = np.broadcast_to(_eval_expression(config.get("V", "2 + y1"), y1=mesh[0], y2=mesh[1]),

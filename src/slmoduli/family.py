@@ -254,17 +254,21 @@ def moduli_coordinates(fam, axes):
 
 
 def embed_F(chart):
-    """Tabulated embedding t -> (u(t), v(t)), u spot-checked injective on 32 node pairs."""
-    m = chart.moduli_dim
-    table = np.concatenate([chart.u, chart.v], axis=-1)
-    flat_u = chart.u.reshape(-1, m)
-    rng = np.random.default_rng(0)
-    k = len(flat_u)
-    for _ in range(32):
-        i, j = rng.integers(0, k, size=2)
-        if i != j and np.max(np.abs(flat_u[i] - flat_u[j])) < 1e-12:
-            raise DegeneracyError("u-chart fails injectivity spot check")
-    return table
+    """Tabulated embedding t -> (u(t), v(t)), refused unless u separates the nodes.
+
+    Two distinct nodes differ by a dt of length at least h, the smallest gap
+    between the nodes of an axis, so u = (t - t0) lambda^T moves by at least
+    sigma_min(lambda) h / sqrt(m) in the max norm; a bound below 1e-12 raises
+    DegeneracyError.  A chart of one node is injective.
+    """
+    gaps = [np.min(np.diff(np.sort(ax))) for ax in chart.axes if len(ax) > 1]
+    if gaps:
+        sigma_min = np.linalg.svd(chart.lam, compute_uv=False)[-1]
+        separation = sigma_min * min(gaps) / np.sqrt(chart.moduli_dim)
+        if not separation >= 1e-12:
+            raise DegeneracyError(f"u-chart does not separate the grid nodes: "
+                                  f"sigma_min(lambda) h / sqrt(m) = {separation:.3g}")
+    return np.concatenate([chart.u, chart.v], axis=-1)
 
 
 def specialness_scan(fam, axes, pm=None):

@@ -201,7 +201,7 @@ def test_legendre_rejects_a_shifted_dual(tmp_path, monkeypatch, n):
     # psi + 1e-9 moves the Fenchel gap and psi** by 1e-9 on both grids, so
     # neither residual falls with h; fixed bounds of 1e-8 and 10 times the
     # piecewise-linear interpolation error let both pass
-    real = slmoduli.cli.legendre_transform
+    real = hessian.legendre_transform
     duals = []
 
     def shifted(pot):
@@ -211,7 +211,7 @@ def test_legendre_rejects_a_shifted_dual(tmp_path, monkeypatch, n):
             duals.append(pair.dual)
         return pair
 
-    monkeypatch.setattr(slmoduli.cli, "legendre_transform", shifted)
+    monkeypatch.setattr(hessian, "legendre_transform", shifted)
     cfg = _write(tmp_path / "leg.json", _legendre_config(n, 0.1))
     assert main(["legendre", "--config", cfg, "--out", str(tmp_path)]) == 1
     checks = _report(tmp_path)["checks"]
@@ -261,7 +261,7 @@ def test_ma_solve_reads_prop3_from_the_solver(tmp_path, monkeypatch):
     # after the solve only the convexity gate walks the Hessian of phi; prop3
     # is the solver's last det - c, bitwise the determinant walk's residual
     fields = _count_calls(monkeypatch, hessian, "hessian_field")
-    solve = slmoduli.cli.solve_ma_dirichlet
+    solve = hessian.solve_ma_dirichlet
     during = []
 
     def solve_and_count(*args, **kwargs):
@@ -269,7 +269,7 @@ def test_ma_solve_reads_prop3_from_the_solver(tmp_path, monkeypatch):
         during.append(len(fields))
         return pot
 
-    monkeypatch.setattr(slmoduli.cli, "solve_ma_dirichlet", solve_and_count)
+    monkeypatch.setattr(hessian, "solve_ma_dirichlet", solve_and_count)
     cfg = _write(tmp_path / "ma.json", {"boundary": "cosh(u1) + cosh(u2)", "n": 65})
     assert main(["ma-solve", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len(fields) - during[0] == 1
@@ -515,13 +515,17 @@ def _square(n):
         # the stencils, a 6-node one has no curvature read past 3 nodes
         ("legendre", _square(10), "GridMismatchError"),
         ("gh", {"n": 12}, "GridMismatchError"),
+        # a moduli range of zero width: distinct nodes of the embedding coincide
+        ("embed", {"grid": {"n": 3, "ranges": [[0, 0], [0, 1]]}}, "DegeneracyError"),
+        ("embed", {"family": "std:3", "grid": {"n": 3, "ranges": [[0, 0], [0, 1], [0, 1]]}},
+         "DegeneracyError"),
     ],
 )
 def test_rejected_input_exit_code_and_report(tmp_path, capsys, monkeypatch, command, payload,
                                              error):
     command, *flags = command.split()
     if error == "ConvergenceError":
-        monkeypatch.setattr(slmoduli.cli, "solve_ma_dirichlet",
+        monkeypatch.setattr(hessian, "solve_ma_dirichlet",
                             functools.partial(hessian.solve_ma_dirichlet, max_iter=1))
     (tmp_path / "dir").mkdir()
     unreadable = tmp_path / "unreadable"
@@ -601,7 +605,7 @@ def test_missing_config_key_is_named(tmp_path, monkeypatch):
     def fault(pot):
         raise KeyError("fault")
 
-    monkeypatch.setattr(slmoduli.cli, "legendre_transform", fault)
+    monkeypatch.setattr(hessian, "legendre_transform", fault)
     cfg = _write(tmp_path / "cfg.json", _square(17))
     with pytest.raises(KeyError):
         main(["legendre", "--config", cfg, "--out", str(tmp_path)])
@@ -678,16 +682,22 @@ def test_expression_escape_exits_2(tmp_path, capsys):
     assert _report(tmp_path)["error"]["type"] == "InputError"
 
 
-# Runs in a fresh interpreter; prints one line "<stage> <exit code> <scipy loaded>"
-# per step, so the test sees which step, if any, pulls scipy in.
+# Runs in a fresh interpreter; prints one JSON line [stage, exit code, loaded]
+# per step, ``loaded`` being the modules of the package, scipy and numpy.random
+# in ``sys.modules`` after it, so a test sees which step, if any, pulls a
+# module in.
 _IMPORT_PROBE = textwrap.dedent("""
     import json, sys
     from pathlib import Path
 
     import slmoduli, slmoduli.cli
 
+    def loaded():
+        return sorted(name for name in sys.modules
+                      if name.startswith("slmoduli") or name in ("scipy", "numpy.random"))
+
     tmp = Path(sys.argv[1])
-    print("import", 0, "scipy" in sys.modules)
+    print(json.dumps(["import", 0, loaded()]))
     potential = {"axes": [[-1, 1, 17], [-1, 1, 17]], "expr": "(u1**2 + u2**2) / 2"}
     steps = [
         ("cy-validate", {}, []),
@@ -703,7 +713,7 @@ _IMPORT_PROBE = textwrap.dedent("""
         cfg = tmp / f"{command}.json"
         cfg.write_text(json.dumps(config))
         code = slmoduli.cli.main([command, "--config", str(cfg), "--out", str(tmp / command), *flags])
-        print(command, code, "scipy" in sys.modules)
+        print(json.dumps([command, code, loaded()]))
 """)
 
 
@@ -718,18 +728,70 @@ def _run_probe(code, tmp_path):
     return proc
 
 
-def test_no_command_loads_scipy(tmp_path):
-    proc = _run_probe(_IMPORT_PROBE, tmp_path)
+@pytest.fixture(scope="module")
+def import_stages(tmp_path_factory):
+    """Stage -> (exit code, set of loaded modules) of one ``_IMPORT_PROBE`` run."""
+    proc = _run_probe(_IMPORT_PROBE, tmp_path_factory.mktemp("imports"))
     stages = {}
     for line in proc.stdout.splitlines():
-        stage, code, loaded = line.split()
-        stages[stage] = (int(code), loaded == "True")
+        stage, code, loaded = json.loads(line)
+        stages[stage] = (code, set(loaded))
     assert list(stages) == ["import", "cy-validate", "family-scan", "embed", "semiflat",
                             "partial-legendre", "gh", "ma-solve", "legendre"]
-    for stage, (code, loaded) in stages.items():
+    return stages
+
+
+def test_no_command_loads_scipy(import_stages):
+    for stage, (code, loaded) in import_stages.items():
         assert code in (0, 1), stage
-        assert not loaded, f"scipy was loaded by {stage}"
-    assert stages["ma-solve"][0] == stages["legendre"][0] == 0
+        assert "scipy" not in loaded, f"scipy was loaded by {stage}"
+    assert import_stages["ma-solve"][0] == import_stages["legendre"][0] == 0
+
+
+GRID_LAYER = {"slmoduli.fd", "slmoduli.hessian", "slmoduli.semiflat"}
+
+
+def test_cli_import_loads_no_numerical_module(import_stages):
+    assert import_stages["import"][1] == {"slmoduli", "slmoduli.cli", "slmoduli.errors"}
+
+
+def test_fiber_commands_never_load_the_grid_layer(import_stages):
+    # cy-validate, family-scan and embed import their own layer when they
+    # run; embed's injectivity bound draws no random numbers
+    code, loaded = import_stages["embed"]
+    assert code == 0 and "slmoduli.family" in loaded
+    assert not loaded & (GRID_LAYER | {"numpy.random"})
+    assert GRID_LAYER <= import_stages["semiflat"][1]
+
+
+def test_grid_layer_loads_as_one_unit(tmp_path):
+    # semiflat binds fd's functions by name, so it is loaded with hessian:
+    # code that replaces an fd function at every binding finds its copies
+    probe = textwrap.dedent("""
+        import sys
+
+        import slmoduli.hessian
+
+        print("slmoduli.semiflat" in sys.modules)
+    """)
+    assert _run_probe(probe, tmp_path).stdout.split() == ["True"]
+
+
+def test_exports_read_through_to_their_defining_module(monkeypatch):
+    for name in slmoduli.__all__:
+        value = getattr(slmoduli, name)
+        assert value.__module__.startswith("slmoduli.") and name in dir(slmoduli)
+        assert getattr(sys.modules[value.__module__], name) is value
+    with pytest.raises(AttributeError):
+        slmoduli.no_such_export
+    # nothing is cached in the package: a function replaced on its module is
+    # the one the package hands out, and the original comes back after
+    assert not set(slmoduli.__all__) & set(vars(slmoduli))
+    original = hessian.legendre_transform
+    monkeypatch.setattr(hessian, "legendre_transform", len)
+    assert slmoduli.legendre_transform is len
+    monkeypatch.undo()
+    assert slmoduli.legendre_transform is original
 
 
 def test_ma_solve_does_not_load_numpy_ma(tmp_path):
@@ -774,7 +836,7 @@ def test_chart_and_curvature_commands_make_no_stacked_lapack_call(tmp_path, monk
 
 
 def test_ci_smoke_script_at_toy_sizes(tmp_path):
-    # the console-script, memory-guard and thread-check steps of the CI
+    # the console-script, memory-guard, thread-check and import steps of the CI
     # workflow, on this checkout's package through ``python -m slmoduli.cli``
     script = Path(__file__).resolve().parent.parent / "ci" / "smoke.py"
     src = str(Path(slmoduli.__file__).resolve().parent.parent)
@@ -782,7 +844,8 @@ def test_ci_smoke_script_at_toy_sizes(tmp_path):
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cli = f"{sys.executable} -m slmoduli.cli"
     stdout = {}
-    for check, extra in (("console", []), ("memory", ["--n", "33"]), ("threads", ["--n", "33"])):
+    for check, extra in (("console", []), ("memory", ["--n", "33"]), ("threads", ["--n", "33"]),
+                         ("imports", [])):
         proc = subprocess.run([sys.executable, str(script), check, "--slmoduli", cli,
                                "--tmp", str(tmp_path / check), *extra],
                               capture_output=True, text=True, env=env, timeout=300)
@@ -791,3 +854,4 @@ def test_ci_smoke_script_at_toy_sizes(tmp_path):
         stdout[check] = proc.stdout
     assert stdout["memory"].count("peak RSS") == 6
     assert stdout["threads"].count("identical at 1 and 2 BLAS threads") == 5
+    assert stdout["imports"].count("none of slmoduli.fd") == 3

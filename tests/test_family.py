@@ -262,6 +262,17 @@ def test_embedding_table_shape_and_injectivity():
     chart = moduli_coordinates(fam, axes)
     table = embed_F(chart)
     assert table.shape == (9, 9, 4)
+    assert np.array_equal(table, np.concatenate([chart.u, chart.v], axis=-1))
+    # the refusal bound, sigma_min(lambda) h / sqrt(m), holds on every pair
+    u = chart.u.reshape(-1, 2)
+    gaps = np.max(np.abs(u[:, None] - u[None]), axis=-1)
+    assert np.min(gaps[~np.eye(len(u), dtype=bool)]) >= 1 / 8 / np.sqrt(2)
+    # a zero-width range makes distinct nodes coincide, and so does a range
+    # narrower than 1e-12 up to roundoff; one node is a point
+    for axes in ([np.zeros(3), np.linspace(0.0, 1.0, 3)], [np.linspace(0.0, 1e-13, 2)] * 2):
+        with pytest.raises(DegeneracyError):
+            embed_F(moduli_coordinates(fam, axes))
+    assert embed_F(moduli_coordinates(fam, [np.zeros(1)] * 2)).shape == (1, 1, 4)
 
 
 def test_specialness_scan_constant_volumes():
