@@ -16,7 +16,9 @@ an error line and no traceback.  ``memory``
 runs gh, semiflat --oracle (on the paper's exact solution of det Hess = 1,
 so it must pass), partial-legendre and legendre on N x N grids (default
 257), then partial-legendre on the dual.csv that legendre wrote, so
-the potential CSV reader runs at that size too, and family-scan of std:3
+the potential CSV reader runs at that size too, ma-solve at N x N with the
+exact solution u1^2/(2 u2) + u2^3/6 on [-1/2, 1/2] x [1/2, 3/2] as its
+boundary data, and family-scan of std:3
 with its McLean check on a ``FIBER_N``^3 fiber grid; it fails when a command
 exits with an unexpected code, prints a traceback, or peaks above
 ``LIMIT_MB`` of resident memory.  ``threads`` runs the five plane commands
@@ -123,8 +125,13 @@ def _guard_runs(tmp, n, dual):
 
 def memory(slmoduli, tmp, n):
     scan = _config(tmp, f"scan{FIBER_N}", {"family": "std:3", "fiber_resolution": FIBER_N})
+    # ma-solve is not thread-independent yet, so it is guarded here and not
+    # in _guard_runs, which the thread check shares
+    solve = _config(tmp, f"ma{n}", {"boundary": "u1**2 / (2 * u2) + u2**3 / 6", "n": n,
+                                    "domain": [[-0.5, 0.5], [0.5, 1.5]]})
     runs = [(name, args, codes, f"{n}^2", f"{name}{n}")
             for name, args, codes in _guard_runs(tmp, n, tmp / f"legendre{n}" / "dual.csv")]
+    runs.append(("ma-solve", ["ma-solve", "--config", solve], {0}, f"{n}^2", f"ma{n}"))
     runs.append(("family-scan", ["family-scan", "--config", scan], {0}, f"{FIBER_N}^3",
                  f"scan{FIBER_N}"))
     for name, args, codes, size, out in runs:

@@ -25,6 +25,7 @@ import ast
 import contextlib
 import datetime
 import json
+import math
 import operator
 import sys
 from pathlib import Path
@@ -176,9 +177,8 @@ def _resolve_potential(spec):
         return load_potential(spec)
     if not isinstance(spec, dict):
         raise InputError(f"a potential is a path or an object with axes and expr, not {spec!r}")
+    axes = _grid_axes(_required(spec, "axes", "the potential"), "potential.axes")
     with _config_value("potential"):
-        axes = [np.linspace(lo, hi, int(n))
-                for lo, hi, n in _required(spec, "axes", "the potential")]
         c = None if spec.get("c") is None else float(spec["c"])
     mesh = np.meshgrid(*axes, indexing="ij")
     names = {f"u{i + 1}": mesh[i] for i in range(len(mesh))}
@@ -187,14 +187,57 @@ def _resolve_potential(spec):
     return HessianPotential(axes, np.broadcast_to(values, shape).copy(), c)
 
 
+def _grid_axes(ranges, key, n=None, n_key=None):
+    """The axes ``np.linspace(lo, hi, n)`` of the config entry ``key``: a list
+    of ranges [lo, hi, n], or of ranges [lo, hi] when the node count ``n`` is
+    given (read from ``n_key``).
+
+    The one reader of every grid in a config.  Endpoints must be finite real
+    numbers and node counts integers of at least 1; a boolean, a string, a
+    list or a fraction in their place raises ``InputError`` naming the key.
+    """
+    shared = n is not None
+    if shared and not _is_count(n):
+        raise InputError(f"{n_key} must be an integer of at least 1, got {n!r}")
+    if not isinstance(ranges, list):
+        raise InputError(f"{key} must be a list of ranges, got {ranges!r}")
+    form = "[lo, hi]" if shared else "[lo, hi, n]"
+    axes = []
+    for entry in ranges:
+        if not isinstance(entry, list) or len(entry) != (2 if shared else 3):
+            raise InputError(f"each range of {key} is {form}, got {entry!r}")
+        lo, hi, count = (*entry, n) if shared else entry
+        if not (_is_real(lo) and _is_real(hi)):
+            raise InputError(f"the endpoints of {key} must be finite real numbers, got {entry!r}")
+        if not _is_count(count):
+            raise InputError(f"the node counts of {key} must be integers of at least 1, "
+                             f"got {entry!r}")
+        axes.append(np.linspace(lo, hi, count))
+    return axes
+
+
+def _is_real(value):
+    """A finite int or float; a JSON boolean parses as a Python bool, an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the largest float
+        return False
+
+
+def _is_count(value):
+    """An int of at least 1, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _moduli_axes(config, m, n):
     """The t-grid of family-scan and embed: ``grid.n`` (default ``n``) nodes per range."""
-    with _config_value("grid"):
-        grid = config.get("grid", {})
-        n = int(grid.get("n", n))
-        if n < 1:
-            raise InputError(f"grid.n must be at least 1, got {n}")
-        axes = [np.linspace(lo, hi, n) for lo, hi in grid.get("ranges", [[0.0, 1.0]] * m)]
+    grid = config.get("grid", {})
+    if not isinstance(grid, dict):
+        raise InputError(f"grid must be an object, got {grid!r}")
+    axes = _grid_axes(grid.get("ranges", [[0.0, 1.0]] * m), "grid.ranges",
+                      grid.get("n", n), "grid.n")
     if len(axes) != m:
         raise InputError(f"grid has {len(axes)} ranges for {m} moduli")
     return axes
@@ -203,11 +246,10 @@ def _moduli_axes(config, m, n):
 def _plane_axes(config, n):
     """The plane grid of gh and ma-solve: config ``n`` (default ``n``) nodes per
     side on each ``domain`` range [lo, hi], lo < hi."""
-    with _config_value("n or domain"):
-        n = int(config.get("n", n))
-        if n < 2:
-            raise InputError(f"n must be at least 2 for a grid spacing, got {n}")
-        axes = [np.linspace(lo, hi, n) for lo, hi in config.get("domain", [[0.0, 1.0]] * 2)]
+    n = config.get("n", n)
+    if _is_count(n) and n < 2:
+        raise InputError(f"n must be at least 2 for a grid spacing, got {n}")
+    axes = _grid_axes(config.get("domain", [[0.0, 1.0]] * 2), "domain", n, "n")
     if len(axes) != 2:
         raise InputError(f"domain has {len(axes)} ranges, not 2")
     for ax in axes:
@@ -335,7 +377,7 @@ def run_ma_solve(config, out, oracle):
     residual = inner[interior(inner.shape, EDGE - 1)]
     checks = {"prop3": _check(np.max(np.abs(residual)), SOLVER_TOL)}
     return {"iterations": pot.info["iterations"], "residual_history": pot.info["residuals"],
-            "checks": checks}
+            "krylov_iterations": pot.info["krylov_iterations"], "checks": checks}
 
 
 def run_partial_legendre(config, out, oracle):

@@ -35,7 +35,7 @@ from .errors import GridMismatchError
 
 ORDER = 4  # accuracy order of every stencil
 RESAMPLE_COLUMNS = 32  # columns per block of quintic_resample with per-column nodes
-POINT_BLOCK = 2048  # points per block of TensorQuintic evaluation
+POINT_BLOCK = 1024  # points per block of TensorQuintic evaluation
 # nodes per side whose stencils are one-sided; a residual that nests
 # derivative passes is trusted one node further in (EDGE + 1)
 EDGE = ORDER // 2

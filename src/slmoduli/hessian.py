@@ -449,23 +449,33 @@ def partial_legendre_2d(pot):
     return float(max(np.max(core), -np.min(core))), floor
 
 
-# GMRES restart length and number of restart cycles.  With the sine-transform
-# preconditioner a linear solve takes 9 to 34 iterations on cosh data at 33 to
-# 257 nodes per axis.  The first Newton step for the exact solution
-# u1^2/(2 u2) + u2^3/6, whose cofactors vary across the box, takes 38 / 70 /
-# 115 iterations at 65 / 129 / 257 nodes per axis.
-_GMRES_RESTART = 40
-_GMRES_CYCLES = 5
+# GMRES restart length and number of restart cycles: a cycle holds at most
+# _GMRES_RESTART + 1 Krylov vectors, and a linear solve takes at most 200
+# iterations.  With the sine-transform preconditioner and the forcing term of
+# ``solve_ma_dirichlet`` a Newton step takes 4 to 16 Jacobian products (its
+# iterations plus one true residual per cycle) on cosh data at 33 to 257
+# nodes per axis, the last step the most.  For the exact solution
+# u1^2/(2 u2) + u2^3/6, whose cofactors vary across the box, a step takes 6
+# to 26; its first step takes 7 / 8 / 8 at 65 / 129 / 257 nodes per axis.
+_GMRES_RESTART = 10
+_GMRES_CYCLES = 20
+# the forcing term eta_k = _FORCING min(_FORCING_CAP, ||F_k||_inf) of
+# ``solve_ma_dirichlet``
+_FORCING = 0.1
+_FORCING_CAP = 0.1
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Operator:
-    """A linear map of flat vectors of ``shape[1]`` entries, applied by ``A @ x``."""
+    """A linear map of flat vectors of ``shape[1]`` entries, applied by ``A @ x``;
+    ``applications`` counts the products taken."""
 
     shape: tuple
     matvec: object
+    applications: int = 0
 
     def __matmul__(self, x):
+        self.applications += 1
         return self.matvec(x)
 
 
@@ -476,12 +486,14 @@ def spsolve(A, b, precond, rtol):
     ``precond`` a callable applying an approximate inverse of it.  GMRES
     (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) builds each Krylov
     basis by modified Gram-Schmidt and reduces the Hessenberg matrix by
-    Givens rotations; it holds only the basis vectors it has built, not
-    room for a whole cycle.  With right preconditioning its least-squares
-    residual is, in exact arithmetic, the true one, so a cycle ends once that
-    reaches rtol ||b||_2; the true residual is then recomputed.  Returns x with
-    ||b - A x||_2 <= rtol ||b||_2, or raises ``ConvergenceError`` after
-    ``_GMRES_CYCLES`` cycles of ``_GMRES_RESTART`` iterations.
+    Givens rotations; it holds only the basis vectors it has built, at most
+    ``_GMRES_RESTART + 1``, and drops them before the update of x and the
+    true residual, so neither is taken beside a full basis.  With right
+    preconditioning its least-squares residual is, in exact arithmetic, the
+    true one, so a cycle ends once that reaches rtol ||b||_2; the true
+    residual is then recomputed.  Returns x with ||b - A x||_2 <= rtol ||b||_2,
+    or raises ``ConvergenceError`` after ``_GMRES_CYCLES`` cycles of
+    ``_GMRES_RESTART`` iterations.
 
     The name is kept for the benchmark tracer, which counts the calls of
     ``hessian.spsolve`` as linear solves and reads ``A.shape[0]`` as the
@@ -506,7 +518,8 @@ def spsolve(A, b, precond, rtol):
                 w -= upper[i, k] * basis[i]
             below = np.linalg.norm(w)
             if below > 0.0:
-                basis.append(w / below)
+                w /= below
+                basis.append(w)
             for i in range(k):
                 upper[i, k], upper[i + 1, k] = (cos[i] * upper[i, k] + sin[i] * upper[i + 1, k],
                                                 cos[i] * upper[i + 1, k] - sin[i] * upper[i, k])
@@ -522,7 +535,8 @@ def spsolve(A, b, precond, rtol):
         update = y[0] * basis[0]
         for i in range(1, k + 1):
             update += y[i] * basis[i]
-        x = x + precond(update)
+        del basis, w
+        x += precond(update)
         r = b - A @ x
         rnorm = np.linalg.norm(r)
     if rnorm <= target:
@@ -607,22 +621,29 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50):
     stencils of ``fd``.  The Jacobian is the cofactor operator
     k11 d11 + k22 d22 - 2 k12 d12; it is never assembled, but applied to the
     interior array X as the 1D products D2x X, X D2y^T and D1x X D1y^T of the
-    interior rows and columns of ``fd.diff_matrix``, with Hessian eigenvalues
-    clamped from below at 1e-6 so that it stays elliptic away from convexity.
-    Each Newton step solves it by GMRES (``spsolve``) to the forcing term
-    eta_k = 1e-3 min(1e-4, ||F_k||_inf) (Eisenstat & Walker), which keeps the
-    convergence quadratic.  The preconditioner is the separable operator
-    k11 D2 (x) I + k22 I (x) D2 with the 3-point second difference D2 and the
-    median clamped cofactors, inverted by sine transforms
-    (``_separable_inverse``).  The initial guess solves the 3-point Poisson
-    problem Laplace(phi) = 2 sqrt(c) exactly by the same inverse with unit
-    coefficients, so ``spsolve`` runs once per Newton step.  The line search
-    halves alpha from 1 until the max-norm residual falls.  Nothing is
-    factorised.  Input that fails the checks of a ``HessianPotential`` (axes,
-    boundary values, c) raises ``InputError`` before the solve.
+    interior rows and columns of ``fd.diff_matrix``, scaled and summed in
+    place in those three buffers, with Hessian eigenvalues clamped from
+    below at 1e-6 so that it stays elliptic away from convexity.  Each Newton
+    step solves it by GMRES restarted every ``_GMRES_RESTART`` iterations
+    (``spsolve``) to the forcing term eta_k = _FORCING min(_FORCING_CAP,
+    ||F_k||_inf), a relative linear residual proportional to the nonlinear
+    one, which keeps the convergence quadratic (Eisenstat & Walker, SIAM J.
+    Sci. Comput. 17, 1996) without oversolving the early steps.  The
+    preconditioner is the separable operator k11 D2 (x) I + k22 I (x) D2 with
+    the 3-point second difference D2 and the median clamped cofactors,
+    inverted by sine transforms (``_separable_inverse``; axes of equal length
+    and spacing share one sine matrix).  The initial guess solves the 3-point
+    Poisson problem Laplace(phi) = 2 sqrt(c) exactly by the same inverse with
+    unit coefficients, so ``spsolve`` runs once per Newton step.  The line
+    search halves alpha from 1 until the max-norm residual falls.  Nothing is
+    factorised, and no correction outlives the Newton step that made it.  Input
+    that fails the checks of a ``HessianPotential`` (axes, boundary values,
+    c) raises ``InputError`` before the solve.
 
-    ``info`` holds the Newton ``iterations``, the max-norm ``residuals`` and
-    the result's ``interior_residual`` det(Hess phi) - c inside the ring.
+    ``info`` holds the Newton ``iterations``, the max-norm ``residuals``, the
+    ``krylov_iterations`` of each Newton step (its Jacobian products: one per
+    Krylov vector built and one true residual per restart cycle) and the
+    result's ``interior_residual`` det(Hess phi) - c inside the ring.
     """
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     if len(axes) != 2:
@@ -641,11 +662,8 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50):
     # views of the interior rows and columns: a correction vanishes on the
     # Dirichlet ring
     d1x_r, d2x_r, d1y_r, d2y_r = (d[interior] for d in (d1x, d2x, d1y, d2y))
-    sines = [_sine_basis(m, h) for m, h in zip(inner_shape, spacings)]
-
-    def second_derivatives(x):
-        grid = x.reshape(inner_shape)
-        return d2x_r @ grid, grid @ d2y_r.T, d1x_r @ grid @ d1y_r.T
+    bases = {key: _sine_basis(*key) for key in set(zip(inner_shape, spacings))}
+    sines = [bases[key] for key in zip(inner_shape, spacings)]
 
     # initial guess: the 3-point Poisson problem Laplace(phi) = 2 sqrt(c) with
     # the given Dirichlet data, which matches the boundary without kinks
@@ -654,6 +672,7 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50):
             + (phi[1:-1, :-2] + phi[1:-1, 2:]) / spacings[1] ** 2)
     phi[interior] = _separable_inverse(sines, 1.0, 1.0)(
         (2.0 * np.sqrt(c) - ring).ravel()).reshape(inner_shape)
+    del ring
 
     def residual_of(p):
         """The residual and the clamped cofactors on the interior nodes; the
@@ -663,31 +682,48 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50):
 
     def solved(iterations):
         return HessianPotential(axes, phi, c, info={
-            "iterations": iterations, "residuals": history, "interior_residual": res})
+            "iterations": iterations, "residuals": history, "krylov_iterations": krylov,
+            "interior_residual": res})
 
     res, cofactors = residual_of(phi)
     history = [float(np.max(np.abs(res)))]
+    krylov = []
     for iteration in range(max_iter):
         if history[-1] < tol:
             return solved(iteration)
         k11, k22, k12 = cofactors
 
-        def jacobian(x, k11=k11, k22=k22, k12=k12):
-            dxx, dyy, dxy = second_derivatives(x)
-            return (k11 * dxx + k22 * dyy - 2.0 * k12 * dxy).ravel()
+        def apply_jacobian(x, k11=k11, k22=k22, k12=k12):
+            # k11 dxx + k22 dyy - (2 k12) dxy, bitwise, in the three buffers
+            grid = x.reshape(inner_shape)
+            dxy = d1x_r @ grid @ d1y_r.T
+            dxy *= 2.0 * k12
+            dxx = d2x_r @ grid
+            dxx *= k11
+            dyy = grid @ d2y_r.T
+            dyy *= k22
+            dxx += dyy
+            dxx -= dxy
+            return dxx.ravel()
 
         precond = _separable_inverse(sines, _median(k11), _median(k22))
-        eta = 1e-3 * min(1e-4, history[-1])
+        eta = _FORCING * min(_FORCING_CAP, history[-1])
+        jacobian = _Operator((unknowns, unknowns), apply_jacobian)
+        # -F in place: res is not read again before the line search replaces it
+        np.negative(res, out=res)
         try:
-            step = spsolve(_Operator((unknowns, unknowns), jacobian), -res.ravel(), precond, eta)
+            step = spsolve(jacobian, res.ravel(), precond, eta)
         except ConvergenceError as exc:
             raise ConvergenceError(f"{exc} at residual {history[-1]:.3e}", history) from None
-        delta = np.zeros(shape)
-        delta[interior] = step.reshape(inner_shape)
+        krylov.append(jacobian.applications)
+        step = step.reshape(inner_shape)
         alpha = 1.0
         base = history[-1]
         while True:
-            trial = phi + alpha * delta
+            # phi + alpha * delta for the correction delta that vanishes on
+            # the ring, with no grid-sized delta
+            trial = phi.copy()
+            trial[interior] += alpha * step
             trial_res, trial_cofactors = residual_of(trial)
             norm = float(np.max(np.abs(trial_res)))
             if norm < base:
@@ -698,6 +734,7 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50):
                 )
             alpha *= 0.5
         phi, res, cofactors = trial, trial_res, trial_cofactors
+        del step
         history.append(norm)
         if len(history) > 5 and norm > 0.999 * history[-5]:
             raise ConvergenceError(

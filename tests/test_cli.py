@@ -222,9 +222,14 @@ def test_ma_solve_and_partial_legendre(tmp_path):
     cfg = _write(
         tmp_path / "ma.json", {"boundary": "cosh(u1) + cosh(u2)", "n": 65}
     )
+    assert main(["ma-solve", "--config", cfg, "--out", str(tmp_path / "again")]) == 0
     assert main(["ma-solve", "--config", cfg, "--out", str(tmp_path)]) == 0
     report = _report(tmp_path)
     assert report["iterations"] <= 15
+    # one GMRES count per Newton step, and reruns write the same report
+    assert len(report["krylov_iterations"]) == report["iterations"]
+    assert all(isinstance(count, int) and count > 0 for count in report["krylov_iterations"])
+    assert (tmp_path / "report.json").read_bytes() == (tmp_path / "again" / "report.json").read_bytes()
     cfg2 = _write(
         tmp_path / "pl.json", {"potential": str(tmp_path / "solution.csv")}
     )
@@ -611,6 +616,36 @@ def test_missing_config_key_is_named(tmp_path, monkeypatch):
         main(["legendre", "--config", cfg, "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize("command, payload, key", [
+    # an endpoint given as a list made a 2-D "axis": a traceback (exit 1) for
+    # the first two, a meaningless grid (exit 0) for the third; a fractional
+    # node count was truncated (exit 0)
+    ("legendre", {"potential": {"axes": [[0, 1, 9], [[], 1, 9]], "expr": "u1**2 + u2**2"}},
+     "potential.axes"),
+    ("gh", {"n": 9, "domain": [[[0, 1], 1], [0, 1]]}, "domain"),
+    ("family-scan", {"family": "std:2", "grid": {"n": 3, "ranges": [[[0, 0.5], 1], [0, 1]]}},
+     "grid.ranges"),
+    ("ma-solve", {"n": 13.9}, "n"),
+    # the same reader behind every grid key
+    ("semiflat", {"potential": {"axes": [[0, 1, 9], [0, 1, 9.0]], "expr": "u1**2 + u2**2"}},
+     "potential.axes"),
+    ("partial-legendre", {"potential": {"axes": [[0, True, 9], [0, 1, 9]], "expr": "u1"}},
+     "potential.axes"),
+    ("embed", {"family": "std:2", "grid": {"n": True}}, "grid.n"),
+    ("family-scan", {"family": "std:2", "grid": {"n": "3"}}, "grid.n"),
+    ("ma-solve", {"n": 17, "domain": [[0, "1"], [0, 1]]}, "domain"),
+    ("gh", {"n": 17, "domain": [[0, 1, 2], [0, 1]]}, "domain"),
+    ("ma-solve", {"n": 17, "domain": [[0, 10 ** 400], [0, 1]]}, "domain"),
+])
+def test_grid_values_of_the_wrong_kind_name_their_key(tmp_path, capsys, command, payload, key):
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    error = _report(tmp_path)["error"]
+    assert error["type"] == "InputError"
+    assert key in error["message"].split()
+
+
 def test_number_in_place_of_a_path_is_refused(tmp_path):
     # open() would take the number for a file descriptor of the running
     # process, read it and close it
@@ -852,6 +887,6 @@ def test_ci_smoke_script_at_toy_sizes(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         stdout[check] = proc.stdout
-    assert stdout["memory"].count("peak RSS") == 6
+    assert stdout["memory"].count("peak RSS") == 7
     assert stdout["threads"].count("identical at 1 and 2 BLAS threads") == 5
     assert stdout["imports"].count("none of slmoduli.fd") == 3

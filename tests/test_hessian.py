@@ -1,6 +1,7 @@
 """Hessian potentials: metric, Legendre duality, partial reduction, solver."""
 
 import dataclasses
+import sys
 import tracemalloc
 import warnings
 
@@ -277,10 +278,11 @@ def test_legendre_polish_chunks_keep_the_bits(monkeypatch):
 
 
 def test_legendre_polish_stops_when_its_steps_contract(monkeypatch):
-    # 129^2 nodes are 9 chunks of 2048; the polish converges in three sweeps,
-    # so at most 27 jets per transform.  A stop at 1e-14 alone kept the nodes
-    # whose spline gradient is not exact to 1e-14 chattering through all 40
-    # sweeps: 66 jets forward and 65 back
+    # 129^2 nodes are 17 chunks of fd.POINT_BLOCK = 1024 (9 of 2048); the
+    # polish converges in three sweeps, so at most 3 jets per chunk and
+    # transform.  A stop at 1e-14 alone kept the nodes whose spline gradient
+    # is not exact to 1e-14 chattering through all 40 sweeps: 66 jets forward
+    # and 65 back in chunks of 2048
     n = 129
     axes = [np.linspace(-1, 1, n)] * 2
     pot = HessianPotential.from_function(axes, lambda a, b: (a ** 2 + b ** 2) / 2
@@ -290,7 +292,8 @@ def test_legendre_polish_stops_when_its_steps_contract(monkeypatch):
     pair = legendre_transform(pot)
     forward = len(jets)
     back = legendre_transform(pair.dual)
-    assert forward <= 27 and len(jets) - forward <= 27
+    sweeps = 3 * -(-n * n // fd.POINT_BLOCK)
+    assert forward <= sweeps and len(jets) - forward <= sweeps
     assert fenchel_residual(pot, pair.dual) < 1e-14
     assert involution_residual(pot, back.dual) < 10.0 * interpolation_tolerance(pot)
 
@@ -610,19 +613,74 @@ def test_chart_jobs_hold_no_per_point_spline_work_or_unbuilt_krylov_vectors():
     # evaluated on all points at once, the tensor quintic holds about 80
     # doubles per point (the polish peaks near 105 N doubles at 129^2, the
     # Fenchel residual near 68); a polish step on all active nodes at once
-    # held their value, gradient and Hessian (near 50 N); a GMRES basis with
-    # room for a whole cycle holds 41 N doubles (the solver peaked near 95 N,
-    # and near 50 N while it also held the grid Hessian and a meshgrid)
+    # held their value, gradient and Hessian (near 50 N); in blocks of
+    # fd.POINT_BLOCK = 1024 points they peak near 17.5 and 15.8 N (24.7 and
+    # 21.9 N in blocks of 2048).  A GMRES basis with room for a whole cycle
+    # holds 41 N doubles (the solver peaked near 95 N, and near 50 N while
+    # it also held the grid Hessian and a meshgrid); with a 10-vector
+    # restart, the residual-proportional forcing term, the Jacobian summed
+    # in place and no grid-sized step kept across Newton steps it peaks near
+    # 22.4 N (38 N with a 40-vector restart and every early step solved to
+    # 1e-7)
     n = 129
     axes = [np.linspace(-1, 1, n)] * 2
     pot = HessianPotential.from_function(axes, lambda a, b: (a ** 2 + b ** 2) / 2
                                          + 0.1 * np.cosh(a))
     dual = legendre_transform(pot).dual
     # a fresh potential each call, so the traced call takes its own Hessian
-    assert _traced_peak(lambda p: legendre_transform(dataclasses.replace(p)), pot) < 32 * n * n * 8
-    assert _traced_peak(fenchel_residual, pot, dual) < 36 * n * n * 8
+    assert _traced_peak(lambda p: legendre_transform(dataclasses.replace(p)), pot) < 20 * n * n * 8
+    assert _traced_peak(fenchel_residual, pot, dual) < 18 * n * n * 8
     assert _traced_peak(solve_ma_dirichlet, axes,
-                        lambda a, b: np.cosh(a) + np.cosh(b)) < 52 * n * n * 8
+                        lambda a, b: np.cosh(a) + np.cosh(b)) < 24 * n * n * 8
+
+
+def test_krylov_basis_never_exceeds_one_restart_cycle(monkeypatch):
+    # the Krylov list of each cycle, read off spsolve's frame whenever it
+    # applies the preconditioner; the exact-solution data need more than one
+    # cycle in some Newton step, so a full cycle is seen
+    real = hessian.spsolve
+    bases = {}
+
+    def spsolve(A, b, precond, rtol):
+        def watched(r):
+            basis = sys._getframe(1).f_locals.get("basis")
+            if basis is not None:
+                bases[id(basis)] = basis
+            return precond(r)
+
+        return real(A, b, watched, rtol)
+
+    monkeypatch.setattr(hessian, "spsolve", spsolve)
+    axes = [np.linspace(-0.5, 0.5, 65), np.linspace(0.5, 1.5, 65)]
+    pot = solve_ma_dirichlet(axes, lambda a, b: a ** 2 / (2 * b) + b ** 3 / 6, c=1.0)
+    assert max(pot.info["krylov_iterations"]) > hessian._GMRES_RESTART + 1
+    assert max(len(basis) for basis in bases.values()) == hessian._GMRES_RESTART + 1
+
+
+@pytest.mark.parametrize("data", ["cosh", "exact"])
+def test_forcing_term_keeps_the_newton_steps_and_the_solution(monkeypatch, data):
+    # the residual-proportional forcing term against linear solves to rtol
+    # 1e-12: the same Newton count, and the same solution to 1e-12
+    n = 65
+    if data == "cosh":
+        axes = [np.linspace(0.0, 1.0, n)] * 2
+
+        def boundary(a, b):
+            return np.cosh(a) + np.cosh(b)
+    else:
+        axes = [np.linspace(-0.5, 0.5, n), np.linspace(0.5, 1.5, n)]
+
+        def boundary(a, b):
+            return a ** 2 / (2 * b) + b ** 3 / 6
+    pot = solve_ma_dirichlet(axes, boundary, c=1.0)
+    real = hessian.spsolve
+    monkeypatch.setattr(hessian, "spsolve",
+                        lambda A, b, precond, rtol: real(A, b, precond, 1e-12))
+    tight = solve_ma_dirichlet(axes, boundary, c=1.0)
+    assert pot.info["iterations"] == tight.info["iterations"]
+    assert np.max(np.abs(pot.values - tight.values)) <= 1e-12
+    # the loose solves take fewer Jacobian products
+    assert sum(pot.info["krylov_iterations"]) < sum(tight.info["krylov_iterations"])
 
 
 def test_partial_legendre_rejects_slopes_that_fall():
@@ -685,7 +743,9 @@ def test_solver_info_is_a_dataclass_field():
     axes = [np.linspace(0.0, 1.0, 17)] * 2
     pot = solve_ma_dirichlet(axes, lambda a, b: 0.5 * (a ** 2 + b ** 2), c=1.0)
     assert "info" in {f.name for f in dataclasses.fields(HessianPotential)}
-    assert set(pot.info) == {"iterations", "residuals", "interior_residual"}
+    assert set(pot.info) == {"iterations", "residuals", "krylov_iterations",
+                             "interior_residual"}
+    assert len(pot.info["krylov_iterations"]) == pot.info["iterations"]
     assert "info" not in repr(pot)
     assert HessianPotential(axes, pot.values).info is None
 
@@ -816,8 +876,9 @@ def test_gmres_matches_dense_solve(preconditioned):
 @pytest.mark.parametrize("data", ["cosh", "exact"])
 def test_solver_gmres_iterations_are_bounded(monkeypatch, n, data):
     # the sine-transform preconditioner leaves out the mixed cofactor and the
-    # variation of the cofactors; on these data a linear solve still takes
-    # at most 38 iterations, within one restart cycle
+    # variation of the cofactors; on these data a linear solve to the
+    # residual-proportional forcing term still takes at most 20 Jacobian
+    # products (39 when every early step was solved to rtol 1e-7)
     real = hessian.spsolve
     applications = []
 
