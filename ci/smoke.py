@@ -11,8 +11,8 @@ solution.csv of a 33 x 33 and of a 129 x 129 ma-solve with boundary
 cosh(u1) + cosh(u2) on [-1, 1]^2), and a grid too small for its stencils, a
 moduli grid with no nodes, a malformed model shorthand, a config that is not
 a JSON object, an expression that is not finite on its grid, a Monge-Ampere
-constant that is not positive or a domain range with no width exits 2 with
-an error line and no traceback.  ``memory``
+constant that is not positive, a domain range with no width or a fractional
+fiber resolution exits 2 with an error line and no traceback.  ``memory``
 runs gh, semiflat --oracle (on the paper's exact solution of det Hess = 1,
 so it must pass), partial-legendre and legendre on N x N grids (default
 257), then partial-legendre on the dual.csv that legendre wrote, so
@@ -94,7 +94,9 @@ def console(slmoduli, tmp):
                                 ("cy-validate", '{"model": "std:x"}', "cy-shorthand"),
                                 ("gh", '{"V": "sqrt(y1 - 0.5) + 2", "n": 17}', "gh-sqrt"),
                                 ("ma-solve", '{"n": 17, "solver": {"c": -1}}', "ma-negative-c"),
-                                ("gh", '{"n": 17, "domain": [[0, 0], [0, 1]]}', "gh-flat")]:
+                                ("gh", '{"n": 17, "domain": [[0, 0], [0, 1]]}', "gh-flat"),
+                                ("family-scan", '{"family": "std:2", "grid": {"n": 2}, '
+                                 '"fiber_resolution": 8.9}', "scan-fraction")]:
         code, stderr, _ = _run(slmoduli, [command, "--config", _config(tmp, name, text)],
                                tmp, name)
         if code != 2 or "Traceback" in stderr:

@@ -8,10 +8,10 @@ entry of ``checks`` (``axioms`` for cy-validate) passed, 1 if one failed
 (the report is still written), 2 for configuration or input errors, including
 input the mathematics rejects (a non-convex potential, a solver that cannot
 converge); then the report carries an ``error`` entry with the exception type
-and message.  No option moves a bound: a check on smooth data is
-``_two_grid_check``, any other reads a named constant (``IDENTITY_TOL``,
-``SOLVER_TOL``, ``cymodel.AXIOM_TOL``).  Timestamps go to a sidecar
-``run.log`` so that reports are byte-identical across reruns.
+and message.  No option moves a bound: a check on smooth data is a two-grid
+check of the table ``TWO_GRID``, any other reads a named constant
+(``IDENTITY_TOL``, ``SOLVER_TOL``, ``cymodel.AXIOM_TOL``).  Timestamps go to
+a sidecar ``run.log`` so that reports are byte-identical across reruns.
 
 Of the package, only ``errors`` is imported with this module.  Each runner
 imports what it calls from the defining module when it runs, so a command
@@ -22,7 +22,6 @@ module is the one the runner calls.
 
 import argparse
 import ast
-import contextlib
 import datetime
 import json
 import math
@@ -32,16 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    ConvexityError,
-    DegeneracyError,
-    DegreeError,
-    DomainError,
-    GridMismatchError,
-    InputError,
-    MetricError,
-)
+from .errors import (ConvergenceError, ConvexityError, DegeneracyError, DegreeError, DomainError,
+                     GridMismatchError, InputError, MetricError)
 
 IDENTITY_TOL = 1e-8  # the bound of an exact identity (cymodel.AXIOM_TOL for the axioms)
 SOLVER_TOL = 1e-6  # the bound of ma-solve's prop3, the solver's own last residual
@@ -49,29 +40,12 @@ SOLVER_TOL = 1e-6  # the bound of ma-solve's prop3, the solver's own last residu
 # Errors that mean "this input cannot be processed": exit 2, never a traceback.
 # The config, model, family and potential loaders turn every OSError of
 # reading their file into InputError.
-_INPUT_ERRORS = (
-    InputError,
-    ConvexityError,
-    ConvergenceError,
-    DegeneracyError,
-    DomainError,
-    MetricError,
-    GridMismatchError,
-    DegreeError,
-)
+_INPUT_ERRORS = (InputError, ConvexityError, ConvergenceError, DegeneracyError, DomainError,
+                 MetricError, GridMismatchError, DegreeError)
 
 # Everything a config expression may name besides its grid variables.
-_EXPR_NAMES = {
-    "pi": np.pi,
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "cosh": np.cosh,
-    "sinh": np.sinh,
-    "sqrt": np.sqrt,
-    "log": np.log,
-    "abs": np.abs,
-}
+_EXPR_NAMES = {"pi": np.pi, "sin": np.sin, "cos": np.cos, "exp": np.exp, "cosh": np.cosh,
+               "sinh": np.sinh, "sqrt": np.sqrt, "log": np.log, "abs": np.abs}
 
 
 def _power(base, exponent):
@@ -81,13 +55,8 @@ def _power(base, exponent):
     return base ** exponent
 
 
-_EXPR_OPERATORS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-    ast.Pow: _power,
-}
+_EXPR_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+                   ast.Div: operator.truediv, ast.Pow: _power}
 
 
 def _eval_expression(expr, **variables):
@@ -140,17 +109,6 @@ def _load_config(path):
     return config
 
 
-@contextlib.contextmanager
-def _config_value(what):
-    """Raise InputError for a malformed config value read in the block.
-
-    Only reads and conversions go inside, so faults of the computations show."""
-    try:
-        yield
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise InputError(f"malformed {what} in the config: {exc}") from exc
-
-
 def _resolve_family(spec):
     from .family import family_from_shorthand, load_family
 
@@ -178,8 +136,7 @@ def _resolve_potential(spec):
     if not isinstance(spec, dict):
         raise InputError(f"a potential is a path or an object with axes and expr, not {spec!r}")
     axes = _grid_axes(_required(spec, "axes", "the potential"), "potential.axes")
-    with _config_value("potential"):
-        c = None if spec.get("c") is None else float(spec["c"])
+    c = None if spec.get("c") is None else _real(spec["c"], "potential.c")
     mesh = np.meshgrid(*axes, indexing="ij")
     names = {f"u{i + 1}": mesh[i] for i in range(len(mesh))}
     values = _eval_expression(_required(spec, "expr", "the potential"), **names)
@@ -207,8 +164,7 @@ def _grid_axes(ranges, key, n=None, n_key=None):
         if not isinstance(entry, list) or len(entry) != (2 if shared else 3):
             raise InputError(f"each range of {key} is {form}, got {entry!r}")
         lo, hi, count = (*entry, n) if shared else entry
-        if not (_is_real(lo) and _is_real(hi)):
-            raise InputError(f"the endpoints of {key} must be finite real numbers, got {entry!r}")
+        lo, hi = (_real(end, f"each endpoint of {key}") for end in (lo, hi))
         if not _is_count(count):
             raise InputError(f"the node counts of {key} must be integers of at least 1, "
                              f"got {entry!r}")
@@ -216,14 +172,15 @@ def _grid_axes(ranges, key, n=None, n_key=None):
     return axes
 
 
-def _is_real(value):
-    """A finite int or float; a JSON boolean parses as a Python bool, an int."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
+def _real(value, key):
+    """``value`` as a float if it is a finite int or float (a JSON boolean
+    parses as a Python bool, an int), else ``InputError`` naming ``key``."""
     try:
-        return math.isfinite(value)
+        if not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value):
+            return float(value)
     except OverflowError:  # an int past the largest float
-        return False
+        pass
+    raise InputError(f"{key} must be a finite real number, got {value!r}")
 
 
 def _is_count(value):
@@ -263,11 +220,88 @@ def _check(residual, tol):
     return {"residual": residual, "tol": float(tol), "pass": bool(residual < tol)}
 
 
-def _two_grid_check(fine, coarse, floor):
-    """Bound ``fine`` by ``fd.two_grid_bound`` of ``coarse`` and ``floor``."""
+def legendre_two_grid(pot, keep=lambda dual: None):
+    """``legendre``: fenchel and legendre_involution, closed-form floor.  The
+    back transform's box lies inside the image of the dual's gradient."""
+    from .hessian import fenchel_residual, involution_residual, legendre_floor, legendre_transform
+
+    def residuals(primal):
+        dual = legendre_transform(primal).dual
+        back = legendre_transform(dual).dual
+        return dual, {"legendre_involution": involution_residual(primal, back),
+                      "fenchel": fenchel_residual(primal, dual)}
+
+    dual, fine = residuals(pot)
+    keep(dual)
+    floor = dict.fromkeys(fine, legendre_floor(pot, dual))
+    del dual  # not held through the coarse transforms
+    return fine, residuals(pot.coarsened())[1], floor
+
+
+def partial_legendre_two_grid(pot):
+    """``partial-legendre``: prop3, closed-form floor."""
+    from .hessian import partial_legendre_2d
+
+    (fine, floor), (coarse, _) = partial_legendre_2d(pot), partial_legendre_2d(pot.coarsened())
+    return {"prop3": fine}, {"prop3": coarse}, {"prop3": floor}
+
+
+def semiflat_two_grid(pot, oracle=False, keep=lambda sf: None):
+    """``semiflat``: prop5 (k = 2), ricci_flat and, with ``oracle``,
+    ricci_oracle (k = 4), measured floors."""
+    from .semiflat import (build_semiflat, holomorphic_norm_field, ricci_agreement,
+                           ricci_form_max, roughened)
+
+    residuals = {"prop5": (holomorphic_norm_field, 2), "ricci_flat": (ricci_form_max, 4)}
+    if oracle:
+        residuals["ricci_oracle"] = (ricci_agreement, 4)
+    sf = build_semiflat(pot)
+    keep(sf)
+    fine = {name: residual(sf)[0] for name, (residual, _) in residuals.items()}
+    del sf  # not held through the coarse walks
+    coarse = build_semiflat(pot.coarsened())
+    return fine, *_measured(residuals, coarse, build_semiflat(roughened(coarse.potential)))
+
+
+def gh_two_grid(gh):
+    """``gh``: ricci_flat (k = 4) of a ``GibbonsHawkingMetric``, measured floor."""
+    from .semiflat import gh_ricci_max
+
+    coarse = gh.coarsened()
+    return ({"ricci_flat": gh_ricci_max(gh)[0]},
+            *_measured({"ricci_flat": (gh_ricci_max, 4)}, coarse, coarse.roughened()))
+
+
+def _measured(residuals, coarse, rough):
+    """The coarse and floor maps of ``residuals``, {check: (residual, k)}:
+    one lock-step walk of ``coarse`` and ``rough`` per residual."""
+    walks = {name: residual(coarse, rough) for name, (residual, _) in residuals.items()}
+    return ({name: value for name, (value, _) in walks.items()},
+            {name: 2 ** residuals[name][1] * change for name, (_, change) in walks.items()})
+
+
+# The two-grid checks, command -> entry point.  An entry point takes the
+# command's fine-grid input and returns (fine, coarse, floor), maps keyed by
+# check of the residual, of the same on every other node (``coarsened()``)
+# and of its roundoff floor, of one of two kinds (Higham, Accuracy and
+# Stability of Numerical Algorithms, on difference quotients):
+# - closed form, where the residual sums values or takes one linear stencil
+#   pass: ``hessian.legendre_floor``, ``partial_legendre_2d``'s roundoff_floor;
+# - measured, where det, log or inverse nest inside stencils: 2^k times the
+#   residual's largest change from the coarse grid to its ``roughened`` twin,
+#   for k derivatives of the data, read in the coarse value's own walk.
+# ``keep`` sees the fine dual or manifold before it is freed, so no fine-grid
+# object is held through the coarse pass.
+TWO_GRID = {"legendre": legendre_two_grid, "partial-legendre": partial_legendre_two_grid,
+            "semiflat": semiflat_two_grid, "gh": gh_two_grid}
+
+
+def _two_grid_report(fine, coarse, floor):
+    """The report's ``coarse``, ``floor`` and ``checks`` of an entry point's maps."""
     from .fd import two_grid_bound
 
-    return _check(fine, two_grid_bound(coarse, floor))
+    return {"coarse": coarse, "floor": floor, "checks": {
+        name: _check(fine[name], two_grid_bound(coarse[name], floor[name])) for name in fine}}
 
 
 def run_cy_validate(config, out, oracle):
@@ -284,8 +318,9 @@ def run_family_scan(config, out, oracle):
     fam, ref = _resolve_family(config.get("family", "std:2"))
     m = fam.moduli_dim
     axes = _moduli_axes(config, m, 5)
-    with _config_value("fiber_resolution"):
-        resolution = int(config.get("fiber_resolution", 16))
+    resolution = config.get("fiber_resolution", 16)
+    if not _is_count(resolution):
+        raise InputError(f"fiber_resolution must be an integer of at least 1, got {resolution!r}")
     torus = fam.fiber_torus(resolution)
 
     omega_res, omega1_res = fam.fiber_restriction_residuals()
@@ -331,29 +366,12 @@ def run_embed(config, out, oracle):
     return {"family": ref, "checks": checks}
 
 
-def _legendre_residuals(pot):
-    """The dual of ``pot`` and its Fenchel and involution residuals; the back
-    transform's box lies inside the image of the dual's gradient, in the u-box."""
-    from .hessian import fenchel_residual, involution_residual, legendre_transform
-
-    dual = legendre_transform(pot).dual
-    back = legendre_transform(dual).dual
-    return dual, {"legendre_involution": involution_residual(pot, back),
-                  "fenchel": fenchel_residual(pot, dual)}
-
-
 def run_legendre(config, out, oracle):
-    """Both checks are ``_two_grid_check``, floored at ``legendre_floor``."""
-    from .hessian import legendre_floor, save_potential
+    from .hessian import save_potential
 
     pot = _resolve_potential(_required(config, "potential", "the config"))
-    dual, fine = _legendre_residuals(pot)
-    save_potential(dual, Path(out) / "dual.csv")
-    floor = dict.fromkeys(fine, legendre_floor(pot, dual))
-    del dual  # not held through the coarse transforms
-    _, coarse = _legendre_residuals(pot.coarsened())
-    checks = {name: _two_grid_check(fine[name], coarse[name], floor[name]) for name in fine}
-    return {"coarse": coarse, "floor": floor, "checks": checks}
+    return _two_grid_report(*legendre_two_grid(
+        pot, lambda dual: save_potential(dual, Path(out) / "dual.csv")))
 
 
 def run_ma_solve(config, out, oracle):
@@ -361,14 +379,14 @@ def run_ma_solve(config, out, oracle):
     from .hessian import save_potential, solve_ma_dirichlet
 
     axes = _plane_axes(config, 65)
-    with _config_value("solver"):
-        c = float(config.get("solver", {}).get("c", 1.0))
+    solver = config.get("solver", {})
+    if not isinstance(solver, dict):
+        raise InputError(f"solver must be an object, got {solver!r}")
+    c = _real(solver.get("c", 1.0), "solver.c")
     expr = config.get("boundary", "(u1**2 + u2**2) / 2")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    boundary = np.broadcast_to(_eval_expression(expr, u1=mesh[0], u2=mesh[1]),
-                               mesh[0].shape).copy()
-    del mesh  # only the boundary data is held while the solver runs
-    pot = solve_ma_dirichlet(axes, boundary, c)
+    # the solver holds the only boundary grid, and drops it after its checked copy
+    pot = solve_ma_dirichlet(axes, lambda u1, u2: np.broadcast_to(
+        _eval_expression(expr, u1=u1, u2=u2), u1.shape), c)
     save_potential(pot, Path(out) / "solution.csv")
     pot.eigenvalue_bounds  # convexity is a precondition
     # the solver's last det - c, on the nodes inside the Dirichlet ring: one
@@ -381,42 +399,23 @@ def run_ma_solve(config, out, oracle):
 
 
 def run_partial_legendre(config, out, oracle):
-    from .hessian import partial_legendre_2d
-
     pot = _resolve_potential(_required(config, "potential", "the config"))
-    residual, floor = partial_legendre_2d(pot)
-    coarse, _ = partial_legendre_2d(pot.coarsened())
-    checks = {"prop3": _two_grid_check(residual, coarse, floor)}
-    return {"laplace_residual": residual, "coarse_residual": coarse, "checks": checks}
+    return _two_grid_report(*partial_legendre_two_grid(pot))
 
 
 def run_semiflat(config, out, oracle):
-    """Every check is ``_two_grid_check``, floored at 2^k times the coarse
-    residual's change on ``roughened`` data for k derivatives of phi."""
-    from .semiflat import (build_semiflat, holomorphic_norm_field, read_region,
-                           ricci_agreement, ricci_form_max, roughened)
+    from .semiflat import read_region
 
     pot = _resolve_potential(_required(config, "potential", "the config"))
-    residuals = {"prop5": (holomorphic_norm_field, 2), "ricci_flat": (ricci_form_max, 4)}
-    if oracle:
-        residuals["ricci_oracle"] = (ricci_agreement, 4)
-    sf = build_semiflat(pot)
-    fine = {name: residual(sf) for name, (residual, _) in residuals.items()}
     c = 1.0 if pot.c is None else pot.c
-    ma_max = float(np.max(np.abs(sf.metric_det[read_region(pot.values.shape)] - c)))
-    del sf  # not held through the coarse walks
-    sf_coarse = build_semiflat(pot.coarsened())
-    rough = build_semiflat(roughened(sf_coarse.potential))
-    coarse = {name: residual(sf_coarse) for name, (residual, _) in residuals.items()}
-    floor = {name: 2 ** order * residual(sf_coarse, rough)
-             for name, (residual, order) in residuals.items()}
-    checks = {name: _two_grid_check(fine[name], coarse[name], floor[name]) for name in fine}
-    return {"ma_residual_max": ma_max, "coarse": coarse, "floor": floor, "checks": checks}
+    ma = []  # max |det Hess phi - c| of the fine manifold
+    report = _two_grid_report(*semiflat_two_grid(pot, oracle, lambda sf: ma.append(
+        float(np.max(np.abs(sf.metric_det[read_region(pot.values.shape)] - c))))))
+    return {"ma_residual_max": ma[0], **report}
 
 
 def run_gh(config, out, oracle):
-    """``ricci_flat`` is ``_two_grid_check``, floored as ``run_semiflat``'s are."""
-    from .semiflat import gh_metric, gh_ricci_max
+    from .semiflat import gh_metric
 
     axes = _plane_axes(config, 33)
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -424,12 +423,8 @@ def run_gh(config, out, oracle):
                         mesh[0].shape).copy()
     del mesh  # only V is held while the oracle walks its slabs
     gh = gh_metric(v, axes)
-    gh_coarse = gh.coarsened()
-    fine, coarse = gh_ricci_max(gh), gh_ricci_max(gh_coarse)
-    floor = 2 ** 4 * gh_ricci_max(gh_coarse, gh_coarse.roughened())
-    checks = {"ricci_flat": _two_grid_check(fine, coarse, floor)}
     return {"harmonic_residual": gh.harmonic_residual, "harmonic_tol": gh.harmonic_tol,
-            "coarse": {"ricci_flat": coarse}, "floor": {"ricci_flat": floor}, "checks": checks}
+            **_two_grid_report(*gh_two_grid(gh))}
 
 
 # Every runner takes (config, out, oracle) and returns the report; only

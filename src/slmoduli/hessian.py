@@ -463,6 +463,8 @@ _GMRES_CYCLES = 20
 # ``solve_ma_dirichlet``
 _FORCING = 0.1
 _FORCING_CAP = 0.1
+NEWTON_TOL = 1e-8  # ``solve_ma_dirichlet`` stops once max |det Hess phi - c| is below this
+NEWTON_STEPS = 50  # ... and raises ConvergenceError after this many Newton steps
 
 
 @dataclass
@@ -613,12 +615,12 @@ def _separable_inverse(sines, k11, k22):
     return apply
 
 
-def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50):
+def solve_ma_dirichlet(axes, boundary, c=1.0):
     """Line-searched Newton-Krylov for det(Hess phi) = c with Dirichlet data.
 
-    ``boundary`` is a callable (u1, u2) -> value or a full grid array whose
-    boundary ring is used.  The residual and the Jacobian use the fourth-order
-    stencils of ``fd``.  The Jacobian is the cofactor operator
+    ``boundary`` is a callable (u1, u2) -> value, whose grid is freed once
+    checked and copied, or a full grid array; its boundary ring is used.  The
+    residual and the Jacobian use the fourth-order stencils of ``fd``.  The Jacobian is the cofactor operator
     k11 d11 + k22 d22 - 2 k12 d12; it is never assembled, but applied to the
     interior array X as the 1D products D2x X, X D2y^T and D1x X D1y^T of the
     interior rows and columns of ``fd.diff_matrix``, scaled and summed in
@@ -651,6 +653,7 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50):
     if callable(boundary):
         boundary = boundary(*np.meshgrid(*axes, indexing="ij"))
     phi = HessianPotential(axes, boundary, c).values.copy()  # checked before any solve work
+    del boundary  # a callable's grid is freed before the solve
     shape = phi.shape
     interior = (slice(1, -1), slice(1, -1))
     inner_shape = (shape[0] - 2, shape[1] - 2)
@@ -688,8 +691,8 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50):
     res, cofactors = residual_of(phi)
     history = [float(np.max(np.abs(res)))]
     krylov = []
-    for iteration in range(max_iter):
-        if history[-1] < tol:
+    for iteration in range(NEWTON_STEPS):
+        if history[-1] < NEWTON_TOL:
             return solved(iteration)
         k11, k22, k12 = cofactors
 
@@ -740,10 +743,10 @@ def solve_ma_dirichlet(axes, boundary, c=1.0, tol=1e-8, max_iter=50):
             raise ConvergenceError(
                 f"Newton stagnation at residual {norm:.3e}", history
             )
-    if history[-1] < tol:
-        return solved(max_iter)
+    if history[-1] < NEWTON_TOL:
+        return solved(NEWTON_STEPS)
     raise ConvergenceError(
-        f"no convergence after {max_iter} iterations "
+        f"no convergence after {NEWTON_STEPS} iterations "
         f"(residual {history[-1]:.3e})",
         history,
     )

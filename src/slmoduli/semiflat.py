@@ -101,31 +101,30 @@ def _rough(values):
     return values * (1.0 + np.finfo(float).eps * xi)
 
 
-def _read(fields, sf, rough):
-    """max |f| over the fields ``fields(sf)`` yields; given ``rough``, a
-    manifold on the same grid, max |f - g| over those of ``sf`` and ``rough``."""
-    if rough is None:
-        return float(max(np.max(np.abs(f)) for f in fields(sf)))
-    return float(max(np.max(np.abs(f - g)) for f, g in zip(fields(sf), fields(rough))))
+def _read(fields, sf, *twins):
+    """(max |f| over the fields ``fields(sf)`` yields, then max |f - g| to
+    those of each twin, a manifold on the same grid), in one lock-step walk."""
+    tops = [(np.max(np.abs(f)), *(np.max(np.abs(f - g)) for g in others))
+            for f, *others in zip(*map(fields, (sf, *twins)))]
+    return tuple(float(max(column)) for column in zip(*tops))
 
 
-def holomorphic_norm_field(sf, rough=None):
+def holomorphic_norm_field(sf, *twins):
     """Variation of the pointwise squared-norm ratio of the holomorphic m-form.
 
     The ratio equals 1/det(Hess phi) up to a fixed dimensional factor; its
     constancy is equivalent to the Monge-Ampere condition.  Returns max/min
-    - 1 of the ratio on ``read_region``; given ``rough``, a manifold on the
-    same grid, how far max/min can move when each ratio moves by up to d, its
-    largest change from ``sf`` to ``rough``: d / min * (1 + max / min), to
-    first order.
+    - 1 of the ratio on ``read_region``, then for each twin, a manifold on
+    the same grid, how far max/min can move when each ratio moves by up to
+    d, its largest change from ``sf`` to the twin: d / min * (1 + max / min),
+    to first order.
     """
     region = read_region(sf.metric_det.shape)
     norm = 1.0 / sf.metric_det[region]
     top, bottom = np.max(norm), np.min(norm)
-    if rough is None:
-        return float(top / bottom - 1.0)
-    change = np.max(np.abs(1.0 / rough.metric_det[region] - norm))
-    return float(change / bottom * (1.0 + top / bottom))
+    changes = (np.max(np.abs(1.0 / twin.metric_det[region] - norm)) for twin in twins)
+    return (float(top / bottom - 1.0),
+            *(float(change / bottom * (1.0 + top / bottom)) for change in changes))
 
 
 def ricci_form(sf, lo=0, hi=None):
@@ -144,14 +143,14 @@ def ricci_form(sf, lo=0, hi=None):
                                 n, first)
 
 
-def ricci_form_max(sf, rough=None):
-    """max |R_jk| of ``ricci_form`` on ``read_region`` (``_read``).
+def ricci_form_max(sf, *twins):
+    """max |R_jk| of ``ricci_form`` on ``read_region``, then its changes (``_read``).
 
     Taken on blocks of nodes of grid axis 0 (``hessian.row_blocks``), so no
     grid-sized (*, m, m) tensor is formed; a max is exact, so the value is
     bitwise that of the full field.
     """
-    return _read(_ricci_fields, sf, rough)
+    return _read(_ricci_fields, sf, *twins)
 
 
 def _ricci_fields(sf):
@@ -162,7 +161,7 @@ def _ricci_fields(sf):
         yield ric[(slice(None),) + region[1:]]
 
 
-def ricci_agreement(sf, rough=None):
+def ricci_agreement(sf, *twins):
     """max deviation between the log-det Ricci form and the oracle, and
     between the oracle's x-x and u-u blocks, on ``read_region`` (``_read``).
 
@@ -172,7 +171,7 @@ def ricci_agreement(sf, rough=None):
     ``ricci_form`` is taken on ``METRIC_ROWS`` rows at a time as it goes: no
     grid-sized tensor is formed, and the value is bitwise the full-array one.
     """
-    return _read(_agreement_fields, sf, rough)
+    return _read(_agreement_fields, sf, *twins)
 
 
 def _agreement_fields(sf):
@@ -467,12 +466,12 @@ def gh_metric(v_values, axes):
     return GibbonsHawkingMetric(axes, v, harmonic_residual, harmonic_tol)
 
 
-def gh_ricci_max(gh, rough=None):
+def gh_ricci_max(gh, *twins):
     """max |Ric| of a ``GibbonsHawkingMetric``, stencil error of a Ricci-flat
-    metric, past EDGE + 1 boundary nodes (``_read``).  The oracle walks the
-    rows once (``_oracle_interior``), so no grid-sized metric or Ricci exists."""
+    metric, past EDGE + 1 boundary nodes (``_read``).  The oracle walks each
+    metric's rows once (``_oracle_interior``): no grid-sized metric or Ricci."""
     return _read(lambda metric: (ric for _, ric in _oracle_interior(
-        metric.components, metric.potential_v.shape, metric.spacings, EDGE + 1)), gh, rough)
+        metric.components, metric.potential_v.shape, metric.spacings, EDGE + 1)), gh, *twins)
 
 
 def _laplacian_max(v, spacings):

@@ -351,7 +351,7 @@ def test_criterion_11_ricci_flat_iff_ma(cosh_solutions):
     for n in (33, 65):
         sf = build_semiflat(cosh_solutions[n])
         stats[n] = (
-            holomorphic_norm_field(sf),
+            holomorphic_norm_field(sf)[0],
             float(np.max(np.abs(ricci_form(sf)[trim]))),
         )
     ma_res = float(np.max(np.abs((hessian_det_field(cosh_solutions[65]) - 1.0)[2:-2, 2:-2])))
@@ -363,7 +363,7 @@ def test_criterion_11_ricci_flat_iff_ma(cosh_solutions):
     ok_ma = stats[65][0] < tol_var and stats[65][1] < tol_ric
 
     sfq = build_semiflat(_quartic())
-    var_q = holomorphic_norm_field(sfq)
+    var_q = holomorphic_norm_field(sfq)[0]
     ric_q = float(np.max(np.abs(ricci_form(sfq)[trim])))
     ok_quartic = var_q > tol_var and ric_q > tol_ric
 
@@ -373,7 +373,7 @@ def test_criterion_11_ricci_flat_iff_ma(cosh_solutions):
             HessianPotential.from_function([np.linspace(0, 1, n)], lambda u: np.exp(u))
         )
         ric1[n] = float(np.max(np.abs(ricci_form(sf1)[3:-3])))
-        var1 = holomorphic_norm_field(sf1)
+        var1 = holomorphic_norm_field(sf1)[0]
     tol_ric1 = two_grid_bound(ric1[33], 1e-12)
     ok_separating = ric1[65] < tol_ric1 and var1 > 1.0
     _report(
@@ -401,7 +401,7 @@ def test_criterion_12_ricci_double_entry():
         values = {}
         for n in (33, 65):
             pot = HessianPotential.from_function([np.linspace(lo, hi, n)] * m, fn)
-            values[n] = ricci_agreement(build_semiflat(pot))
+            values[n] = ricci_agreement(build_semiflat(pot))[0]
         tol = two_grid_bound(values[33], 1e-12)
         worst_ratio = max(worst_ratio, values[65] / tol)
 
@@ -409,7 +409,7 @@ def test_criterion_12_ricci_double_entry():
     for n in (25, 49):
         axes = [np.linspace(0.0, 1.0, n)] * 2
         y1, _ = np.meshgrid(*axes, indexing="ij")
-        gh_values[n] = gh_ricci_max(gh_metric(2.0 + y1, axes))
+        gh_values[n] = gh_ricci_max(gh_metric(2.0 + y1, axes))[0]
     gh_tol = two_grid_bound(gh_values[25], 1e-12)
     _report(
         12,

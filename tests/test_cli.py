@@ -1,19 +1,19 @@
 """Batch interface: every command, report shape, exit codes."""
 
-import functools
 import json
 import os
 import subprocess
 import sys
 import textwrap
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import slmoduli
-from slmoduli import cymodel, hessian
+from slmoduli import cli, cymodel, hessian, semiflat
 from slmoduli.cli import COMMANDS, _eval_expression, main
 from slmoduli.errors import InputError
 from slmoduli.family import AffineSLagFamily
@@ -245,6 +245,21 @@ def _exact_solution(n, bump=0.0):
                                   f"+ {bump!r} * exp(-(u1**2 + (u2 - 1)**2) / 0.02)"}}
 
 
+def test_partial_legendre_reports_the_two_grid_schema(tmp_path):
+    # coarse and floor maps like the other two-grid commands; the floor is
+    # the closed-form roundoff of the two second-derivative passes
+    cfg = _write(tmp_path / "pl.json", _exact_solution(33))
+    assert main(["partial-legendre", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = _report(tmp_path)
+    assert set(report) == {"command", "coarse", "floor", "checks"}
+    fine, coarse, floor = cli.partial_legendre_two_grid(cli._resolve_potential(
+        _exact_solution(33)["potential"]))
+    assert (report["coarse"], report["floor"]) == (coarse, floor)
+    prop3 = report["checks"]["prop3"]
+    assert prop3["residual"] == fine["prop3"]
+    assert prop3["tol"] == 10.0 * max(coarse["prop3"] / 16, floor["prop3"])
+
+
 def test_partial_legendre_floor_is_the_roundoff_of_its_passes(tmp_path):
     # on the exact solution the Laplace residual is roundoff, which grows as
     # h^-2: 1.1e-9 at 513^2, above a fixed floor of 1e-9; the roundoff floor
@@ -281,6 +296,36 @@ def test_ma_solve_reads_prop3_from_the_solver(tmp_path, monkeypatch):
     pot = load_potential(tmp_path / "solution.csv")
     residual = (hessian.hessian_det_field(pot) - pot.c)[interior(pot.values.shape, EDGE)]
     assert _report(tmp_path)["checks"]["prop3"]["residual"] == float(np.max(np.abs(residual)))
+
+
+def test_ma_solve_holds_no_boundary_grid_through_the_solve(tmp_path, monkeypatch):
+    # the runner hands the solver a callable, and the solver drops the grid
+    # it evaluates to once it has made its checked copy: no boundary grid is
+    # alive while GMRES runs
+    grids, alive = [], []
+
+    def track(values):
+        grids.append(weakref.ref(values))
+        return values
+
+    solve = hessian.solve_ma_dirichlet
+
+    def solve_tracked(axes, boundary, c):
+        if callable(boundary):
+            return solve(axes, lambda *mesh: track(boundary(*mesh)), c)
+        return solve(axes, track(boundary), c)
+
+    gmres = hessian.spsolve
+
+    def gmres_tracked(*args):
+        alive.append(any(ref() is not None for ref in grids))
+        return gmres(*args)
+
+    monkeypatch.setattr(hessian, "solve_ma_dirichlet", solve_tracked)
+    monkeypatch.setattr(hessian, "spsolve", gmres_tracked)
+    cfg = _write(tmp_path / "ma.json", {"boundary": "cosh(u1) + cosh(u2)", "n": 17})
+    assert main(["ma-solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(grids) == 1 and alive and not any(alive)
 
 
 def test_semiflat_command_with_oracle(tmp_path):
@@ -382,6 +427,19 @@ def test_semiflat_ma_residual_from_stored_hessian(tmp_path):
     assert trim == (slice(3, -3),) * 2
     expected = float(np.max(np.abs((hessian.hessian_det_field(pot) - pot.c)[trim])))
     assert _report(tmp_path)["ma_residual_max"] == expected
+
+
+@pytest.mark.parametrize("command, config", [
+    ("gh", {"n": 33}),
+    ("semiflat", {"potential": _exact(33, 1.0)}),
+])
+def test_measured_floor_walks_the_coarse_grid_once(tmp_path, monkeypatch, command, config):
+    # the oracle walks the fine grid, then the coarse grid and its roughened
+    # twin in lock step: the coarse value and its change come from one walk
+    walks = _count_calls(monkeypatch, semiflat, "_oracle_interior")
+    cfg = _write(tmp_path / "cfg.json", config)
+    assert main([command, "--oracle", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(walks) == 3
 
 
 def test_gh_command(tmp_path):
@@ -530,8 +588,7 @@ def test_rejected_input_exit_code_and_report(tmp_path, capsys, monkeypatch, comm
                                              error):
     command, *flags = command.split()
     if error == "ConvergenceError":
-        monkeypatch.setattr(hessian, "solve_ma_dirichlet",
-                            functools.partial(hessian.solve_ma_dirichlet, max_iter=1))
+        monkeypatch.setattr(hessian, "NEWTON_STEPS", 1)
     (tmp_path / "dir").mkdir()
     unreadable = tmp_path / "unreadable"
     unreadable.write_text("{")
@@ -636,6 +693,10 @@ def test_missing_config_key_is_named(tmp_path, monkeypatch):
     ("ma-solve", {"n": 17, "domain": [[0, "1"], [0, 1]]}, "domain"),
     ("gh", {"n": 17, "domain": [[0, 1, 2], [0, 1]]}, "domain"),
     ("ma-solve", {"n": 17, "domain": [[0, 10 ** 400], [0, 1]]}, "domain"),
+    # the fiber grid: a fraction was truncated (exit 0 on 8 nodes), true was
+    # a one-node grid (a GridMismatchError that named no key)
+    *(("family-scan", {"family": "std:2", "grid": {"n": 2}, "fiber_resolution": value},
+       "fiber_resolution") for value in (8.9, True, "16")),
 ])
 def test_grid_values_of_the_wrong_kind_name_their_key(tmp_path, capsys, command, payload, key):
     cfg = _write(tmp_path / "cfg.json", payload)

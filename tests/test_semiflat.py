@@ -48,9 +48,9 @@ def test_holomorphic_norm_constant_iff_ma():
     axes = [np.linspace(0, 1, 65)] * 2
     pot = solve_ma_dirichlet(axes, lambda a, b: np.cosh(a) + np.cosh(b), c=1.0)
     sf = build_semiflat(pot)
-    assert holomorphic_norm_field(sf) < 1e-8
+    assert holomorphic_norm_field(sf)[0] < 1e-8
     sfq = build_semiflat(_quartic_potential())
-    assert holomorphic_norm_field(sfq) > 0.5
+    assert holomorphic_norm_field(sfq)[0] > 0.5
 
 
 def test_ricci_form_flat_for_ma_solution():
@@ -88,12 +88,12 @@ def test_ricci_form_rows_are_bitwise_the_full_field(name):
         assert rows.shape == full[lo:hi].shape
         assert rows.tobytes() == full[lo:hi].tobytes()
     core = semiflat.read_region(full.shape[:-2])
-    assert semiflat.ricci_form_max(sf) == float(np.max(np.abs(full[core])))
+    assert semiflat.ricci_form_max(sf) == (float(np.max(np.abs(full[core]))),)
 
 
 def test_ricci_double_entry_agreement():
     def agreement(n):
-        return ricci_agreement(build_semiflat(_quartic_potential(n)))
+        return ricci_agreement(build_semiflat(_quartic_potential(n)))[0]
 
     assert agreement(65) < two_grid_bound(agreement(33), 1e-12)
 
@@ -104,8 +104,8 @@ def test_ricci_agreement_1d_exponential():
     # log det = u: Ricci vanishes while the norm variation is order one
     ric = ricci_form(sf)
     assert np.max(np.abs(ric[3:-3])) < 1e-5
-    assert holomorphic_norm_field(sf) > 1.0
-    assert ricci_agreement(sf) < 1e-3
+    assert holomorphic_norm_field(sf)[0] > 1.0
+    assert ricci_agreement(sf)[0] < 1e-3
 
 
 def test_ricci_from_metric_round_sphere():
@@ -344,7 +344,7 @@ def test_ricci_agreement_is_bitwise_the_full_array_formula(name):
     else:
         pot = HessianPotential.from_function([np.linspace(0, 1, 65)], np.exp)
     sf = build_semiflat(pot)
-    assert ricci_agreement(sf) == _agreement_full_arrays(sf, ricci_form(sf))
+    assert ricci_agreement(sf) == (_agreement_full_arrays(sf, ricci_form(sf)),)
 
 
 def _semiflat_fields_full_arrays(sf):
@@ -374,12 +374,17 @@ def test_roundoff_changes_are_those_of_the_full_arrays(name):
     assert 0 < np.max(change) and np.all(change <= 2 * np.finfo(float).eps * np.abs(pot.values))
     sf, rough = build_semiflat(pot), build_semiflat(rough_pot)
     (kahler, deviation), (kahler_r, deviation_r) = map(_semiflat_fields_full_arrays, (sf, rough))
-    assert semiflat.ricci_form_max(sf, rough) == float(np.max(np.abs(kahler - kahler_r)))
-    assert ricci_agreement(sf, rough) == float(np.max(np.abs(deviation - deviation_r)))
+    # each residual reads its value and its change in one lock-step walk
+    assert semiflat.ricci_form_max(sf, rough) == (float(np.max(np.abs(kahler))),
+                                                  float(np.max(np.abs(kahler - kahler_r))))
+    assert ricci_agreement(sf, rough) == (float(np.max(np.abs(deviation))),
+                                          float(np.max(np.abs(deviation - deviation_r))))
     norm = 1.0 / sf.metric_det[semiflat.read_region(pot.values.shape)]
     step = np.max(np.abs(1.0 / rough.metric_det[semiflat.read_region(pot.values.shape)] - norm))
-    assert holomorphic_norm_field(sf, rough) == pytest.approx(
-        step / np.min(norm) * (1.0 + np.max(norm) / np.min(norm)), rel=1e-12)
+    value, change = holomorphic_norm_field(sf, rough)
+    assert (value,) == holomorphic_norm_field(sf)
+    assert change == pytest.approx(step / np.min(norm) * (1.0 + np.max(norm) / np.min(norm)),
+                                   rel=1e-12)
 
 
 def test_oracle_walk_builds_no_metric_for_boundary_layer_slabs():
@@ -416,7 +421,7 @@ def test_gh_ricci_max_is_bitwise_the_full_array_formula(shape):
     gh = gh_metric(2.0 + y1 + 0.3 * (y1 ** 2 - y2 ** 2), axes)
     spacings = [float(ax[1] - ax[0]) for ax in axes]
     ric = _ricci_full_arrays(gh.components(), spacings)
-    assert gh_ricci_max(gh) == float(np.max(np.abs(ric[interior(shape, EDGE + 1)])))
+    assert gh_ricci_max(gh) == (float(np.max(np.abs(ric[interior(shape, EDGE + 1)]))),)
     assert np.array_equal(gh.components(3, 9), gh.components()[3:9])
 
 
@@ -530,7 +535,7 @@ def test_gh_metric_ricci_flat():
     axes_c = [np.linspace(0, 1, 25)] * 2
     y1c, _ = np.meshgrid(*axes_c, indexing="ij")
     ghc = gh_metric(2.0 + y1c, axes_c)
-    assert gh_ricci_max(gh) < two_grid_bound(gh_ricci_max(ghc), 1e-12)
+    assert gh_ricci_max(gh)[0] < two_grid_bound(gh_ricci_max(ghc)[0], 1e-12)
     assert gh.harmonic_residual < 1e-8
 
 
@@ -550,7 +555,9 @@ def test_gh_coarse_and_rough_metrics_rebuild_w_from_v():
     assert np.array_equal(rough.potential_v, semiflat.roughened(potential).values)
     change = np.max(np.abs(rough.potential_v / coarse.potential_v - 1.0))
     assert 0.0 < change <= 2 * np.finfo(float).eps  # eps, and the rounding of the ratio
-    assert 0.0 < gh_ricci_max(coarse, rough) < 1e-3 * gh_ricci_max(coarse)
+    value, change = gh_ricci_max(coarse, rough)
+    assert (value,) == gh_ricci_max(coarse)
+    assert 0.0 < change < 1e-3 * value
 
 
 def test_gh_metric_harmonic_conjugate():
