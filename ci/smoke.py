@@ -11,8 +11,9 @@ solution.csv of a 33 x 33 and of a 129 x 129 ma-solve with boundary
 cosh(u1) + cosh(u2) on [-1, 1]^2), and a grid too small for its stencils, a
 moduli grid with no nodes, a malformed model shorthand, a config that is not
 a JSON object, an expression that is not finite on its grid, a Monge-Ampere
-constant that is not positive, a domain range with no width or a fractional
-fiber resolution exits 2 with an error line and no traceback.  ``memory``
+constant that is not positive, a domain range with no width, a fractional
+fiber resolution or one below ``forms.MIN_RESOLUTION`` exits 2 with an error
+line and no traceback.  ``memory``
 runs gh, semiflat --oracle (on the paper's exact solution of det Hess = 1,
 so it must pass), partial-legendre and legendre on N x N grids (default
 257), then partial-legendre on the dual.csv that legendre wrote, so
@@ -24,10 +25,12 @@ exits with an unexpected code, prints a traceback, or peaks above
 ``LIMIT_MB`` of resident memory.  ``threads`` runs the five plane commands
 under 1 and 2 BLAS threads and fails unless every output but ``run.log`` is
 byte for byte the same (ma-solve is not yet thread-independent, so it is
-left out).  ``imports`` runs cy-validate, family-scan and embed at toy size
-with ``PYTHONPROFILEIMPORTTIME=1`` and fails if a command exits non-zero or
-its import profile names a module of ``FIBER_UNLOADED``: the fiber commands
-never load the grid layer, nor numpy.random.  ``--slmoduli`` is the command
+left out).  ``imports`` runs cy-validate, family-scan and embed, then
+legendre, ma-solve, partial-legendre, semiflat and gh, at toy size with
+``PYTHONPROFILEIMPORTTIME=1`` and fails if a command exits non-zero or its
+import profile names a module of ``FIBER_UNLOADED`` or of ``GRID_UNLOADED``:
+the fiber commands never load the grid layer, nor numpy.random, and the
+grid commands never load the fiber layer.  ``--slmoduli`` is the command
 that runs the CLI (default ``slmoduli``, the installed console script);
 ``--tmp`` holds the configs and outputs (default: a new temporary
 directory).  Exits 1 on the first failure.
@@ -47,6 +50,7 @@ LIMIT_MB = 60
 FIBER_N = 80
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FIBER_UNLOADED = ("slmoduli.fd", "slmoduli.hessian", "slmoduli.semiflat", "numpy.random")
+GRID_UNLOADED = ("slmoduli.family", "slmoduli.forms", "slmoduli.cymodel", "slmoduli.multilinear")
 IMPORT_TIME = "import time:"
 
 
@@ -96,7 +100,9 @@ def console(slmoduli, tmp):
                                 ("ma-solve", '{"n": 17, "solver": {"c": -1}}', "ma-negative-c"),
                                 ("gh", '{"n": 17, "domain": [[0, 0], [0, 1]]}', "gh-flat"),
                                 ("family-scan", '{"family": "std:2", "grid": {"n": 2}, '
-                                 '"fiber_resolution": 8.9}', "scan-fraction")]:
+                                 '"fiber_resolution": 8.9}', "scan-fraction"),
+                                ("family-scan", '{"family": "std:2", "grid": {"n": 2}, '
+                                 '"fiber_resolution": 4}', "scan-coarse")]:
         code, stderr, _ = _run(slmoduli, [command, "--config", _config(tmp, name, text)],
                                tmp, name)
         if code != 2 or "Traceback" in stderr:
@@ -170,21 +176,32 @@ def threads(slmoduli, tmp, n):
 
 def imports(slmoduli, tmp):
     toy = _config(tmp, "toy-grid", {"grid": {"n": 3}, "fiber_resolution": 8})
+    potential = _config(tmp, "toy-potential", {"potential": {
+        "axes": [[-1, 1, 17], [-1, 1, 17]], "expr": "(u1**2 + u2**2) / 2", "c": 1.0}})
+    plane = _config(tmp, "toy-plane", {"n": 17})
+    runs = [(["cy-validate"], "slmoduli.cymodel", FIBER_UNLOADED),
+            (["family-scan", "--config", toy], "slmoduli.cymodel", FIBER_UNLOADED),
+            (["embed", "--config", toy], "slmoduli.cymodel", FIBER_UNLOADED),
+            (["legendre", "--config", potential], "slmoduli.hessian", GRID_UNLOADED),
+            (["ma-solve", "--config", plane], "slmoduli.hessian", GRID_UNLOADED),
+            (["partial-legendre", "--config", potential], "slmoduli.hessian", GRID_UNLOADED),
+            (["semiflat", "--config", potential], "slmoduli.hessian", GRID_UNLOADED),
+            (["gh", "--config", plane], "slmoduli.semiflat", GRID_UNLOADED)]
     env = {**os.environ, "PYTHONPROFILEIMPORTTIME": "1"}
-    for args in (["cy-validate"], ["family-scan", "--config", toy], ["embed", "--config", toy]):
+    for args, own, unloaded in runs:
         code, stderr, _ = _run(slmoduli, args, tmp, f"{args[0]}-imports", env)
         if code != 0 or "Traceback" in stderr:
             return f"slmoduli {args[0]} exited {code}, not 0 without a traceback"
         # each profile line ends in "| <module name>"
         names = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
                  if line.startswith(IMPORT_TIME)}
-        if "slmoduli.cymodel" not in names:
-            return f"slmoduli {args[0]} printed no import profile naming slmoduli.cymodel"
-        loaded = [name for name in FIBER_UNLOADED if name in names]
+        if own not in names:
+            return f"slmoduli {args[0]} printed no import profile naming {own}"
+        loaded = [name for name in unloaded if name in names]
         if loaded:
             return f"slmoduli {args[0]} loaded {', '.join(loaded)}"
         print(f"slmoduli {args[0]}: {len(names)} modules imported, none of "
-              f"{', '.join(FIBER_UNLOADED)}")
+              f"{', '.join(unloaded)}")
     return None
 
 

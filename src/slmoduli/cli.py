@@ -222,7 +222,15 @@ def _check(residual, tol):
 
 def legendre_two_grid(pot, keep=lambda dual: None):
     """``legendre``: fenchel and legendre_involution, closed-form floor.  The
-    back transform's box lies inside the image of the dual's gradient."""
+    back transform's box lies inside the image of the dual's gradient.
+
+    A coarse value within its roundoff floor bounds no fine value above the
+    floor: the grids are below the range where the residual falls with h
+    (on data even about the centre of an 11-node box, the 6-node coarse
+    grid is one quintic whose Fenchel gap is exact), so such a failure
+    raises ``GridMismatchError`` naming the check instead of failing it.
+    """
+    from .fd import two_grid_bound
     from .hessian import fenchel_residual, involution_residual, legendre_floor, legendre_transform
 
     def residuals(primal):
@@ -235,14 +243,26 @@ def legendre_two_grid(pot, keep=lambda dual: None):
     keep(dual)
     floor = dict.fromkeys(fine, legendre_floor(pot, dual))
     del dual  # not held through the coarse transforms
-    return fine, residuals(pot.coarsened())[1], floor
+    coarse = residuals(pot.coarsened())[1]
+    for name in fine:
+        if coarse[name] <= floor[name] and not fine[name] < two_grid_bound(coarse[name],
+                                                                          floor[name]):
+            raise GridMismatchError(
+                f"{name} reads {coarse[name]:.3g} on the coarse grid, within its roundoff "
+                f"floor {floor[name]:.3g}, and {fine[name]:.3g} on the fine grid: the grid "
+                f"is too small for a two-grid bound")
+    return fine, coarse, floor
 
 
-def partial_legendre_two_grid(pot):
-    """``partial-legendre``: prop3, closed-form floor."""
-    from .hessian import partial_legendre_2d
+def partial_legendre_two_grid(pot, computed=False):
+    """``partial-legendre``: prop3, closed-form floor.  ``computed``: pot is
+    a grid read from a file, whose coarse side follows ``TWO_GRID``'s rule."""
+    from .hessian import partial_legendre_2d, solve_ma_dirichlet
 
-    (fine, floor), (coarse, _) = partial_legendre_2d(pot), partial_legendre_2d(pot.coarsened())
+    grid = pot.coarsened()
+    if computed and grid.c is not None:
+        grid = solve_ma_dirichlet(grid.axes, grid.values, grid.c)
+    (fine, floor), (coarse, _) = partial_legendre_2d(pot), partial_legendre_2d(grid)
     return {"prop3": fine}, {"prop3": coarse}, {"prop3": floor}
 
 
@@ -291,7 +311,12 @@ def _measured(residuals, coarse, rough):
 #   residual's largest change from the coarse grid to its ``roughened`` twin,
 #   for k derivatives of the data, read in the coarse value's own walk.
 # ``keep`` sees the fine dual or manifold before it is freed, so no fine-grid
-# object is held through the coarse pass.
+# object is held through the coarse pass.  A grid read from a file that
+# records c is computed, the output of a solve of det Hess = c (``ma-solve``
+# writes one), and every other node of a discrete solution is not a coarser
+# discretisation: its coarse side is ``solve_ma_dirichlet`` on the coarse
+# grid, with the coarse grid's ring as Dirichlet data and the same c.  An
+# expression is exact on every node, so its coarse side is the subsample.
 TWO_GRID = {"legendre": legendre_two_grid, "partial-legendre": partial_legendre_two_grid,
             "semiflat": semiflat_two_grid, "gh": gh_two_grid}
 
@@ -314,13 +339,15 @@ def run_cy_validate(config, out, oracle):
 
 def run_family_scan(config, out, oracle):
     from .family import lagrangian_residual, specialness_scan
+    from .forms import MIN_RESOLUTION
 
     fam, ref = _resolve_family(config.get("family", "std:2"))
     m = fam.moduli_dim
     axes = _moduli_axes(config, m, 5)
     resolution = config.get("fiber_resolution", 16)
-    if not _is_count(resolution):
-        raise InputError(f"fiber_resolution must be an integer of at least 1, got {resolution!r}")
+    if not _is_count(resolution) or resolution < MIN_RESOLUTION:
+        raise InputError(f"fiber_resolution must be an integer of at least "
+                         f"forms.MIN_RESOLUTION = {MIN_RESOLUTION}, got {resolution!r}")
     torus = fam.fiber_torus(resolution)
 
     omega_res, omega1_res = fam.fiber_restriction_residuals()
@@ -399,8 +426,9 @@ def run_ma_solve(config, out, oracle):
 
 
 def run_partial_legendre(config, out, oracle):
-    pot = _resolve_potential(_required(config, "potential", "the config"))
-    return _two_grid_report(*partial_legendre_two_grid(pot))
+    spec = _required(config, "potential", "the config")
+    return _two_grid_report(*partial_legendre_two_grid(_resolve_potential(spec),
+                                                       computed=isinstance(spec, str)))
 
 
 def run_semiflat(config, out, oracle):

@@ -242,6 +242,10 @@ class ModuliChart:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
+    def mirrored(self):
+        """The mirror chart: (u, lambda) exchanged with (v, mu), sharing the arrays."""
+        return ModuliChart(self.axes, self.v, self.u, self.mu, self.lam)
+
 
 def moduli_coordinates(fam, axes):
     """du = lambda dt, dv = mu dt from the first node of a box grid: lambda

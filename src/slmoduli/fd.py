@@ -16,13 +16,14 @@ other node into a bound for the fine grid, and ``roundoff_floor`` is the
 roundoff below which no such bound may fall.  Two numpy kernels stand
 in for scipy's splines: the not-a-knot quintic interpolant (the spline
 ``scipy.interpolate.make_interp_spline(x, y, k=5)`` builds), solved for many
-columns at once by ``quintic_coefficients``, evaluated by
-``quintic_resample`` (in blocks of ``RESAMPLE_COLUMNS`` columns when each
-column has its own nodes, so its work arrays do not grow with the number of
-columns) and taken as a tensor product over a uniform box grid by
-``TensorQuintic`` (evaluated in blocks of ``POINT_BLOCK`` points, so its
-work arrays do not grow with the number of points, and in closed form on
-the spans away from the not-a-knot ends); and
+columns at once by ``quintic_coefficients``, differentiated at its own
+nodes by ``quintic_slopes``, evaluated by ``quintic_resample`` (in blocks
+of ``RESAMPLE_COLUMNS`` columns when each column has its own nodes, so its
+work arrays do not grow with the number of columns) and taken as a tensor
+product over a uniform box grid by ``TensorQuintic`` (evaluated in blocks
+of ``POINT_BLOCK`` points, so its work arrays do not grow with the number
+of points, and in closed form on the spans away from the not-a-knot ends);
+and
 ``cumulative_quadrature`` (a sixth-order running integral on a uniform
 grid, a banded sum of six cell weights followed by a cumulative sum).
 """
@@ -348,42 +349,33 @@ def _quintic_basis(knots, spans, x, derivs=0):
     return ders
 
 
-# _HORNER[5 - j, k, r] t^j, summed over j, is the k-th t-derivative of the
-# r-th of the six quintic B-splines nonzero on a span of uniform knots, at
-# the offset t in [0, 1] from its left knot in units of the knot spacing: the
-# cardinal basis matrix of the uniform quintic (Qin, "General matrix
-# representations for B-splines", Visual Computer 16, 2000) and its
-# derivatives, highest power first and zero above each derivative's degree.
-_HORNER = np.zeros((6, 3, 6))
-_HORNER[:, 0] = np.array([[1, 26, 66, 26, 1, 0], [-5, -50, 0, 50, 5, 0],
-                          [10, 20, -60, 20, 10, 0], [-10, 20, 0, -20, 10, 0],
-                          [5, -20, 30, -20, 5, 0], [-1, 5, -10, 10, -5, 1]])[::-1] / 120.0
-for _k in (1, 2):
-    _HORNER[1:, _k] = _HORNER[:-1, _k - 1] * np.arange(5.0, 0.0, -1.0)[:, None]
+# _HORNER[5 - j, r] t^j, summed over j, is the r-th of the six quintic
+# B-splines nonzero on a span of uniform knots, at the offset t in [0, 1] from
+# its left knot in units of the knot spacing: the cardinal basis matrix of
+# the uniform quintic (Qin, "General matrix representations for B-splines",
+# Visual Computer 16, 2000), highest power first.
+_HORNER = np.array([[1, 26, 66, 26, 1, 0], [-5, -50, 0, 50, 5, 0],
+                    [10, 20, -60, 20, 10, 0], [-10, 20, 0, -20, 10, 0],
+                    [5, -20, 30, -20, 5, 0], [-1, 5, -10, 10, -5, 1]])[::-1] / 120.0
 _HORNER.flags.writeable = False
-del _k
 
 
-def _uniform_quintic_basis(t, spacing, derivs=0):
+def _uniform_quintic_basis(t):
     """``_quintic_basis`` on spans whose twelve surrounding knots are uniform.
 
     ``t`` (p,) is each point's offset from its span's left knot over the knot
-    spacing.  Returns (derivs + 1, p, 6): the t-powers times ``_HORNER``,
-    over spacing^k for derivative k, by Horner's rule from the derivative's
-    highest power, elementwise along the points, so a point's numbers depend
-    on its t alone.
+    spacing.  Returns (p, 6): the t-powers times ``_HORNER``, by Horner's
+    rule from the highest power, elementwise along the points, so a point's
+    numbers depend on its t alone.
     """
-    ders = np.empty((derivs + 1, len(t), 6))
-    acc = np.empty((6, len(t)))
-    for k in range(derivs + 1):
-        rows = _HORNER[:, k, :, None]
-        np.multiply(rows[k], t, out=acc)
-        acc += rows[k + 1]
-        for row in rows[k + 2:]:
-            acc *= t
-            acc += row
-        np.divide(acc.T, spacing ** k, out=ders[k])
-    return ders
+    rows = _HORNER[:, :, None]
+    acc = rows[0] * t
+    acc += rows[1]
+    for row in rows[2:]:
+        acc *= t
+        acc += row
+    # contiguous in the B-spline index, which fixes einsum's summation order
+    return np.ascontiguousarray(acc.T)
 
 
 def quintic_coefficients(x, y):
@@ -434,6 +426,27 @@ def quintic_coefficients(x, y):
         coef[:, r] -= np.einsum("...k,...k->...", band[:, r, 6:5 + hi - r], coef[:, r + 1:hi])
         coef[:, r] /= band[:, r, 5]
     return knots, coef
+
+
+def quintic_slopes(x, y):
+    """Slopes of the not-a-knot quintic of every column at its own nodes.
+
+    ``x`` (n,) are nodes shared by all columns of ``y`` (n, c).  Returns (n, c):
+    column j is ``make_interp_spline(x, y[:, j], k=5)`` differentiated once
+    at x.  The six B-spline derivatives at each node are taken once for all
+    columns, and each node's slope is accumulated as six coefficient rows,
+    one B-spline at a time, so no (n, c, 6) block is formed.
+    """
+    x = np.asarray(x, dtype=float)
+    knots, coef = quintic_coefficients(x[:, None], y)
+    # node i lies in knot span clip(i + 3, 5, n - 1), as in quintic_coefficients
+    spans = np.clip(np.arange(len(x)) + 3, 5, len(x) - 1)
+    ders = _quintic_basis(knots, spans[None], x[None], 1)[1, 0]
+    rows = coef.T
+    slopes = ders[:, :1] * rows[spans - 5]
+    for r in range(1, 6):
+        slopes += ders[:, r:r + 1] * rows[spans - 5 + r]
+    return slopes
 
 
 def quintic_resample(x, y, x_new):
@@ -489,8 +502,7 @@ class TensorQuintic:
     variable it is ``make_interp_spline(x, y, k=5)`` and in two it is the
     spline of FITPACK's ``RectBivariateSpline(x, y, z, kx=5, ky=5, s=0)``,
     which has the same knots.  The coefficients are solved one axis at a
-    time; evaluation at scattered points gives values, gradients and
-    Hessians.  On a span at least five knots from either not-a-knot end the
+    time and evaluated at scattered points.  On a span at least five knots from either not-a-knot end the
     six B-splines are the fixed quintics of ``_uniform_quintic_basis``; only
     points in the end spans take the Cox-de Boor recursion.  The points are
     evaluated in blocks of ``POINT_BLOCK``, so the B-spline values,
@@ -518,71 +530,38 @@ class TensorQuintic:
         # index i_a on axis a, the patch of a point in spans i_a + 5
         self.patches = np.lib.stride_tricks.sliding_window_view(coef, (6,) * coef.ndim)
 
-    def _bases(self, points, derivs):
-        """Per axis, the derivatives of the six B-splines nonzero at each point,
-        and the coefficient patch those B-splines multiply."""
+    def _bases(self, points):
+        """Per axis, the six B-splines nonzero at each point, and the
+        coefficient patch they multiply."""
         points = np.asarray(points, dtype=float)
-        m = self.coef.ndim
         bases, first = [], []
-        for a in range(m):
+        for a in range(self.coef.ndim):
             knots = self.knots[a]
             n = self.coef.shape[a]
             x = points[:, a]
             # the last knot span whose left knot is <= x, within [5, n - 1]
             spans = 5 + np.searchsorted(knots[0, 6:n], x, side="right")
-            ders = _uniform_quintic_basis((x - knots[0, spans]) / self.spacings[a],
-                                          self.spacings[a], derivs)
+            basis = _uniform_quintic_basis((x - knots[0, spans]) / self.spacings[a])
             # knots l - 5 ... l + 6 around span l are uniform for 11 <= l <= n - 7;
             # the points of the other spans take the recursion instead
             ends = np.flatnonzero((spans < 11) | (spans > n - 7))
             if ends.size:
-                ders[:, ends] = _quintic_basis(knots, spans[None, ends], x[None, ends],
-                                               derivs)[:, 0]
-            bases.append(ders)
+                basis[ends] = _quintic_basis(knots, spans[None, ends], x[None, ends])[0, 0]
+            bases.append(basis)
             first.append(spans - 5)
         return bases, self.patches[tuple(first)]
 
-    @staticmethod
-    def _contract(partial, bases, orders):
-        """The patch contracted with derivative ``orders[a]`` of axis a's B-splines.
-
-        ``partial`` maps the orders of the trailing axes to the patch
-        contracted over those axes, () to the patch itself; it is filled in
-        on the way, so orders that share their trailing axes contract them
-        once.
-        """
-        for a in reversed(range(len(bases))):
-            if orders[a:] not in partial:
-                partial[orders[a:]] = np.einsum("p...k,pk->p...", partial[orders[a + 1:]],
-                                                bases[a][orders[a]])
-        return partial[orders]
-
     def __call__(self, points):
-        """Values at ``points`` (p, m)."""
+        """Values at ``points`` (p, m): the patch of each point contracted with
+        its B-splines, from the last axis to the first."""
         points = np.asarray(points, dtype=float)
         value = np.empty(len(points))
         for lo in range(0, len(points), POINT_BLOCK):
-            bases, patch = self._bases(points[lo:lo + POINT_BLOCK], 0)
-            value[lo:lo + POINT_BLOCK] = self._contract({(): patch}, bases, (0,) * len(bases))
+            bases, patch = self._bases(points[lo:lo + POINT_BLOCK])
+            for basis in reversed(bases):
+                patch = np.einsum("p...k,pk->p...", patch, basis)
+            value[lo:lo + POINT_BLOCK] = patch
         return value
-
-    def jet(self, points):
-        """Values (p,), gradients (p, m) and Hessians (p, m, m) at ``points`` (p, m)."""
-        points = np.asarray(points, dtype=float)
-        p, m = points.shape
-        unit = np.eye(m, dtype=int)
-        value, grad, hess = np.empty(p), np.empty((p, m)), np.empty((p, m, m))
-        for lo in range(0, p, POINT_BLOCK):
-            block = slice(lo, lo + POINT_BLOCK)
-            bases, patch = self._bases(points[block], 2)
-            partial = {(): patch}
-            value[block] = self._contract(partial, bases, (0,) * m)
-            for a in range(m):
-                grad[block, a] = self._contract(partial, bases, tuple(unit[a]))
-                for b in range(a, m):
-                    hess[block, a, b] = hess[block, b, a] = self._contract(
-                        partial, bases, tuple(unit[a] + unit[b]))
-        return value, grad, hess
 
 
 @lru_cache(maxsize=None)

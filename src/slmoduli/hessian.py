@@ -2,21 +2,22 @@
 
 A potential is a strictly convex scalar on a uniform box grid.  Behind the
 convexity gate ``eigenvalue_bounds`` the module computes its Hessian metric
-and, by row blocks, det Hess phi (the one route to it).  Every dual box is
-the slope interval that every grid line spans, per axis (``_inscribed_axis``):
-the Legendre transform conjugates onto it by one separable per-axis pass and
-a spline Newton polish started from its argmax node; the 2D partial Legendre
-reduction to the Laplace equation resamples onto it.  Also here: the mirror
-role-swap, and a line-searched Newton-Krylov Dirichlet solver for
+and, by row blocks, det Hess phi (the one route to it).  One kernel
+conjugates along one grid axis (``_conjugate_lines``): the slopes of each
+line's quintic spline at its nodes, resampled onto the slope interval that
+every line spans (``_inscribed_axis``).  The Legendre transform is that
+kernel on axes 1 ... m in turn, and the 2D partial Legendre reduction to
+the Laplace equation is its first pass.  Also here: the mirror role-swap,
+and a line-searched Newton-Krylov Dirichlet solver for
 det(Hess phi) = c in two variables, started from a sine-transform Poisson
 solve, with its fourth-order Jacobian applied as 1D matrix products and each
 step solved by a numpy GMRES preconditioned by sine-transform inversion;
-nothing is factorised.  The splines are ``fd.TensorQuintic`` and
-``fd.quintic_resample``, so the module runs on numpy alone.  The algebra of
-2x2 symmetric Hessians (eigenvalue range, determinant, clamped cofactors) is
-closed form; m >= 3 takes LAPACK's.  Convexity and every residual are read
-on ``fd.interior``, and ``HessianPotential.coarsened`` is the coarse grid of
-every two-grid bound.
+nothing is factorised.  The splines are ``fd.quintic_slopes``,
+``fd.quintic_resample`` and ``fd.TensorQuintic``, so the module runs on
+numpy alone.  The algebra of 2x2 symmetric Hessians (eigenvalue range,
+determinant, clamped cofactors) is closed form; m >= 3 takes LAPACK's.
+Convexity and every residual are read on ``fd.interior``, and
+``HessianPotential.coarsened`` is the coarse grid of every two-grid bound.
 """
 
 from dataclasses import dataclass, field
@@ -24,11 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from . import fd
 from .errors import ConvergenceError, ConvexityError, DomainError, InputError
-from .family import ModuliChart
 from .fd import (EDGE, TensorQuintic, apply_diff, diff_matrix, gradient_field, hessian_field,
-                 interior, quintic_resample, roundoff_floor, stencil_reach)
+                 interior, quintic_resample, quintic_slopes, roundoff_floor, stencil_reach)
 
 # smallest Hessian eigenvalue on the interior that counts as strictly convex
 CONVEXITY_TOL = 1e-10
@@ -205,25 +204,6 @@ def hessian_det_field(pot):
     return det
 
 
-def _conjugate_axis(values, u_nodes, v_nodes):
-    """Exact conjugate of the piecewise-linear interpolant along one axis.
-
-    ``values`` has the conjugation variable on axis 0; the sup over the PL
-    interpolant is attained at a grid node, so a max over nodes is exact.
-    A running max over the u-nodes keeps the work array at the size of the
-    result.  Returns the conjugate values and the (first) argmax node index.
-    """
-    v = v_nodes.reshape((-1,) + (1,) * (values.ndim - 1))
-    best = v * u_nodes[0] - values[0]
-    arg = np.zeros(best.shape, dtype=np.intp)
-    for i in range(1, len(u_nodes)):
-        score = v * u_nodes[i] - values[i]
-        better = score > best
-        best[better] = score[better]
-        arg[better] = i
-    return best, arg
-
-
 @dataclass
 class LegendrePair:
     """A potential and its convex conjugate."""
@@ -232,137 +212,60 @@ class LegendrePair:
     dual: HessianPotential
 
 
-def _inscribed_axis(slopes, axis, n):
-    """``n`` uniform nodes from the max of ``slopes`` on the low face of
-    ``axis`` to their min on the high face, the slope interval that every grid
-    line along ``axis`` spans; ``DomainError`` if that is empty."""
-    lo = float(np.max(np.take(slopes, 0, axis=axis)))
-    hi = float(np.min(np.take(slopes, -1, axis=axis)))
+def _inscribed_axis(slopes, axis):
+    """As many uniform nodes as ``slopes`` (nodes, lines) has rows, from the
+    max of its first row to the min of its last: the slope interval that
+    every line along ``axis`` spans; ``DomainError`` if that is empty."""
+    lo = float(np.max(slopes[0]))
+    hi = float(np.min(slopes[-1]))
     if hi <= lo:
         raise DomainError(f"no slope interval common to every line along u_{axis + 1}: d phi / d "
                           f"u_{axis + 1} is {lo:.6g} on the low face, {hi:.6g} on the high face")
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, len(slopes))
 
 
-def gradient_image_axes(pot):
-    """The dual box of ``legendre_transform``, one uniform v-axis of as many
-    nodes per u-axis: the slopes d phi / d u_a that every grid line along u_a
-    spans (``_inscribed_axis``).  It lies inside the discrete gradient image,
-    where psi is smooth; past the image psi is only piecewise affine."""
-    return [_inscribed_axis(apply_diff(pot.values, a, h, 1), a, len(ax))
-            for a, (ax, h) in enumerate(zip(pot.axes, pot.spacings))]
+def _conjugate_lines(values, axis, u):
+    """The conjugate of ``values`` along one grid axis with nodes ``u``, line by line.
+
+    On each line f the slopes s of its not-a-knot quintic at the nodes
+    (``fd.quintic_slopes``) give h = u s - f there, and the curve (s, h) is
+    resampled onto the slope interval that every line spans
+    (``_inscribed_axis``) by ``fd.quintic_resample``.  Returns that s-axis
+    and the conjugate, s in place of u on ``axis``.  ``ConvexityError`` if
+    the slopes of a line do not rise, as resampling needs.
+    """
+    lines = np.moveaxis(values, axis, 0)
+    shape = lines.shape
+    lines = lines.reshape(len(u), -1)
+    slopes = quintic_slopes(u, lines)
+    if not np.all(slopes[1:] > slopes[:-1]):
+        raise ConvexityError(f"a line along u_{axis + 1} fails strict convexity")
+    s_axis = _inscribed_axis(slopes, axis)
+    h = u[:, None] * slopes
+    h -= lines
+    return s_axis, np.moveaxis(quintic_resample(slopes, h, s_axis).reshape(shape), 0, axis)
 
 
 def legendre_transform(pot):
-    """psi(v) = sup_u (<u, v> - phi(u)) on the box ``gradient_image_axes(pot)``,
-    by ``_conjugate``.  The Fenchel pairing residual is not taken here; a
-    caller that reads it calls ``fenchel_residual``.
+    """psi(v) = sup_u (<u, v> - phi(u)) as m one-dimensional conjugates.
+
+    The sup over a box factors into sups over one variable at a time
+    (Rockafellar, Convex Analysis, section 26): pass a conjugates along u_a
+    (``_conjugate_lines``), and since sup over u_a of u_a v_a + psi_(a-1)
+    is the conjugate of -psi_(a-1), every pass after the first conjugates
+    the negated result of the one before.  Pass 1's dual axis is inscribed in
+    the slopes of phi along u_1; each later one in the slopes of the running
+    conjugate, so every dual node's maximiser lies in the u-box.  The Fenchel
+    pairing residual is not taken here; a caller that reads it calls
+    ``fenchel_residual``.
     """
     pot.eigenvalue_bounds  # convexity is a precondition
-    v_axes = gradient_image_axes(pot)
+    work, v_axes = pot.values, []
+    for a, u in enumerate(pot.axes):
+        v, work = _conjugate_lines(-work if a else work, a, u)
+        v_axes.append(v)
     dual_c = None if pot.c is None else 1.0 / pot.c
-    return LegendrePair(pot, HessianPotential(v_axes, _conjugate(pot, v_axes), dual_c))
-
-
-def _conjugate(pot, v_axes):
-    """The conjugate of pot on any v-box: the exact sup over the piecewise-
-    linear interpolant (``_grid_conjugate``), whose argmax node starts a
-    Newton polish on a quintic spline of phi (``_refine_conjugate``).  Both
-    are lower bounds of the sup over the u-box, so the larger is kept: the
-    polish falls below the grid value where the box reaches past the image."""
-    psi, argmax = _grid_conjugate(pot, v_axes)
-    fine = _refine_conjugate(pot, v_axes, argmax)
-    return np.where(fine > psi, fine, psi)
-
-
-def _grid_conjugate(pot, v_axes):
-    """Grid conjugate and grid argmax point of every v-node, in one pass.
-
-    max_u (<u, v> - phi(u)) over the grid separates into per-axis maxima:
-    after axis a the work array holds v_1..v_a and u_(a+1)..u_m.  The argmax
-    index of axis a depends on exactly those, so reading the indices back
-    from the last axis to the first gives the maximising node of each v-node.
-    """
-    work = pot.values
-    args = []
-    for a in range(pot.dim):
-        conj, arg = _conjugate_axis(np.moveaxis(work, a, 0), pot.axes[a], v_axes[a])
-        work = np.moveaxis(-conj, 0, a)  # keep negated until the last axis
-        args.append(np.moveaxis(arg, 0, a))
-    psi = -work
-    v_index = np.indices(psi.shape, sparse=True)
-    index = [None] * pot.dim
-    for a in reversed(range(pot.dim)):
-        index[a] = args[a][tuple(v_index[:a + 1]) + tuple(index[a + 1:])]
-    argmax = np.stack([ax[i] for ax, i in zip(pot.axes, index)], axis=-1)
-    return psi, argmax
-
-
-def _refine_conjugate(pot, v_axes, argmax):
-    """Projected Newton polish of the conjugate on a quintic spline of phi,
-    started from the grid ``argmax``; returns the polished conjugate values.
-
-    A node stops once its step s (max norm) falls below 1e-14, or, from its
-    second step on, once s is at most half the step before (ratio r <= 1/2)
-    and the steps still to come, at most 2 s r, fall below the float spacing
-    of u: this ends the roundoff chatter that ran some nodes for all 40
-    steps.  A node whose spline Hessian is not positive definite takes no
-    step, so it keeps its grid argmax and the caller's grid-value guard
-    applies there (``_conjugate``).
-
-    Each step walks the active nodes, and the Fenchel value walks all nodes,
-    in chunks of ``fd.POINT_BLOCK``: no spline jet is held for more than one
-    chunk, and every node's numbers are those of an unchunked walk.
-    """
-    spl = pot.spline
-    lo = np.array([ax[0] for ax in pot.axes])
-    hi = np.array([ax[-1] for ax in pot.axes])
-    v = np.stack(np.meshgrid(*v_axes, indexing="ij"), axis=-1).reshape(-1, pot.dim)
-    u = argmax.reshape(-1, pot.dim).copy()
-    active = np.arange(len(u))  # the nodes that have not stopped
-    last = np.full(len(u), np.inf)  # each active node's last step (>= 1e-14)
-    for sweep in range(40):
-        moved = np.empty(len(active), dtype=bool)
-        for start in range(0, len(active), fd.POINT_BLOCK):
-            chunk = active[start:start + fd.POINT_BLOCK]
-            at = u[chunk]
-            _, grad, hess = spl.jet(at)
-            new = np.clip(at + _newton_step(hess, v[chunk] - grad), lo, hi)
-            step = np.max(np.abs(new - at), axis=1)
-            ratio = step / last[chunk]
-            ulp = np.spacing(np.max(np.abs(new), axis=1))
-            converged = (ratio <= 0.5) & (2.0 * step * ratio < ulp) & (sweep > 0)
-            moved[start:start + len(chunk)] = ~(converged | (step < 1e-14))
-            u[chunk] = new
-            last[chunk] = step
-        active = active[moved]
-        if not active.size:
-            break
-    psi = np.empty(len(u))
-    for start in range(0, len(u), fd.POINT_BLOCK):
-        chunk = slice(start, start + fd.POINT_BLOCK)
-        psi[chunk] = np.sum(u[chunk] * v[chunk], axis=1) - spl(u[chunk])
-    return psi.reshape(argmax.shape[:-1])
-
-
-def _newton_step(hess, rhs):
-    """Solve hess step = rhs per point for (p, m, m) Hessians with m = 1 or 2.
-
-    In closed form; the step is zero where the Hessian is not positive
-    definite.
-    """
-    h11 = hess[:, 0, 0]
-    if hess.shape[1] == 1:
-        definite = h11 > 0.0
-        step = rhs / np.where(definite, h11, 1.0)[:, None]
-    else:
-        h12, h22 = hess[:, 0, 1], hess[:, 1, 1]
-        det = h11 * h22 - h12 * h12
-        definite = (h11 > 0.0) & (det > 0.0)
-        det = np.where(definite, det, 1.0)
-        step = np.stack([h22 * rhs[:, 0] - h12 * rhs[:, 1],
-                         h11 * rhs[:, 1] - h12 * rhs[:, 0]], axis=-1) / det[:, None]
-    return np.where(definite[:, None], step, 0.0)
+    return LegendrePair(pot, HessianPotential(v_axes, np.ascontiguousarray(work), dual_c))
 
 
 def fenchel_residual(primal, dual):
@@ -404,11 +307,15 @@ def legendre_floor(primal, dual):
 
 def mirror_swap(obj):
     """Exchange (u, lambda, phi) with (v, mu, psi); an involution that shares
-    the arrays."""
+    the arrays.  A ``family.ModuliChart`` swaps itself, and ``family`` is
+    imported only for an object that is not a ``LegendrePair``, so the grid
+    layer loads no fiber module."""
     if isinstance(obj, LegendrePair):
         return LegendrePair(obj.dual, obj.primal)
+    from .family import ModuliChart
+
     if isinstance(obj, ModuliChart):
-        return ModuliChart(obj.axes, obj.v, obj.u, obj.mu, obj.lam)
+        return obj.mirrored()
     raise InputError(f"mirror_swap does not apply to {type(obj).__name__}")
 
 
@@ -416,30 +323,23 @@ def partial_legendre_2d(pot):
     """Laplace residual of the per-slice Legendre transform h in u_1, and its
     roundoff floor.
 
-    Coordinates (s, u_2) with s = d phi / d u_1 and h = u_1 s - phi.  For a
-    unit-determinant potential h is harmonic; in general
-    h_ss + h_{u2 u2} = (1 - det Hess phi) / phi_11, which bounds the residual
-    away from zero for non-Monge-Ampere input.  The target constant is
-    normalized to 1 by rescaling phi with c^{1/2} first.  The s-axis follows
-    the rule of the Legendre dual box (``_inscribed_axis``).  The residual is
-    read past EDGE + 1 boundary nodes, since the Laplacian of h nests a second
-    derivative in a first one.  Returns max |h_ss + h_{u2 u2}| there and the
-    ``fd.roundoff_floor`` of the two second-derivative passes at scale max |h|,
-    which an exactly harmonic h reaches on fine grids.
+    Coordinates (s, u_2) with s = d phi / d u_1 and h = u_1 s - phi: the
+    conjugate along u_1 alone, the first pass of ``legendre_transform``
+    (``_conjugate_lines``).  For a unit-determinant potential h is harmonic;
+    in general h_ss + h_{u2 u2} = (1 - det Hess phi) / phi_11, which bounds
+    the residual away from zero for non-Monge-Ampere input.  The target
+    constant is normalized to 1 by rescaling phi with c^{1/2} first.  The
+    residual is read past EDGE + 1 boundary nodes, since the Laplacian of h
+    nests a second derivative in a first one.  Returns max |h_ss + h_{u2 u2}|
+    there and the ``fd.roundoff_floor`` of the two second-derivative passes
+    at scale max |h|, which an exactly harmonic h reaches on fine grids.
     """
     if pot.dim != 2:
         raise InputError("partial Legendre reduction is specific to m = 2")
     values = pot.values
     if pot.c is not None and abs(pot.c - 1.0) > 1e-14:
         values = values / np.sqrt(pot.c)
-    slopes = apply_diff(values, 0, pot.spacings[0], 1)
-    # quintic_resample also needs each slice's slopes strictly increasing
-    if (np.min(apply_diff(values, 0, pot.spacings[0], 2)) <= 0
-            or np.min(np.diff(slopes, axis=0)) <= 0):
-        raise ConvexityError("a u_1 slice fails strict convexity")
-    h_nodes = pot.axes[0][:, None] * slopes - values
-    s_axis = _inscribed_axis(slopes, 0, len(pot.axes[0]))
-    h = quintic_resample(slopes, h_nodes, s_axis)
+    s_axis, h = _conjugate_lines(values, 0, pot.axes[0])
     ds = float(s_axis[1] - s_axis[0])
     laplacian = apply_diff(h, 0, ds, 2)
     laplacian += apply_diff(h, 1, pot.spacings[1], 2)

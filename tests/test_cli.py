@@ -140,9 +140,9 @@ def test_legendre_job_takes_one_hessian_per_potential(tmp_path, monkeypatch):
 
 
 def test_legendre_job_builds_one_spline_per_potential(tmp_path, monkeypatch):
-    # the forward polish and the involution read the primal's spline, the
-    # Fenchel residual and the back polish the dual's; each is built once, on
-    # the fine grid and on the coarse one
+    # the line conjugates take no tensor spline; the involution reads the
+    # primal's and the Fenchel residual the dual's, each built once, on the
+    # fine grid and on the coarse one
     builds = _count_calls(monkeypatch, hessian, "TensorQuintic")
     cfg = _write(tmp_path / "cfg.json", {"potential": {
         "axes": [[-1, 1, 33], [-1, 1, 33]], "expr": "(u1**2 + u2**2) / 2 + 0.1*cosh(u1)"}})
@@ -218,6 +218,24 @@ def test_legendre_rejects_a_shifted_dual(tmp_path, monkeypatch, n):
     assert not checks["fenchel"]["pass"] and not checks["legendre_involution"]["pass"]
 
 
+def test_legendre_smallest_grids(tmp_path, capsys):
+    # the chart potential passes at 12 to 19 nodes; at 11 the 6-node coarse
+    # grid is one quintic on the whole box, even about its centre, so the
+    # 5-point stencil is exact on it and its Fenchel gap is roundoff: that
+    # bounds nothing, and the run exits 2 naming the check (beta = 0 is a
+    # quadratic, exact on both grids)
+    for beta in (0.0, 0.05, 0.1, 0.15):
+        for n in range(11, 20):
+            cfg = _write(tmp_path / "leg.json", _legendre_config(n, beta))
+            code = main(["legendre", "--config", cfg, "--out", str(tmp_path / f"{beta}-{n}")])
+            assert code == (2 if n == 11 and beta > 0 else 0), (beta, n)
+            if code == 2:
+                error = _report(tmp_path / f"{beta}-{n}")["error"]
+                assert error["type"] == "GridMismatchError"
+                assert error["message"].startswith("fenchel reads")
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_ma_solve_and_partial_legendre(tmp_path):
     cfg = _write(
         tmp_path / "ma.json", {"boundary": "cosh(u1) + cosh(u2)", "n": 65}
@@ -262,19 +280,85 @@ def test_partial_legendre_reports_the_two_grid_schema(tmp_path):
 
 def test_partial_legendre_floor_is_the_roundoff_of_its_passes(tmp_path):
     # on the exact solution the Laplace residual is roundoff, which grows as
-    # h^-2: 1.1e-9 at 513^2, above a fixed floor of 1e-9; the roundoff floor
-    # of the two second-derivative passes passes it, while a 1e-6 bump, far
-    # above that floor, still fails
+    # h^-2: 9.4e-10 at 513^2 against 2.4e-10 at 257^2, so 10 coarse / 16
+    # alone would refuse it; the roundoff floor of the two second-derivative
+    # passes passes it, while a 1e-6 bump, far above that floor, still fails
     cases = [(_exact_solution(513), 0), (_exact_solution(129, 1e-6), 1),
              (_exact_solution(257, 1e-6), 1)]
     for i, (config, code) in enumerate(cases):
         cfg = _write(tmp_path / f"pl{i}.json", config)
         assert main(["partial-legendre", "--config", cfg, "--out", str(tmp_path / str(i))]) == code
-        prop3 = _report(tmp_path / str(i))["checks"]["prop3"]
+        report = _report(tmp_path / str(i))
+        prop3 = report["checks"]["prop3"]
         if code == 0:
-            assert 1e-9 < prop3["residual"] < 1e-8 < prop3["tol"]
+            assert 10.0 * report["coarse"]["prop3"] / 16 < prop3["residual"] < 1e-8 < prop3["tol"]
         else:
             assert prop3["residual"] > 1e-4
+
+
+def _solve_to_csv(path, n, boundary, steps_early=0):
+    """Save the Monge-Ampere solution with ``boundary`` on [0, 1]^2 and
+    c = 1, stopped ``steps_early`` Newton steps before the solver's own
+    stop, to ``path``."""
+    axes = [np.linspace(0.0, 1.0, n)] * 2
+    pot = hessian.solve_ma_dirichlet(axes, boundary, 1.0)
+    if steps_early:
+        history = pot.info["residuals"]
+        tol = hessian.NEWTON_TOL
+        hessian.NEWTON_TOL = history[-1 - steps_early] * (1 + 1e-9)
+        try:
+            pot = hessian.solve_ma_dirichlet(axes, boundary, 1.0)
+        finally:
+            hessian.NEWTON_TOL = tol
+        assert pot.info["iterations"] == len(history) - 1 - steps_early
+    save_potential(pot, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("alpha", [0.95, 1.0, 1.05])
+def test_partial_legendre_certifies_solver_output_by_a_coarse_solve(tmp_path, monkeypatch,
+                                                                   alpha):
+    # the every-other-node subsample of the 129^2 solution bounds prop3 by
+    # 2.5e-7 to 5.1e-7, below its residual of 5.2e-7 to 8.9e-7; the 65^2
+    # re-solve from the subsample's ring bounds it by 3.7e-6 to 4.0e-6
+    csv = _solve_to_csv(tmp_path / "solution.csv", 129,
+                        lambda a, b: alpha * (np.cosh(a) + np.cosh(b)))
+    solves = _count_calls(monkeypatch, hessian, "solve_ma_dirichlet")
+    cfg = _write(tmp_path / "pl.json", {"potential": csv})
+    assert main(["partial-legendre", "--config", cfg, "--out", str(tmp_path / "pl")]) == 0
+    assert len(solves) == 1
+    coarse = load_potential(csv).coarsened()
+    solved = hessian.solve_ma_dirichlet(coarse.axes, coarse.values, coarse.c)
+    report = _report(tmp_path / "pl")
+    assert report["coarse"]["prop3"] == hessian.partial_legendre_2d(solved)[0]
+    assert report["coarse"]["prop3"] != hessian.partial_legendre_2d(coarse)[0]
+
+
+def test_partial_legendre_subsamples_expressions_and_files_without_c(tmp_path, monkeypatch):
+    # an expression is exact on every node, and a file that records no c is
+    # no Monge-Ampere solution: both keep the subsample
+    solves = _count_calls(monkeypatch, hessian, "solve_ma_dirichlet")
+    pot = cli._resolve_potential(_exact_solution(65)["potential"])
+    save_potential(HessianPotential(pot.axes, pot.values), tmp_path / "no-c.csv")
+    for name, potential in (("expr", _exact_solution(65)["potential"]),
+                            ("no-c", str(tmp_path / "no-c.csv"))):
+        cfg = _write(tmp_path / f"{name}.json", {"potential": potential})
+        assert main(["partial-legendre", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        report = _report(tmp_path / name)
+        assert report["coarse"]["prop3"] == hessian.partial_legendre_2d(pot.coarsened())[0]
+    assert not solves
+
+
+@pytest.mark.parametrize("n", [65, 129])
+def test_partial_legendre_refuses_a_solve_stopped_two_steps_early(tmp_path, n):
+    # two Newton steps before the stop the residual det - c is about 2e-3
+    # and 7e-3; prop3 reads 2.7e-5 and 3.6e-5 against re-solve bounds of
+    # 1.9e-5 and 4.0e-6.  One step before, at residual 6e-7 and 1e-5, the
+    # Laplace residual is the stencil error of the finished solve and passes
+    csv = _solve_to_csv(tmp_path / "early.csv", n, lambda a, b: np.cosh(a) + np.cosh(b), 2)
+    cfg = _write(tmp_path / "pl.json", {"potential": csv})
+    assert main(["partial-legendre", "--config", cfg, "--out", str(tmp_path / "pl")]) == 1
+    assert not _report(tmp_path / "pl")["checks"]["prop3"]["pass"]
 
 
 def test_ma_solve_reads_prop3_from_the_solver(tmp_path, monkeypatch):
@@ -707,6 +791,20 @@ def test_grid_values_of_the_wrong_kind_name_their_key(tmp_path, capsys, command,
     assert key in error["message"].split()
 
 
+def test_fiber_grid_below_the_minimum_names_its_key(tmp_path, capsys):
+    # 4 nodes per fiber axis raised a GridMismatchError from the form layer
+    # that named no config key
+    from slmoduli.forms import MIN_RESOLUTION
+
+    cfg = _write(tmp_path / "cfg.json", {"family": "std:2", "grid": {"n": 2},
+                                         "fiber_resolution": MIN_RESOLUTION - 4})
+    assert main(["family-scan", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    error = _report(tmp_path)["error"]
+    assert error["type"] == "InputError"
+    assert {"fiber_resolution", "forms.MIN_RESOLUTION"} <= set(error["message"].split())
+
+
 def test_number_in_place_of_a_path_is_refused(tmp_path):
     # open() would take the number for a file descriptor of the running
     # process, read it and close it
@@ -860,6 +958,34 @@ def test_fiber_commands_never_load_the_grid_layer(import_stages):
     assert GRID_LAYER <= import_stages["semiflat"][1]
 
 
+def test_grid_commands_never_load_the_fiber_layer(tmp_path):
+    # the mirror swap of a moduli chart lives with the chart, so the grid
+    # layer imports nothing of family, forms, cymodel or multilinear
+    probe = textwrap.dedent("""
+        import json, sys
+        from pathlib import Path
+
+        import slmoduli.cli
+
+        tmp = Path(sys.argv[1])
+        potential = {"axes": [[-1, 1, 17], [-1, 1, 17]], "expr": "(u1**2 + u2**2) / 2",
+                     "c": 1.0}
+        codes = []
+        for command, config in [("legendre", {"potential": potential}), ("ma-solve", {"n": 17}),
+                                ("partial-legendre", {"potential": potential}),
+                                ("semiflat", {"potential": potential}), ("gh", {"n": 17})]:
+            cfg = tmp / f"{command}.json"
+            cfg.write_text(json.dumps(config))
+            codes.append(slmoduli.cli.main([command, "--config", str(cfg),
+                                            "--out", str(tmp / command)]))
+        print(json.dumps([codes, sorted(name for name in sys.modules
+                                        if name.startswith("slmoduli."))]))
+    """)
+    codes, loaded = json.loads(_run_probe(probe, tmp_path).stdout)
+    assert codes == [0] * 5
+    assert set(loaded) == {"slmoduli.cli", "slmoduli.errors"} | GRID_LAYER
+
+
 def test_grid_layer_loads_as_one_unit(tmp_path):
     # semiflat binds fd's functions by name, so it is loaded with hessian:
     # code that replaces an fd function at every binding finds its copies
@@ -951,3 +1077,4 @@ def test_ci_smoke_script_at_toy_sizes(tmp_path):
     assert stdout["memory"].count("peak RSS") == 7
     assert stdout["threads"].count("identical at 1 and 2 BLAS threads") == 5
     assert stdout["imports"].count("none of slmoduli.fd") == 3
+    assert stdout["imports"].count("none of slmoduli.family") == 5

@@ -11,7 +11,7 @@ from scipy.interpolate import RectBivariateSpline, make_interp_spline
 from slmoduli import fd
 from slmoduli.errors import GridMismatchError
 from slmoduli.fd import (TensorQuintic, apply_diff, cumulative_quadrature, diff_matrix,
-                         interior, quintic_resample, stencil_reach)
+                         interior, quintic_resample, quintic_slopes, stencil_reach)
 
 
 @pytest.mark.parametrize("width", [2, 3, 8])
@@ -148,20 +148,18 @@ def test_tensor_quintic_matches_scipy(shape):
     pts = np.stack([rng.uniform(-1.0, 1.0, 400), rng.uniform(0.5, 2.0, 400)], axis=1)
     pts[:shape[0], 0] = x[:400]
     pts[-2:] = [[x[0], y[0]], [x[-1], y[-1]]]
-    value, grad, hess = TensorQuintic([x, y], z).jet(pts)
-    ref = RectBivariateSpline(x, y, z, kx=5, ky=5, s=0)
-    for got, (dx, dy) in [(value, (0, 0)), (grad[:, 0], (1, 0)), (grad[:, 1], (0, 1)),
-                          (hess[:, 0, 0], (2, 0)), (hess[:, 0, 1], (1, 1)),
-                          (hess[:, 1, 0], (1, 1)), (hess[:, 1, 1], (0, 2))]:
-        want = ref.ev(pts[:, 0], pts[:, 1], dx=dx, dy=dy)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (dx, dy)
-    assert np.array_equal(TensorQuintic([x, y], z)(pts), value)
-    # in one variable it is make_interp_spline's quintic
-    value, grad, hess = TensorQuintic([x], z[:, 0]).jet(pts[:, :1])
-    spline = make_interp_spline(x, z[:, 0], k=5)
-    for got, nu in [(value, 0), (grad[:, 0], 1), (hess[:, 0, 0], 2)]:
-        want = spline(pts[:, 0], nu)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), nu
+    value = TensorQuintic([x, y], z)(pts)
+    want = RectBivariateSpline(x, y, z, kx=5, ky=5, s=0).ev(pts[:, 0], pts[:, 1])
+    assert np.max(np.abs(value - want)) <= 1e-13 * np.max(np.abs(want))
+    # in one variable it is make_interp_spline's quintic, and its slopes at
+    # the nodes are that spline's derivative there, column by column
+    value = TensorQuintic([x], z[:, 0])(pts[:, :1])
+    want = make_interp_spline(x, z[:, 0], k=5)(pts[:, 0])
+    assert np.max(np.abs(value - want)) <= 1e-13 * np.max(np.abs(want))
+    slopes = quintic_slopes(x, z)
+    want = np.stack([make_interp_spline(x, z[:, j], k=5)(x, 1) for j in range(shape[1])], axis=1)
+    assert slopes.shape == z.shape
+    assert np.max(np.abs(slopes - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -174,18 +172,17 @@ def test_tensor_quintic_point_blocks_keep_the_bits(monkeypatch, m, k):
     hi = np.array([ax[-1] for ax in axes])
     for p in (k * fd.POINT_BLOCK - 1, k * fd.POINT_BLOCK, k * fd.POINT_BLOCK + 1):
         pts = rng.uniform(lo, hi, (p, m))
-        blocked = (spline(pts), *spline.jet(pts))
+        blocked = spline(pts)
         with monkeypatch.context() as patch:
             patch.setattr(fd, "POINT_BLOCK", p)
-            whole = (spline(pts), *spline.jet(pts))
-        for got, want in zip(blocked, whole):
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+            whole = spline(pts)
+        assert blocked.shape == whole.shape == (p,)
+        assert blocked.tobytes() == whole.tobytes()
 
 
 def test_uniform_span_closed_form_matches_the_recursion():
     # on spans whose twelve surrounding knots are uniform, the cardinal
-    # quintics and their first two derivatives are the Cox-de Boor ones
+    # quintics are the Cox-de Boor ones
     h = 0.0625
     knots = (np.arange(40.0) * h - 1.0)[None]
     rng = np.random.default_rng(5)
@@ -193,12 +190,10 @@ def test_uniform_span_closed_form_matches_the_recursion():
     t = rng.uniform(0.0, 1.0, 500)
     t[:3] = [0.0, 1.0, 0.5]
     x = knots[0, spans] + t * h
-    want = fd._quintic_basis(knots, spans[None], x[None], 2)[:, 0]
-    got = fd._uniform_quintic_basis((x - knots[0, spans]) / h, h, 2)
-    for k in range(3):
-        assert np.max(np.abs(got[k] - want[k])) <= 1e-14 * h ** -k, k
-    assert np.array_equal(fd._uniform_quintic_basis(t, h, 0)[0],
-                          fd._uniform_quintic_basis(t, h, 2)[0])
+    want = fd._quintic_basis(knots, spans[None], x[None])[0, 0]
+    got = fd._uniform_quintic_basis((x - knots[0, spans]) / h)
+    assert got.shape == want.shape == (500, 6)
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_tensor_quintic_refuses_non_uniform_axes():

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 from slmoduli.errors import ConvergenceError, ConvexityError, DomainError, InputError
 from slmoduli import fd, hessian
-from slmoduli.fd import diff_matrix, hessian_field, interior, two_grid_bound
+from slmoduli.fd import diff_matrix, hessian_field, interior, quintic_slopes, two_grid_bound
 from slmoduli.hessian import (
     HessianPotential,
     eigenvalue_range,
     fenchel_residual,
-    gradient_image_axes,
     hessian_det,
     hessian_det_field,
     hessian_metric,
@@ -243,57 +242,37 @@ def test_clamped_cofactors_of_isotropic_nodes():
 
 
 def test_hessian_algebra_refuses_three_variables():
-    # the quintic spline of the Legendre polish and the solver are m <= 2;
-    # the eigenvalues and determinants of m >= 3 are LAPACK's
+    # the line conjugates take no tensor spline, so the transform runs in
+    # three variables; the residuals read the tensor quintic and the solver
+    # is m = 2, so they refuse; the eigenvalues and determinants of m >= 3
+    # are LAPACK's
     axes = [np.linspace(-1, 1, 9)] * 3
     pot = HessianPotential.from_function(axes, lambda a, b, c: (a ** 2 + b ** 2 + c ** 2) / 2)
-    with pytest.raises(InputError):
-        legendre_transform(pot)
+    pair = legendre_transform(pot)
+    assert np.max(np.abs(pair.dual.values - pot.values)) < 1e-12
+    with pytest.raises(InputError, match="m <= 2"):
+        fenchel_residual(pot, pair.dual)
+    with pytest.raises(InputError, match="m <= 2"):
+        involution_residual(pot, legendre_transform(pair.dual).dual)
     with pytest.raises(InputError):
         solve_ma_dirichlet(axes, lambda *u: sum(x ** 2 for x in u) / 2)
 
 
-def test_legendre_polish_chunks_keep_the_bits(monkeypatch):
-    # 33^2 nodes in chunks of 64, against one chunk: the polish and the
-    # Fenchel value treat every node alone
-    axes = [np.linspace(-1, 1, 33)] * 2
-    pot = HessianPotential.from_function(axes, lambda a, b: (a ** 2 + b ** 2) / 2
-                                         + 0.1 * np.cosh(a + 0.5 * b))
-    pairs = []
-    for block in (64, 10 ** 9):
-        with monkeypatch.context() as patch:
-            patch.setattr(fd, "POINT_BLOCK", block)
-            pairs.append(legendre_transform(pot))
-    chunked, whole = pairs
-    assert chunked.dual.values.tobytes() == whole.dual.values.tobytes()
-    # the polished values themselves, before the grid-value guard
-    v_axes = whole.dual.axes
-    _, argmax = hessian._grid_conjugate(pot, v_axes)
-    polished = []
-    for block in (64, 10 ** 9):
-        with monkeypatch.context() as patch:
-            patch.setattr(fd, "POINT_BLOCK", block)
-            polished.append(hessian._refine_conjugate(pot, v_axes, argmax))
-    assert polished[0].tobytes() == polished[1].tobytes()
-
-
-def test_legendre_polish_stops_when_its_steps_contract(monkeypatch):
-    # 129^2 nodes are 17 chunks of fd.POINT_BLOCK = 1024 (9 of 2048); the
-    # polish converges in three sweeps, so at most 3 jets per chunk and
-    # transform.  A stop at 1e-14 alone kept the nodes whose spline gradient
-    # is not exact to 1e-14 chattering through all 40 sweeps: 66 jets forward
-    # and 65 back in chunks of 2048
+def test_legendre_transform_is_one_line_conjugate_per_axis(monkeypatch):
+    # the full transform is the line conjugate on u_1, then on u_2 of the
+    # negated result; the partial reduction is the first of these passes
     n = 129
     axes = [np.linspace(-1, 1, n)] * 2
     pot = HessianPotential.from_function(axes, lambda a, b: (a ** 2 + b ** 2) / 2
                                          + 0.1 * np.cosh(a))
-    jets, jet = [], fd.TensorQuintic.jet
-    monkeypatch.setattr(fd.TensorQuintic, "jet", lambda spl, x: jets.append(None) or jet(spl, x))
+    calls = []
+    kernel = hessian._conjugate_lines
+    monkeypatch.setattr(hessian, "_conjugate_lines",
+                        lambda values, axis, u: calls.append(axis) or kernel(values, axis, u))
     pair = legendre_transform(pot)
-    forward = len(jets)
     back = legendre_transform(pair.dual)
-    sweeps = 3 * -(-n * n // fd.POINT_BLOCK)
-    assert forward <= sweeps and len(jets) - forward <= sweeps
+    partial_legendre_2d(pot)
+    assert calls == [0, 1, 0, 1, 0]
     assert fenchel_residual(pot, pair.dual) < 1e-14
     assert involution_residual(pot, back.dual) < 10.0 * interpolation_tolerance(pot)
 
@@ -333,110 +312,6 @@ def test_legendre_1d():
     v = pair.dual.axes[0]
     exact = v * np.arcsinh(v) - np.sqrt(1.0 + v ** 2)
     assert np.max(np.abs(pair.dual.values - exact)) < 1e-6
-
-
-def _brute_force_argmax(pot, v_axes):
-    """Reference: max of <u, v> - phi(u) over every (v-node, u-node) pair."""
-    pts = pot.points().reshape(-1, pot.dim)
-    v = np.stack(np.meshgrid(*v_axes, indexing="ij"), axis=-1).reshape(-1, pot.dim)
-    scores = v @ pts.T - pot.values.reshape(-1)[None, :]
-    order = np.sort(scores, axis=1)
-    return pts[np.argmax(scores, axis=1)], order[:, -1], order[:, -1] - order[:, -2]
-
-
-def _random_convex(rng, m, n):
-    mat = rng.normal(size=(m, m))
-    mat = mat @ mat.T + 0.3 * np.eye(m)
-    lin = rng.normal(size=m)
-    amp = rng.uniform(0.0, 0.3)
-    vec = rng.normal(size=m)
-
-    def fn(*mesh):
-        u = np.stack(mesh, axis=-1)
-        return (0.5 * np.einsum("...a,ab,...b->...", u, mat, u) + u @ lin
-                + amp * np.cosh(u @ vec))
-
-    return HessianPotential.from_function([np.linspace(-1, 1, n)] * m, fn)
-
-
-def _bounding_box_axes(pot, shrink):
-    """v-axes on the bounding box of the gradient image, pulled in by ``shrink``
-    of its width at each end: a box that reaches past the image, which the
-    private conjugation steps accept."""
-    grad = pot.gradient().reshape(-1, pot.dim)
-    lo, hi = np.min(grad, axis=0), np.max(grad, axis=0)
-    pad = shrink * (hi - lo)
-    return [np.linspace(a, b, len(ax)) for a, b, ax in zip(lo + pad, hi - pad, pot.axes)]
-
-
-@pytest.mark.parametrize("m", [1, 2])
-def test_separable_argmax_matches_brute_force(m):
-    rng = np.random.default_rng(11 + m)
-    for _ in range(10):
-        pot = _random_convex(rng, m, int(rng.integers(9, 26)))
-        v_axes = _bounding_box_axes(pot, rng.uniform(0.0, 0.3))
-        psi, argmax = hessian._grid_conjugate(pot, v_axes)
-        ref_pts, ref_max, ref_gap = _brute_force_argmax(pot, v_axes)
-        argmax = argmax.reshape(-1, m)
-        psi = psi.reshape(-1)
-        assert np.max(np.abs(psi - ref_max)) < 1e-13
-        # the same node wherever the maximum is not a near tie
-        unique = ref_gap > 1e-12
-        assert np.array_equal(argmax[unique], ref_pts[unique])
-        # and the objective at the returned node is the grid conjugate
-        idx = tuple(np.rint((argmax[:, a] - pot.axes[a][0]) / pot.spacings[a]).astype(int)
-                    for a in range(m))
-        v = np.stack(np.meshgrid(*v_axes, indexing="ij"), axis=-1).reshape(-1, m)
-        at_argmax = np.sum(argmax * v, axis=1) - pot.values[idx]
-        assert np.max(np.abs(at_argmax - psi)) < 1e-13
-
-
-def test_polished_conjugate_not_below_grid_conjugate():
-    # the draws of acceptance criterion 07, on boxes that reach past the
-    # gradient image: the bounding box of the forward transform, and the
-    # u-box as the target of the back-transform.  Without the guard in
-    # ``_conjugate`` the polish fell below the grid value by up to 2.2e-3
-    rng = np.random.default_rng(77)
-    for trial in range(50):
-        m = 1 if trial % 2 == 0 else 2
-        n = 65 if m == 1 else 33
-        axes = [np.linspace(-1.0, 1.0, n)] * m
-        scale = rng.uniform(0.8, 2.0)
-        mat = scale * np.eye(m)
-        if m == 2:
-            s = rng.uniform(-0.15, 0.15) * scale
-            mat = mat + np.array([[0.0, s], [s, 0.0]])
-        amp = rng.uniform(0.0, 0.15)
-        vec = rng.normal(size=m)
-        vec /= max(np.linalg.norm(vec), 1e-9)
-
-        def fn(*mesh):
-            u = np.stack(mesh, axis=-1)
-            return 0.5 * np.einsum("...a,ab,...b->...", u, mat, u) + amp * np.cosh(u @ vec)
-
-        pot = HessianPotential.from_function(axes, fn)
-        dual = legendre_transform(pot).dual
-        for primal, target in ((pot, _bounding_box_axes(pot, 0.0)), (dual, pot.axes)):
-            grid = hessian._grid_conjugate(primal, target)[0]
-            assert np.min(hessian._conjugate(primal, target) - grid) >= -1e-12, trial
-
-
-def test_polish_step_skips_only_nodes_without_a_definite_hessian():
-    hess = np.array([[[2.0, 0.5], [0.5, 1.0]],
-                     [[1.0, 1.0], [1.0, 1.0]],  # singular
-                     [[1.0, 0.0], [0.0, -1.0]],  # indefinite
-                     [[3.0, -1.0], [-1.0, 2.0]]])
-    rhs = np.array([[1.0, -2.0], [0.5, 0.5], [1.0, 1.0], [-0.3, 0.7]])
-    # one batched solve of these systems fails for all of them
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(hess, rhs[..., None])
-    step = hessian._newton_step(hess, rhs)
-    definite = [0, 3]
-    want = np.linalg.solve(hess[definite], rhs[definite][..., None])[..., 0]
-    assert np.max(np.abs(step[definite] - want)) < 1e-15
-    assert np.all(step[[1, 2]] == 0.0)
-    step = hessian._newton_step(np.array([[[2.0]], [[0.0]], [[-1.0]]]), np.ones((3, 1)))
-    assert np.array_equal(step, [[0.5], [0.0], [0.0]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -498,29 +373,33 @@ def test_dual_box_must_fit_in_the_gradient_image():
     # along u1
     pot = HessianPotential.from_function([np.linspace(-1, 1, 17), np.linspace(-3, 3, 17)],
                                          lambda a, b: (a ** 2 + b ** 2) / 2 + a * b / 2)
-    with pytest.raises(DomainError):
-        gradient_image_axes(pot)
-    with pytest.raises(DomainError):
-        legendre_transform(pot)
+    for transform in (legendre_transform, partial_legendre_2d):
+        with pytest.raises(DomainError, match="along u_1"):
+            transform(pot)
 
 
 def test_dual_box_is_the_slope_interval_of_the_partial_reduction(monkeypatch):
-    # one rule picks the dual box and the s-axis of the partial reduction:
-    # the max of the slopes on the low face to their min on the high face
+    # one rule picks every dual axis and the s-axis of the partial
+    # reduction: the max of the spline slopes on the low face to their min
+    # on the high face.  Pass 1 reads the slopes of phi along u_1; pass 2
+    # those of the running conjugate -psi_1 along u_2, which for this
+    # non-separable phi span more than phi's own slopes along u_2
     axes = [np.linspace(-1, 1, 33), np.linspace(0.5, 1.5, 33)]
     pot = HessianPotential.from_function(axes, lambda a, b: a ** 2 / (2 * b) + b ** 3 / 6)
-    slopes = pot.gradient()
-    box = gradient_image_axes(pot)
-    for a in range(2):
-        lo = np.max(np.take(slopes[..., a], 0, axis=a))
-        hi = np.min(np.take(slopes[..., a], -1, axis=a))
-        assert (box[a][0], box[a][-1]) == (lo, hi)
     calls = []
     inscribed = hessian._inscribed_axis
     monkeypatch.setattr(hessian, "_inscribed_axis",
-                        lambda *args: calls.append(args[1]) or inscribed(*args))
+                        lambda *args: calls.append(args) or inscribed(*args))
+    box = legendre_transform(pot).dual.axes
     partial_legendre_2d(pot)
-    assert calls == [0]
+    assert [axis for _, axis in calls] == [0, 1, 0]
+    slopes = quintic_slopes(axes[0], pot.values)
+    assert (box[0][0], box[0][-1]) == (np.max(slopes[0]), np.min(slopes[-1]))
+    assert np.array_equal(calls[0][0], calls[2][0])
+    running = calls[1][0]
+    assert (box[1][0], box[1][-1]) == (np.max(running[0]), np.min(running[-1]))
+    own = quintic_slopes(axes[1], pot.values.T)
+    assert box[1][0] < np.max(own[0]) and box[1][-1] > np.min(own[-1])
 
 
 def test_fenchel_residual_detects_wrong_dual():
@@ -543,7 +422,7 @@ def test_coarsened_keeps_every_other_node_and_c(m):
 
 def test_gradient_image_axes_cover_range():
     pot = _quadratic([np.linspace(-1, 1, 33)] * 2, 2.0 * np.eye(2))
-    axes = gradient_image_axes(pot)
+    axes = legendre_transform(pot).dual.axes
     assert np.isclose(axes[0][0], -2.0, atol=1e-8)
     assert np.isclose(axes[0][-1], 2.0, atol=1e-8)
 
@@ -611,11 +490,11 @@ def test_partial_legendre_resamples_in_column_blocks():
 
 def test_chart_jobs_hold_no_per_point_spline_work_or_unbuilt_krylov_vectors():
     # evaluated on all points at once, the tensor quintic holds about 80
-    # doubles per point (the polish peaks near 105 N doubles at 129^2, the
-    # Fenchel residual near 68); a polish step on all active nodes at once
-    # held their value, gradient and Hessian (near 50 N); in blocks of
-    # fd.POINT_BLOCK = 1024 points they peak near 17.5 and 15.8 N (24.7 and
-    # 21.9 N in blocks of 2048).  A GMRES basis with room for a whole cycle
+    # doubles per point (the Fenchel residual peaked near 68 N doubles at
+    # 129^2); in blocks of fd.POINT_BLOCK = 1024 points it peaks near 14.4 N.
+    # The transform, line conjugates resampled in column blocks, peaks near
+    # 14.3 N (17.5 N with the blocked spline Newton polish it replaced, which
+    # took 105 N on all points at once).  A GMRES basis with room for a whole cycle
     # holds 41 N doubles (the solver peaked near 95 N, and near 50 N while
     # it also held the grid Hessian and a meshgrid); with a 10-vector
     # restart, the residual-proportional forcing term, the Jacobian summed
@@ -684,14 +563,15 @@ def test_forcing_term_keeps_the_newton_steps_and_the_solution(monkeypatch, data)
 
 
 def test_partial_legendre_rejects_slopes_that_fall():
-    # every second-derivative stencil is positive, yet the first-derivative
-    # stencil falls between two nodes, so no slope interpolant exists
-    u1 = np.array([0.0035851, 0.00847496, 0.03305565, 0.06944083, 0.11705026,
-                   0.17834205, 0.27254194, 0.38586992, 0.50263173])
+    # every second difference along u1 is positive, yet the quintic through
+    # the kink at u1 = 0.45 overshoots and its slopes fall between two
+    # nodes, so the curve (s, h) is no function of s to resample
     axes = [np.linspace(0, 1, 9)] * 2
+    u1 = np.abs(axes[0] - 0.45) + 0.01 * axes[0] ** 2
     pot = HessianPotential(axes, u1[:, None] + axes[1][None, :] ** 2 / 2)
-    assert np.min(hessian_field(pot.values, pot.spacings)[..., 0, 0]) > 0
-    with pytest.raises(ConvexityError):
+    assert np.min(np.diff(pot.values, 2, axis=0)) > 0
+    assert np.min(np.diff(quintic_slopes(axes[0], pot.values), axis=0)) < 0
+    with pytest.raises(ConvexityError, match="along u_1"):
         partial_legendre_2d(pot)
 
 
