@@ -268,13 +268,15 @@ def legendre_transform(pot):
     return LegendrePair(pot, HessianPotential(v_axes, np.ascontiguousarray(work), dual_c))
 
 
-def fenchel_residual(primal, dual):
-    """max |phi(u) + psi(grad phi(u)) - <u, grad phi(u)>| over interior nodes.
+def fenchel_residual(primal, dual, edge=EDGE):
+    """max |phi(u) + psi(grad phi(u)) - <u, grad phi(u)>| over the nodes of
+    ``primal`` past ``edge`` boundary nodes.
 
-    Only nodes whose gradient lands inside the dual grid contribute.
+    Only nodes whose gradient lands inside the dual grid contribute.  The
+    gap is symmetric in the pair, so it can be read on either's nodes.
     """
     grad = primal.gradient()
-    core = interior(primal.values.shape, EDGE)
+    core = interior(primal.values.shape, edge)
     u = primal.points()[core].reshape(-1, primal.dim)
     v = grad[core].reshape(-1, primal.dim)
     phi = primal.values[core].reshape(-1)
