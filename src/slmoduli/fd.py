@@ -1,31 +1,29 @@
 """Finite-difference machinery on uniform box grids.
 
 Stencils of order ``ORDER``, centered in the interior and one-sided at the
-boundary, generated by Fornberg's weight algorithm (Math. Comp. 51, 1988) as
-one weight table per spacing and derivative order.  ``apply_diff`` applies a
-table as a banded kernel, shifted slices along the axis accumulated in
-increasing node order, so each node's arithmetic is fixed by its index and
-the number of nodes alone; it also returns the derivative on a node range
-read from a window of the axis, bit for bit the full-axis result there.
-The taps of each node range are kept, so a slab walk that asks for the
-same ranges again pays for them once.  ``diff_matrix`` is the same table
-as a dense matrix.  The module also decides where a stencil residual is
-trusted and how far: ``interior`` is the one definition of the nodes a
-residual is read on, ``two_grid_bound`` turns the residual on every
-other node into a bound for the fine grid, and ``roundoff_floor`` is the
-roundoff below which no such bound may fall.  Two numpy kernels stand
-in for scipy's splines: the not-a-knot quintic interpolant (the spline
-``scipy.interpolate.make_interp_spline(x, y, k=5)`` builds), solved for many
-columns at once by ``quintic_coefficients``, differentiated at its own
-nodes by ``quintic_slopes``, evaluated by ``quintic_resample`` (in blocks
-of ``RESAMPLE_COLUMNS`` columns when each column has its own nodes, so its
-work arrays do not grow with the number of columns) and taken as a tensor
-product over a uniform box grid by ``TensorQuintic`` (evaluated in blocks
-of ``POINT_BLOCK`` points, so its work arrays do not grow with the number
-of points, and in closed form on the spans away from the not-a-knot ends);
-and
-``cumulative_quadrature`` (a sixth-order running integral on a uniform
-grid, a banded sum of six cell weights followed by a cumulative sum).
+boundary, generated by Fornberg's weight algorithm (Math. Comp. 51, 1988)
+as one weight table per spacing and derivative order.  ``apply_diff``
+applies a table as a banded kernel, shifted slices along the axis
+accumulated in increasing node order, so each node's arithmetic is fixed by
+its index and the number of nodes alone; it also returns the derivative on a
+node range read from a window of the axis, bit for bit the full-axis result
+there.  The taps of each node range are kept, so a slab walk that asks for
+the same ranges again pays for them once.  ``diff_matrix`` is the same table
+as a dense matrix, cached per size and read-only.  The module also decides
+where a stencil residual is trusted and how far: ``interior`` is the one
+definition of the nodes a residual is read on, ``two_grid_bound`` turns the
+residual on every other node into a bound for the fine grid, and
+``roundoff_floor`` is the roundoff below which no such bound may fall.
+Numpy kernels stand in for scipy's splines: the not-a-knot quintic
+interpolant (``scipy.interpolate.make_interp_spline(x, y, k=5)``), solved
+for many columns on shared nodes by ``quintic_coefficients``, the one spline
+solve, differentiated at those nodes by ``quintic_derivatives`` and taken as
+a tensor product on a uniform box grid by ``TensorQuintic`` (evaluated in
+blocks of ``POINT_BLOCK`` points, and in closed form away from the
+not-a-knot ends); the local quintic Hermite interpolant of columns with their
+own nodes, from values and two derivatives there (``hermite_resample``); and
+``cumulative_quadrature`` (a sixth-order running integral on a uniform grid,
+a banded sum of six cell weights followed by a cumulative sum).
 """
 
 from functools import lru_cache
@@ -35,7 +33,6 @@ import numpy as np
 from .errors import GridMismatchError
 
 ORDER = 4  # accuracy order of every stencil
-RESAMPLE_COLUMNS = 32  # columns per block of quintic_resample with per-column nodes
 POINT_BLOCK = 1024  # points per block of TensorQuintic evaluation
 # nodes per side whose stencils are one-sided; a residual that nests
 # derivative passes is trusted one node further in (EDGE + 1)
@@ -158,12 +155,13 @@ def diff_matrix(n, spacing, deriv):
 
     Assembled from the weight table of ``apply_diff``: row i holds the
     weights of node i, and the product with it is ``apply_diff`` up to
-    roundoff.
+    roundoff.  Read-only, since every later call of the same size shares it.
     """
     d = np.zeros((n, n))
     for lo, hi, taps in _pieces(n, float(spacing), deriv, 0, n):
         for weight, read_lo, read_hi in taps:
             d[np.arange(lo, hi), np.arange(read_lo, read_hi)] = weight
+    d.flags.writeable = False
     return d
 
 
@@ -259,6 +257,12 @@ def gradient_field(values, spacings):
     )
 
 
+def is_uniform(ax):
+    """Whether the nodes ``ax`` rise by equal steps, to 1e-10 of a step."""
+    steps = np.diff(ax)
+    return len(steps) > 0 and steps[0] > 0 and np.max(np.abs(steps - steps[0])) <= 1e-10 * steps[0]
+
+
 def interior(shape, width):
     """Slices dropping ``width`` boundary nodes on each side of every axis.
 
@@ -305,18 +309,16 @@ def two_grid_bound(coarse_value, floor):
 def _quintic_basis(knots, spans, x, derivs=0):
     """Derivatives 0 ... derivs of the six quintic B-splines nonzero at x.
 
-    ``knots`` is (c, K), ``spans`` and ``x`` are (c, p) with
+    ``knots`` is (K,), ``spans`` and ``x`` are (p,) with
     knots[l] <= x <= knots[l + 1] and knots[l] < knots[l + 1] for l = spans.
-    Returns (derivs + 1, c, p, 6): entry [k, ..., r] is the k-th derivative of
+    Returns (derivs + 1, p, 6): entry [k, ..., r] is the k-th derivative of
     B_{l-5+r}.  Cox-de Boor recursion (Piegl & Tiller, The NURBS Book,
     algorithm A2.2), and the derivative of a degree-j B-spline as j times
     the difference of its two degree-(j - 1) neighbours over their knot
     spans (eq. 2.7 there), vectorised over all points and B-splines.
     """
-    flat = knots.ravel()
-    at = spans + knots.shape[1] * np.arange(knots.shape[0])[:, None]  # knots[c, l]
-    left = np.stack([x - flat[at + 1 - j] for j in range(1, 6)])  # x - knots[l + 1 - j]
-    right = np.stack([flat[at + j] - x for j in range(1, 6)])  # knots[l + j] - x
+    left = np.stack([x - knots[spans + 1 - j] for j in range(1, 6)])  # x - knots[l + 1 - j]
+    right = np.stack([knots[spans + j] - x for j in range(1, 6)])  # knots[l + j] - x
     # derivative k of degree 5 starts from degree 5 - k and steps up through
     # the knot spans of degrees 6 - k ... 5, so only those levels are kept
     lowest = 5 - derivs
@@ -381,118 +383,111 @@ def _uniform_quintic_basis(t):
 def quintic_coefficients(x, y):
     """Knots and B-spline coefficients of the not-a-knot quintic of every column.
 
-    ``y`` is (n, c) and ``x`` is (n, c) or, for nodes shared by all columns,
-    (n, 1), with each column of ``x`` strictly increasing and n >= 6.
-    Returns knots (c, n + 6) or (1, n + 6) and coefficients (c, n): column j
-    is the spline that ``make_interp_spline(x[:, j], y[:, j], k=5)`` builds,
-    with knots x_0 six times, x_3 ... x_{n-4}, x_{n-1} six times.
+    ``x`` (n,) are strictly increasing nodes shared by all columns of ``y``
+    (n, c), n >= 6.  Returns knots (n + 6,) and coefficients (n, c): column j
+    is the spline that ``make_interp_spline(x, y[:, j], k=5)`` builds, with
+    knots x_0 six times, x_3 ... x_{n-4}, x_{n-1} six times.
 
-    The collocation matrix of each column has at most six nonzeros per row
-    within five diagonals of the main one.  It is totally positive, so
-    Gaussian elimination without pivoting is stable (de Boor & Pinkus,
-    Linear Algebra Appl. 1977); it runs once over the rows, on all columns
-    at the same time, and once in all for shared nodes.
+    The collocation matrix has at most six nonzeros per row within five
+    diagonals of the main one.  It is totally positive, so Gaussian
+    elimination without pivoting is stable (de Boor & Pinkus, Linear Algebra
+    Appl. 1977); it runs once over the rows, on all columns at the same time.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, cols = x.shape
+    n = len(x)
     if n < 6:
         raise GridMismatchError(f"need at least 6 nodes for a quintic interpolant, got {n}")
-    xt = np.ascontiguousarray(x.T)
-    knots = np.concatenate(
-        [np.repeat(xt[:, :1], 6, axis=1), xt[:, 3:-3], np.repeat(xt[:, -1:], 6, axis=1)],
-        axis=1,
-    )
+    knots = np.concatenate([np.repeat(x[:1], 6), x[3:-3], np.repeat(x[-1:], 6)])
     # node i lies in knot span clip(i + 3, 5, n - 1); row i of the collocation
     # matrix is nonzero in columns first[i] ... first[i] + 5
     spans = np.clip(np.arange(n) + 3, 5, n - 1)
     first = spans - 5
-    basis = _quintic_basis(knots, np.broadcast_to(spans, xt.shape), xt)[0]
-    # band storage: band[:, i, 5 + k - i] = A[i, k]
-    band = np.zeros((cols, n, 11))
+    # band storage: band[i, 5 + k - i] = A[i, k]
+    band = np.zeros((n, 11))
     rows = np.arange(n)[:, None]
-    band[:, rows, first[:, None] - rows + 5 + np.arange(6)] = basis
-    coef = y.T.copy()
+    band[rows, first[:, None] - rows + 5 + np.arange(6)] = _quintic_basis(knots, spans, x)[0]
+    coef = np.array(y, dtype=float)
     for r in range(n - 1):
-        pivot = band[:, r, 5:]
+        pivot = band[r, 5:]
         for d in range(1, min(5, n - 1 - r) + 1):
             if first[r + d] > r:  # A[r + d, r] = 0, and first[] never decreases
                 break
-            factor = band[:, r + d, 5 - d] / pivot[:, 0]
-            band[:, r + d, 5 - d:11 - d] -= factor[:, None] * pivot
-            coef[:, r + d] -= factor * coef[:, r]
+            factor = band[r + d, 5 - d] / pivot[0]
+            band[r + d, 5 - d:11 - d] -= factor * pivot
+            coef[r + d] -= factor * coef[r]
     for r in range(n - 1, -1, -1):
         hi = min(n, r + 6)
-        coef[:, r] -= np.einsum("...k,...k->...", band[:, r, 6:5 + hi - r], coef[:, r + 1:hi])
-        coef[:, r] /= band[:, r, 5]
+        coef[r] -= np.einsum("k,k...->...", band[r, 6:5 + hi - r], coef[r + 1:hi])
+        coef[r] /= band[r, 5]
     return knots, coef
 
 
-def quintic_slopes(x, y):
-    """Slopes of the not-a-knot quintic of every column at its own nodes.
+def quintic_derivatives(x, y):
+    """First and second derivatives of the not-a-knot quintic of every column
+    at its nodes ``x`` (n,), shared by all columns of ``y`` (n, c).
 
-    ``x`` (n,) are nodes shared by all columns of ``y`` (n, c).  Returns (n, c):
-    column j is ``make_interp_spline(x, y[:, j], k=5)`` differentiated once
-    at x.  The six B-spline derivatives at each node are taken once for all
-    columns, and each node's slope is accumulated as six coefficient rows,
-    one B-spline at a time, so no (n, c, 6) block is formed.
+    Returns two (n, c) arrays: column j of the k-th is
+    ``make_interp_spline(x, y[:, j], k=5)`` differentiated k times at x.  The
+    B-spline derivatives at the nodes are taken by one ``_quintic_basis``
+    call, and each node's derivatives are accumulated as six coefficient
+    rows, one B-spline at a time, so no (n, c, 6) block is formed.
     """
     x = np.asarray(x, dtype=float)
-    knots, coef = quintic_coefficients(x[:, None], y)
+    knots, coef = quintic_coefficients(x, y)
     # node i lies in knot span clip(i + 3, 5, n - 1), as in quintic_coefficients
     spans = np.clip(np.arange(len(x)) + 3, 5, len(x) - 1)
-    ders = _quintic_basis(knots, spans[None], x[None], 1)[1, 0]
-    rows = coef.T
-    slopes = ders[:, :1] * rows[spans - 5]
+    ders = _quintic_basis(knots, spans, x, 2)
+    first, second = (ders[k, :, :1] * coef[spans - 5] for k in (1, 2))
     for r in range(1, 6):
-        slopes += ders[:, r:r + 1] * rows[spans - 5 + r]
-    return slopes
+        rows = coef[spans - 5 + r]
+        first += ders[1, :, r:r + 1] * rows
+        second += ders[2, :, r:r + 1] * rows
+    return first, second
 
 
-def quintic_resample(x, y, x_new):
-    """Evaluate the not-a-knot quintic interpolant of every column at x_new.
+def hermite_resample(s, h, dh, ddh, s_new):
+    """The local quintic Hermite interpolant of every column at s_new (q,).
 
-    ``x`` and ``y`` are (n, c) as in ``quintic_coefficients``; ``x_new`` is
-    (q,) in any order.  Returns (q, c): column j is the spline of column j
-    evaluated at x_new, where points outside [x[0, j], x[-1, j]] extrapolate
-    its end pieces as scipy's ``make_interp_spline`` does.
-
-    When each column has its own nodes, the columns are solved and
-    evaluated in blocks of ``RESAMPLE_COLUMNS``, so the band matrices and
-    the B-spline values at x_new are held for one block at a time, not for
-    all c columns.  Every step treats the columns independently, so a
-    column's numbers do not depend on its block.  Shared nodes ((n, 1))
-    have one band matrix for all columns and stay in one block.
+    ``s`` (n, c) are each column's strictly increasing nodes, ``h``, ``dh``
+    and ``ddh`` (n, c) its values, first and second derivatives there.
+    Returns (q, c): at each point, the one quintic with the six data of the
+    two nodes around it (of the end interval past the ends), so the result
+    is C2 and exact on quintics; its power coefficients in the offset t from
+    the left node over the interval's width, by Horner's rule.  Column by
+    column, in work arrays allocated once, so the loop allocates nothing.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x_new = np.asarray(x_new, dtype=float)
-    cols = y.shape[1]
-    step = RESAMPLE_COLUMNS if x.shape[1] > 1 else cols
-    out = np.empty((len(x_new), cols))
-    for lo in range(0, cols, step):
-        out[:, lo:lo + step] = _resample_block(x[:, lo:lo + step], y[:, lo:lo + step], x_new)
+    s_new = np.asarray(s_new, dtype=float)
+    (n, cols), q = s.shape, len(s_new)
+    out = np.empty((q, cols))
+    # the coefficients of t^5 ... t of an interval of width w from its
+    # data: h_(i+1) - h_i, then w dh and w^2 ddh at its right and left nodes
+    to_power = np.array([[6, -3, 0.5, -3, -0.5], [-15, 7, -1, 8, 1.5], [10, -4, 0.5, -6, -1.5],
+                         [0, 0, 0, 0, 0.5], [0, 0, 0, 1, 0]])
+    w, w2, data, coef = np.empty(n - 1), np.empty(n - 1), np.empty((5, n - 1)), np.empty((n - 1, 5))
+    rise, slope, bend, left_slope, left_bend = data
+    picked, i, t, node = np.empty((q, 5)), np.empty(q, dtype=np.intp), np.empty(q), np.empty(q)
+    for j in range(cols):
+        x, y, dy, ddy = s[:, j], h[:, j], dh[:, j], ddh[:, j]
+        np.subtract(x[1:], x[:-1], out=w)
+        np.subtract(y[1:], y[:-1], out=rise)
+        np.multiply(w, dy[1:], out=slope)
+        np.multiply(w, dy[:-1], out=left_slope)
+        np.multiply(w, w, out=w2)
+        np.multiply(w2, ddy[1:], out=bend)
+        np.multiply(w2, ddy[:-1], out=left_bend)
+        np.einsum("ab,bk->ka", to_power, data, out=coef)
+        # each point's interval: the interior nodes at or below it
+        i[:] = np.searchsorted(x[1:-1], s_new, side="right")
+        np.subtract(s_new, np.take(x, i, out=node), out=t)
+        t /= np.take(w, i, out=node)
+        np.take(coef, i, axis=0, out=picked)
+        acc = out[:, j]
+        np.multiply(picked[:, 0], t, out=acc)
+        for k in range(1, 5):
+            acc += picked[:, k]
+            acc *= t
+        acc += np.take(y, i, out=node)
     return out
-
-
-def _resample_block(x, y, x_new):
-    """``quintic_resample`` of the columns of one block."""
-    knots, coef = quintic_coefficients(x, y)
-    cols, n = coef.shape
-    # span of each x_new per column: 5 + the number of interior knots <= it,
-    # counted along x_new in increasing order
-    interior = knots[:, 6:n]
-    q = len(x_new)
-    order = np.argsort(x_new, kind="stable")
-    slots = np.searchsorted(x_new[order], interior, side="left") + (q + 1) * np.arange(cols)[:, None]
-    counts = np.bincount(slots.ravel(), minlength=cols * (q + 1)).reshape(cols, q + 1)
-    new_spans = np.empty((cols, q), dtype=int)
-    new_spans[:, order] = np.minimum(5 + np.cumsum(counts, axis=1)[:, :q], n - 1)
-    values = _quintic_basis(knots, new_spans, np.broadcast_to(x_new, (cols, q)))[0]
-    picked = np.take_along_axis(
-        coef, (new_spans[..., None] - 5 + np.arange(6)).reshape(cols, -1), axis=1
-    )
-    return np.einsum("cqk,cqk->qc", values, picked.reshape(cols, q, 6))
 
 
 class TensorQuintic:
@@ -518,13 +513,12 @@ class TensorQuintic:
             ax = np.asarray(ax, dtype=float)
             moved = np.moveaxis(coef, a, 0)
             columns = moved.reshape(len(ax), -1)
-            knots, solved = quintic_coefficients(ax[:, None], columns)
-            steps = np.diff(ax)
-            if np.max(np.abs(steps - steps[0])) > 1e-10 * abs(steps[0]):
+            if not is_uniform(ax):
                 raise GridMismatchError("tensor quintic axes must be uniform")
+            knots, solved = quintic_coefficients(ax, columns)
             self.knots.append(knots)
             self.spacings.append((ax[-1] - ax[0]) / (len(ax) - 1))
-            coef = np.moveaxis(solved.T.reshape(moved.shape), 0, a)
+            coef = np.moveaxis(solved.reshape(moved.shape), 0, a)
         self.coef = coef
         # patches[i_1, ..., i_m] is the 6 x ... x 6 block of coefficients from
         # index i_a on axis a, the patch of a point in spans i_a + 5
@@ -540,13 +534,13 @@ class TensorQuintic:
             n = self.coef.shape[a]
             x = points[:, a]
             # the last knot span whose left knot is <= x, within [5, n - 1]
-            spans = 5 + np.searchsorted(knots[0, 6:n], x, side="right")
-            basis = _uniform_quintic_basis((x - knots[0, spans]) / self.spacings[a])
+            spans = 5 + np.searchsorted(knots[6:n], x, side="right")
+            basis = _uniform_quintic_basis((x - knots[spans]) / self.spacings[a])
             # knots l - 5 ... l + 6 around span l are uniform for 11 <= l <= n - 7;
             # the points of the other spans take the recursion instead
             ends = np.flatnonzero((spans < 11) | (spans > n - 7))
             if ends.size:
-                basis[ends] = _quintic_basis(knots, spans[None, ends], x[None, ends])[0, 0]
+                basis[ends] = _quintic_basis(knots, spans[ends], x[ends])[0]
             bases.append(basis)
             first.append(spans - 5)
         return bases, self.patches[tuple(first)]

@@ -3,21 +3,23 @@
 A potential is a strictly convex scalar on a uniform box grid.  Behind the
 convexity gate ``eigenvalue_bounds`` the module computes its Hessian metric
 and, by row blocks, det Hess phi (the one route to it).  One kernel
-conjugates along one grid axis (``_conjugate_lines``): the slopes of each
-line's quintic spline at its nodes, resampled onto the slope interval that
-every line spans (``_inscribed_axis``).  The Legendre transform is that
-kernel on axes 1 ... m in turn, and the 2D partial Legendre reduction to
-the Laplace equation is its first pass.  Also here: the mirror role-swap,
-and a line-searched Newton-Krylov Dirichlet solver for
-det(Hess phi) = c in two variables, started from a sine-transform Poisson
-solve, with its fourth-order Jacobian applied as 1D matrix products and each
-step solved by a numpy GMRES preconditioned by sine-transform inversion;
-nothing is factorised.  The splines are ``fd.quintic_slopes``,
-``fd.quintic_resample`` and ``fd.TensorQuintic``, so the module runs on
-numpy alone.  The algebra of 2x2 symmetric Hessians (eigenvalue range,
-determinant, clamped cofactors) is closed form; m >= 3 takes LAPACK's.
-Convexity and every residual are read on ``fd.interior``, and
-``HessianPotential.coarsened`` is the coarse grid of every two-grid bound.
+conjugates along one grid axis (``_conjugate_lines``): the slopes and
+curvatures of each line's quintic spline give the conjugate's value, slope
+and curvature at the nodes, and its quintic Hermite interpolant resamples it
+onto the slope interval that every line spans (``_inscribed_axis``).  The
+Legendre transform is that kernel on axes 1 ... m in turn, and the 2D
+partial Legendre reduction to the Laplace equation is its first pass.  Also
+here: the mirror role-swap, and a line-searched Newton-Krylov Dirichlet
+solver for det(Hess phi) = c in two variables, started from a sine-transform
+Poisson solve, with its fourth-order Jacobian applied as 1D matrix products
+and each step solved by a numpy GMRES preconditioned by sine-transform
+inversion; nothing is factorised.  The splines are
+``fd.quintic_derivatives``, ``fd.hermite_resample`` and
+``fd.TensorQuintic``, so the module runs on numpy alone.  The algebra of 2x2
+symmetric Hessians (eigenvalue range, determinant, clamped cofactors) is
+closed form; m >= 3 takes LAPACK's.  Convexity and every residual are read
+on ``fd.interior``, and ``HessianPotential.coarsened`` is the coarse grid of
+every two-grid bound.
 """
 
 from dataclasses import dataclass, field
@@ -26,8 +28,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, ConvexityError, DomainError, InputError
-from .fd import (EDGE, TensorQuintic, apply_diff, diff_matrix, gradient_field, hessian_field,
-                 interior, quintic_resample, quintic_slopes, roundoff_floor, stencil_reach)
+from .fd import (EDGE, TensorQuintic, apply_diff, diff_matrix, gradient_field, hermite_resample,
+                 hessian_field, interior, is_uniform, quintic_derivatives, roundoff_floor,
+                 stencil_reach)
 
 # smallest Hessian eigenvalue on the interior that counts as strictly convex
 CONVEXITY_TOL = 1e-10
@@ -51,11 +54,8 @@ class HessianPotential:
             raise InputError("a potential needs at least one grid axis")
         if self.values.shape != tuple(len(ax) for ax in self.axes):
             raise InputError("potential values do not match the grid axes")
-        for ax in self.axes:
-            steps = np.diff(ax)
-            if (len(steps) == 0 or not steps[0] > 0
-                    or np.max(np.abs(steps - steps[0])) > 1e-10 * steps[0]):
-                raise InputError("grid axes must be uniform and strictly increasing")
+        if not all(map(is_uniform, self.axes)):
+            raise InputError("grid axes must be uniform and strictly increasing")
         # a NaN shows in the minimum and the maximum, -inf and +inf in one of them
         if not (np.isfinite(np.min(self.values)) and np.isfinite(np.max(self.values))):
             raise InputError("potential values must be finite")
@@ -215,35 +215,40 @@ class LegendrePair:
 def _inscribed_axis(slopes, axis):
     """As many uniform nodes as ``slopes`` (nodes, lines) has rows, from the
     max of its first row to the min of its last: the slope interval that
-    every line along ``axis`` spans; ``DomainError`` if that is empty."""
+    every line along ``axis`` spans; ``DomainError`` if that is empty, or so
+    narrow that the rounding of its nodes leaves them unequally spaced."""
     lo = float(np.max(slopes[0]))
     hi = float(np.min(slopes[-1]))
-    if hi <= lo:
+    nodes = np.linspace(lo, hi, len(slopes))
+    if not is_uniform(nodes):
         raise DomainError(f"no slope interval common to every line along u_{axis + 1}: d phi / d "
                           f"u_{axis + 1} is {lo:.6g} on the low face, {hi:.6g} on the high face")
-    return np.linspace(lo, hi, len(slopes))
+    return nodes
 
 
 def _conjugate_lines(values, axis, u):
     """The conjugate of ``values`` along one grid axis with nodes ``u``, line by line.
 
-    On each line f the slopes s of its not-a-knot quintic at the nodes
-    (``fd.quintic_slopes``) give h = u s - f there, and the curve (s, h) is
-    resampled onto the slope interval that every line spans
-    (``_inscribed_axis``) by ``fd.quintic_resample``.  Returns that s-axis
-    and the conjugate, s in place of u on ``axis``.  ``ConvexityError`` if
-    the slopes of a line do not rise, as resampling needs.
+    On each line f, the quintic's f' = s and f'' at the nodes give the
+    conjugate h = u s - f, dh/ds = u and d2h/ds2 = 1/f'' there, which
+    ``fd.hermite_resample`` takes onto the slope interval that every line
+    spans (``_inscribed_axis``).  Returns that s-axis and the conjugate, s in
+    place of u on ``axis``; ``ConvexityError`` unless the slopes rise and f'' > 0.
     """
     lines = np.moveaxis(values, axis, 0)
     shape = lines.shape
     lines = lines.reshape(len(u), -1)
-    slopes = quintic_slopes(u, lines)
+    slopes, curvature = quintic_derivatives(u, lines)
     if not np.all(slopes[1:] > slopes[:-1]):
         raise ConvexityError(f"a line along u_{axis + 1} fails strict convexity")
+    if not np.all(curvature > 0):
+        raise ConvexityError(f"a line along u_{axis + 1} has a spline curvature that is not > 0")
     s_axis = _inscribed_axis(slopes, axis)
     h = u[:, None] * slopes
     h -= lines
-    return s_axis, np.moveaxis(quintic_resample(slopes, h, s_axis).reshape(shape), 0, axis)
+    conjugate = hermite_resample(slopes, h, np.broadcast_to(u[:, None], h.shape),
+                                 np.reciprocal(curvature, out=curvature), s_axis)
+    return s_axis, np.moveaxis(conjugate.reshape(shape), 0, axis)
 
 
 def legendre_transform(pot):

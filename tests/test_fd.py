@@ -11,7 +11,7 @@ from scipy.interpolate import RectBivariateSpline, make_interp_spline
 from slmoduli import fd
 from slmoduli.errors import GridMismatchError
 from slmoduli.fd import (TensorQuintic, apply_diff, cumulative_quadrature, diff_matrix,
-                         interior, quintic_resample, quintic_slopes, stencil_reach)
+                         hermite_resample, interior, quintic_derivatives, stencil_reach)
 
 
 @pytest.mark.parametrize("width", [2, 3, 8])
@@ -34,6 +34,8 @@ def test_stencils_refuse_too_few_nodes():
         apply_diff(np.ones((4, 9)), 0, 0.1, 1)
     with pytest.raises(GridMismatchError):
         cumulative_quadrature(np.ones(5), 0.1)
+    with pytest.raises(GridMismatchError):
+        quintic_derivatives(np.arange(5.0), np.ones((5, 2)))
 
 
 @pytest.mark.parametrize("n", [6, 7, 33, 257])
@@ -51,6 +53,17 @@ def test_apply_diff_matches_diff_matrix(n, deriv):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), axis
         # each stencil takes constants to exactly 0
         assert not np.any(apply_diff(np.full(shape, 3.7), axis, spacing, deriv))
+
+
+def test_cached_diff_matrix_is_read_only():
+    # every Monge-Ampere solve of one size shares the cached matrix, so one
+    # write through any caller would change all later solves
+    d = diff_matrix(9, 0.125, 2)
+    assert diff_matrix(9, 0.125, 2) is d
+    with pytest.raises(ValueError, match="read-only"):
+        d[4, 4] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        d[1:-1, 1:-1] *= 2.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,50 +105,56 @@ def test_hessian_field_on_a_window_is_bitwise_the_full_rows(shape):
         assert got.tobytes() == full[start:stop].tobytes()
 
 
+def _random_nodes(rng, n, cols):
+    """Strictly increasing nodes (n, cols), unevenly spaced, per column."""
+    return np.cumsum(rng.uniform(0.2, 1.0, (n, cols)), axis=0) + rng.normal(size=cols)
+
+
 @pytest.mark.parametrize("n", [9, 33, 257])
-def test_quintic_resample_matches_scipy_not_a_knot(n):
+def test_hermite_resample_is_exact_on_quintics(n):
     rng = np.random.default_rng(n)
-    cols = 12
-    x = np.cumsum(rng.uniform(0.2, 1.0, (n, cols)), axis=0) + rng.normal(size=cols)
-    y = rng.normal(size=(n, cols)) * np.linspace(1.0, 50.0, cols)
-    # a grid past every column's ends plus the nodes of column 0, shuffled
-    x_new = np.concatenate([np.linspace(np.min(x) - 0.5, np.max(x) + 0.5, 2 * n + 1), x[:, 0]])
+    cols = 5
+    s = _random_nodes(rng, n, cols)
+    coef = rng.normal(size=(6, cols))
+
+    def quintic(x, k):
+        # the k-th derivative of sum_p coef[p] x^p, column by column
+        return sum(coef[p] * np.prod(np.arange(p - k + 1, p + 1)) * x ** (p - k)
+                   for p in range(k, 6))
+
+    # points inside every column's nodes and a short way past them, shuffled
+    lo, hi = np.max(s[0]), np.min(s[-1])
+    x_new = np.concatenate([np.linspace(lo, hi, 3 * n), [lo - 0.1, hi + 0.1]])
     rng.shuffle(x_new)
-    got = quintic_resample(x, y, x_new)
-    want = np.stack(
-        [make_interp_spline(x[:, j], y[:, j], k=5)(x_new) for j in range(cols)], axis=1
-    )
+    got = hermite_resample(s, quintic(s, 0), quintic(s, 1), quintic(s, 2), x_new)
+    want = quintic(x_new[:, None], 0)
     assert got.shape == (len(x_new), cols)
-    inside = (x_new[:, None] >= x[0]) & (x_new[:, None] <= x[-1])
-    assert np.max(np.abs(got - want)[inside]) <= 1e-12 * np.max(np.abs(y))
-    # extrapolated end pieces grow like |x|^5; compare them relative to size
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("block", [1, 7, 13])
-def test_quintic_resample_column_blocks_keep_the_bits(monkeypatch, block):
-    rng = np.random.default_rng(block)
-    n, cols = 33, 12
-    x = np.cumsum(rng.uniform(0.2, 1.0, (n, cols)), axis=0)
-    y = rng.normal(size=(n, cols))
-    x_new = np.linspace(np.min(x) - 0.5, np.max(x) + 0.5, 41)
-    monkeypatch.setattr(fd, "RESAMPLE_COLUMNS", cols)
-    whole = quintic_resample(x, y, x_new)
-    monkeypatch.setattr(fd, "RESAMPLE_COLUMNS", block)
-    assert quintic_resample(x, y, x_new).tobytes() == whole.tobytes()
-    # shared nodes: one band matrix, one block
-    assert np.array_equal(quintic_resample(x[:, :1], y, x_new),
-                          quintic_resample(np.repeat(x[:, :1], cols, axis=1), y, x_new))
-
-
-def test_quintic_resample_interpolates_and_needs_six_nodes():
-    x = np.linspace(0.0, 1.0, 11)[:, None] ** 2 + np.array([0.0, 0.5])
-    y = np.sin(3 * x)
-    for j in range(2):
-        col = quintic_resample(x, y, x[:, j])[:, j]
-        assert np.max(np.abs(col - y[:, j])) < 1e-13
-    with pytest.raises(ValueError):
-        quintic_resample(x[:5], y[:5], x[:5, 0])
+def test_hermite_resample_takes_the_node_data():
+    # random values and derivatives: on each interval the interpolant is
+    # the quintic through six of its own points, which starts and ends at
+    # the nodes' values with their first and second derivatives
+    rng = np.random.default_rng(3)
+    n, cols = 12, 4
+    s = _random_nodes(rng, n, cols)
+    h, dh, ddh = rng.normal(size=(3, n, cols))
+    # each node but the last starts its own interval, where t = 0
+    at_nodes = hermite_resample(s, h, dh, ddh, s[:, 2])[:, 2]
+    assert np.array_equal(at_nodes[:-1], h[:-1, 2])
+    assert at_nodes[-1] == pytest.approx(h[-1, 2], rel=1e-13)
+    t = np.array([0.05, 0.2, 0.4, 0.6, 0.8, 0.95])
+    for j in range(cols):
+        for i in range(n - 1):
+            width = s[i + 1, j] - s[i, j]
+            inside = hermite_resample(s, h, dh, ddh, s[i, j] + t * width)[:, j]
+            # the quintic in t, and its derivatives in s at t = 0 and t = 1
+            poly = np.polynomial.Polynomial.fit(t, inside, 5, domain=[0, 1], window=[0, 1])
+            for end, node in ((0.0, i), (1.0, i + 1)):
+                got = [poly(end), poly.deriv(1)(end) / width, poly.deriv(2)(end) / width ** 2]
+                want = [h[node, j], dh[node, j], ddh[node, j]]
+                assert np.allclose(got, want, rtol=1e-9, atol=1e-9), (i, j, end)
 
 
 @pytest.mark.parametrize("shape", [(6, 9), (33, 17), (129, 129)])
@@ -151,15 +170,16 @@ def test_tensor_quintic_matches_scipy(shape):
     value = TensorQuintic([x, y], z)(pts)
     want = RectBivariateSpline(x, y, z, kx=5, ky=5, s=0).ev(pts[:, 0], pts[:, 1])
     assert np.max(np.abs(value - want)) <= 1e-13 * np.max(np.abs(want))
-    # in one variable it is make_interp_spline's quintic, and its slopes at
-    # the nodes are that spline's derivative there, column by column
+    # in one variable it is make_interp_spline's quintic, and its first and
+    # second derivatives at the nodes are that spline's there, column by column
     value = TensorQuintic([x], z[:, 0])(pts[:, :1])
     want = make_interp_spline(x, z[:, 0], k=5)(pts[:, 0])
     assert np.max(np.abs(value - want)) <= 1e-13 * np.max(np.abs(want))
-    slopes = quintic_slopes(x, z)
-    want = np.stack([make_interp_spline(x, z[:, j], k=5)(x, 1) for j in range(shape[1])], axis=1)
-    assert slopes.shape == z.shape
-    assert np.max(np.abs(slopes - want)) <= 1e-12 * np.max(np.abs(want))
+    for k, got in enumerate(quintic_derivatives(x, z), start=1):
+        want = np.stack([make_interp_spline(x, z[:, j], k=5)(x, k) for j in range(shape[1])],
+                        axis=1)
+        assert got.shape == z.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -184,14 +204,14 @@ def test_uniform_span_closed_form_matches_the_recursion():
     # on spans whose twelve surrounding knots are uniform, the cardinal
     # quintics are the Cox-de Boor ones
     h = 0.0625
-    knots = (np.arange(40.0) * h - 1.0)[None]
+    knots = np.arange(40.0) * h - 1.0
     rng = np.random.default_rng(5)
     spans = rng.integers(5, 34, 500)
     t = rng.uniform(0.0, 1.0, 500)
     t[:3] = [0.0, 1.0, 0.5]
-    x = knots[0, spans] + t * h
-    want = fd._quintic_basis(knots, spans[None], x[None])[0, 0]
-    got = fd._uniform_quintic_basis((x - knots[0, spans]) / h)
+    x = knots[spans] + t * h
+    want = fd._quintic_basis(knots, spans, x)[0]
+    got = fd._uniform_quintic_basis((x - knots[spans]) / h)
     assert got.shape == want.shape == (500, 6)
     assert np.max(np.abs(got - want)) <= 1e-14
 

@@ -7,12 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slmoduli.errors import ConvergenceError, ConvexityError, DomainError, InputError
 from slmoduli import fd, hessian
-from slmoduli.fd import diff_matrix, hessian_field, interior, quintic_slopes, two_grid_bound
+from slmoduli.fd import (diff_matrix, hessian_field, interior, quintic_derivatives,
+                         two_grid_bound)
 from slmoduli.hessian import (
     HessianPotential,
     eigenvalue_range,
@@ -343,6 +344,34 @@ def test_legendre_involution_random_quadratics(m, diag, corr, shift):
     assert involution_residual(pot, back.dual) < 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.sampled_from([2, 3]))
+def test_legendre_transform_of_a_quadratic_is_the_inverse_quadratic(data, m):
+    # 1/2 u^T A u has the conjugate 1/2 v^T A^-1 v.  Every pass of line
+    # conjugates meets a quadratic (the running conjugate is one too), which
+    # the quintic spline and the Hermite resample reproduce, so the dual
+    # nodes read the closed form to roundoff.  Boxes where no slope interval
+    # is common to every line (DomainError, as for strong shear) are skipped
+    entries = st.floats(-1.0, 1.0)
+    lower = np.array([[data.draw(st.floats(0.5, 2.0)) if a == b else
+                       data.draw(entries) if b < a else 0.0 for b in range(m)]
+                      for a in range(m)])
+    mat = lower @ lower.T
+    axes = []
+    for _ in range(m):
+        lo = data.draw(st.floats(-2.0, 1.0))
+        axes.append(np.linspace(lo, lo + data.draw(st.floats(0.5, 3.0)),
+                                data.draw(st.integers(11, 33))))
+    pot = _quadratic(axes, mat)
+    try:
+        dual = legendre_transform(pot).dual
+    except DomainError:
+        assume(False)
+    v = dual.points()
+    exact = 0.5 * np.einsum("...a,ab,...b->...", v, np.linalg.inv(mat), v)
+    assert np.max(np.abs(dual.values - exact)) <= 10 * hessian.legendre_floor(pot, dual)
+
+
 def test_legendre_involution_correlated_potentials():
     # quadratics with correlation up to 1/2 plus a cosh term: a dual box on
     # the bounding box of the gradient image reaches past the image, where
@@ -378,6 +407,15 @@ def test_dual_box_must_fit_in_the_gradient_image():
             transform(pot)
 
 
+def test_dual_box_narrower_than_roundoff_is_refused():
+    # d phi / d u1 = u1 + u2 is 1 at both ends of the common slope interval
+    # on [0, 1]^2, up to rounding: its nodes would be unequally spaced, and
+    # the dual potential refused them with a message about its grid axes
+    pot = _quadratic([np.linspace(0.0, 1.0, 11)] * 2, [[1.0, 1.0], [1.0, 2.0]])
+    with pytest.raises(DomainError, match="no slope interval common to every line along u_1"):
+        legendre_transform(pot)
+
+
 def test_dual_box_is_the_slope_interval_of_the_partial_reduction(monkeypatch):
     # one rule picks every dual axis and the s-axis of the partial
     # reduction: the max of the spline slopes on the low face to their min
@@ -393,13 +431,16 @@ def test_dual_box_is_the_slope_interval_of_the_partial_reduction(monkeypatch):
     box = legendre_transform(pot).dual.axes
     partial_legendre_2d(pot)
     assert [axis for _, axis in calls] == [0, 1, 0]
-    slopes = quintic_slopes(axes[0], pot.values)
+    slopes = quintic_derivatives(axes[0], pot.values)[0]
     assert (box[0][0], box[0][-1]) == (np.max(slopes[0]), np.min(slopes[-1]))
     assert np.array_equal(calls[0][0], calls[2][0])
     running = calls[1][0]
     assert (box[1][0], box[1][-1]) == (np.max(running[0]), np.min(running[-1]))
-    own = quintic_slopes(axes[1], pot.values.T)
-    assert box[1][0] < np.max(own[0]) and box[1][-1] > np.min(own[-1])
+    own = quintic_derivatives(axes[1], pot.values.T)[0]
+    # the wider span is on the high face; on the low face both maxima sit at
+    # u_1 = 0, where s = 0 is a node, and read d phi / d u_2 = 1/8
+    assert box[1][-1] > np.min(own[-1]) + 1e-8
+    assert box[1][0] == pytest.approx(0.125, abs=1e-14) == np.max(own[0])
 
 
 def test_fenchel_residual_detects_wrong_dual():
@@ -478,8 +519,10 @@ def _traced_peak(fn, *args):
 
 
 def test_partial_legendre_resamples_in_column_blocks():
-    # with all 257 columns in one block the reduction peaks near 21 MB; in
-    # column blocks it stays within a dozen grid-sized arrays
+    # the line conjugate resamples column by column, with no spline solve,
+    # so the reduction peaks near 5.2 grid-sized arrays; work arrays that
+    # grow with the columns (a per-column spline solve on all 257 columns
+    # at once peaked near 21 MB) break the bound
     n = 257
     axes = [np.linspace(-0.5, 0.5, n), np.linspace(0.5, 1.5, n)]
     pot = HessianPotential.from_function(
@@ -492,15 +535,14 @@ def test_chart_jobs_hold_no_per_point_spline_work_or_unbuilt_krylov_vectors():
     # evaluated on all points at once, the tensor quintic holds about 80
     # doubles per point (the Fenchel residual peaked near 68 N doubles at
     # 129^2); in blocks of fd.POINT_BLOCK = 1024 points it peaks near 14.4 N.
-    # The transform, line conjugates resampled in column blocks, peaks near
-    # 14.3 N (17.5 N with the blocked spline Newton polish it replaced, which
-    # took 105 N on all points at once).  A GMRES basis with room for a whole cycle
-    # holds 41 N doubles (the solver peaked near 95 N, and near 50 N while
-    # it also held the grid Hessian and a meshgrid); with a 10-vector
-    # restart, the residual-proportional forcing term, the Jacobian summed
-    # in place and no grid-sized step kept across Newton steps it peaks near
-    # 22.4 N (38 N with a 40-vector restart and every early step solved to
-    # 1e-7)
+    # The transform, line conjugates resampled column by column, peaks near
+    # 8.3 N (a spline Newton polish on all points at once took 105 N).  A
+    # GMRES basis with room for a whole cycle holds 41 N doubles (the solver
+    # peaked near 95 N, and near 50 N while it also held the grid Hessian and
+    # a meshgrid); with a 10-vector restart, the residual-proportional forcing
+    # term, the Jacobian summed in place and no grid-sized step kept across
+    # Newton steps it peaks near 22.4 N (38 N with a 40-vector restart and
+    # every early step solved to 1e-7)
     n = 129
     axes = [np.linspace(-1, 1, n)] * 2
     pot = HessianPotential.from_function(axes, lambda a, b: (a ** 2 + b ** 2) / 2
@@ -570,9 +612,26 @@ def test_partial_legendre_rejects_slopes_that_fall():
     u1 = np.abs(axes[0] - 0.45) + 0.01 * axes[0] ** 2
     pot = HessianPotential(axes, u1[:, None] + axes[1][None, :] ** 2 / 2)
     assert np.min(np.diff(pot.values, 2, axis=0)) > 0
-    assert np.min(np.diff(quintic_slopes(axes[0], pot.values), axis=0)) < 0
+    assert np.min(np.diff(quintic_derivatives(axes[0], pot.values)[0], axis=0)) < 0
     with pytest.raises(ConvexityError, match="along u_1"):
         partial_legendre_2d(pot)
+
+
+def test_line_conjugate_rejects_a_spline_curvature_that_is_not_positive():
+    # slopes u + b sin(pi u / 2h) rise from node to node, since b < h, but
+    # the curvature of the quintic through the potential is negative at
+    # every fourth node, where the conjugate's curvature 1 / f'' would be
+    # too; the rising-slopes test alone lets such a line through
+    u = np.linspace(0, 1, 9)
+    h = u[1]
+    wave = u ** 2 / 2 - 0.8 * h * (2 * h / np.pi) * np.cos(np.pi * u / (2 * h))
+    values = wave[:, None] + u[None, :] ** 2 / 2
+    slopes, curvature = quintic_derivatives(u, values)
+    assert np.min(np.diff(slopes, axis=0)) > 0 and np.min(curvature) < 0
+    with pytest.raises(ConvexityError, match="along u_1 has a spline curvature"):
+        partial_legendre_2d(HessianPotential([u, u], values))
+    with pytest.raises(ConvexityError, match="along u_2 has a spline curvature"):
+        hessian._conjugate_lines(values.T, 1, u)
 
 
 def test_partial_legendre_requires_2d():

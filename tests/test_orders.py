@@ -1,4 +1,5 @@
-"""Observed convergence orders of certified residuals on the grid ladder 33 / 65 / 129.
+"""Observed convergence orders of certified residuals on the grid ladder 33 / 65 / 129
+(65 / 129 / 257 for Monge-Ampere solver output).
 
 A residual that vanishes in the continuum at rate h^p falls by about 2^p from
 one grid to the next finer one.  The two-grid bound of the CLI,
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from slmoduli import cli
-from slmoduli.hessian import HessianPotential
+from slmoduli.hessian import HessianPotential, solve_ma_dirichlet
 from slmoduli.semiflat import gh_metric
 
 LADDER = (33, 65, 129)
@@ -25,7 +26,9 @@ ROUNDOFF = 10.0  # the factor of the floor in fd.two_grid_bound
 # residual: (lowest, highest) observed order of each halving of h, 33 -> 65
 # and 65 -> 129
 ORDERS = {
-    # the quintic splines of the line conjugates interpolate to sixth order
+    # the line conjugates read the primal's quintic spline, sixth order, and
+    # resample from its slopes and curvatures, so the Fenchel gap at the
+    # dual's nodes is sixth order where it is above roundoff
     "fenchel": [(5.0, 6.5)] * 2,
     "legendre_involution": [(5.0, 6.5)] * 2,
     # fourth-order stencils, but the Christoffel oracle reads order 3
@@ -41,6 +44,10 @@ ORDERS = {
     "semiflat prop5": [(3.8, 4.2)] * 2,
     "semiflat ricci_flat": [(3.8, 4.2)] * 2,
     "semiflat ricci_oracle": [(5.2, 5.8), (3.8, 4.2)],
+    # the Laplace residual of the partial reduction of the solver's cosh
+    # solution, against a coarse re-solve: 2.9 to 3.5 on the first halving
+    # and 3.6 to 4.0 on the second, rising towards the stencils' fourth order
+    "partial-legendre prop3, solver output": [(2.6, 3.8), (3.4, 4.2)],
 }
 
 
@@ -73,13 +80,13 @@ def _assert_ladder_orders(entry_point, inputs, label="{}"):
 def test_legendre_residual_orders(half_width, beta):
     # the chart benchmark's potential over its range of beta, and on a wider
     # box, where the 129^2 residuals are still far above roundoff.  On the
-    # narrow box at beta = 0.05 the Fenchel gap is already roundoff at 65^2
-    # and 129^2 (within 10 floors on both halvings), so it is pinned there
-    # as the partial reduction is, and shows no order
+    # narrow box the Fenchel gap is already roundoff at 65^2 and 129^2
+    # (within 10 floors on both halvings, at beta = 0.05 and 0.15), so it is
+    # pinned there as the partial reduction is, and shows no order
     pots = [HessianPotential.from_function([np.linspace(-half_width, half_width, n)] * 2,
                                            lambda a, b: (a ** 2 + b ** 2) / 2 + beta * np.cosh(a))
             for n in LADDER]
-    if (half_width, beta) != (1.0, 0.05):
+    if half_width != 1.0:
         _assert_ladder_orders(cli.TWO_GRID["legendre"], pots)
         return
     ladder = [cli.TWO_GRID["legendre"](pot) for pot in pots]
@@ -127,6 +134,19 @@ def test_semiflat_residual_orders_on_the_exact_solution(a):
         # the 129^2 Kahler Ricci form is already within 10x its floor
         fine, _, floor = ladder[-1]
         assert fine["ricci_flat"] <= ROUNDOFF * floor["ricci_flat"]
+
+
+@pytest.mark.parametrize("alpha", [0.95, 1.0, 1.05])
+def test_partial_legendre_order_on_solver_output(alpha):
+    # the chart benchmark's ma-solve output, boundary alpha (cosh u1 +
+    # cosh u2) on [0, 1]^2 over its range of alpha, read as the CLI reads a
+    # solution.csv: against the coarse re-solve.  The ladder starts at 65^2,
+    # as 33^2 is still pre-asymptotic there
+    axes = [np.linspace(0.0, 1.0, n) for n in (65, 129, 257)]
+    _assert_ladder_orders(
+        lambda sol: cli.TWO_GRID["partial-legendre"](sol, True),
+        (solve_ma_dirichlet([ax, ax], lambda u1, u2: alpha * (np.cosh(u1) + np.cosh(u2)))
+         for ax in axes), "partial-legendre {}, solver output")
 
 
 @pytest.mark.parametrize("a", [0.8, 1.25])
