@@ -11,18 +11,16 @@ solution.csv of a 33 x 33 and of a 129 x 129 ma-solve with boundary
 cosh(u1) + cosh(u2) on [-1, 1]^2), and a grid too small for its stencils, a
 moduli grid with no nodes, a malformed model shorthand, a config that is not
 a JSON object, an expression that is not finite on its grid, a Monge-Ampere
-constant that is not positive, a domain range with no width, a fractional
-fiber resolution or one below ``forms.MIN_RESOLUTION`` exits 2 with an error
-line and no traceback.  ``memory``
-runs gh, semiflat --oracle (on the paper's exact solution of det Hess = 1,
-so it must pass), partial-legendre and legendre on N x N grids (default
-257), then partial-legendre on the dual.csv that legendre wrote, so
-the potential CSV reader runs at that size too, ma-solve at N x N with the
-exact solution u1^2/(2 u2) + u2^3/6 on [-1/2, 1/2] x [1/2, 3/2] as its
-boundary data, and family-scan of std:3
-with its McLean check on a ``FIBER_N``^3 fiber grid; it fails when a command
-exits with an unexpected code, prints a traceback, or peaks above
-``LIMIT_MB`` of resident memory.  ``threads`` runs the five plane commands
+constant that is not positive or a domain range with no width exits 2 with
+an error line and no traceback.  ``memory`` runs gh, semiflat --oracle (on
+the paper's exact solution of det Hess = 1, so it must pass),
+partial-legendre and legendre on N x N grids (default 257), then
+partial-legendre on the dual.csv that legendre wrote, so the potential CSV
+reader runs at that size too, ma-solve at N x N with the exact solution
+u1^2/(2 u2) + u2^3/6 on [-1/2, 1/2] x [1/2, 3/2] as its boundary data, and
+family-scan of std:3 at its default config; it fails when a command exits
+with an unexpected code, prints a traceback, or peaks above ``LIMIT_MB`` of
+resident memory.  ``threads`` runs the five plane commands
 under 1 and 2 BLAS threads and fails unless every output but ``run.log`` is
 byte for byte the same (ma-solve is not yet thread-independent, so it is
 left out).  ``imports`` runs cy-validate, family-scan and embed, then
@@ -47,7 +45,6 @@ import tempfile
 from pathlib import Path
 
 LIMIT_MB = 60
-FIBER_N = 80
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FIBER_UNLOADED = ("slmoduli.fd", "slmoduli.hessian", "slmoduli.semiflat", "numpy.random")
 GRID_UNLOADED = ("slmoduli.family", "slmoduli.forms", "slmoduli.cymodel", "slmoduli.multilinear")
@@ -98,11 +95,7 @@ def console(slmoduli, tmp):
                                 ("cy-validate", '{"model": "std:x"}', "cy-shorthand"),
                                 ("gh", '{"V": "sqrt(y1 - 0.5) + 2", "n": 17}', "gh-sqrt"),
                                 ("ma-solve", '{"n": 17, "solver": {"c": -1}}', "ma-negative-c"),
-                                ("gh", '{"n": 17, "domain": [[0, 0], [0, 1]]}', "gh-flat"),
-                                ("family-scan", '{"family": "std:2", "grid": {"n": 2}, '
-                                 '"fiber_resolution": 8.9}', "scan-fraction"),
-                                ("family-scan", '{"family": "std:2", "grid": {"n": 2}, '
-                                 '"fiber_resolution": 4}', "scan-coarse")]:
+                                ("gh", '{"n": 17, "domain": [[0, 0], [0, 1]]}', "gh-flat")]:
         code, stderr, _ = _run(slmoduli, [command, "--config", _config(tmp, name, text)],
                                tmp, name)
         if code != 2 or "Traceback" in stderr:
@@ -132,7 +125,7 @@ def _guard_runs(tmp, n, dual):
 
 
 def memory(slmoduli, tmp, n):
-    scan = _config(tmp, f"scan{FIBER_N}", {"family": "std:3", "fiber_resolution": FIBER_N})
+    scan = _config(tmp, "scan", {"family": "std:3"})
     # ma-solve is not thread-independent yet, so it is guarded here and not
     # in _guard_runs, which the thread check shares
     solve = _config(tmp, f"ma{n}", {"boundary": "u1**2 / (2 * u2) + u2**3 / 6", "n": n,
@@ -140,8 +133,7 @@ def memory(slmoduli, tmp, n):
     runs = [(name, args, codes, f"{n}^2", f"{name}{n}")
             for name, args, codes in _guard_runs(tmp, n, tmp / f"legendre{n}" / "dual.csv")]
     runs.append(("ma-solve", ["ma-solve", "--config", solve], {0}, f"{n}^2", f"ma{n}"))
-    runs.append(("family-scan", ["family-scan", "--config", scan], {0}, f"{FIBER_N}^3",
-                 f"scan{FIBER_N}"))
+    runs.append(("family-scan", ["family-scan", "--config", scan], {0}, "std:3", "scan"))
     for name, args, codes, size, out in runs:
         code, stderr, peak = _run(slmoduli, args, tmp, out)
         if code not in codes or "Traceback" in stderr:
@@ -175,7 +167,7 @@ def threads(slmoduli, tmp, n):
 
 
 def imports(slmoduli, tmp):
-    toy = _config(tmp, "toy-grid", {"grid": {"n": 3}, "fiber_resolution": 8})
+    toy = _config(tmp, "toy-grid", {"grid": {"n": 3}})
     potential = _config(tmp, "toy-potential", {"potential": {
         "axes": [[-1, 1, 17], [-1, 1, 17]], "expr": "(u1**2 + u2**2) / 2", "c": 1.0}})
     plane = _config(tmp, "toy-plane", {"n": 17})

@@ -229,8 +229,11 @@ def legendre_two_grid(pot, keep=lambda dual: None):
     line conjugates pass through, it is superconvergent and erratic on the
     few nodes of a coarse grid.  Both grids read it past the same width,
     EDGE coarse spans from each face of the dual box, as the not-a-knot end
-    spans make it largest there.
+    spans make it largest there.  Both residuals read the potential's quintic
+    spline, which takes m <= 2, so a larger m is refused before any transform.
     """
+    if pot.dim > 2:
+        raise InputError(f"legendre takes potentials of m <= 2 variables, got m = {pot.dim}")
     from .fd import EDGE
     from .hessian import fenchel_residual, involution_residual, legendre_floor, legendre_transform
 
@@ -332,16 +335,10 @@ def run_cy_validate(config, out, oracle):
 
 def run_family_scan(config, out, oracle):
     from .family import lagrangian_residual, specialness_scan
-    from .forms import MIN_RESOLUTION
 
     fam, ref = _resolve_family(config.get("family", "std:2"))
     m = fam.moduli_dim
     axes = _moduli_axes(config, m, 5)
-    resolution = config.get("fiber_resolution", 16)
-    if not _is_count(resolution) or resolution < MIN_RESOLUTION:
-        raise InputError(f"fiber_resolution must be an integer of at least "
-                         f"forms.MIN_RESOLUTION = {MIN_RESOLUTION}, got {resolution!r}")
-    torus = fam.fiber_torus(resolution)
 
     omega_res, omega1_res = fam.fiber_restriction_residuals()
     # the family's constants, taken once and passed on
@@ -350,7 +347,7 @@ def run_family_scan(config, out, oracle):
     scan = specialness_scan(fam, axes, pm)
     checks = {
         "slag_restriction": _check(max(omega_res, omega1_res), IDENTITY_TOL),
-        "mclean": _check(max(fam.mclean_check(j, torus) for j in range(m)), IDENTITY_TOL),
+        "mclean": _check(max(fam.mclean_check(j) for j in range(m)), IDENTITY_TOL),
         "prop2": _check(mclean[1], IDENTITY_TOL),
         "thm3": _check(lagrangian_residual(pm), IDENTITY_TOL),
     }

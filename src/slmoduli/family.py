@@ -7,8 +7,9 @@ constant and independent of t.  So the period matrices lambda, mu, the L^2
 Gram matrix of the theta_j, the fiber volume and the cohomology-torus volumes
 are computed once per family in closed form from ``ConstantForm`` algebra.
 Constant forms are closed and co-closed exactly, so the gridded forms are
-built only for the McLean identity phi_j = star theta_j on a fiber grid with
-the constant induced metric.  Since lambda and mu are constant, the moduli
+built only for the McLean identity phi_j = star theta_j, on one fixed fiber
+grid with the constant induced metric, as a constant form's star does not
+depend on the grid.  Since lambda and mu are constant, the moduli
 coordinates of du = lambda dt, dv = mu dt are linear in t, u = (t - t0)
 lambda^T and v = (t - t0) mu^T; the module tabulates the embedding
 t -> (u(t), v(t)) and reports the residuals certifying the structural
@@ -24,12 +25,7 @@ import numpy as np
 
 from .cymodel import FlatCalabiYauModel, resolve_model, std_model
 from .errors import DegeneracyError, InputError, MetricError
-from .forms import (
-    FormField,
-    GridTorus,
-    MetricField,
-    hodge_star,
-)
+from .forms import MIN_RESOLUTION, FormField, GridTorus, MetricField, hodge_star
 from .multilinear import complement_table
 
 
@@ -90,9 +86,6 @@ class AffineSLagFamily:
         omega_c = np.exp(1j * self.calibration_angle()) * self.model.omega_c()
         return omega_c.real(), omega_c.imag()
 
-    def fiber_torus(self, resolution):
-        return GridTorus((resolution,) * self.n)
-
     @cached_property
     def fiber_metric_matrix(self):
         """Induced metric G = P^T g P on the fiber; raises unless positive definite."""
@@ -134,15 +127,16 @@ class AffineSLagFamily:
         """Calibrated volume of a fiber: the coefficient of Omega_2 restricted by P."""
         return float(self.calibrated_forms[1].pullback(self.P).coeffs[0])
 
-    def mclean_check(self, j, torus):
-        """||phi_j - star theta_j||_inf on a fiber grid.
+    def mclean_check(self, j):
+        """||phi_j - star theta_j||_inf on a fiber grid of MIN_RESOLUTION^n nodes.
 
         theta_j and phi_j are constant, so d theta_j = d star theta_j = 0
-        exactly and McLean's identity is the only thing left to check.
-        theta_j enters the gridded star as a broadcast view, and phi_j is
-        subtracted in place from the star's output, so the check holds one
-        node-sized form; the residual does not depend on the grid size.
+        exactly, McLean's identity is the only thing left to check, and the
+        residual does not depend on the grid.  theta_j enters the gridded
+        star as a broadcast view, and phi_j is subtracted in place from the
+        star's output, so the check holds one node-sized form.
         """
+        torus = GridTorus((MIN_RESOLUTION,) * self.n)
         theta, phi = self.contraction_coefficients
         theta = FormField.constant(torus, 1, theta[:, j])
         residual = hodge_star(theta, self.fiber_metric(torus)).coeffs

@@ -2,17 +2,18 @@
 
 Stencils of order ``ORDER``, centered in the interior and one-sided at the
 boundary, generated by Fornberg's weight algorithm (Math. Comp. 51, 1988)
-as one weight table per spacing and derivative order.  ``apply_diff``
-applies a table as a banded kernel, shifted slices along the axis
-accumulated in increasing node order, so each node's arithmetic is fixed by
-its index and the number of nodes alone; it also returns the derivative on a
-node range read from a window of the axis, bit for bit the full-axis result
-there.  The taps of each node range are kept, so a slab walk that asks for
-the same ranges again pays for them once.  ``diff_matrix`` is the same table
-as a dense matrix, cached per size and read-only.  The module also decides
-where a stencil residual is trusted and how far: ``interior`` is the one
-definition of the nodes a residual is read on, ``two_grid_bound`` turns the
-residual on every other node into a bound for the fine grid, and
+as one weight table per derivative order at unit spacing, times h^-deriv
+where it is applied.  ``apply_diff`` applies a table as a banded kernel,
+shifted slices along the axis accumulated in increasing node order, so each
+node's arithmetic is fixed by its index and the number of nodes alone; it
+also returns the derivative on a node range read from a window of the axis,
+bit for bit the full-axis result there.  The taps of each node range are
+kept, so a slab walk that asks for the same ranges again pays for them once.
+``diff_matrix`` is the same table as a dense matrix, cached per size and
+spacing and read-only.  The module also decides where a stencil residual is
+trusted and how far: ``interior`` is the one definition of the nodes a
+residual is read on, ``two_grid_bound`` turns the residual on every other
+node into a bound for the fine grid, and
 ``roundoff_floor`` is the roundoff below which no such bound may fall.
 Numpy kernels stand in for scipy's splines: the not-a-knot quintic
 interpolant (``scipy.interpolate.make_interp_spline(x, y, k=5)``), solved
@@ -67,10 +68,11 @@ def fornberg_weights(x, x0, m):
 
 
 @lru_cache(maxsize=None)
-def _stencil(spacing, deriv):
-    """Weight table of the derivative of order ``deriv``: (head, centre, tail).
+def _stencil(deriv):
+    """Weight table of the derivative of order ``deriv`` at unit spacing:
+    (head, centre, tail); at spacing h each weight is times h^-deriv.
 
-    From Fornberg's algorithm on the node offsets times ``spacing``.  Row r of
+    From Fornberg's algorithm on the integer node offsets.  Row r of
     ``head`` (EDGE, deriv + ORDER) gives node r from nodes 0 ... deriv + ORDER - 1;
     row r of ``tail`` gives node n - EDGE + r from the last deriv + ORDER nodes;
     ``centre`` (2 EDGE + 1,) is the 5-point centred stencil of every other node.
@@ -81,7 +83,7 @@ def _stencil(spacing, deriv):
     number of nodes.
     """
     def row(offsets):
-        weights = fornberg_weights(offsets * spacing, 0.0, deriv)
+        weights = fornberg_weights(offsets, 0.0, deriv)
         own = offsets == 0
         weights[own] = -np.sum(weights[~own])
         weights.flags.writeable = False
@@ -94,21 +96,21 @@ def _stencil(spacing, deriv):
     return head, row(np.arange(-EDGE, EDGE + 1)), tail
 
 
-def _pieces(n, spacing, deriv, start, stop):
+def _pieces(n, deriv, start, stop):
     """Nodes [start, stop) of an n-node axis as pieces that share their taps.
 
     Each piece is (lo, hi, taps) for its nodes [lo, hi): one piece per head
     or tail node, and one for the centre.  A tap is (weight, read_lo, read_hi):
-    the piece's nodes in turn take ``weight`` times the value at axis nodes
-    read_lo ... read_hi - 1.  Taps come in increasing node order, the node's
-    own tap (read range equal to the piece) among them.
+    the piece's nodes in turn take ``weight`` (unit spacing) times the value
+    at axis nodes read_lo ... read_hi - 1.  Taps come in increasing node order,
+    the node's own tap (read range equal to the piece) among them.
     """
     width = deriv + ORDER
     if n < width:
         raise GridMismatchError(f"need at least {width} nodes for this stencil, got {n}")
     if not 0 <= start <= stop <= n:
         raise ValueError(f"nodes [{start}, {stop}) do not lie on an axis of {n} nodes")
-    head, centre, tail = _stencil(spacing, deriv)
+    head, centre, tail = _stencil(deriv)
     pieces = [(r, r + 1, [(w, t, t + 1) for t, w in enumerate(head[r])])
               for r in range(start, min(stop, EDGE))]
     lo, hi = max(start, EDGE), min(stop, n - EDGE)
@@ -122,7 +124,7 @@ def _pieces(n, spacing, deriv, start, stop):
 
 
 @lru_cache(maxsize=2048)
-def _plan(n, spacing, deriv, start, stop):
+def _plan(n, deriv, start, stop):
     """The pieces of ``_pieces`` without each node's own tap, and their reach.
 
     Memoized per node range, since a slab walk asks for the same ranges
@@ -132,7 +134,7 @@ def _plan(n, spacing, deriv, start, stop):
     1,024 entries each repeat rebuilt about 950, and the churn of their small
     tuples fragmented the heap.
     """
-    pieces = _pieces(n, spacing, deriv, start, stop)
+    pieces = _pieces(n, deriv, start, stop)
     reads = [tap[1:] for _, _, taps in pieces for tap in taps]
     reach = (min(r[0] for r in reads), max(r[1] for r in reads)) if reads else (start, start)
     others = tuple((lo, hi, tuple(tap for tap in taps if tap[1:] != (lo, hi)))
@@ -146,7 +148,7 @@ def stencil_reach(n, deriv, start, stop):
     ``apply_diff`` with ``nodes=(start, stop)`` needs ``values`` to hold at
     least these nodes of the axis.
     """
-    return _plan(n, 1.0, deriv, start, stop)[1]
+    return _plan(n, deriv, start, stop)[1]
 
 
 @lru_cache(maxsize=None)
@@ -157,10 +159,11 @@ def diff_matrix(n, spacing, deriv):
     weights of node i, and the product with it is ``apply_diff`` up to
     roundoff.  Read-only, since every later call of the same size shares it.
     """
+    scale = float(spacing) ** -deriv
     d = np.zeros((n, n))
-    for lo, hi, taps in _pieces(n, float(spacing), deriv, 0, n):
+    for lo, hi, taps in _pieces(n, deriv, 0, n):
         for weight, read_lo, read_hi in taps:
-            d[np.arange(lo, hi), np.arange(read_lo, read_hi)] = weight
+            d[np.arange(lo, hi), np.arange(read_lo, read_hi)] = weight * scale
     d.flags.writeable = False
     return d
 
@@ -172,9 +175,10 @@ def apply_diff(values, axis, spacing, deriv, nodes=None, n=None, first=0):
     of an axis of ``n`` nodes (default: all of them, first = 0), and the
     result is the derivative on the axis nodes ``nodes`` = (start, stop)
     (default (0, n)); the held nodes must cover ``stencil_reach`` of that
-    range.  Each node is a banded stencil from ``_stencil``: the head rows
-    one-sided on the first deriv + ORDER nodes, the tail rows on the last
-    ones, every other node the 5-point centred stencil.
+    range.  Each node is a banded stencil from ``_stencil`` times
+    spacing^-deriv: the head rows one-sided on the first deriv + ORDER nodes,
+    the tail rows on the last ones, every other node the 5-point centred
+    stencil.
 
     A node's derivative is the sum, over the other nodes of its stencil, of
     weight times (value there - value at the node); the table's own weights
@@ -192,7 +196,8 @@ def apply_diff(values, axis, spacing, deriv, nodes=None, n=None, first=0):
     held = values.shape[axis]
     n = held if n is None else n
     start, stop = (0, n) if nodes is None else nodes
-    pieces, (lo, hi) = _plan(n, float(spacing), deriv, start, stop)
+    pieces, (lo, hi) = _plan(n, deriv, start, stop)
+    scale = float(spacing) ** -deriv
     if lo < first or hi > first + held:
         raise ValueError(f"nodes [{first}, {first + held}) do not cover the reach "
                          f"[{lo}, {hi}) of nodes [{start}, {stop})")
@@ -209,7 +214,7 @@ def apply_diff(values, axis, spacing, deriv, nodes=None, n=None, first=0):
             into = term if t else acc
             np.subtract(values[before + (slice(read_lo - first, read_hi - first),)], own,
                         out=into)
-            np.multiply(into, weight, out=into)
+            np.multiply(into, weight * scale, out=into)
             if t:
                 np.add(acc, term, out=acc)
     return out
@@ -288,9 +293,9 @@ def roundoff_floor(scale, spacing, deriv):
     Accuracy and Stability of Numerical Algorithms, on the roundoff of
     difference quotients).
     """
-    head, centre, tail = _stencil(float(spacing), deriv)
+    head, centre, tail = _stencil(deriv)
     heaviest = max(np.max(np.sum(np.abs(head), axis=1)), np.sum(np.abs(centre)),
-                   np.max(np.sum(np.abs(tail), axis=1)))
+                   np.max(np.sum(np.abs(tail), axis=1))) * float(spacing) ** -deriv
     return float(np.finfo(float).eps * abs(scale) * heaviest)
 
 
@@ -559,9 +564,9 @@ class TensorQuintic:
 
 
 @lru_cache(maxsize=None)
-def _cell_weights(n, spacing):
-    """First node (n - 1,) and weights (n - 1, 6) of the six nodes nearest
-    each cell [k, k + 1] of ``cumulative_quadrature``, both read-only."""
+def _cell_weights(n):
+    """First node (n - 1,) and unit-spacing weights (n - 1, 6) of the six nodes
+    nearest each cell [k, k + 1] of ``cumulative_quadrature``, both read-only."""
     if n < 6:
         raise GridMismatchError(f"need at least 6 nodes for the quadrature, got {n}")
     moments = 1.0 / np.arange(1.0, 7.0)  # integral of s^p over [0, 1]
@@ -569,7 +574,7 @@ def _cell_weights(n, spacing):
     weights = np.empty((n - 1, 6))
     for k, lo in enumerate(first):
         nodes = np.arange(lo, lo + 6) - float(k)
-        weights[k] = np.linalg.solve(np.vander(nodes, increasing=True).T, moments) * spacing
+        weights[k] = np.linalg.solve(np.vander(nodes, increasing=True).T, moments)
     first.flags.writeable = weights.flags.writeable = False
     return first, weights
 
@@ -582,15 +587,15 @@ def cumulative_quadrature(values, spacing, axis=0):
     nodes nearest that cell (k - 2 ... k + 3 for cell [k, k + 1], shifted
     inward at the ends), so polynomials of degree <= 5 integrate exactly and
     the error is O(h^6).  The six weights of each cell are applied as a
-    banded sum and the cells added up by ``np.cumsum``; only the weights are
-    kept between calls.
+    banded sum and the cells added up by ``np.cumsum``; only the unit-spacing
+    weights are kept between calls, each times ``spacing`` where it is used.
     """
     values = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    first, weights = _cell_weights(values.shape[0], float(spacing))
+    first, weights = _cell_weights(values.shape[0])
     column = (len(first),) + (1,) * (values.ndim - 1)
     out = np.zeros(values.shape)
     cells = out[1:]
     for j in range(6):
-        cells += weights[:, j].reshape(column) * values[first + j]
+        cells += (weights[:, j] * spacing).reshape(column) * values[first + j]
     np.cumsum(cells, axis=0, out=cells)
     return np.moveaxis(out, 0, axis)

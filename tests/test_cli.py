@@ -63,7 +63,7 @@ def test_cy_validate_saved_model(tmp_path):
 def test_family_scan_std(tmp_path):
     cfg = _write(
         tmp_path / "cfg.json",
-        {"family": "std:2", "grid": {"n": 3}, "fiber_resolution": 8},
+        {"family": "std:2", "grid": {"n": 3}},
     )
     assert main(["family-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
     report = _report(tmp_path)
@@ -81,8 +81,7 @@ def test_family_scan_derives_each_family_constant_once(tmp_path, monkeypatch):
     j_calls = _count_calls(monkeypatch, cymodel, "complex_structure_matrix")
     phase_calls = _count_calls(monkeypatch, AffineSLagFamily, "calibration_angle")
     coeff_calls = _count_calls(monkeypatch, AffineSLagFamily.contraction_coefficients, "func")
-    cfg = _write(tmp_path / "cfg.json", {"family": "std:3", "grid": {"n": 2},
-                                         "fiber_resolution": 8})
+    cfg = _write(tmp_path / "cfg.json", {"family": "std:3", "grid": {"n": 2}})
     assert main(["family-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert (len(j_calls), len(phase_calls), len(coeff_calls)) == (1, 1, 1)
 
@@ -92,8 +91,7 @@ def test_family_scan_takes_the_period_and_gram_matrices_once(tmp_path, monkeypat
     # one family; the job takes each once and passes it on
     periods = _count_calls(monkeypatch, AffineSLagFamily, "period_matrices")
     grams = _count_calls(monkeypatch, AffineSLagFamily, "mclean_metric")
-    cfg = _write(tmp_path / "cfg.json", {"family": "std:3", "grid": {"n": 2},
-                                         "fiber_resolution": 8})
+    cfg = _write(tmp_path / "cfg.json", {"family": "std:3", "grid": {"n": 2}})
     assert main(["family-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert (len(periods), len(grams)) == (1, 1)
 
@@ -464,6 +462,22 @@ def test_semiflat_verdicts_on_three_variable_potentials(tmp_path):
         assert "ricci_oracle" in checks
 
 
+def test_legendre_refuses_three_variables_before_any_transform(tmp_path, capsys, monkeypatch):
+    # the residuals read the quintic spline, which takes m <= 2, so a larger
+    # m is refused before the forward and back transforms run
+    calls = _count_calls(monkeypatch, hessian, "legendre_transform")
+    cfg = _write(tmp_path / "cfg.json", {"potential": {
+        "axes": [[-1, 1, 17]] * 3, "expr": "(u1**2 + u2**2 + u3**2) / 2"}})
+    out = tmp_path / "out"
+    assert main(["legendre", "--config", cfg, "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    error = _report(out)["error"]
+    assert error["type"] == "InputError"
+    assert {"m", "<=", "2", "3"} <= set(error["message"].split())
+    assert not (out / "dual.csv").exists()
+    assert calls == []
+
+
 def test_semiflat_flags_non_ma_potential(tmp_path):
     cfg = _write(
         tmp_path / "cfg.json",
@@ -640,7 +654,7 @@ def _square(n):
         ("semiflat", {"potential": {**_square(17)["potential"], "c": "x"}}, "InputError"),
         ("ma-solve", {"solver": {"c": "x"}}, "InputError"),
         ("ma-solve", {"solver": 5}, "InputError"),
-        ("family-scan", {"fiber_resolution": "x"}, "InputError"),
+        ("family-scan", {"family": 5}, "InputError"),
         # a potential without a grid axis
         ("legendre", {"potential": {"axes": [], "expr": "1"}}, "InputError"),
         # grids with no spacing or no nodes
@@ -754,7 +768,7 @@ def test_non_finite_input_exits_2(tmp_path, capsys, command, payload):
 
 @pytest.mark.parametrize("command", ["family-scan", "embed"])
 def test_one_node_moduli_grid_is_a_point(tmp_path, command):
-    cfg = _write(tmp_path / "cfg.json", {"grid": {"n": 1}, "fiber_resolution": 8})
+    cfg = _write(tmp_path / "cfg.json", {"grid": {"n": 1}})
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
@@ -796,10 +810,6 @@ def test_missing_config_key_is_named(tmp_path, monkeypatch):
     ("ma-solve", {"n": 17, "domain": [[0, "1"], [0, 1]]}, "domain"),
     ("gh", {"n": 17, "domain": [[0, 1, 2], [0, 1]]}, "domain"),
     ("ma-solve", {"n": 17, "domain": [[0, 10 ** 400], [0, 1]]}, "domain"),
-    # the fiber grid: a fraction was truncated (exit 0 on 8 nodes), true was
-    # a one-node grid (a GridMismatchError that named no key)
-    *(("family-scan", {"family": "std:2", "grid": {"n": 2}, "fiber_resolution": value},
-       "fiber_resolution") for value in (8.9, True, "16")),
 ])
 def test_grid_values_of_the_wrong_kind_name_their_key(tmp_path, capsys, command, payload, key):
     cfg = _write(tmp_path / "cfg.json", payload)
@@ -808,20 +818,6 @@ def test_grid_values_of_the_wrong_kind_name_their_key(tmp_path, capsys, command,
     error = _report(tmp_path)["error"]
     assert error["type"] == "InputError"
     assert key in error["message"].split()
-
-
-def test_fiber_grid_below_the_minimum_names_its_key(tmp_path, capsys):
-    # 4 nodes per fiber axis raised a GridMismatchError from the form layer
-    # that named no config key
-    from slmoduli.forms import MIN_RESOLUTION
-
-    cfg = _write(tmp_path / "cfg.json", {"family": "std:2", "grid": {"n": 2},
-                                         "fiber_resolution": MIN_RESOLUTION - 4})
-    assert main(["family-scan", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "Traceback" not in capsys.readouterr().err
-    error = _report(tmp_path)["error"]
-    assert error["type"] == "InputError"
-    assert {"fiber_resolution", "forms.MIN_RESOLUTION"} <= set(error["message"].split())
 
 
 def test_number_in_place_of_a_path_is_refused(tmp_path):
@@ -914,7 +910,7 @@ _IMPORT_PROBE = textwrap.dedent("""
     potential = {"axes": [[-1, 1, 17], [-1, 1, 17]], "expr": "(u1**2 + u2**2) / 2"}
     steps = [
         ("cy-validate", {}, []),
-        ("family-scan", {"family": "std:2", "grid": {"n": 3}, "fiber_resolution": 8}, []),
+        ("family-scan", {"family": "std:2", "grid": {"n": 3}}, []),
         ("embed", {"grid": {"n": 3}}, []),
         ("semiflat", {"potential": potential}, ["--oracle"]),
         ("partial-legendre", {"potential": potential}, []),

@@ -26,7 +26,7 @@ from slmoduli.family import (
 )
 from slmoduli.cli import main
 from slmoduli.cymodel import save_model, std_model
-from slmoduli.forms import CycleBasis, FormField, integrate_top
+from slmoduli.forms import MIN_RESOLUTION, CycleBasis, FormField, GridTorus, integrate_top
 from slmoduli.hessian import mirror_swap
 
 
@@ -89,7 +89,7 @@ def _reference_families():
 @pytest.mark.parametrize("resolution", [8, 16])
 def test_closed_form_periods_match_gridded_reference(resolution):
     for fam in _reference_families():
-        lam, mu, volume = _reference_periods(fam, fam.fiber_torus(resolution))
+        lam, mu, volume = _reference_periods(fam, GridTorus((resolution,) * fam.n))
         pm = fam.period_matrices()
         for closed, ref in ((pm.lam, lam), (pm.mu, mu)):
             assert np.max(np.abs(closed - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -141,18 +141,20 @@ def test_recombination_invariance(n, seed, ops):
 
 
 def test_mclean_check_holds_one_node_sized_form():
+    # the check stars on its fixed grid of MIN_RESOLUTION^3 nodes
     fam = std_family(3)
-    torus = fam.fiber_torus(32)
-    fam.mclean_check(0, torus)  # the family's constants are derived once
+    fam.mclean_check(0)  # the family's constants are derived once
     tracemalloc.start()
     try:
-        residuals = [fam.mclean_check(j, torus) for j in range(3)]
+        residuals = [fam.mclean_check(j) for j in range(3)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert max(residuals) < 1e-14
-    # the star's output, 3 coefficients per node, and one term of its sum
-    assert peak <= 1.5 * 32 ** 3 * 3 * 8
+    # the star's output, 3 coefficients per node, one term of its sum and
+    # numpy's iteration buffer of the in-place subtraction, which on 512
+    # nodes spans the output; theta copied to every node adds one more output
+    assert peak <= 2.5 * MIN_RESOLUTION ** 3 * 3 * 8
 
 
 @pytest.mark.parametrize("family", ["std:3", "@random"])
@@ -160,15 +162,17 @@ def test_family_scan_report_does_not_depend_on_fiber_resolution(tmp_path, family
     if family == "@random":
         family = str(tmp_path / "family.json")
         save_family(random_family(np.random.default_rng(23), n=3), family, model_ref="std:3")
+    # the McLean check stars constant forms on its own fixed fiber grid, so
+    # the key is ignored whatever its value, as family-scan ignores seed
     outputs = []
-    for resolution in (8, 16, 32):
-        cfg = tmp_path / f"cfg{resolution}.json"
-        cfg.write_text(json.dumps({"family": family, "grid": {"n": 2},
-                                   "fiber_resolution": resolution}))
-        out = tmp_path / f"out{resolution}"
+    for i, extra in enumerate([{}, *({"fiber_resolution": value}
+                                     for value in (4, 8.9, True, "x", 80))]):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({"family": family, "grid": {"n": 2}, **extra}))
+        out = tmp_path / f"out{i}"
         assert main(["family-scan", "--config", str(cfg), "--out", str(out)]) == 0
         outputs.append((out / "report.json").read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(set(outputs)) == 1
 
 
 def test_mclean_metric_tilt_value():

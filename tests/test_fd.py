@@ -234,8 +234,8 @@ def test_cumulative_quadrature_exact_to_degree_five(n):
     for p in range(6):
         assert np.max(np.abs(stacked[p] - exact[p])) <= 1e-13 * max(1.0, np.max(np.abs(exact[p])))
         assert np.array_equal(cumulative_quadrature(powers[p], h), stacked[p])
-    # only the six weights of each cell are kept between calls
-    first, weights = fd._cell_weights(n, h)
+    # only the six unit-spacing weights of each cell are kept between calls
+    first, weights = fd._cell_weights(n)
     assert weights.shape == (n - 1, 6) and not weights.flags.writeable
     assert not first.flags.writeable
 

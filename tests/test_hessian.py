@@ -508,6 +508,23 @@ def test_partial_legendre_detects_non_ma():
     assert 0.3 < partial_legendre_2d(pot)[0] < 0.6
 
 
+def test_stencil_caches_do_not_grow_with_the_spacing():
+    # the s-axis spacing of the reduction depends on the potential: the
+    # weight tables are kept per derivative order and the tap plans per node
+    # range, so conjugating many potentials adds no entry per spacing
+    fd._stencil.cache_clear()
+    fd._plan.cache_clear()
+    axes = [np.linspace(-1, 1, 33)] * 2
+    plans = []
+    for beta in np.linspace(0.01, 0.5, 50):
+        pot = HessianPotential.from_function(
+            axes, lambda a, b, beta=beta: (a ** 2 + b ** 2) / 2 + beta * np.cosh(a))
+        partial_legendre_2d(pot)
+        plans.append(fd._plan.cache_info().currsize)
+    assert fd._stencil.cache_info().currsize <= 2
+    assert plans[-1] == plans[0]
+
+
 def _traced_peak(fn, *args):
     fn(*args)  # warm the stencil and difference-matrix caches
     tracemalloc.start()
