@@ -563,18 +563,36 @@ class TensorQuintic:
         return value
 
 
+def _lagrange_integrals(offset):
+    """Unit-spacing weights of nodes 0 ... 5 for the cell [offset, offset + 1]:
+    the integral over it of each node's Lagrange basis polynomial, exact in
+    integers (numerator and denominator times 60 = lcm(1, ..., 6)) and
+    rounded once by the division."""
+    weights = []
+    for i in range(6):
+        coef, denominator = [1], 60  # prod_{j != i} (s - j), lowest power first
+        for j in range(6):
+            if j != i:
+                coef = [a - j * b for a, b in zip([0] + coef, coef + [0])]
+                denominator *= i - j
+        numerator = sum(c * 60 // (k + 1) * ((offset + 1) ** (k + 1) - offset ** (k + 1))
+                        for k, c in enumerate(coef))
+        weights.append(numerator / denominator)
+    return weights
+
+
 @lru_cache(maxsize=None)
 def _cell_weights(n):
     """First node (n - 1,) and unit-spacing weights (n - 1, 6) of the six nodes
-    nearest each cell [k, k + 1] of ``cumulative_quadrature``, both read-only."""
+    nearest each cell [k, k + 1] of ``cumulative_quadrature``, both read-only.
+
+    A cell's weights depend only on its offset k - first from its first node,
+    0 ... 4, so each offset's are computed once (``_lagrange_integrals``)."""
     if n < 6:
         raise GridMismatchError(f"need at least 6 nodes for the quadrature, got {n}")
-    moments = 1.0 / np.arange(1.0, 7.0)  # integral of s^p over [0, 1]
     first = np.clip(np.arange(n - 1) - 2, 0, n - 6)
-    weights = np.empty((n - 1, 6))
-    for k, lo in enumerate(first):
-        nodes = np.arange(lo, lo + 6) - float(k)
-        weights[k] = np.linalg.solve(np.vander(nodes, increasing=True).T, moments)
+    table = np.array([_lagrange_integrals(offset) for offset in range(5)])
+    weights = table[np.arange(n - 1) - first]
     first.flags.writeable = weights.flags.writeable = False
     return first, weights
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InputError, MetricError
 from .fd import (EDGE, apply_diff, cumulative_quadrature, hessian_field, interior,
                  roundoff_floor, stencil_reach, two_grid_bound)
-from .hessian import HessianPotential, hessian_det_field, row_blocks
+from .hessian import HessianPotential, hessian_det, hessian_det_field, row_blocks
 
 SLAB_ROWS = 4  # nodes of grid axis 0 per slab of the Christoffel walk
 METRIC_ROWS = 8  # nodes of grid axis 0 per metric build of the Christoffel walk
@@ -35,7 +35,7 @@ class SemiflatManifold:
 
     Holds the potential and det of its Hessian per node, which must be
     positive; no (*grid, m, m) field is kept.  The metric of any rows of
-    grid axis 0 is built on demand by ``full_metric``.
+    grid axis 0 is built on demand by ``metric_blocks``.
     """
 
     potential: HessianPotential
@@ -49,19 +49,14 @@ class SemiflatManifold:
     def m(self):
         return self.potential.dim
 
-    def full_metric(self, lo=0, hi=None):
-        """Real 2m x 2m metric field blockdiag(H, H) on nodes [lo, hi) of u-grid
-        axis 0 (default: the whole grid).
-
-        H is ``HessianPotential.hessian`` of those rows, from the potential on
-        their stencils' reach, so the rows are bitwise those of the full field.
+    def metric_blocks(self, lo=0, hi=None):
+        """The blocks (H, H) of the metric blockdiag(H, H), stacked (rows,
+        *grid[1:], 2, m, m), on nodes [lo, hi) of u-grid axis 0 (default: the
+        whole grid); H is ``HessianPotential.hessian`` of those rows, from the
+        potential on their stencils' reach, so bitwise that of the full field.
         """
-        m = self.m
         h = self.potential.hessian(lo, hi)
-        g = np.zeros(h.shape[:-2] + (2 * m, 2 * m))
-        g[..., :m, :m] = h
-        g[..., m:, m:] = h
-        return g
+        return np.stack([h, h], axis=-3)
 
 
 def build_semiflat(pot):
@@ -162,49 +157,51 @@ def _ricci_fields(sf):
 
 
 def ricci_agreement(sf, *twins):
-    """max deviation between the log-det Ricci form and the oracle, and
-    between the oracle's x-x and u-u blocks, on ``read_region`` (``_read``).
+    """max deviation between the log-det Ricci form and the oracle's u-u block,
+    and between its x-x and u-u blocks, on ``read_region`` (``_read``).
 
-    The mixed u-x block is exactly 0.0 (g_ux is an exact zero, which
-    ``np.linalg.inv`` and every mixed term of the contraction keep), so it
-    is not read.  The oracle walks the rows once (``_oracle_interior``) and
-    ``ricci_form`` is taken on ``METRIC_ROWS`` rows at a time as it goes: no
-    grid-sized tensor is formed, and the value is bitwise the full-array one.
+    The oracle walks the rows once (``_oracle_interior``; it forms no mixed
+    u-x block, which is 0) and ``ricci_form`` is taken on ``METRIC_ROWS``
+    rows at a time as it goes: no grid-sized tensor is formed, and the value
+    is bitwise the full-array one.
     """
     return _read(_agreement_fields, sf, *twins)
 
 
 def _agreement_fields(sf):
-    m = sf.m
     shape = sf.metric_det.shape
     width = read_region(shape)[0].start
     kahler_rows = _RowWindow(lambda lo, hi: ricci_form(sf, lo, hi), shape[0] - width,
                              METRIC_ROWS)
-    for index, oracle in _oracle_interior(sf.full_metric, shape, sf.potential.spacings, width):
+    for index, ric in _oracle_interior(sf.metric_blocks, shape, sf.potential.spacings, width):
         rows = index[0]
-        uu = oracle[..., :m, :m]
+        uu = ric[..., 0, :, :]
         yield uu - kahler_rows(rows.start, rows.stop)[(slice(None),) + index[1:]]
-        yield oracle[..., m:, m:] - uu
+        yield ric[..., 1, :, :] - uu
 
 
-def _oracle_interior(metric, shape, spacings, width):
-    """The oracle's Ricci tensor on ``interior(shape, width)``, one slab at a time.
+def _oracle_interior(blocks, shape, spacings, width):
+    """The oracle's Ricci blocks on ``interior(shape, width)``, one slab at a time.
 
-    ``metric(lo, hi)`` builds the metric field on nodes [lo, hi) of grid
-    axis 0.  The interior rows are walked once by ``_ricci_walk``, in slabs
-    of ``SLAB_ROWS`` nodes from the first interior row, so the metric is
+    ``blocks(lo, hi)`` builds the blocks of a metric blockdiag(A, B), A on
+    the p grid directions and B on p Killing ones, stacked (rows,
+    *grid[1:], 2, p, p), on nodes [lo, hi) of grid axis 0.  ``_ricci_walk``
+    with the block kernels walks the interior rows once, so the blocks are
     built once on each node the nested stencils read and on no other.
-    Yields (index, ric) for each slab: ``index`` selects the slab's
-    interior nodes of a grid field, ``ric`` is the tensor on them.
+    Yields (index, ric) per slab: ``index`` selects its interior nodes of a
+    grid field, ``ric`` (*, 2, p, p) holds R_ij and R_ab on them.
     """
     core = interior(shape, width)
     others = (slice(None),) + core[1:]
-    for lo, hi, ric in _ricci_walk(metric, spacings, shape[0], width, shape[0] - width):
+    for lo, hi, ric in _ricci_walk(blocks, spacings, shape[0], width, shape[0] - width,
+                                   _block_christoffel, _block_ricci):
         yield (slice(lo, hi),) + core[1:], ric[others]
 
 
 def ricci_from_metric(components, spacings):
-    """Numerical Ricci tensor of a metric field on a box grid.
+    """Numerical Ricci tensor of any metric field on a box grid, inverted by
+    LAPACK: the generic route that tests hold the commands' block walk
+    (``_oracle_interior``) to.
 
     The grid axes correspond to the first p coordinates; the remaining
     coordinates are Killing directions (derivatives vanish).  All derivatives
@@ -219,18 +216,9 @@ def ricci_from_metric(components, spacings):
     operator of the full R^a_{bcd} contraction.  Per a, the terms are added
     in this order: -d_d Gamma^a_{ab} for each grid axis d, then
     d_a Gamma^a_{db}, then the two quadratic terms; the terms of a = 0 ... d - 1
-    are summed in turn.
-
-    The grid is walked once by ``_ricci_walk``, in slabs of ``SLAB_ROWS``
-    nodes, carrying the Christoffel symbols of the rows two neighbouring
-    slabs share, so the metric derivatives, g^{-1} and Gamma are formed once
-    on each node.  Beyond the input and the result, the tracemalloc peak is
-    about one (SLAB_ROWS + 4)-row (*, d, d, d) Gamma window plus, on the
-    SLAB_ROWS rows each slab adds, Gamma and the two (*, d, d, p) arrays of
-    the metric derivatives and g^{ae} d_b g_{ec} on the p grid slots.
-    ``fd.apply_diff`` gives each node the same arithmetic on a slab as on the
-    full grid, so the result is bitwise the full-array assembly kept in
-    tests/test_semiflat.py.
+    are summed in turn.  ``_ricci_walk`` walks the grid once, so beyond the
+    input and the result only slab-sized arrays are held, and the result is
+    bitwise the full-array assembly kept in tests/test_semiflat.py.
     """
     components = np.asarray(components, dtype=float)
     n = components.shape[0]
@@ -271,7 +259,7 @@ class _RowWindow:
         return self.buffer[lo - self.lo:hi - self.lo]
 
 
-def _ricci_walk(metric, spacings, n, start, stop):
+def _ricci_walk(metric, spacings, n, start, stop, christoffel=None, ricci=None):
     """R on nodes [start, stop) of an n-node grid axis 0, walked once.
 
     Yields (lo, hi, ric) for consecutive slabs [lo, hi) of ``SLAB_ROWS``
@@ -280,31 +268,35 @@ def _ricci_walk(metric, spacings, n, start, stop):
     nodes at a time, never beyond the reach of the reach of [start, stop).
     Two windows slide along the axis: the metric on the reach of the
     first-derivative stencils of the rows whose Gamma is new, and Gamma on
-    the reach of the slab.  Consecutive slabs share the halo of their
-    reaches (4 rows inside the grid), which the Gamma window carries over,
-    so each node's metric, derivatives, inverse and Gamma are built once.
-    Gamma^a_{ab} is a view of the Gamma window.
+    the reach of the slab, whose halo the next slab shares, so each node's
+    metric and Gamma are built once.  The kernels ``christoffel`` (Gamma from
+    the metric) and ``ricci`` (R from Gamma) take (window, spacings, n,
+    first, lo, hi), the window holding axis nodes first, first + 1, ...;
+    by default the generic d x d ``_christoffel`` and ``_ricci_slab``.
     """
     if start >= stop:
         return
+    christoffel = christoffel or _christoffel
+    ricci = ricci or _ricci_slab
     reach = stencil_reach(n, 1, start, stop)
     metric_rows = _RowWindow(metric, stencil_reach(n, 1, *reach)[1], METRIC_ROWS)
 
-    def christoffel(lo, hi):
+    def gamma(lo, hi):
         first, last = stencil_reach(n, 1, lo, hi)
-        return _christoffel(metric_rows(first, last), spacings, n, first, lo, hi)
+        return christoffel(metric_rows(first, last), spacings, n, first, lo, hi)
 
-    gamma_rows = _RowWindow(christoffel, reach[1])
+    gamma_rows = _RowWindow(gamma, reach[1])
     for lo in range(start, stop, SLAB_ROWS):
         hi = min(lo + SLAB_ROWS, stop)
         first, last = stencil_reach(n, 1, lo, hi)
-        yield lo, hi, _ricci_slab(gamma_rows(first, last), spacings, n, first, lo, hi)
+        yield lo, hi, ricci(gamma_rows(first, last), spacings, n, first, lo, hi)
 
 
 def _ricci_slab(gamma, spacings, n, first, start, stop):
     """R_bd on nodes [start, stop) of grid axis 0 from Gamma held on nodes
     first, first + 1, ... of the n-node axis, at least the reach of the
-    slab's first-derivative stencils."""
+    slab's first-derivative stencils.  Gamma^a_{ab} is a view of the Gamma
+    window."""
     p = gamma.ndim - 3
     d = gamma.shape[-1]
     slab = slice(start - first, stop - first)
@@ -358,6 +350,115 @@ def _christoffel(components, spacings, n, first, lo, hi):
     del raised
     gamma *= 0.5
     return gamma
+
+
+def _block_christoffel(blocks, spacings, n, first, lo, hi):
+    """The Christoffel symbols of blockdiag(A, B) that are not 0, on nodes
+    [lo, hi) of grid axis 0; ``blocks`` (*, 2, p, p) holds A and B on axis
+    nodes first, first + 1, ... of n.
+
+    With grid indices i, j, k, l and Killing ones a, b, g, on which nothing
+    depends, all but these and Gamma^a_bi = Gamma^a_ib vanish:
+
+        Gamma^i_jk = 1/2 A^il (d_j A_lk + d_k A_lj - d_l A_jk),
+        Gamma^i_ab = -1/2 A^il d_l B_ab,
+        Gamma^a_ib = 1/2 B^ag d_i B_gb,
+
+    returned (*, p, 3, p, p) as [..., i, 0, j, k], [..., i, 1, a, b] and
+    [..., i, 2, a, b].
+    """
+    p = blocks.ndim - 3
+    held = blocks[lo - first:hi - first]
+    d = np.empty(held.shape + (p,))  # d[..., s, i, j, k] = d_k of block s at [i, j]
+    d[..., 0] = apply_diff(blocks, 0, spacings[0], 1, nodes=(lo, hi), n=n, first=first)
+    for axis in range(1, p):
+        d[..., axis] = apply_diff(held, axis, spacings[axis], 1)
+    da, db = d[..., 0, :, :, :], d[..., 1, :, :, :]
+    sums = da.swapaxes(-1, -2) + da  # d_j A_lk + d_k A_lj - d_l A_jk at [l, j, k]
+    sums -= np.moveaxis(da, -1, -3)
+    a_inv, b_inv = _inverse(held[..., 0, :, :]), _inverse(held[..., 1, :, :])
+    gamma = np.empty(held.shape[:-3] + (p, 3, p, p))
+    _products([(a_inv[..., :, l, None, None], sums[..., None, l, :, :]) for l in range(p)],
+              gamma[..., 0, :, :])
+    _products([(a_inv[..., :, l, None, None], db[..., None, :, :, l]) for l in range(p)],
+              gamma[..., 1, :, :])
+    _products([(b_inv[..., None, :, g, None], db[..., g, :, None, :].swapaxes(-1, -3))
+               for g in range(p)], gamma[..., 2, :, :])
+    gamma *= np.array([0.5, -0.5, 0.5])[:, None, None]
+    return gamma
+
+
+def _block_ricci(gamma, spacings, n, first, start, stop):
+    """R_jk and R_ab, stacked (*, 2, p, p), on nodes [start, stop) of grid
+    axis 0 from the ``_block_christoffel`` window ``gamma`` on axis nodes
+    first, first + 1, ... of n.  With c_j = Gamma^i_ij + Gamma^a_aj, the
+    terms of ``ricci_from_metric`` that are not 0 give
+
+        R_jk = d_i Gamma^i_kj - d_k c_j + c_l Gamma^l_kj - Gamma^i_kl Gamma^l_ij
+               - Gamma^a_kb Gamma^b_ja,
+        R_ab = d_i Gamma^i_ba + c_l Gamma^l_ba - Gamma^i_bg Gamma^g_ia
+               - Gamma^g_lb Gamma^l_ga,
+
+    and R_ia = 0.  One stencil pass per grid axis i takes d_i of Gamma^i_jk,
+    Gamma^i_ab and c_j stacked; the derivative terms are added axis by axis,
+    then the quadratic ones in the order above.
+    """
+    p = gamma.ndim - 4
+    slab = slice(start - first, stop - first)
+    c = np.zeros(gamma.shape[:-4] + (p,))
+    for i in range(p):
+        c += gamma[..., i, 0, i, :]
+    for a in range(p):
+        c += gamma[..., :, 2, a, a]
+
+    def raised(rows, axis):  # (Gamma^axis_jk, Gamma^axis_ab, c_j) on the rows, flat
+        block = gamma[rows, ..., axis, :2, :, :]
+        return np.concatenate([block.reshape(block.shape[:-3] + (-1,)), c[rows]], axis=-1)
+
+    grads = [apply_diff(raised(slice(None), 0), 0, spacings[0], 1, nodes=(start, stop), n=n,
+                        first=first)]
+    grads += [apply_diff(raised(slab, axis), axis, spacings[axis], 1) for axis in range(1, p)]
+    g = gamma[slab]
+    ga, gb, gk, cs = g[..., 0, :, :], g[..., 1, :, :], g[..., 2, :, :], c[slab]
+    ric = np.zeros(g.shape[:-4] + (2, p, p))
+    grid, killing = ric[..., 0, :, :], ric[..., 1, :, :]
+    for axis, grad in enumerate(grads):
+        grid += grad[..., :p * p].reshape(grid.shape).swapaxes(-1, -2)
+        grid[..., axis] -= grad[..., 2 * p * p:]
+        killing += grad[..., p * p:2 * p * p].reshape(grid.shape).swapaxes(-1, -2)
+    pairs = [(i, j) for i in range(p) for j in range(p)]
+    grid += _products([(cs[..., l, None, None], ga[..., l, :, :].swapaxes(-1, -2))
+                       for l in range(p)])
+    grid -= _products([(ga[..., l, i, :, None], ga[..., i, None, :, l]) for i, l in pairs])
+    grid -= _products([(gk[..., :, b, a, None], gk[..., None, :, a, b]) for a, b in pairs])
+    killing += _products([(cs[..., l, None, None], gb[..., l, :, :].swapaxes(-1, -2))
+                          for l in range(p)])
+    killing -= _products([(gk[..., i, g, :, None], gb[..., i, None, :, g]) for i, g in pairs])
+    killing -= _products([(gb[..., l, g, :, None], gk[..., l, g, None, :]) for l, g in pairs])
+    return ric
+
+
+def _products(pairs, out=None):
+    """The sum of a * b over ``pairs``, added in turn, into ``out`` if given: the
+    contractions of the block walk, several times faster than ``np.einsum``
+    on its small (*, p, p) stacks."""
+    (a, b), *rest = pairs
+    out = np.multiply(a, b, out=out)
+    for a, b in rest:
+        out += a * b
+    return out
+
+
+def _inverse(mat):
+    """Inverse of each symmetric matrix of a stack (*, m, m): the adjugate over
+    ``hessian.hessian_det`` for m <= 2, LAPACK's for m >= 3."""
+    m = mat.shape[-1]
+    if m > 2:
+        return np.linalg.inv(mat)
+    if m == 1:
+        return 1.0 / mat
+    adjugate = mat[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return adjugate / hessian_det(mat)[..., None, None]
 
 
 def nijenhuis_residual(lam_fn, axes):
@@ -418,18 +519,15 @@ class GibbonsHawkingMetric:
         self.spacings = [float(ax[1] - ax[0]) for ax in self.axes]
         self.conjugate_w = _harmonic_conjugate(self.potential_v, self.spacings)
 
-    def components(self, lo=0, hi=None):
-        """g = V (dy1^2 + dy2^2 + dy3^2) + V^{-1} (dtau + W dy3)^2 on nodes
-        [lo, hi) of grid axis 0 (default: the whole grid), (rows, n_2, 4, 4)
-        in (y1, y2, y3, tau)."""
+    def blocks(self, lo=0, hi=None):
+        """The blocks of g = V (dy1^2 + dy2^2 + dy3^2) + V^{-1} (dtau + W dy3)^2,
+        A = V I_2 on (y1, y2) and B = [[V + W^2 / V, W / V], [W / V, 1 / V]] on
+        (y3, tau), det B = 1, stacked (rows, n_2, 2, 2, 2) on nodes [lo, hi)
+        of grid axis 0 (default: the whole grid)."""
         v, w = self.potential_v[lo:hi], self.conjugate_w[lo:hi]
-        g = np.zeros(v.shape + (4, 4))
-        g[..., 0, 0] = v
-        g[..., 1, 1] = v
-        g[..., 2, 2] = v + w ** 2 / v
-        g[..., 2, 3] = g[..., 3, 2] = w / v
-        g[..., 3, 3] = 1.0 / v
-        return g
+        zero, ratio = np.zeros(v.shape), w / v
+        return np.stack([v, zero, zero, v, v + w ** 2 / v, ratio, ratio, 1.0 / v],
+                        axis=-1).reshape(v.shape + (2, 2, 2))
 
     def coarsened(self):
         """The metric of V on every other node of each axis."""
@@ -469,9 +567,10 @@ def gh_metric(v_values, axes):
 def gh_ricci_max(gh, *twins):
     """max |Ric| of a ``GibbonsHawkingMetric``, stencil error of a Ricci-flat
     metric, past EDGE + 1 boundary nodes (``_read``).  The oracle walks each
-    metric's rows once (``_oracle_interior``): no grid-sized metric or Ricci."""
+    metric's rows once (``_oracle_interior``) and forms R_ij and R_ab (the
+    mixed block is 0): no grid-sized metric or Ricci."""
     return _read(lambda metric: (ric for _, ric in _oracle_interior(
-        metric.components, metric.potential_v.shape, metric.spacings, EDGE + 1)), gh, *twins)
+        metric.blocks, metric.potential_v.shape, metric.spacings, EDGE + 1)), gh, *twins)
 
 
 def _laplacian_max(v, spacings):

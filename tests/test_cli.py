@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import slmoduli
-from slmoduli import cli, cymodel, hessian, semiflat
+from slmoduli import cli, cymodel, fd, hessian, semiflat
 from slmoduli.cli import COMMANDS, _eval_expression, main
 from slmoduli.errors import InputError
 from slmoduli.family import AffineSLagFamily
@@ -1051,8 +1051,8 @@ def test_ma_solve_does_not_load_numpy_ma(tmp_path):
 
 def test_chart_and_curvature_commands_make_no_stacked_lapack_call(tmp_path, monkeypatch):
     # the 2x2 Hessian eigenvalues, determinants and clamped cofactors are
-    # taken in closed form; the Christoffel oracle's 4x4 inverse is not
-    # among the patched routines
+    # taken in closed form (the oracle's inverses too, which
+    # test_curvature_commands_call_no_lapack_routine pins)
     def refuse(*args, **kwargs):
         raise AssertionError("stacked LAPACK call on 2x2 Hessians")
 
@@ -1070,6 +1070,29 @@ def test_chart_and_curvature_commands_make_no_stacked_lapack_call(tmp_path, monk
         out = tmp_path / command
         assert main([command, "--config", cfg, "--out", str(out), *flags]) in codes, command
         assert "checks" in _report(out), command
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    ("gh", {"V": "2 + y1 + 0.3 * (y1**2 - y2**2)", "n": 33}, []),
+    ("semiflat", {"potential": _exact(33, 1.0)}, ["--oracle"]),
+])
+def test_curvature_commands_call_no_lapack_routine(tmp_path, monkeypatch, command, config,
+                                                   flags):
+    # at m = 2 the oracle inverts its 2x2 blocks in closed form and the
+    # quadrature weights of W are exact rationals, so neither command reaches
+    # LAPACK, and the report is the one of an unpatched run
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK call on the curvature path")
+
+    cfg = _write(tmp_path / "cfg.json", config)
+    fd._cell_weights.cache_clear()  # weights cached by an earlier run
+    with monkeypatch.context() as patched:
+        for name in ("inv", "solve", "det", "eigvalsh"):
+            patched.setattr(np.linalg, name, refuse)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "patched"), *flags]) == 0
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "plain"), *flags]) == 0
+    assert ((tmp_path / "patched" / "report.json").read_bytes()
+            == (tmp_path / "plain" / "report.json").read_bytes())
 
 
 def test_ci_smoke_script_at_toy_sizes(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 
 from slmoduli import cli, semiflat
 from slmoduli.errors import InputError, MetricError
-from slmoduli.fd import EDGE, apply_diff, interior, stencil_reach, two_grid_bound
+from slmoduli.fd import (EDGE, apply_diff, interior, roundoff_floor, stencil_reach,
+                         two_grid_bound)
 from slmoduli.hessian import HessianPotential, solve_ma_dirichlet
 from slmoduli.semiflat import (
     METRIC_ROWS,
@@ -32,16 +33,51 @@ def _quartic_potential(n=65):
     )
 
 
+def full_metric(sf, lo=0, hi=None):
+    """Real 2m x 2m metric field blockdiag(H, H) of a semiflat manifold on
+    nodes [lo, hi) of u-grid axis 0 (default: the whole grid)."""
+    m = sf.m
+    h = sf.potential.hessian(lo, hi)
+    g = np.zeros(h.shape[:-2] + (2 * m, 2 * m))
+    g[..., :m, :m] = h
+    g[..., m:, m:] = h
+    return g
+
+
+def gh_components(gh, lo=0, hi=None):
+    """g = V (dy1^2 + dy2^2 + dy3^2) + V^{-1} (dtau + W dy3)^2 of a
+    ``GibbonsHawkingMetric`` on nodes [lo, hi) of grid axis 0, (rows, n_2, 4, 4)
+    in (y1, y2, y3, tau)."""
+    v, w = gh.potential_v[lo:hi], gh.conjugate_w[lo:hi]
+    g = np.zeros(v.shape + (4, 4))
+    g[..., 0, 0] = v
+    g[..., 1, 1] = v
+    g[..., 2, 2] = v + w ** 2 / v
+    g[..., 2, 3] = g[..., 3, 2] = w / v
+    g[..., 3, 3] = 1.0 / v
+    return g
+
+
+def _block_diagonal(blocks):
+    """blockdiag(A, B) of the stacked (*, 2, p, p) blocks of the oracle."""
+    p = blocks.shape[-1]
+    g = np.zeros(blocks.shape[:-3] + (2 * p, 2 * p))
+    g[..., :p, :p] = blocks[..., 0, :, :]
+    g[..., p:, p:] = blocks[..., 1, :, :]
+    return g
+
+
 def test_full_metric_block_structure_and_hermitian():
     sf = build_semiflat(_quartic_potential(33))
-    g = sf.full_metric()
+    g = full_metric(sf)
     assert g.shape[-2:] == (4, 4)
     assert np.max(np.abs(g[..., :2, 2:])) == 0.0
     assert np.max(np.abs(g[..., 2:, :2])) == 0.0
     # blockdiag(H, H) is J-invariant for the standard structure in (u, x)
     assert np.array_equal(g[..., :2, :2], g[..., 2:, 2:])
-    # the row builder the oracle's slabs read
-    assert np.array_equal(sf.full_metric(5, 12), g[5:12])
+    # the blocks the oracle's slabs read, on any rows
+    assert np.array_equal(_block_diagonal(sf.metric_blocks()), g)
+    assert np.array_equal(sf.metric_blocks(5, 12), sf.metric_blocks()[5:12])
 
 
 def test_holomorphic_norm_constant_iff_ma():
@@ -150,18 +186,22 @@ def _ricci_via_riemann(components, spacings):
     return np.einsum("...abad->...bd", riem)
 
 
-def _gh_components(n):
+def _gh(n):
     axes = [np.linspace(0, 1, n)] * 2
     y1, y2 = np.meshgrid(*axes, indexing="ij")
-    gh = gh_metric(2.0 + y1 + 0.3 * (y1 ** 2 - y2 ** 2), axes)
-    return gh.components(), [float(axes[0][1] - axes[0][0])] * 2
+    return gh_metric(2.0 + y1 + 0.3 * (y1 ** 2 - y2 ** 2), axes)
+
+
+def _gh_components(n):
+    gh = _gh(n)
+    return gh_components(gh), gh.spacings
 
 
 @pytest.mark.parametrize("metric", ["semiflat", "gh"])
 def test_ricci_from_metric_matches_riemann_contraction(metric):
     if metric == "semiflat":
         sf = build_semiflat(_quartic_potential(65))
-        g, spacings = sf.full_metric(), sf.potential.spacings
+        g, spacings = full_metric(sf), sf.potential.spacings
     else:
         g, spacings = _gh_components(65)
     assert g.shape == (65, 65, 4, 4)
@@ -227,7 +267,7 @@ def _ricci_full_arrays(components, spacings):
 def _pinned_metric(name):
     if name == "semiflat":
         sf = build_semiflat(_quartic_potential(65))
-        return sf.full_metric(), sf.potential.spacings
+        return full_metric(sf), sf.potential.spacings
     if name == "gh":
         return _gh_components(65)
     if name == "hessian":
@@ -238,7 +278,7 @@ def _pinned_metric(name):
         return pot.hessian(), pot.spacings
     if name == "exp":
         pot = HessianPotential.from_function([np.linspace(0, 1, 65)], np.exp)
-        return build_semiflat(pot).full_metric(), pot.spacings
+        return full_metric(build_semiflat(pot)), pot.spacings
     rng = np.random.default_rng(3)
     a = rng.standard_normal((10, 10, 10, 3, 3))
     return np.einsum("...ij,...kj->...ik", a, a) + 3.0 * np.eye(3), [0.1, 0.2, 0.3]
@@ -252,8 +292,8 @@ def test_ricci_from_metric_bitwise_matches_full_array_assembly(name):
 
 @pytest.mark.parametrize("name", ["semiflat", "exp"])
 def test_ricci_from_metric_mixed_block_of_semiflat_metric_is_exactly_zero(name):
-    # ricci_agreement does not read the u-x block of the oracle: for
-    # blockdiag(H, H) every term of it has an exact zero factor
+    # the oracle's block walk forms no u-x block: for blockdiag(H, H) every
+    # term of the reference's has an exact zero factor
     g, spacings = _pinned_metric(name)
     m = g.shape[-1] // 2
     ric = ricci_from_metric(g, spacings)
@@ -325,15 +365,99 @@ def test_ricci_walk_on_a_window_is_bitwise_the_full_rows(monkeypatch, name):
         assert got.tobytes() == full[start:stop].tobytes()
 
 
+def _inverse_full_arrays(mat):
+    """Each symmetric m x m matrix inverted as the block walk does: 1 / a,
+    [[c, -b], [-b, a]] / (a c - b^2), or LAPACK's for m >= 3."""
+    m = mat.shape[-1]
+    if m == 1:
+        return 1.0 / mat
+    if m > 2:
+        return np.linalg.inv(mat)
+    det = mat[..., 0, 0] * mat[..., 1, 1]
+    det -= mat[..., 0, 1] * mat[..., 0, 1]
+    inv = np.empty(mat.shape)
+    inv[..., 0, 0] = mat[..., 1, 1] / det
+    inv[..., 1, 1] = mat[..., 0, 0] / det
+    inv[..., 0, 1] = inv[..., 1, 0] = -mat[..., 0, 1] / det
+    return inv
+
+
+def _sum_in_turn(terms):
+    """t_0 + t_1 + ..., added left to right."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def _block_ricci_full_arrays(blocks, spacings):
+    """The oracle's block walk as whole-grid arrays, in its contraction
+    order, to pin the bits: R_jk and R_ab, stacked (*grid, 2, p, p), of the
+    metric blockdiag(A, B) given as stacked blocks (*grid, 2, p, p).
+
+    Gamma^i_jk, Gamma^i_ab and Gamma^a_ib are held as one (*grid, p, 3, p, p)
+    array, [..., i, s] the class s; each contraction is a sum of products
+    of the broadcast factors, added term by term.  The walk builds the same
+    symbols slab by slab and must return exactly the same floating-point
+    numbers.
+    """
+    p = blocks.ndim - 3
+    ps = range(p)
+    pairs = [(i, j) for i in ps for j in ps]
+    d = np.empty(blocks.shape + (p,))  # d[..., s, i, j, k] = d_k of block s at [i, j]
+    for axis in ps:
+        d[..., axis] = apply_diff(blocks, axis, spacings[axis], 1)
+    da, db = d[..., 0, :, :, :], d[..., 1, :, :, :]
+    sums = da.swapaxes(-1, -2) + da  # d_j A_lk + d_k A_lj - d_l A_jk at [l, j, k]
+    sums -= np.moveaxis(da, -1, -3)
+    a_inv = _inverse_full_arrays(blocks[..., 0, :, :])
+    b_inv = _inverse_full_arrays(blocks[..., 1, :, :])
+    gamma = np.empty(blocks.shape[:-3] + (p, 3, p, p))
+    # Gamma^i_jk, Gamma^i_ab and Gamma^a_ib before their factors 1/2, -1/2, 1/2
+    gamma[..., 0, :, :] = _sum_in_turn([a_inv[..., :, l, None, None] * sums[..., None, l, :, :]
+                                        for l in ps])
+    gamma[..., 1, :, :] = _sum_in_turn([a_inv[..., :, l, None, None] * db[..., None, :, :, l]
+                                        for l in ps])
+    gamma[..., 2, :, :] = _sum_in_turn([b_inv[..., g][..., None, :, None]
+                                        * np.moveaxis(db[..., g, :, :], -1, -2)[..., :, None, :]
+                                        for g in ps])
+    gamma *= np.array([0.5, -0.5, 0.5])[:, None, None]
+    c = np.zeros(blocks.shape[:-3] + (p,))  # c_j = Gamma^i_ij + Gamma^a_aj
+    for i in ps:
+        c += gamma[..., i, 0, i, :]
+    for a in ps:
+        c += gamma[..., :, 2, a, a]
+    ga, gb, gk = gamma[..., 0, :, :], gamma[..., 1, :, :], gamma[..., 2, :, :]
+    ric = np.zeros(blocks.shape)
+    grid, killing = ric[..., 0, :, :], ric[..., 1, :, :]
+    for axis in ps:
+        block = gamma[..., axis, :2, :, :]
+        grad = apply_diff(np.concatenate([block.reshape(block.shape[:-3] + (-1,)), c], axis=-1),
+                          axis, spacings[axis], 1)
+        grid += grad[..., :p * p].reshape(grid.shape).swapaxes(-1, -2)  # d_i Gamma^i_kj
+        grid[..., axis] -= grad[..., 2 * p * p:]  # -d_k c_j
+        killing += grad[..., p * p:2 * p * p].reshape(grid.shape).swapaxes(-1, -2)
+    grid += _sum_in_turn([c[..., l, None, None] * ga[..., l, :, :].swapaxes(-1, -2) for l in ps])
+    grid -= _sum_in_turn([ga[..., l, i, :][..., :, None] * ga[..., i, :, l][..., None, :]
+                          for i, l in pairs])
+    grid -= _sum_in_turn([gk[..., :, b, a][..., :, None] * gk[..., :, a, b][..., None, :]
+                          for a, b in pairs])
+    killing += _sum_in_turn([c[..., l, None, None] * gb[..., l, :, :].swapaxes(-1, -2)
+                             for l in ps])
+    killing -= _sum_in_turn([gk[..., i, g, :][..., :, None] * gb[..., i, :, g][..., None, :]
+                             for i, g in pairs])
+    killing -= _sum_in_turn([gb[..., l, g, :][..., :, None] * gk[..., l, g, :][..., None, :]
+                             for l, g in pairs])
+    return ric
+
+
 def _agreement_full_arrays(sf, kahler):
     """ricci_agreement as the formula on whole-grid arrays."""
-    m = sf.m
     shape = sf.potential.values.shape
     core = interior(shape, max(EDGE + 1, min(shape) // 8))
-    oracle = _ricci_full_arrays(sf.full_metric(), sf.potential.spacings)
-    dev = np.max(np.abs(oracle[core + (slice(None, m), slice(None, m))] - kahler[core]))
-    block = np.max(np.abs(oracle[core + (slice(m, None), slice(m, None))]
-                          - oracle[core + (slice(None, m), slice(None, m))]))
+    oracle = _block_ricci_full_arrays(sf.metric_blocks(), sf.potential.spacings)[core]
+    dev = np.max(np.abs(oracle[..., 0, :, :] - kahler[core]))
+    block = np.max(np.abs(oracle[..., 1, :, :] - oracle[..., 0, :, :]))
     return float(max(dev, block))
 
 
@@ -351,12 +475,11 @@ def _semiflat_fields_full_arrays(sf):
     """The fields the semiflat residuals read, as whole-grid arrays on the
     read region: the Kahler Ricci form, and the oracle's deviation from it
     and from its own u-u block."""
-    m = sf.m
     core = semiflat.read_region(sf.potential.values.shape)
     kahler = ricci_form(sf)[core]
-    oracle = _ricci_full_arrays(sf.full_metric(), sf.potential.spacings)[core]
-    uu = oracle[..., :m, :m]
-    return kahler, np.concatenate([uu - kahler, oracle[..., m:, m:] - uu])
+    oracle = _block_ricci_full_arrays(sf.metric_blocks(), sf.potential.spacings)[core]
+    uu = oracle[..., 0, :, :]
+    return kahler, np.concatenate([uu - kahler, oracle[..., 1, :, :] - uu])
 
 
 @pytest.mark.parametrize("name", ["quartic", "exp"])
@@ -389,17 +512,17 @@ def test_roundoff_changes_are_those_of_the_full_arrays(name):
 
 def test_oracle_walk_builds_no_metric_for_boundary_layer_slabs():
     # at 129^2 the agreement width 129 // 8 = 16 leaves rows [16, 113) to
-    # walk; the metric is built once on each node their nested stencils read,
-    # [12, 117), in consecutive ranges: what the first slab reads, then at
-    # most METRIC_ROWS nodes at a time, and on no node of the boundary layer
-    # beyond
+    # walk; the metric blocks are built once on each node their nested
+    # stencils read, [12, 117), in consecutive ranges: what the first slab
+    # reads, then at most METRIC_ROWS nodes at a time, and on no node of the
+    # boundary layer beyond; each slab holds R_ij and R_ab on its rows
     n = 129
     sf = build_semiflat(_quartic_potential(n))
     built = []
 
     def metric(lo, hi):
         built.append((lo, hi))
-        return sf.full_metric(lo, hi)
+        return sf.metric_blocks(lo, hi)
 
     width = n // 8
     slabs = list(semiflat._oracle_interior(metric, (n, n), sf.potential.spacings, width))
@@ -412,6 +535,8 @@ def test_oracle_walk_builds_no_metric_for_boundary_layer_slabs():
     rows = [r for index, _ in slabs for r in range(index[0].start, index[0].stop)]
     assert rows == list(range(width, n - width))
     assert all(index[0].stop - index[0].start <= SLAB_ROWS for index, _ in slabs)
+    assert all(ric.shape == (index[0].stop - index[0].start, n - 2 * width, 2, 2, 2)
+               for index, ric in slabs)
 
 
 @pytest.mark.parametrize("shape", [(65, 65), (50, 37)])
@@ -420,9 +545,80 @@ def test_gh_ricci_max_is_bitwise_the_full_array_formula(shape):
     y1, y2 = np.meshgrid(*axes, indexing="ij")
     gh = gh_metric(2.0 + y1 + 0.3 * (y1 ** 2 - y2 ** 2), axes)
     spacings = [float(ax[1] - ax[0]) for ax in axes]
-    ric = _ricci_full_arrays(gh.components(), spacings)
+    ric = _block_ricci_full_arrays(gh.blocks(), spacings)
     assert gh_ricci_max(gh) == (float(np.max(np.abs(ric[interior(shape, EDGE + 1)]))),)
-    assert np.array_equal(gh.components(3, 9), gh.components()[3:9])
+    assert np.array_equal(gh.blocks(3, 9), gh.blocks()[3:9])
+    assert np.array_equal(_block_diagonal(gh.blocks()), gh_components(gh))
+
+
+def _three_variable_potential():
+    axes = [np.linspace(-0.5, 0.5, 17), np.linspace(0.5, 1.5, 15), np.linspace(0.0, 1.0, 13)]
+    return HessianPotential.from_function(
+        axes, lambda a, b, c: a ** 2 / (2 * b) + b ** 3 / 6 + np.cosh(c) + 0.1 * a * c)
+
+
+def _block_metric(name):
+    """(blocks, spacings) of the oracle: the semiflat manifold of m = 1, 2, 3
+    variables, or Gibbons-Hawking."""
+    if name == "gh":
+        gh = _gh(65)
+        return gh.blocks(), gh.spacings
+    pot = {"exp": lambda: HessianPotential.from_function([np.linspace(0, 1, 65)], np.exp),
+           "quartic": lambda: _quartic_potential(65),
+           "three": _three_variable_potential}[name]()
+    return build_semiflat(pot).metric_blocks(), pot.spacings
+
+
+@pytest.mark.parametrize("name", ["exp", "quartic", "three", "gh"])
+def test_block_walk_matches_ricci_from_metric(name):
+    # the blocks of the generic d x d reference on blockdiag(A, B), with its
+    # mixed block exactly 0, on every node; the two routes add the same terms
+    # in other orders and invert by other routines, so they differ by
+    # roundoff: below that of a second derivative of data of the metric's
+    # scale, max |g| max |g^-1|, on the finest axis
+    blocks, spacings = _block_metric(name)
+    p = blocks.shape[-1]
+    g = _block_diagonal(blocks)
+    ref = ricci_from_metric(g, spacings)
+    assert np.all(ref[..., :p, p:] == 0.0) and np.all(ref[..., p:, :p] == 0.0)
+    n = blocks.shape[0]
+    ric = np.concatenate([rows for _, _, rows in semiflat._ricci_walk(
+        lambda lo, hi: blocks[lo:hi], spacings, n, 0, n,
+        semiflat._block_christoffel, semiflat._block_ricci)])
+    scale = np.max(np.abs(g)) * np.max(np.abs(np.linalg.inv(g)))
+    floor = roundoff_floor(scale, min(spacings), 2)
+    assert np.max(np.abs(ric[..., 0, :, :] - ref[..., :p, :p])) <= floor
+    assert np.max(np.abs(ric[..., 1, :, :] - ref[..., p:, p:])) <= floor
+    assert np.max(np.abs(ref)) > 1e3 * floor  # the floor is not the size of R
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8])
+@pytest.mark.parametrize("name", ["exp", "three", "gh"])
+def test_block_walk_on_a_window_is_bitwise_the_full_rows(monkeypatch, name, rows):
+    # slab edges at every node, metric builds longer and shorter than a slab,
+    # ranges at either end of axis 0 and in the middle: the blocks are asked
+    # for no node beyond the reach of the reach of the range, and the rows
+    # are bitwise those of the full-array block assembly
+    blocks, spacings = _block_metric(name)
+    monkeypatch.setattr(semiflat, "SLAB_ROWS", rows)
+    monkeypatch.setattr(semiflat, "METRIC_ROWS", {1: 1, 3: 5, 8: 2}[rows])
+    n = blocks.shape[0]
+    full = _block_ricci_full_arrays(blocks, spacings)
+    for start, stop in [(0, 2), (n - 3, n), (n // 2 - 1, n // 2 + 2), (n // 4, n - n // 4),
+                        (0, n)]:
+        lo, hi = stencil_reach(n, 1, *stencil_reach(n, 1, start, stop))
+        asked = []
+
+        def metric(first, last):
+            asked.append((first, last))
+            return blocks[first:last]
+
+        slabs = list(semiflat._ricci_walk(metric, spacings, n, start, stop,
+                                          semiflat._block_christoffel, semiflat._block_ricci))
+        assert lo <= min(a for a, _ in asked) and max(b for _, b in asked) <= hi
+        assert [a for a, _, _ in slabs] == list(range(start, stop, rows))
+        got = np.concatenate([ric for _, _, ric in slabs])
+        assert got.tobytes() == full[start:stop].tobytes()
 
 
 def _traced_peak(fn, *args):
@@ -451,18 +647,28 @@ def test_curvature_oracles_hold_no_grid_sized_tensor():
 def test_semiflat_oracle_job_holds_less_than_one_grid_sized_tensor(tmp_path):
     # the whole semiflat --oracle job at 257^2: the potential, its Hessian
     # determinant (the Hessian itself is only built by rows), the Kahler Ricci
-    # maximum and the fine and coarse oracle walks stay under 0.55 of one
-    # (*grid, d, d) tensor
+    # maximum and the fine and coarse block walks of the oracle peak at 0.334
+    # of one (*grid, d, d) tensor (0.465 with the d x d walk)
     n, d = 257, 4
     config = {"potential": {"axes": [[-0.5, 0.5, n], [0.5, 1.5, n]],
                             "expr": "u1**2 / (2 * u2) + u2**3 / 6", "c": 1.0}}
     peak = _traced_peak(cli.run_semiflat, config, tmp_path, True)
-    assert peak < 0.55 * n * n * d ** 2 * 8
+    assert peak < 0.37 * n * n * d ** 2 * 8
+
+
+def test_gh_job_holds_less_than_one_grid_sized_tensor(tmp_path):
+    # the whole gh job at 257^2: V on the grid, its harmonicity gate and
+    # conjugate W, and the fine and coarse block walks peak at 0.383 of one
+    # (*grid, d, d) tensor (0.470 with the d x d walk)
+    n, d = 257, 4
+    config = {"V": "2 + y1 + 0.3 * (y1**2 - y2**2)", "n": n}
+    peak = _traced_peak(cli.run_gh, config, tmp_path, False)
+    assert peak < 0.42 * n * n * d ** 2 * 8
 
 
 def test_ricci_from_metric_memory_is_output_plus_slabs():
     n, d, p = 129, 4, 2
-    g = build_semiflat(_quartic_potential(n)).full_metric()
+    g = full_metric(build_semiflat(_quartic_potential(n)))
     spacings = [2.0 / (n - 1)] * 2
     ricci_from_metric(g, spacings)  # warm the stencil cache
     tracemalloc.start()
