@@ -6,8 +6,8 @@ holomorphic form dw_1 ^ ... ^ dw_m, w_j = u_j + i x_j.  The Kahler form is
 closed by construction: dv_k = d(d_k phi) is exact.  The module computes the
 Nijenhuis integrability residual of charts given by a period matrix function
 lambda(t), the holomorphic-norm field, the Ricci form by the log-det identity
-with a Christoffel-symbol oracle as an independent second route, and the
-m = 2 Gibbons-Hawking cross-check.  Every residual is read on
+with the Christoffel-symbol oracle on the metric's two blocks as a second
+route, and the m = 2 Gibbons-Hawking cross-check.  Every residual is read on
 ``fd.interior``: the three of a potential on one ``read_region``, the
 Gibbons-Hawking curvature past EDGE + 1, all with their roundoff measured on
 ``roughened`` data; the Nijenhuis residual past EDGE boundary nodes.  The module
@@ -44,10 +44,6 @@ class SemiflatManifold:
     def __post_init__(self):
         if np.min(self.metric_det) <= 0:
             raise MetricError("metric determinant must be positive")
-
-    @property
-    def m(self):
-        return self.potential.dim
 
     def metric_blocks(self, lo=0, hi=None):
         """The blocks (H, H) of the metric blockdiag(H, H), stacked (rows,
@@ -186,44 +182,28 @@ def _oracle_interior(blocks, shape, spacings, width):
     ``blocks(lo, hi)`` builds the blocks of a metric blockdiag(A, B), A on
     the p grid directions and B on p Killing ones, stacked (rows,
     *grid[1:], 2, p, p), on nodes [lo, hi) of grid axis 0.  ``_ricci_walk``
-    with the block kernels walks the interior rows once, so the blocks are
-    built once on each node the nested stencils read and on no other.
+    walks the interior rows once, so the blocks are built once on each node
+    the nested stencils read and on no other.
     Yields (index, ric) per slab: ``index`` selects its interior nodes of a
     grid field, ``ric`` (*, 2, p, p) holds R_ij and R_ab on them.
     """
     core = interior(shape, width)
     others = (slice(None),) + core[1:]
-    for lo, hi, ric in _ricci_walk(blocks, spacings, shape[0], width, shape[0] - width,
-                                   _block_christoffel, _block_ricci):
+    for lo, hi, ric in _ricci_walk(blocks, spacings, shape[0], width, shape[0] - width):
         yield (slice(lo, hi),) + core[1:], ric[others]
 
 
-def ricci_from_metric(components, spacings):
-    """Numerical Ricci tensor of any metric field on a box grid, inverted by
-    LAPACK: the generic route that tests hold the commands' block walk
-    (``_oracle_interior``) to.
-
-    The grid axes correspond to the first p coordinates; the remaining
-    coordinates are Killing directions (derivatives vanish).  All derivatives
-    use the shared fourth-order stencils.  The Riemann tensor is never
-    formed: from the Christoffel symbols Gamma^a_{bc},
-
-        R_bd = sum_a R^a_{bad}
-             = sum_a d_a Gamma^a_{db} - d_d Gamma^a_{ab}
-                     + Gamma^a_{ae} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{ab},
-
-    with d_a = 0 for a >= p.  The stencils are linear, so this is the discrete
-    operator of the full R^a_{bcd} contraction.  Per a, the terms are added
-    in this order: -d_d Gamma^a_{ab} for each grid axis d, then
-    d_a Gamma^a_{db}, then the two quadratic terms; the terms of a = 0 ... d - 1
-    are summed in turn.  ``_ricci_walk`` walks the grid once, so beyond the
-    input and the result only slab-sized arrays are held, and the result is
-    bitwise the full-array assembly kept in tests/test_semiflat.py.
+def ricci_from_metric(blocks, spacings):
+    """R_ij and R_ab, stacked (*grid, 2, p, p), of the metric blockdiag(A, B)
+    given as its stacked blocks (*grid, 2, p, p) on a box grid, A on the p
+    grid directions and B on p Killing ones: ``_ricci_walk`` down the whole
+    of grid axis 0.  No command calls it: it holds the blocks and R on the
+    whole grid, which the commands never form.
     """
-    components = np.asarray(components, dtype=float)
-    n = components.shape[0]
-    ric = np.empty(components.shape)
-    for lo, hi, rows in _ricci_walk(lambda lo, hi: components[lo:hi], spacings, n, 0, n):
+    blocks = np.asarray(blocks, dtype=float)
+    n = blocks.shape[0]
+    ric = np.empty(blocks.shape)
+    for lo, hi, rows in _ricci_walk(lambda lo, hi: blocks[lo:hi], spacings, n, 0, n):
         ric[lo:hi] = rows
     return ric
 
@@ -259,97 +239,34 @@ class _RowWindow:
         return self.buffer[lo - self.lo:hi - self.lo]
 
 
-def _ricci_walk(metric, spacings, n, start, stop, christoffel=None, ricci=None):
-    """R on nodes [start, stop) of an n-node grid axis 0, walked once.
+def _ricci_walk(metric, spacings, n, start, stop):
+    """R_ij and R_ab of blockdiag(A, B) on nodes [start, stop) of an n-node
+    grid axis 0, walked once.
 
     Yields (lo, hi, ric) for consecutive slabs [lo, hi) of ``SLAB_ROWS``
-    nodes, ``ric`` the Ricci tensor on the slab.  ``metric(lo, hi)`` gives
-    the metric on axis-0 nodes [lo, hi); it is asked for ``METRIC_ROWS``
-    nodes at a time, never beyond the reach of the reach of [start, stop).
-    Two windows slide along the axis: the metric on the reach of the
-    first-derivative stencils of the rows whose Gamma is new, and Gamma on
-    the reach of the slab, whose halo the next slab shares, so each node's
-    metric and Gamma are built once.  The kernels ``christoffel`` (Gamma from
-    the metric) and ``ricci`` (R from Gamma) take (window, spacings, n,
-    first, lo, hi), the window holding axis nodes first, first + 1, ...;
-    by default the generic d x d ``_christoffel`` and ``_ricci_slab``.
+    nodes, ``ric`` (*, 2, p, p) the ``_block_ricci`` of the slab.
+    ``metric(lo, hi)`` gives the stacked blocks (*, 2, p, p) on axis-0 nodes
+    [lo, hi); it is asked for ``METRIC_ROWS`` nodes at a time, never beyond
+    the reach of the reach of [start, stop).  Two windows slide along the
+    axis: the blocks on the reach of the first-derivative stencils of the
+    rows whose Gamma is new, and ``_block_christoffel`` on the reach of the
+    slab, whose halo the next slab shares, so each node's blocks, their
+    inverses and Gamma are built once.
     """
     if start >= stop:
         return
-    christoffel = christoffel or _christoffel
-    ricci = ricci or _ricci_slab
     reach = stencil_reach(n, 1, start, stop)
     metric_rows = _RowWindow(metric, stencil_reach(n, 1, *reach)[1], METRIC_ROWS)
 
     def gamma(lo, hi):
         first, last = stencil_reach(n, 1, lo, hi)
-        return christoffel(metric_rows(first, last), spacings, n, first, lo, hi)
+        return _block_christoffel(metric_rows(first, last), spacings, n, first, lo, hi)
 
     gamma_rows = _RowWindow(gamma, reach[1])
     for lo in range(start, stop, SLAB_ROWS):
         hi = min(lo + SLAB_ROWS, stop)
         first, last = stencil_reach(n, 1, lo, hi)
-        yield lo, hi, ricci(gamma_rows(first, last), spacings, n, first, lo, hi)
-
-
-def _ricci_slab(gamma, spacings, n, first, start, stop):
-    """R_bd on nodes [start, stop) of grid axis 0 from Gamma held on nodes
-    first, first + 1, ... of the n-node axis, at least the reach of the
-    slab's first-derivative stencils.  Gamma^a_{ab} is a view of the Gamma
-    window."""
-    p = gamma.ndim - 3
-    d = gamma.shape[-1]
-    slab = slice(start - first, stop - first)
-    diagonal = np.einsum("...aab->...ab", gamma)  # Gamma^a_{ab}, not summed over a
-    # grads[axis][..., 0, a, b] = d_axis Gamma^a_{ab} and grads[axis][..., 1, :, :] =
-    # d_axis Gamma^axis_{..}: one stencil pass per axis, of both stacked
-    grads = [apply_diff(np.stack([diagonal, gamma[..., 0, :, :]], axis=-3), 0, spacings[0], 1,
-                        nodes=(start, stop), n=n, first=first)]
-    grads += [apply_diff(np.stack([diagonal[slab], gamma[slab, ..., axis, :, :]], axis=-3),
-                         axis, spacings[axis], 1) for axis in range(1, p)]
-    gamma_slab = gamma[slab]
-    # [..., e, d * d + b] = Gamma^e_{db}
-    gamma_rows = gamma_slab.reshape(gamma_slab.shape[:-3] + (d, d * d))
-    ric = np.zeros(gamma_slab.shape[:-1])
-    for a in range(d):
-        term = np.zeros(ric.shape)  # R^a_{bad}, indexed [b, d]
-        for axis in range(p):
-            term[..., axis] -= grads[axis][..., 0, a, :]
-        if a < p:  # d_a Gamma^a_{db}
-            np.add(grads[a][..., 1, :, :].swapaxes(-1, -2), term, out=term)
-        # Gamma^a_{ae} Gamma^e_{db} and Gamma^a_{de} Gamma^e_{ab} as batched matmul
-        term += (diagonal[slab, ..., a, None, :] @ gamma_rows).reshape(ric.shape).swapaxes(-1, -2)
-        term -= (gamma_slab[..., a, :, :] @ gamma_slab[..., :, a, :]).swapaxes(-1, -2)
-        ric += term
-    return ric
-
-
-def _christoffel(components, spacings, n, first, lo, hi):
-    """Gamma^a_{bc} = 1/2 g^{ae} (d_b g_{ec} + d_c g_{eb} - d_e g_{bc}) on nodes
-    [lo, hi) of grid axis 0; ``components`` holds axis nodes first, first + 1,
-    ... of n.
-
-    d_e = 0 along the Killing directions, so the metric derivatives are held
-    and contracted on the p grid slots only: g^{ae} d_b g_{ec} for b < p and
-    g^{ae} d_e g_{bc} summed over e < p.  Gamma is built in place from the
-    negated second, with the first added into its [b < p] and [c < p] slices.
-    """
-    p = components.ndim - 2
-    held = components[lo - first:hi - first]
-    dg = np.empty(held.shape + (p,))  # dg[..., i, j, k] = d_k g_ij
-    dg[..., 0] = apply_diff(components, 0, spacings[0], 1, nodes=(lo, hi), n=n, first=first)
-    for axis in range(1, p):
-        dg[..., axis] = apply_diff(held, axis, spacings[axis], 1)
-    ginv = np.linalg.inv(held)
-    raised = np.einsum("...ae,...ecb->...abc", ginv, dg)  # g^{ae} d_b g_{ec}, b < p
-    gamma = np.einsum("...ae,...bce->...abc", ginv[..., :p], dg)  # g^{ae} d_e g_{bc}
-    del dg, ginv
-    np.negative(gamma, out=gamma)
-    gamma[..., :p, :] += raised
-    gamma[..., :, :p] += raised.swapaxes(-1, -2)
-    del raised
-    gamma *= 0.5
-    return gamma
+        yield lo, hi, _block_ricci(gamma_rows(first, last), spacings, n, first, lo, hi)
 
 
 def _block_christoffel(blocks, spacings, n, first, lo, hi):
@@ -392,7 +309,9 @@ def _block_ricci(gamma, spacings, n, first, start, stop):
     """R_jk and R_ab, stacked (*, 2, p, p), on nodes [start, stop) of grid
     axis 0 from the ``_block_christoffel`` window ``gamma`` on axis nodes
     first, first + 1, ... of n.  With c_j = Gamma^i_ij + Gamma^a_aj, the
-    terms of ``ricci_from_metric`` that are not 0 give
+    terms that are not 0 of R_bd = d_a Gamma^a_db - d_d Gamma^a_ab
+    + Gamma^a_ae Gamma^e_db - Gamma^a_de Gamma^e_ab (summed over a, d = 0
+    along Killing directions; no Riemann tensor is formed) give
 
         R_jk = d_i Gamma^i_kj - d_k c_j + c_l Gamma^l_kj - Gamma^i_kl Gamma^l_ij
                - Gamma^a_kb Gamma^b_ja,
@@ -575,18 +494,19 @@ def gh_ricci_max(gh, *twins):
 
 def _laplacian_max(v, spacings):
     """max |V_11 + V_22| over the whole grid."""
-    return float(np.max(np.abs(apply_diff(v, 0, spacings[0], 2)
-                               + apply_diff(v, 1, spacings[1], 2))))
+    laplacian = apply_diff(v, 0, spacings[0], 2)
+    laplacian += apply_diff(v, 1, spacings[1], 2)
+    return float(max(np.max(laplacian), -np.min(laplacian)))
 
 
 def _harmonic_conjugate(v, spacings):
     """W with dW = -V_2 dy1 + V_1 dy2 and W = 0 at the first corner.
 
     W(y1, y2) = int_0^y1 -V_2(s, 0) ds + int_0^y2 V_1(y1, t) dt, both with the
-    sixth-order cumulative quadrature.
+    sixth-order cumulative quadrature; V_2 is taken on column 0 alone.
     """
-    v1 = apply_diff(v, 0, spacings[0], 1)
-    v2 = apply_diff(v, 1, spacings[1], 1)
-    w = cumulative_quadrature(v1, spacings[1], axis=1)
+    w = cumulative_quadrature(apply_diff(v, 0, spacings[0], 1), spacings[1], axis=1)
+    n = v.shape[1]
+    v2 = apply_diff(v[:, :stencil_reach(n, 1, 0, 1)[1]], 1, spacings[1], 1, nodes=(0, 1), n=n)
     w += cumulative_quadrature(-v2[:, 0], spacings[0])[:, None]
     return w

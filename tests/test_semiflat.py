@@ -36,7 +36,7 @@ def _quartic_potential(n=65):
 def full_metric(sf, lo=0, hi=None):
     """Real 2m x 2m metric field blockdiag(H, H) of a semiflat manifold on
     nodes [lo, hi) of u-grid axis 0 (default: the whole grid)."""
-    m = sf.m
+    m = sf.potential.dim
     h = sf.potential.hessian(lo, hi)
     g = np.zeros(h.shape[:-2] + (2 * m, 2 * m))
     g[..., :m, :m] = h
@@ -145,14 +145,15 @@ def test_ricci_agreement_1d_exponential():
 
 
 def test_ricci_from_metric_round_sphere():
-    # 2-sphere of radius a: g = a^2 (dtheta^2 + sin^2 theta dphi^2), Ric = g / a^2
+    # 2-sphere of radius a: g = blockdiag(a^2, a^2 sin^2 theta) with p = 1,
+    # phi a Killing direction, and Ric = g / a^2
     a = 2.0
     theta = np.linspace(0.6, np.pi - 0.6, 101)
-    g = np.zeros((101, 2, 2))
-    g[:, 0, 0] = a ** 2
-    g[:, 1, 1] = (a * np.sin(theta)) ** 2
-    ric = ricci_from_metric(g, [float(theta[1] - theta[0])])
-    expected = g / a ** 2
+    blocks = np.zeros((101, 2, 1, 1))
+    blocks[:, 0, 0, 0] = a ** 2
+    blocks[:, 1, 0, 0] = (a * np.sin(theta)) ** 2
+    ric = ricci_from_metric(blocks, [float(theta[1] - theta[0])])
+    expected = blocks / a ** 2
     assert np.max(np.abs(ric[5:-5] - expected[5:-5])) < 1e-5
 
 
@@ -192,44 +193,45 @@ def _gh(n):
     return gh_metric(2.0 + y1 + 0.3 * (y1 ** 2 - y2 ** 2), axes)
 
 
-def _gh_components(n):
-    gh = _gh(n)
-    return gh_components(gh), gh.spacings
-
-
 @pytest.mark.parametrize("metric", ["semiflat", "gh"])
 def test_ricci_from_metric_matches_riemann_contraction(metric):
+    # the two generic references agree: the contracted Christoffel assembly
+    # and the trace of the full Riemann tensor
     if metric == "semiflat":
         sf = build_semiflat(_quartic_potential(65))
         g, spacings = full_metric(sf), sf.potential.spacings
     else:
-        g, spacings = _gh_components(65)
+        gh = _gh(65)
+        g, spacings = gh_components(gh), gh.spacings
     assert g.shape == (65, 65, 4, 4)
     ref = _ricci_via_riemann(g, spacings)
-    ric = ricci_from_metric(g, spacings)
+    ric = _ricci_full_arrays(g, spacings)
     assert np.max(np.abs(ric - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_ricci_from_metric_hyperbolic_plane():
-    # g = (dx^2 + dy^2) / y^2 has constant curvature -1, so Ric = -g
+    # H^2 x T^2: g = blockdiag((dx^2 + dy^2) / y^2, I_2); the hyperbolic plane
+    # has constant curvature -1, so R_ij = -g_ij, and the flat torus R_ab = 0
     x = np.linspace(-0.5, 0.5, 65)
     y = np.linspace(1.0, 2.0, 65)
     _, yy = np.meshgrid(x, y, indexing="ij")
-    g = np.zeros((65, 65, 2, 2))
-    g[..., 0, 0] = g[..., 1, 1] = 1.0 / yy ** 2
-    ric = ricci_from_metric(g, [float(x[1] - x[0]), float(y[1] - y[0])])
+    blocks = np.zeros((65, 65, 2, 2, 2))
+    blocks[..., 0, 0, 0] = blocks[..., 0, 1, 1] = 1.0 / yy ** 2
+    blocks[..., 1, :, :] = np.eye(2)
+    ric = ricci_from_metric(blocks, [float(x[1] - x[0]), float(y[1] - y[0])])
     core = (slice(5, -5),) * 2
-    assert np.max(np.abs(ric[core] + g[core])) < 1e-5
+    assert np.max(np.abs(ric[core][..., 0, :, :] + blocks[core][..., 0, :, :])) < 1e-5
+    assert np.max(np.abs(ric[core][..., 1, :, :])) < 1e-5
 
 
 def _ricci_full_arrays(components, spacings):
-    """The full-array Christoffel assembly, in the contraction order of the
-    slab walk, to pin the bits.
+    """The generic reference: the Ricci tensor of any d x d metric field
+    whose last d - p coordinates are Killing directions, assembled from its
+    Christoffel symbols as full (*grid, ...) arrays and inverted by LAPACK.
 
-    It holds d_k g_ij on the p grid slots k, g^{ae} d_b g_{ec} and Gamma as
-    full (*grid, ...) arrays at once; ricci_from_metric builds the same
-    symbols slab by slab and must return exactly the same floating-point
-    numbers.
+    It holds d_k g_ij on the p grid slots k, g^{ae} d_b g_{ec} and Gamma at
+    once, and contracts R_bd = d_a Gamma^a_db - d_d Gamma^a_ab
+    + Gamma^a_ae Gamma^e_db - Gamma^a_de Gamma^e_ab with no Riemann tensor.
     """
     components = np.asarray(components, dtype=float)
     p = components.ndim - 2
@@ -264,41 +266,32 @@ def _ricci_full_arrays(components, spacings):
     return ric
 
 
-def _pinned_metric(name):
-    if name == "semiflat":
-        sf = build_semiflat(_quartic_potential(65))
-        return full_metric(sf), sf.potential.spacings
+def _block_metric(name):
+    """(blocks, spacings) of the oracle: the semiflat manifold of m = 1, 2, 3
+    variables ("semiflat" is the quartic one, and "hessian" one on a 65 x 49
+    grid), Gibbons-Hawking, or random symmetric positive-definite 3 x 3
+    blocks A and B on a 10^3 grid."""
     if name == "gh":
-        return _gh_components(65)
-    if name == "hessian":
-        axes = [np.linspace(-1, 1, 65), np.linspace(0.5, 1.5, 49)]
-        pot = HessianPotential.from_function(
-            axes, lambda a, b: np.cosh(a) + b ** 3 / 6 + 0.2 * a * b
-        )
-        return pot.hessian(), pot.spacings
-    if name == "exp":
-        pot = HessianPotential.from_function([np.linspace(0, 1, 65)], np.exp)
-        return full_metric(build_semiflat(pot)), pot.spacings
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((10, 10, 10, 3, 3))
-    return np.einsum("...ij,...kj->...ik", a, a) + 3.0 * np.eye(3), [0.1, 0.2, 0.3]
+        gh = _gh(65)
+        return gh.blocks(), gh.spacings
+    if name == "random_spd":
+        a = np.random.default_rng(3).standard_normal((10, 10, 10, 2, 3, 3))
+        return np.einsum("...ij,...kj->...ik", a, a) + 3.0 * np.eye(3), [0.1, 0.2, 0.3]
+    pot = {"exp": lambda: HessianPotential.from_function([np.linspace(0, 1, 65)], np.exp),
+           "quartic": lambda: _quartic_potential(65),
+           "semiflat": lambda: _quartic_potential(65),
+           "hessian": lambda: HessianPotential.from_function(
+               [np.linspace(-1, 1, 65), np.linspace(0.5, 1.5, 49)],
+               lambda a, b: np.cosh(a) + b ** 3 / 6 + 0.2 * a * b),
+           "three": _three_variable_potential}[name]()
+    return build_semiflat(pot).metric_blocks(), pot.spacings
 
 
 @pytest.mark.parametrize("name", ["semiflat", "gh", "hessian", "exp", "random_spd"])
 def test_ricci_from_metric_bitwise_matches_full_array_assembly(name):
-    g, spacings = _pinned_metric(name)
-    assert np.array_equal(ricci_from_metric(g, spacings), _ricci_full_arrays(g, spacings))
-
-
-@pytest.mark.parametrize("name", ["semiflat", "exp"])
-def test_ricci_from_metric_mixed_block_of_semiflat_metric_is_exactly_zero(name):
-    # the oracle's block walk forms no u-x block: for blockdiag(H, H) every
-    # term of the reference's has an exact zero factor
-    g, spacings = _pinned_metric(name)
-    m = g.shape[-1] // 2
-    ric = ricci_from_metric(g, spacings)
-    assert np.all(ric[..., :m, m:] == 0.0)
-    assert np.all(ric[..., m:, :m] == 0.0)
+    blocks, spacings = _block_metric(name)
+    assert np.array_equal(ricci_from_metric(blocks, spacings),
+                          _block_ricci_full_arrays(blocks, spacings))
 
 
 @pytest.mark.parametrize("rows", [1, 3, 8])
@@ -306,60 +299,59 @@ def test_ricci_from_metric_mixed_block_of_semiflat_metric_is_exactly_zero(name):
 def test_ricci_from_metric_slab_height_keeps_the_bits(monkeypatch, name, rows):
     # slab edges at every node, metric builds longer and shorter than a slab,
     # and at p = 3 a grid of several slabs
-    g, spacings = _pinned_metric(name)
+    blocks, spacings = _block_metric(name)
     monkeypatch.setattr(semiflat, "SLAB_ROWS", rows)
     monkeypatch.setattr(semiflat, "METRIC_ROWS", {1: 1, 3: 5, 8: 2}[rows])
-    assert np.array_equal(ricci_from_metric(g, spacings), _ricci_full_arrays(g, spacings))
+    assert np.array_equal(ricci_from_metric(blocks, spacings),
+                          _block_ricci_full_arrays(blocks, spacings))
 
 
-@pytest.mark.parametrize("name", ["semiflat", "random_spd"])
+def _counted_inverses(monkeypatch):
+    """The number of rows of each stack ``semiflat._inverse`` is given, in turn."""
+    inverted = []
+    original = semiflat._inverse
+
+    def counted(mat):
+        inverted.append(mat.shape[0])
+        return original(mat)
+
+    monkeypatch.setattr(semiflat, "_inverse", counted)
+    return inverted
+
+
+@pytest.mark.parametrize("name", ["semiflat", "gh", "hessian", "exp", "random_spd", "three"])
 def test_each_row_reaches_the_inverse_once_per_walk(monkeypatch, name):
     # the Christoffel symbols of the halo rows two slabs share are carried
     # over, not built again: the inverted rows of one walk are the rows its
-    # nested stencils read, each once
-    g, spacings = _pinned_metric(name)
-    n = g.shape[0]
-    inverted = []
-    original = np.linalg.inv
-
-    def counted(a):
-        inverted.append(a.shape[0])
-        return original(a)
-
-    monkeypatch.setattr(np.linalg, "inv", counted)
-    ricci_from_metric(g, spacings)
-    assert sum(inverted) == n
+    # nested stencils read, A and B each once
+    blocks, spacings = _block_metric(name)
+    inverted = _counted_inverses(monkeypatch)
+    ricci_from_metric(blocks, spacings)
+    assert sum(inverted) == 2 * blocks.shape[0]
 
 
 @pytest.mark.parametrize("name", ["semiflat", "gh", "hessian", "exp", "random_spd"])
 def test_ricci_walk_on_a_window_is_bitwise_the_full_rows(monkeypatch, name):
     # ranges at either end of axis 0 and in the middle, as the oracle walks
-    # its interior: the metric is asked for no node beyond the reach of the
-    # reach of the range, each node of the first reach is inverted once, and
-    # the rows are bitwise those of the full-array assembly
-    g, spacings = _pinned_metric(name)
-    n = g.shape[0]
-    full = _ricci_full_arrays(g, spacings)
-    inverted = []
-    original = np.linalg.inv
-
-    def counted(a):
-        inverted.append(a.shape[0])
-        return original(a)
-
-    monkeypatch.setattr(np.linalg, "inv", counted)
+    # its interior: the blocks are asked for no node beyond the reach of the
+    # reach of the range, A and B of each node of the first reach are
+    # inverted once, and the rows are bitwise those of the full-array assembly
+    blocks, spacings = _block_metric(name)
+    n = blocks.shape[0]
+    full = _block_ricci_full_arrays(blocks, spacings)
+    inverted = _counted_inverses(monkeypatch)
     for start, stop in [(0, 2), (n - 3, n), (n // 2 - 1, n // 2 + 2), (n // 4, n - n // 4)]:
         lo, hi = stencil_reach(n, 1, *stencil_reach(n, 1, start, stop))
         asked = []
 
         def metric(first, last):
             asked.append((first, last))
-            return g[first:last]
+            return blocks[first:last]
 
         inverted.clear()
         slabs = list(semiflat._ricci_walk(metric, spacings, n, start, stop))
         assert lo <= min(a for a, _ in asked) and max(b for _, b in asked) <= hi
-        assert sum(inverted) == np.subtract(*stencil_reach(n, 1, start, stop)[::-1])
+        assert sum(inverted) == 2 * np.subtract(*stencil_reach(n, 1, start, stop)[::-1])
         assert [a for a, _, _ in slabs] == list(range(start, stop, SLAB_ROWS))
         got = np.concatenate([rows for _, _, rows in slabs])
         assert got.tobytes() == full[start:stop].tobytes()
@@ -557,18 +549,6 @@ def _three_variable_potential():
         axes, lambda a, b, c: a ** 2 / (2 * b) + b ** 3 / 6 + np.cosh(c) + 0.1 * a * c)
 
 
-def _block_metric(name):
-    """(blocks, spacings) of the oracle: the semiflat manifold of m = 1, 2, 3
-    variables, or Gibbons-Hawking."""
-    if name == "gh":
-        gh = _gh(65)
-        return gh.blocks(), gh.spacings
-    pot = {"exp": lambda: HessianPotential.from_function([np.linspace(0, 1, 65)], np.exp),
-           "quartic": lambda: _quartic_potential(65),
-           "three": _three_variable_potential}[name]()
-    return build_semiflat(pot).metric_blocks(), pot.spacings
-
-
 @pytest.mark.parametrize("name", ["exp", "quartic", "three", "gh"])
 def test_block_walk_matches_ricci_from_metric(name):
     # the blocks of the generic d x d reference on blockdiag(A, B), with its
@@ -579,12 +559,9 @@ def test_block_walk_matches_ricci_from_metric(name):
     blocks, spacings = _block_metric(name)
     p = blocks.shape[-1]
     g = _block_diagonal(blocks)
-    ref = ricci_from_metric(g, spacings)
+    ref = _ricci_full_arrays(g, spacings)
     assert np.all(ref[..., :p, p:] == 0.0) and np.all(ref[..., p:, :p] == 0.0)
-    n = blocks.shape[0]
-    ric = np.concatenate([rows for _, _, rows in semiflat._ricci_walk(
-        lambda lo, hi: blocks[lo:hi], spacings, n, 0, n,
-        semiflat._block_christoffel, semiflat._block_ricci)])
+    ric = ricci_from_metric(blocks, spacings)
     scale = np.max(np.abs(g)) * np.max(np.abs(np.linalg.inv(g)))
     floor = roundoff_floor(scale, min(spacings), 2)
     assert np.max(np.abs(ric[..., 0, :, :] - ref[..., :p, :p])) <= floor
@@ -613,8 +590,7 @@ def test_block_walk_on_a_window_is_bitwise_the_full_rows(monkeypatch, name, rows
             asked.append((first, last))
             return blocks[first:last]
 
-        slabs = list(semiflat._ricci_walk(metric, spacings, n, start, stop,
-                                          semiflat._block_christoffel, semiflat._block_ricci))
+        slabs = list(semiflat._ricci_walk(metric, spacings, n, start, stop))
         assert lo <= min(a for a, _ in asked) and max(b for _, b in asked) <= hi
         assert [a for a, _, _ in slabs] == list(range(start, stop, rows))
         got = np.concatenate([ric for _, _, ric in slabs])
@@ -648,7 +624,7 @@ def test_semiflat_oracle_job_holds_less_than_one_grid_sized_tensor(tmp_path):
     # the whole semiflat --oracle job at 257^2: the potential, its Hessian
     # determinant (the Hessian itself is only built by rows), the Kahler Ricci
     # maximum and the fine and coarse block walks of the oracle peak at 0.334
-    # of one (*grid, d, d) tensor (0.465 with the d x d walk)
+    # of one (*grid, d, d) tensor
     n, d = 257, 4
     config = {"potential": {"axes": [[-0.5, 0.5, n], [0.5, 1.5, n]],
                             "expr": "u1**2 / (2 * u2) + u2**3 / 6", "c": 1.0}}
@@ -657,35 +633,30 @@ def test_semiflat_oracle_job_holds_less_than_one_grid_sized_tensor(tmp_path):
 
 
 def test_gh_job_holds_less_than_one_grid_sized_tensor(tmp_path):
-    # the whole gh job at 257^2: V on the grid, its harmonicity gate and
-    # conjugate W, and the fine and coarse block walks peak at 0.383 of one
-    # (*grid, d, d) tensor (0.470 with the d x d walk)
+    # the whole gh job at 257^2: V on the grid, its harmonicity gate (the
+    # Laplacian summed in place) and conjugate W (V_2 on column 0 only), and
+    # the fine and coarse block walks peak at 0.321 of one (*grid, d, d)
+    # tensor
     n, d = 257, 4
     config = {"V": "2 + y1 + 0.3 * (y1**2 - y2**2)", "n": n}
     peak = _traced_peak(cli.run_gh, config, tmp_path, False)
-    assert peak < 0.42 * n * n * d ** 2 * 8
+    assert peak < 0.35 * n * n * d ** 2 * 8
 
 
 def test_ricci_from_metric_memory_is_output_plus_slabs():
-    n, d, p = 129, 4, 2
-    g = full_metric(build_semiflat(_quartic_potential(n)))
-    spacings = [2.0 / (n - 1)] * 2
-    ricci_from_metric(g, spacings)  # warm the stencil cache
-    tracemalloc.start()
-    try:
-        ricci_from_metric(g, spacings)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the (*grid, d, d) result plus the walk's two windows: the (*, d, d, d)
-    # Christoffel symbols on a slab and its stencil reach, and the metric on
-    # METRIC_ROWS nodes and their nested reach; and, on the SLAB_ROWS rows
-    # each slab adds, Gamma, g^{-1} and the two (*, d, d, p) arrays of the
-    # metric derivatives and g^{ae} d_b g_{ec}; the peak is about 1.05
-    # times their sum
-    output = n * n * d ** 2 * 8
-    windows = ((SLAB_ROWS + 2 * EDGE) * d ** 3 + (METRIC_ROWS + 4 * EDGE) * d ** 2) * n * 8
-    fresh = SLAB_ROWS * n * (d ** 3 + d ** 2 + 2 * d ** 2 * p) * 8
+    n, p = 129, 2
+    blocks, spacings = build_semiflat(_quartic_potential(n)).metric_blocks(), [2.0 / (n - 1)] * 2
+    peak = _traced_peak(ricci_from_metric, blocks, spacings)
+    # the (*grid, 2, p, p) result plus the walk's two windows: the (*, p, 3,
+    # p, p) Christoffel symbols on a slab and its stencil reach, and the
+    # blocks on METRIC_ROWS nodes and their nested reach; and, on the
+    # SLAB_ROWS rows each slab adds, Gamma, the (*, 2, p, p, p) block
+    # derivatives, two (*, p, p, p) arrays of their sums and one of a
+    # product, and the (*, 2, p, p) stencil output and scratch and inverses;
+    # the peak is about 1.01 times their sum
+    output = n * n * 2 * p ** 2 * 8
+    windows = ((SLAB_ROWS + 2 * EDGE) * 3 * p ** 3 + (METRIC_ROWS + 4 * EDGE) * 2 * p ** 2) * n * 8
+    fresh = SLAB_ROWS * n * (3 * p ** 3 + 2 * p ** 3 + 3 * p ** 3 + 3 * 2 * p ** 2) * 8
     assert peak < output + 1.2 * (windows + fresh)
 
 
